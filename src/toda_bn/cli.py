@@ -3,17 +3,20 @@
 Subcommands: lax, conserved, simulate, backlund, canonical, verify.
 Exit codes: 0 success, 1 verification failure, 2 bad input or flags.
 
-Points are passed as inline JSON or a path to a JSON file; rationals are
-encoded as "p/q" strings, floats as plain numbers.  The environment
-variable TODA_BN_SEED provides the default seed for `verify`.
+Every point argument goes through `_parse_point`: a phase point or a
+canonical point, as inline JSON, a JSON file or a bare comma list;
+rationals are encoded as "p/q" strings, floats as plain numbers.  The
+environment variable TODA_BN_SEED provides the default seed for `verify`.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+
 from . import backlund as bk
 from . import conserved as cv
 from . import dynamics as dy
@@ -27,31 +30,60 @@ class CliError(Exception):
     """Bad input reported to the user (exit code 2)."""
 
 
-def _load_json_arg(arg: str):
-    text = arg
-    if not arg.lstrip().startswith(("{", "[")):
+def _parse_point(arg: str, n_flag: int | None = None):
+    """The point a --point or --init argument gives, as (phase point, canonical point).
+
+    ``arg`` is inline JSON, the path of a JSON file, or a bare comma list
+    q_1..q_n,p_1..p_n.  The JSON holds a phase point {"n": .., "z": [..],
+    "Q": [..]} or a canonical point {"q": [..], "p": [..]}; the canonical
+    point is None for a phase point.  A malformed or non-finite point, and a
+    rank other than ``n_flag``, raise CliError.
+    """
+    inline = arg.lstrip().startswith(("{", "["))
+    if not inline and "," in arg and not os.path.exists(arg):
         try:
-            with open(arg, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except OSError as e:
-            raise CliError(f"cannot read {arg!r}: {e}") from e
+            values = [float(v) for v in arg.split(",")]
+        except ValueError as e:
+            raise CliError(f"bad point list {arg!r}: {e}") from e
+        obj = {"q": values[:len(values) // 2], "p": values[len(values) // 2:]}
+    else:
+        text = arg
+        if not inline:
+            try:
+                with open(arg, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as e:
+                raise CliError(f"cannot read {arg!r}: {e}") from e
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as e:
+            raise CliError(f"malformed JSON: {e}") from e
+    keys = set(obj) if isinstance(obj, dict) else set()
+    canonical = {"q", "p"} <= keys
+    if not canonical and not {"n", "z", "Q"} <= keys:
+        raise CliError('expected a phase point {"n": .., "z": [..], "Q": [..]} '
+                       'or a canonical point {"q": [..], "p": [..]}')
+    lists = ("q", "p") if canonical else ("z", "Q")
+    if not all(isinstance(obj[k], list) for k in lists):
+        raise CliError(f"{lists[0]} and {lists[1]} must be lists")
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as e:
-        raise CliError(f"malformed JSON: {e}") from e
-
-
-def _parse_phase_point(arg: str, n_flag: int | None = None) -> lx.PhasePoint:
-    obj = _load_json_arg(arg)
-    if not isinstance(obj, dict) or not {"n", "z", "Q"} <= set(obj):
-        raise CliError('expected a phase point {"n": .., "z": [..], "Q": [..]}')
-    try:
-        x = lx.PhasePoint.from_json_obj(obj)
-    except (TodaError, ValueError, ZeroDivisionError) as e:
-        raise CliError(f"bad phase point: {e}") from e
+        if canonical:
+            if any(isinstance(v, (bool, str)) for k in lists for v in obj[k]):
+                raise CliError("canonical coordinates must be numbers")
+            c = dy.CanonicalPoint(tuple(obj["q"]), tuple(obj["p"]))
+            x = dy.to_phase(c)
+        else:
+            c = None
+            if isinstance(obj["n"], bool) or not isinstance(obj["n"], int):
+                raise CliError(f"rank n must be an integer, got {obj['n']!r}")
+            x = lx.PhasePoint.from_json_obj(obj)
+            if x.mode == "float" and not all(map(math.isfinite, x.z + x.Q)):
+                raise CliError("coordinates must be finite")
+    except (TodaError, ValueError, TypeError, ZeroDivisionError, OverflowError) as e:
+        raise CliError(f"bad point: {type(e).__name__}: {e}") from e
     if n_flag is not None and x.n != n_flag:
         raise CliError(f"--n {n_flag} does not match point rank {x.n}")
-    return x
+    return x, c
 
 
 def _emit(payload: str, out: str | None):
@@ -67,7 +99,7 @@ def _json_dumps(obj) -> str:
 
 
 def cmd_lax(args) -> int:
-    x = _parse_phase_point(args.point, args.n)
+    x, _ = _parse_point(args.point, args.n)
     L = lx.build_lax(x)
     rep = lx.gamma_membership(L)
     _emit(_json_dumps({"n": x.n, "L": L.to_json_obj(),
@@ -76,7 +108,7 @@ def cmd_lax(args) -> int:
 
 
 def cmd_conserved(args) -> int:
-    x = _parse_phase_point(args.point, args.n)
+    x, _ = _parse_point(args.point, args.n)
     f = cv.conserved_values(x)
     payload = {"F": [format_scalar(v) for v in f]}
     if x.mode == "exact" and x.n <= cv.MAX_SYMBOLIC_RANK:
@@ -87,29 +119,8 @@ def cmd_conserved(args) -> int:
     return 0
 
 
-def _parse_init(arg: str, n_flag: int | None) -> lx.PhasePoint:
-    stripped = arg.lstrip()
-    if not stripped.startswith(("{", "[")) and not os.path.exists(arg):
-        # bare comma list of 2n floats: canonical (q_1..q_n, p_1..p_n)
-        try:
-            values = [float(v) for v in arg.split(",")]
-        except ValueError as e:
-            raise CliError(f"cannot parse --init {arg!r}: {e}") from e
-        if len(values) % 2:
-            raise CliError("canonical list needs an even number of values")
-        n = len(values) // 2
-        if n_flag is not None and n != n_flag:
-            raise CliError(f"--n {n_flag} does not match init of rank {n}")
-        return dy.to_phase(dy.CanonicalPoint(tuple(values[:n]), tuple(values[n:])))
-    obj = _load_json_arg(arg)
-    if isinstance(obj, dict) and {"q", "p"} <= set(obj):
-        c = dy.CanonicalPoint(tuple(obj["q"]), tuple(obj["p"]))
-        return dy.to_phase(c)
-    return _parse_phase_point(arg, n_flag)
-
-
 def cmd_simulate(args) -> int:
-    x0 = _parse_init(args.init, args.n).to_float()
+    x0 = _parse_point(args.init, args.n)[0].to_float()
     if args.h <= 0:
         raise CliError("--h must be positive")
     traj = dy.integrate(x0, T=args.T, h=args.h)
@@ -125,7 +136,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_backlund(args) -> int:
-    x = _parse_phase_point(args.point, args.n)
+    x, _ = _parse_point(args.point, args.n)
     if args.steps < 0:
         raise CliError("--steps must be >= 0")
     routes = ("map", "conjugate") if args.route == "both" else (args.route,)
@@ -149,21 +160,16 @@ def cmd_backlund(args) -> int:
 
 
 def cmd_canonical(args) -> int:
-    obj = _load_json_arg(args.point)
-    if isinstance(obj, dict) and {"q", "p"} <= set(obj):
-        c = dy.CanonicalPoint(tuple(obj["q"]), tuple(obj["p"]))
-        x = dy.to_phase(c)
+    x, c = _parse_point(args.point, args.n)
+    if c is not None:
         payload = {"point": x.to_json_obj(),
                    "H_phase": dy.hamiltonian(x),
                    "H_canonical": dy.hamiltonian_canonical(c)}
-    elif isinstance(obj, dict) and {"n", "z", "Q"} <= set(obj):
-        x = lx.PhasePoint.from_json_obj(obj)
+    else:
         c = dy.from_phase(x)
         payload = {"q": list(c.q), "p": list(c.p),
                    "H_phase": float(dy.hamiltonian(x)),
                    "H_canonical": dy.hamiltonian_canonical(c)}
-    else:
-        raise CliError('expected {"q": [..], "p": [..]} or a phase point')
     _emit(_json_dumps(payload), args.out)
     return 0
 
@@ -246,10 +252,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
+    except (CliError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TodaError as e:

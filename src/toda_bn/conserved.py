@@ -168,13 +168,7 @@ def elementary_symmetric_z_poly(n: int, i: int) -> LaurentPoly:
     """e_i(z_1..z_n, z_1^{-1}..z_n^{-1}) as a Laurent polynomial."""
     values = [LaurentPoly.z_var(n, k) for k in range(1, n + 1)]
     values += [LaurentPoly.z_var(n, k, -1) for k in range(1, n + 1)]
-    if i > len(values):
-        return LaurentPoly.zero(n)
-    acc = [LaurentPoly.one(n)] + [LaurentPoly.zero(n)] * i
-    for v in values:
-        for j in range(min(i, len(acc) - 1), 0, -1):
-            acc[j] = acc[j] + v * acc[j - 1]
-    return acc[i]
+    return LaurentPoly.zero(n) + elementary_symmetric(i, values)  # a LaurentPoly for every i
 
 
 def ideal_generator(i: int, x: PhasePoint, eps: Sequence[float]) -> float:

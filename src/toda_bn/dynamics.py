@@ -241,34 +241,41 @@ def _check_window(n: int, state: tuple, t: float):
             raise StepBlowupError(f"|z_{i + 1}| left {Z_WINDOW} at t={t}")
 
 
-def rk4_endpoint(x0: PhasePoint, T: float, h: float) -> PhasePoint:
-    """Endpoint of the RK4 flow, without trajectory or drift bookkeeping."""
+def _rk4_states(x0: PhasePoint, T: float, h: float):
+    """Yield (t, state) at t = 0 and after each of the round(T/h) RK4 steps.
+
+    A state is the raw tuple (z_1..z_n, Q_1..Q_n).  Raises StepBlowupError
+    when a |z_i| leaves Z_WINDOW.
+    """
     if x0.mode != "float":
         raise ModeError("integration runs in float mode")
     if h <= 0:
         raise ValueError("need h > 0")
     n = x0.n
     state = tuple(x0.z) + tuple(x0.Q)
-    steps = max(0, round(T / h))
-    for k in range(steps):
+    yield 0.0, state
+    for k in range(1, max(0, round(T / h)) + 1):
         state = _rk4_step(n, state, h)
-        _check_window(n, state, (k + 1) * h)
-    return PhasePoint(n, state[:n], state[n:])
+        _check_window(n, state, k * h)
+        yield k * h, state
 
 
-def integrate(x0: PhasePoint, T: float, h: float = 1e-3, scheme: str = "rk4") -> Trajectory:
+def rk4_endpoint(x0: PhasePoint, T: float, h: float) -> PhasePoint:
+    """Endpoint of the RK4 flow, without trajectory or drift bookkeeping."""
+    for _, state in _rk4_states(x0, T, h):
+        pass
+    return PhasePoint(x0.n, state[:x0.n], state[x0.n:])
+
+
+def integrate(x0: PhasePoint, T: float, h: float = 1e-3) -> Trajectory:
     """Classical fixed-step RK4 flow from x0 over [0, T].
 
     The returned trajectory stores every accepted state together with the
     relative drift of the conserved quantities against their initial
     values.  Raises StepBlowupError when a |z_i| leaves Z_WINDOW.
     """
-    if scheme != "rk4":
-        raise ValueError("rk4 is the only supported scheme")
-    if x0.mode != "float":
-        raise ModeError("integration runs in float mode")
-    if h <= 0:
-        raise ValueError("need h > 0")
+    steps = _rk4_states(x0, T, h)
+    next(steps)  # checks x0 and h before the drift bookkeeping starts
     n = x0.n
     # Drift diagnostics evaluate the polynomial form of the F_i where it is
     # available: the float charpoly recurrence carries a roundoff floor of
@@ -286,13 +293,9 @@ def integrate(x0: PhasePoint, T: float, h: float = 1e-3, scheme: str = "rk4") ->
     times = [0.0]
     states = [x0]
     drifts = [0.0]
-    state = tuple(x0.z) + tuple(x0.Q)
-    steps = max(0, round(T / h))
-    for k in range(1, steps + 1):
-        state = _rk4_step(n, state, h)
-        _check_window(n, state, k * h)
+    for t, state in steps:
         x = PhasePoint(n, state[:n], state[n:])
-        times.append(k * h)
+        times.append(t)
         states.append(x)
         drifts.append(drift_of(x))
     return Trajectory(tuple(times), tuple(states), tuple(drifts))

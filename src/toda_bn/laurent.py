@@ -159,14 +159,6 @@ class LaurentPoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative powers not supported; invert monomials explicitly")
-        out = LaurentPoly.one(self.n)
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- calculus / evaluation ------------------------------------------------
 
     def evaluate(self, z: Sequence, Q: Sequence | None = None):

@@ -331,10 +331,6 @@ class PolyInLambda:
 
     coeffs: tuple
 
-    @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
     def __call__(self, lam):
         acc = 0
         for c in self.coeffs:

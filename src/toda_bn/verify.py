@@ -82,17 +82,17 @@ def random_point(n: int, rng: random.Random) -> lx.PhasePoint:
     )
 
 
-def sample_generic(n: int, rng: random.Random, probe) -> tuple:
-    """Draw points until `probe` stops raising DegeneratePointError."""
-    resamples = 0
+def sample_generic(draw, probe) -> tuple:
+    """Call `draw()` until `probe` accepts the sample, i.e. stops raising
+    DegeneratePointError; returns (sample, probe(sample), redraws)."""
+    redraws = 0
     while True:
-        x = random_point(n, rng)
+        x = draw()
         try:
-            probe(x)
-            return x, resamples
+            return x, probe(x), redraws
         except DegeneratePointError:
-            resamples += 1
-            if resamples > 500:
+            redraws += 1
+            if redraws > 500:
                 raise
 
 
@@ -133,11 +133,13 @@ def random_g_plus(n: int, rng: random.Random) -> SquareMatrix:
     return m
 
 
+def _invertible_upper_left(m: SquareMatrix):
+    if m.block(0, 0, m.dim // 2).det() == 0:
+        raise DegeneratePointError("singular upper-left block")
+
+
 def random_g_minus(n: int, rng: random.Random) -> SquareMatrix:
-    while True:
-        m = random_alg_minus(n, rng)
-        if m.block(0, 0, n).det() != 0:
-            return m
+    return sample_generic(lambda: random_alg_minus(n, rng), _invertible_upper_left)[0]
 
 
 def random_canonical(n: int, rng: random.Random, scale: float = 1.0) -> dy.CanonicalPoint:
@@ -329,17 +331,13 @@ def check_path_weight_factorization(cfg: VerifySuiteConfig, rng: random.Random) 
     trials = min(cfg.trials, 25)
     resamples = 0
     for n in range(1, min(cfg.n_max, 3) + 1):
-        done = 0
-        while done < trials:
-            x = random_point(n, rng)
-            if any(q == 0 for q in x.Q):
-                resamples += 1
-                continue
-            rep = cv.path_weight_oracle(x)
+        for t in range(trials):
+            # the oracle raises DegeneratePointError exactly when some Q_i = 0
+            x, rep, rs = sample_generic(lambda: random_point(n, rng), cv.path_weight_oracle)
+            resamples += rs
             if not rep.all_ok:
                 return _fail(name, mode, {"n": n, "point": x.to_json_obj(),
-                                          "report": vars(rep)}, done, resamples)
-            done += 1
+                                          "report": vars(rep)}, t, resamples)
         # documented degeneracy: any Q_i = 0 raises, while both conserved
         # routes still agree at that point
         xq0 = lx.PhasePoint(n, tuple(random_rational(rng) for _ in range(n)),
@@ -363,10 +361,10 @@ def check_parameter_roundtrip(cfg: VerifySuiteConfig, rng: random.Random) -> Ide
         if lx.parameters_from_lax(lx.build_lax(ones)) != ones:
             return _fail(name, mode, {"n": n, "which": "unit point"})
         for t in range(cfg.trials):
-            x, rs = sample_generic(
-                n, rng, lambda p: lx.parameters_from_lax(lx.build_lax(p)))
+            x, back, rs = sample_generic(
+                lambda: random_point(n, rng), lambda p: lx.parameters_from_lax(lx.build_lax(p)))
             resamples += rs
-            if lx.parameters_from_lax(lx.build_lax(x)) != x:
+            if back != x:
                 return _fail(name, mode, {"n": n, "point": x.to_json_obj()},
                              t, resamples)
     return IdentityResult(name, mode, True, cfg.trials * cfg.n_max, resamples)
@@ -427,8 +425,9 @@ def check_splitting(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResul
             K2, R2 = sp.factor_minus_plus(K @ R)
             if K2 != K or R2 != R:
                 return _fail(name, mode, {"n": n, "which": "uniqueness"}, t)
-        gm = random_g_minus(n, rng)
-        K, R = sp.factor_minus_plus(gm)
+        # the unpivoted Gauss steps can fail even on a G_minus element
+        gm, (K, R), rs = sample_generic(lambda: random_g_minus(n, rng), sp.factor_minus_plus)
+        resamples += rs
         if K != gm or R != SquareMatrix.identity(d):
             return _fail(name, mode, {"n": n, "which": "G_minus fixed"})
     return IdentityResult(name, mode, True, cfg.trials * cfg.n_max, resamples)
@@ -604,33 +603,25 @@ def check_backlund_exact(cfg: VerifySuiteConfig, rng: random.Random) -> Identity
     f0 = cv.conserved_values(WORKED_POINT)
     if any(cv.conserved_values(s) != f0 for s in seq):
         return _fail(name, mode, {"which": "iterate invariance"})
-    done = 0  # the printed n = 2 display gets its own 100-point comparison
-    while done < 100:
-        x = random_point(2, rng)
-        try:
-            if bk.backlund_map(x) != printed_backlund_n2(x):
-                return _fail(name, mode, {"point": x.to_json_obj(),
-                                          "which": "printed n=2"})
-        except DegeneratePointError:
-            resamples += 1
-            continue
-        done += 1
+    for _ in range(100):  # the printed n = 2 display gets its own comparison
+        x, (a, want), rs = sample_generic(lambda: random_point(2, rng),
+                                          lambda p: (bk.backlund_map(p), printed_backlund_n2(p)))
+        resamples += rs
+        if a != want:
+            return _fail(name, mode, {"point": x.to_json_obj(), "which": "printed n=2"})
     for n in range(2, min(cfg.n_max, 4) + 1):
         for t in range(cfg.trials):
-            def probe(p):
-                bk.backlund_map(p)
-                bk.backlund_conjugate(p)
-            x, rs = sample_generic(n, rng, probe)
+            x, (a, b), rs = sample_generic(
+                lambda: random_point(n, rng),
+                lambda p: (bk.backlund_map(p), bk.backlund_conjugate(p)))
             resamples += rs
-            a = bk.backlund_map(x)
-            b = bk.backlund_conjugate(x)
             if a != b:
                 return _fail(name, mode, {"n": n, "point": x.to_json_obj(),
                                           "which": "two routes"}, t, resamples)
             if cv.conserved_values(a) != cv.conserved_values(x):
                 return _fail(name, mode, {"n": n, "point": x.to_json_obj(),
                                           "which": "invariance"}, t, resamples)
-            if n == 2 and bk.backlund_map(x) != printed_backlund_n2(x):
+            if n == 2 and a != printed_backlund_n2(x):
                 return _fail(name, mode, {"n": n, "point": x.to_json_obj(),
                                           "which": "printed n=2"}, t, resamples)
         xq0 = lx.PhasePoint(n, tuple(random_rational(rng) for _ in range(n)),

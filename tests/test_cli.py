@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -126,3 +127,77 @@ def test_bad_trials_exit_2(capsys):
     code, _, err = run(capsys, "verify", "--trials", "0")
     assert code == 2
     assert "trials" in err
+
+
+# -- the one point contract -----------------------------------------------------
+
+BAD_POINTS = [
+    ("lax", '{"n": 1, "z": [NaN], "Q": [0.5]}'),
+    ("lax", '{"n": 1, "z": [Infinity], "Q": [0.5]}'),
+    ("lax", '{"n": 2.7, "z": ["2", "3"], "Q": ["1/2", "1/5"]}'),
+    ("lax", '{"n": true, "z": ["2"], "Q": ["1/2"]}'),
+    ("conserved", '{"n": 1, "z": 5, "Q": [0.5]}'),
+    ("canonical", '{"n": 1, "z": ["1/0"], "Q": ["0"]}'),
+    ("backlund", '{"n": 2, "z": ["2", "3"], "Q": ["1/2"]}'),
+    ("canonical", '{"q": [1000.0], "p": [0.0]}'),
+    ("canonical", '{"q": ["1"], "p": [0.0]}'),
+    ("lax", '{"q": [0.1], "p": 5}'),
+    ("lax", '[1, 2]'),
+    ("conserved", "0.1,0.2,0.3"),
+    ("conserved", "0.1,abc"),
+]
+
+
+@pytest.mark.parametrize("command,point", BAD_POINTS)
+def test_bad_point_exits_2_with_one_line(capsys, command, point):
+    code, out, err = run(capsys, command, "--point", point)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_bad_init_exits_2(capsys):
+    code, _, err = run(capsys, "simulate", "--init", '{"q": [NaN], "p": [0.0]}', "--T", "0.1")
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_missing_file_is_reported_unreadable(capsys):
+    for path in ("/nonexistent/file.json", "no-such-point"):
+        code, _, err = run(capsys, "lax", "--point", path)
+        assert code == 2
+        assert err.startswith(f"error: cannot read {path!r}")
+
+
+def test_every_point_flag_reads_every_form(capsys, tmp_path):
+    as_json = '{"q": [0.1, -0.2], "p": [0.3, 0.0]}'
+    target = tmp_path / "point.json"
+    target.write_text(as_json)
+    outputs = [run(capsys, "canonical", "--point", arg) for arg in
+               (as_json, str(target), "0.1,-0.2,0.3,0.0")]
+    assert all(code == 0 for code, _, _ in outputs)
+    assert len({out for _, out, _ in outputs}) == 1
+    point = json.dumps(json.loads(outputs[0][1])["point"])
+    for command in ("lax", "conserved", "backlund"):
+        assert run(capsys, command, "--point", as_json)[1] == \
+            run(capsys, command, "--point", point)[1]
+    code, _, _ = run(capsys, "canonical", "--point", as_json, "--n", "3")
+    assert code == 2
+
+
+def test_verify_g_minus_redraw_seed(capsys):
+    # "G_minus fixed" draws a G_minus element whose unpivoted LU fails here
+    code, out, _ = run(capsys, "verify", "--mode", "rational", "--seed", "430260648",
+                       "--trials", "5")
+    assert code == 0
+    assert json.loads(out.strip().splitlines()[-1])["overall"] == "pass"
+
+
+def test_verify_report_golden(capsys):
+    # the rational report is platform independent; this digest pins its bytes
+    code, out, _ = run(capsys, "verify", "--mode", "rational", "--seed", "7",
+                       "--n-max", "3", "--trials", "3")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "225d156403546935751f088b6e303aff4112eb785aa5ff7b8cd4206e8f946a96"

@@ -154,3 +154,9 @@ def test_path_route_rank_guard():
     x = PhasePoint(7, (Fraction(1),) * 7, (Fraction(0),) * 7)
     with pytest.raises(ValueError):
         conserved_values_by_path(x)
+
+
+def test_elementary_symmetric_z_poly_edges():
+    assert elementary_symmetric_z_poly(2, 0) == LaurentPoly.one(2)
+    assert elementary_symmetric_z_poly(2, 5) == LaurentPoly.zero(2)
+    assert isinstance(elementary_symmetric_z_poly(2, 5), LaurentPoly)

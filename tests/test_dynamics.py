@@ -223,3 +223,20 @@ def test_rk4_fourth_order(rng):
     t2 = integrate(x, T=0.5, h=1e-3)
     if t1.max_drift > 1e-12:  # above the evaluation noise floor
         assert t2.max_drift * 8 <= t1.max_drift
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_rk4_endpoint_is_integrate_endpoint(rng, n):
+    x = to_phase(random_canonical(n, rng))
+    for T, h in ((0.0, 1e-3), (0.05, 1e-3), (0.1, 3e-3)):
+        assert rk4_endpoint(x, T, h) == integrate(x, T, h).endpoint
+
+
+def test_flow_argument_checks(worked_point, rng):
+    x = to_phase(random_canonical(2, rng))
+    for flow in (rk4_endpoint, integrate):
+        with pytest.raises(ModeError):
+            flow(worked_point, 0.0, 1e-3)
+        for h in (0.0, -1e-3):
+            with pytest.raises(ValueError):
+                flow(x, 0.1, h)
