@@ -119,10 +119,27 @@ def cmd_conserved(args) -> int:
     return 0
 
 
+def _float_range(fn):
+    """fn(), with an OverflowError from a point past the float range as CliError."""
+    try:
+        return fn()
+    except OverflowError as e:
+        raise CliError(f"point is out of the float range: {e}") from e
+
+
 def cmd_simulate(args) -> int:
-    x0 = _parse_point(args.init, args.n)[0].to_float()
+    x, _ = _parse_point(args.init, args.n)
+    x0 = _float_range(x.to_float)
+    if not (math.isfinite(args.T) and math.isfinite(args.h)):
+        raise CliError("--T and --h must be finite")
     if args.h <= 0:
         raise CliError("--h must be positive")
+    if args.T < 0:
+        raise CliError("--T must be >= 0")
+    steps = args.T / args.h
+    # integrate runs round(T/h) steps, so anything else would not end at T
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
+        raise CliError(f"--T {args.T!r} is not a whole number of --h {args.h!r} steps")
     traj = dy.integrate(x0, T=args.T, h=args.h)
     n = x0.n
     header = ["t"] + [f"z_{i + 1}" for i in range(n)] + \
@@ -159,17 +176,20 @@ def cmd_backlund(args) -> int:
     return 0
 
 
+def _canonical_payload(x, c) -> dict:
+    if c is not None:
+        return {"point": x.to_json_obj(),
+                "H_phase": dy.hamiltonian(x),
+                "H_canonical": dy.hamiltonian_canonical(c)}
+    c = dy.from_phase(x)
+    return {"q": list(c.q), "p": list(c.p),
+            "H_phase": float(dy.hamiltonian(x)),
+            "H_canonical": dy.hamiltonian_canonical(c)}
+
+
 def cmd_canonical(args) -> int:
     x, c = _parse_point(args.point, args.n)
-    if c is not None:
-        payload = {"point": x.to_json_obj(),
-                   "H_phase": dy.hamiltonian(x),
-                   "H_canonical": dy.hamiltonian_canonical(c)}
-    else:
-        c = dy.from_phase(x)
-        payload = {"q": list(c.q), "p": list(c.p),
-                   "H_phase": float(dy.hamiltonian(x)),
-                   "H_canonical": dy.hamiltonian_canonical(c)}
+    payload = _float_range(lambda: _canonical_payload(x, c))
     _emit(_json_dumps(payload), args.out)
     return 0
 

@@ -8,9 +8,11 @@ Two scalar modes are supported and never mixed inside one matrix:
 * ``"float"``  -- entries are IEEE binary64; used only for flows and matrix
   exponentials.
 
-The characteristic polynomial is computed by the Faddeev-LeVerrier
-recurrence, whose only divisions are by the integers 1..d, hence it is
-exact in rational mode.
+In exact mode the characteristic polynomial comes from a Hessenberg
+reduction and the Hessenberg coefficient recurrence (Cohen, *A Course in
+Computational Algebraic Number Theory*, Alg. 2.2.9), O(d^3); in float mode
+from the Faddeev-LeVerrier recurrence, O(d^4).  Exact-mode products and
+eliminations skip zero entries, since the Lax factors are sparse.
 """
 
 from __future__ import annotations
@@ -41,6 +43,8 @@ def classify_scalar(value) -> str:
 
 def coerce_scalar(value, mode: str) -> Scalar:
     if mode == "exact":
+        if type(value) is Fraction:
+            return value
         if isinstance(value, float):
             raise ModeError("refusing to coerce a float into exact mode")
         return Fraction(value)
@@ -206,6 +210,16 @@ class SquareMatrix:
     def __matmul__(self, other):
         self._check_compatible(other)
         d = self._dim
+        if self._mode == "exact":
+            other_nz = [_nonzero_entries(rb) for rb in other._rows]
+            rows = []
+            for ra in self._rows:
+                acc = [0] * d
+                for k, a in _nonzero_entries(ra):
+                    for j, b in other_nz[k]:
+                        acc[j] += a * b
+                rows.append(acc)
+            return SquareMatrix(rows, "exact")
         cols = list(zip(*other._rows))
         return SquareMatrix(
             [[sum(ra[k] * col[k] for k in range(d)) for col in cols] for ra in self._rows],
@@ -230,6 +244,12 @@ class SquareMatrix:
     def max_abs(self) -> float:
         return max(abs(v) for r in self._rows for v in r)
 
+    def _pivot_nonzeros(self, row):
+        """The (j, entry) pairs an exact-mode row update needs; None in float
+        mode, whose updates stay dense: skipping v - f*0.0 can flip the sign
+        of a zero."""
+        return _nonzero_entries(row) if self._mode == "exact" else None
+
     def _pivot_is_zero(self, pivot, scale) -> bool:
         if self._mode == "exact":
             return pivot == 0
@@ -251,11 +271,17 @@ class SquareMatrix:
                 raise SingularMatrixError(f"singular at column {c}")
             aug[c], aug[p] = aug[p], aug[c]
             piv = aug[c][c]
-            aug[c] = [v / piv for v in aug[c]]
+            nz = self._pivot_nonzeros(aug[c])
+            if nz is None:
+                aug[c] = [v / piv for v in aug[c]]
+            else:
+                nz = [(j, v / piv) for j, v in nz]
+                for j, v in nz:
+                    aug[c][j] = v
             for r in range(d):
                 if r != c and aug[r][c] != 0:
                     f = aug[r][c]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
+                    aug[r] = _minus_multiple(aug[r], f, aug[c], nz)
         return SquareMatrix([r[d:] for r in aug], self._mode)
 
     def det(self) -> Scalar:
@@ -273,10 +299,11 @@ class SquareMatrix:
                 m[c], m[p] = m[p], m[c]
                 sign = -sign
             out *= m[c][c]
+            nz = self._pivot_nonzeros(m[c])
             for r in range(c + 1, d):
                 if m[r][c] != 0:
                     f = m[r][c] / m[c][c]
-                    m[r] = [v - f * w for v, w in zip(m[r], m[c])]
+                    m[r] = _minus_multiple(m[r], f, m[c], nz)
         return sign * out
 
     def lu_unit_lower(self) -> tuple["SquareMatrix", "SquareMatrix"]:
@@ -295,20 +322,24 @@ class SquareMatrix:
         for c in range(d):
             if self._pivot_is_zero(up[c][c], scale):
                 raise DegeneratePointError(f"vanishing leading minor at index {c}")
+            nz = self._pivot_nonzeros(up[c])
             for r in range(c + 1, d):
                 if up[r][c] != 0:
                     f = up[r][c] / up[c][c]
                     low[r][c] = f
-                    up[r] = [v - f * w for v, w in zip(up[r], up[c])]
+                    up[r] = _minus_multiple(up[r], f, up[c], nz)
                     up[r][c] = zero
         return SquareMatrix(low, self._mode), SquareMatrix(up, self._mode)
 
     def char_poly(self) -> "PolyInLambda":
-        """Coefficients of det(lambda*E - self) by Faddeev-LeVerrier."""
+        """Coefficients of det(lambda*E - self), highest degree first."""
+        # Float keeps Faddeev-LeVerrier: simulate and conserved print its roundoff.
+        if self._mode == "exact":
+            return PolyInLambda(_hessenberg_char_poly([list(r) for r in self._rows]))
         d = self._dim
-        ident = SquareMatrix.identity(d, self._mode)
-        coeffs = [Fraction(1) if self._mode == "exact" else 1.0]
-        m = SquareMatrix.zero(d, self._mode)
+        ident = SquareMatrix.identity(d, "float")
+        coeffs = [1.0]
+        m = SquareMatrix.zero(d, "float")
         for k in range(1, d + 1):
             m = self @ m + coeffs[-1] * ident
             am = self @ m
@@ -323,6 +354,77 @@ class SquareMatrix:
     @classmethod
     def from_json_obj(cls, obj) -> "SquareMatrix":
         return cls([[parse_scalar(v) for v in r] for r in obj])
+
+
+def _nonzero_entries(row) -> list:
+    """The (index, entry) pairs of the nonzero entries of a row."""
+    return [(j, v) for j, v in enumerate(row) if v]
+
+
+def _minus_multiple(row, f, pivot, nz):
+    """row - f * pivot.  ``nz`` lists the pivot's nonzero entries, and only
+    those are updated, in place; ``None`` means the dense float update."""
+    if nz is None:
+        return [v - f * w for v, w in zip(row, pivot)]
+    for j, w in nz:
+        row[j] -= f * w
+    return row
+
+
+def _hessenberg_char_poly(h: list) -> tuple:
+    """det(lambda*E - H) of a Fraction matrix given as a list of row lists,
+    coefficients highest degree first (Cohen, Alg. 2.2.9).
+
+    ``h`` is reduced in place to upper Hessenberg form by similarity
+    transforms whose pivot is the first exactly nonzero entry on or below
+    the subdiagonal; a column without one is already reduced.  The leading
+    principal minors p_0..p_d of lambda*E - H then follow the recurrence
+    p_{m+1} = (lambda - h_mm) p_m - sum_{i<m} h_im (h_{i+1,i}..h_{m,m-1}) p_i,
+    whose sum stops at the first zero subdiagonal entry.
+    """
+    d = len(h)
+    for m in range(1, d - 1):
+        c = m - 1
+        piv = next((i for i in range(m, d) if h[i][c]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        t = h[m][c]
+        pivot_nz = _nonzero_entries(h[m])
+        # R_i -= u_i R_m for every i > m, then C_m += u_i C_i for every i:
+        # the row operations commute, and the column operations multiply by
+        # the inverse of their product on the right.
+        us = []
+        for i in range(m + 1, d):
+            if h[i][c]:
+                u = h[i][c] / t
+                _minus_multiple(h[i], u, h[m], pivot_nz)
+                us.append((i, u))
+        for row in h:
+            for i, u in us:
+                if row[i]:
+                    row[m] += u * row[i]
+    # polys[k] holds p_k lowest degree first
+    polys = [[Fraction(1)]]
+    for m in range(d):
+        p = [Fraction(0)] + polys[m]
+        if h[m][m]:
+            for k, a in enumerate(polys[m]):
+                p[k] -= h[m][m] * a
+        t = Fraction(1)
+        for i in range(m - 1, -1, -1):
+            t *= h[i + 1][i]
+            if not t:
+                break
+            if h[i][m]:
+                f = t * h[i][m]
+                for k, a in enumerate(polys[i]):
+                    p[k] -= f * a
+        polys.append(p)
+    return tuple(reversed(polys[d]))
 
 
 @dataclass(frozen=True)

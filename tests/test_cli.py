@@ -145,6 +145,7 @@ BAD_POINTS = [
     ("lax", '[1, 2]'),
     ("conserved", "0.1,0.2,0.3"),
     ("conserved", "0.1,abc"),
+    ("canonical", '{"n": 1, "z": ["1e400"], "Q": ["-1"]}'),
 ]
 
 
@@ -161,6 +162,29 @@ def test_bad_init_exits_2(capsys):
     code, _, err = run(capsys, "simulate", "--init", '{"q": [NaN], "p": [0.0]}', "--T", "0.1")
     assert code == 2
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ("--init", '{"n": 1, "z": ["1e400"], "Q": ["0"]}', "--T", "0.01"),
+    ("--init", "0.1,0.2", "--T", "inf"),
+    ("--init", "0.1,0.2", "--T", "1", "--h", "nan"),
+    ("--init", "0.1,0.2", "--T", "-1"),
+    ("--init", "0.1,0.2", "--T", "1", "--h", "0.3"),
+    ("--init", "0.1,0.2", "--T", "1e300", "--h", "1e-300"),
+], ids=["overflow", "T-inf", "h-nan", "T-negative", "T-not-multiple-of-h", "T/h-inf"])
+def test_simulate_bad_range_exits_2_with_one_line(capsys, flags):
+    code, out, err = run(capsys, "simulate", *flags)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_simulate_ends_at_T(capsys):
+    code, out, _ = run(capsys, "simulate", "--init", "0.1,0.2", "--T", "0.9", "--h", "0.3")
+    assert code == 0
+    assert out.strip().splitlines()[-1].startswith("0.8999999999999999,")
+    code, out, _ = run(capsys, "simulate", "--init", "0.1,0.2", "--T", "0")
+    assert code == 0 and len(out.strip().splitlines()) == 2
 
 
 def test_missing_file_is_reported_unreadable(capsys):

@@ -1,7 +1,10 @@
+import hashlib
 import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toda_bn import (
     DegeneratePointError,
@@ -10,8 +13,11 @@ from toda_bn import (
     SingularMatrixError,
     SquareMatrix,
     build_factors,
+    build_lax,
     mat_exp,
 )
+from toda_bn.conserved import conserved_values
+from toda_bn.linalg import interpolate_poly
 from toda_bn.verify import random_matrix
 
 
@@ -162,3 +168,122 @@ def test_phase_point_mode_and_validation():
     assert y.mode == "exact"
     with pytest.raises(ModeError):
         PhasePoint(2, (Fraction(1, 2), 0.5), (Fraction(1), Fraction(1)))
+
+
+# -- exact kernel: the Hessenberg char_poly and the zero-skipping loops ---------
+
+ENTRIES = st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=6))
+
+
+@st.composite
+def sparse_matrices(draw, max_dim=8):
+    d = draw(st.integers(1, max_dim))
+    return SquareMatrix(draw(st.lists(st.lists(ENTRIES, min_size=d, max_size=d),
+                                      min_size=d, max_size=d)))
+
+
+def char_poly_by_interpolation(m):
+    """det(lambda*E - m) through its values at lambda = 0..d."""
+    ident = SquareMatrix.identity(m.dim)
+    return interpolate_poly([(lam, (ident * lam - m).det()) for lam in range(m.dim + 1)])
+
+
+def jordan_block(d):
+    """The nilpotent Jordan block: ones on the superdiagonal."""
+    return SquareMatrix([[int(j == i + 1) for j in range(d)] for i in range(d)])
+
+
+def permutation(images):
+    return SquareMatrix([[int(images[j] == i) for j in range(len(images))]
+                         for i in range(len(images))])
+
+
+def block_upper(a, b, c):
+    """[[a, b], [0, c]] for square a, c and a len(a) x len(c) list b."""
+    ka, kc = a.dim, c.dim
+    return SquareMatrix([list(a.rows[i]) + list(b[i]) for i in range(ka)]
+                        + [[0] * ka + list(c.rows[i]) for i in range(kc)])
+
+
+# (matrix, its characteristic polynomial or None); each reaches the branches
+# for a column without a pivot, a row swap, or a zero subdiagonal entry
+STRUCTURED = {
+    "zero": (SquareMatrix.zero(5), (1, 0, 0, 0, 0, 0)),
+    "nilpotent-jordan": (jordan_block(6), (1, 0, 0, 0, 0, 0, 0)),
+    "nilpotent-jordan-lower": (jordan_block(6).transpose(), (1, 0, 0, 0, 0, 0, 0)),
+    "permutation-cycle": (permutation([2, 0, 3, 4, 1]), (1, 0, 0, 0, 0, -1)),
+    # cycles of length 2, 4, 1: (lambda^2 - 1)(lambda^4 - 1)(lambda - 1)
+    "permutation-cycles": (permutation([1, 0, 3, 4, 5, 2, 6]),
+                           (1, -1, -1, 1, -1, 1, 1, -1)),
+    "block-triangular": (block_upper(
+        SquareMatrix([[2, Fraction(1, 3)], [-1, 0]]), [[5, 0, 1], [0, Fraction(-2, 7), 0]],
+        SquareMatrix([[0, 0, 1], [1, 0, 0], [0, Fraction(3, 2), 4]])), None),
+    # columns 0 and 1 are zero below the subdiagonal, column 2 from it down
+    "column-zero-below-subdiagonal": (SquareMatrix(
+        [[1, 2, 3, 4, 5], [6, 7, 8, 9, 1], [0, 2, 3, 4, 5], [0, 0, 0, 1, 2], [0, 0, 0, 3, 4]]),
+        None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURED))
+def test_char_poly_structured_cases(name):
+    m, expected = STRUCTURED[name]
+    p = m.char_poly()
+    assert p == char_poly_by_interpolation(m)
+    assert all(type(c) is Fraction for c in p.coeffs)
+    if expected is not None:
+        assert p.coeffs == expected
+
+
+def test_char_poly_block_triangular_factors():
+    m = STRUCTURED["block-triangular"][0]
+    p, a, c = m.char_poly(), m.block(0, 0, 2).char_poly(), m.block(2, 2, 3).char_poly()
+    assert all(p(lam) == a(lam) * c(lam) for lam in range(6))
+
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_matrices())
+def test_char_poly_matches_interpolated_determinant(m):
+    p = m.char_poly()
+    assert p == char_poly_by_interpolation(m)
+    assert all(type(c) is Fraction for c in p.coeffs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(sparse_matrices(), sparse_matrices())
+def test_sparse_products_inverse_det_lu(a, b):
+    if a.dim == b.dim:
+        dense = [[sum(a[i, k] * b[k, j] for k in range(a.dim)) for j in range(a.dim)]
+                 for i in range(a.dim)]
+        assert a @ b == SquareMatrix(dense)
+    det = a.det()
+    if det == 0:
+        with pytest.raises(SingularMatrixError):
+            a.inverse()
+    else:
+        assert a @ a.inverse() == SquareMatrix.identity(a.dim)
+    try:
+        lower, upper = a.lu_unit_lower()
+    except DegeneratePointError:
+        assert any(a.block(0, 0, k).det() == 0 for k in range(1, a.dim + 1))
+    else:
+        assert lower @ upper == a
+        assert det == math.prod(upper[i, i] for i in range(a.dim))
+
+
+# Float points whose conserved values (the float Faddeev-LeVerrier char_poly)
+# and Lax inverse are pinned byte for byte: both use only + - * /, so the
+# digests do not depend on the platform's libm.
+FLOAT_GOLDEN = [
+    (PhasePoint(3, (1.3, -0.7, 2.1), (0.4, -0.25, 0.15)),
+     "9c611eac033a67a8395fadced523a6b0188cb1436755bc7ac82afb1bc1988669"),
+    (PhasePoint(8, (1.1, -0.9, 1.7, 0.6, -1.3, 2.2, 0.8, -1.5),
+                (0.3, -0.2, 0.45, 0.1, -0.35, 0.25, 0.05, -0.15)),
+     "1fcdd2755520ade72ac3134e1b93c65eb65b39782d5c2c49f9ad557924741dff"),
+]
+
+
+@pytest.mark.parametrize("x,digest", FLOAT_GOLDEN, ids=["n3", "n8"])
+def test_float_path_bytes_pinned(x, digest):
+    blob = repr((conserved_values(x), build_lax(x).inverse().rows)).encode()
+    assert hashlib.sha256(blob).hexdigest() == digest
