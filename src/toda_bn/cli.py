@@ -130,16 +130,10 @@ def _float_range(fn):
 def cmd_simulate(args) -> int:
     x, _ = _parse_point(args.init, args.n)
     x0 = _float_range(x.to_float)
-    if not (math.isfinite(args.T) and math.isfinite(args.h)):
-        raise CliError("--T and --h must be finite")
-    if args.h <= 0:
-        raise CliError("--h must be positive")
-    if args.T < 0:
-        raise CliError("--T must be >= 0")
-    steps = args.T / args.h
-    # integrate runs round(T/h) steps, so anything else would not end at T
-    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
-        raise CliError(f"--T {args.T!r} is not a whole number of --h {args.h!r} steps")
+    try:
+        dy.step_count(args.T, args.h, names=("--T", "--h"))
+    except ValueError as e:
+        raise CliError(str(e)) from e
     traj = dy.integrate(x0, T=args.T, h=args.h)
     n = x0.n
     header = ["t"] + [f"z_{i + 1}" for i in range(n)] + \

@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .conserved import MAX_SYMBOLIC_RANK, conserved_values, conserved_values_by_path
-from .errors import ModeError, OutOfChartError, StepBlowupError
+from .errors import ModeError, OutOfChartError, StepBlowupError, ZeroBaseError
 from .lax import PhasePoint, build_lax, parameters_from_lax
 from .linalg import SquareMatrix, mat_exp
 from .splitting import factor_plus_minus, project
@@ -89,9 +89,13 @@ def hamilton_rhs(x: PhasePoint) -> tuple[tuple, tuple]:
         Q_n'/Q_n = (1-Q_n) z_n - (1-Q_{n-1}) z_n^{-1}
         z_n'/z_n = Q_n z_n - Q_{n-1} (z_{n-1} + z_n^{-1})
     """
-    n, z, Q = x.n, x.z, x.Q
     zero = Fraction(0) if x.mode == "exact" else 0.0
-    Qb = (zero,) + Q  # Q_0 = 0
+    return _rates(x.n, x.z, x.Q, zero)
+
+
+def _rates(n: int, z: Sequence, Q: Sequence, zero) -> tuple[tuple, tuple]:
+    """hamilton_rhs on raw coordinate tuples; ``zero`` is Q_0 in their ring."""
+    Qb = (zero, *Q)  # Q_0 = 0
     dQ = []
     dz = []
     for i in range(1, n + 1):
@@ -221,18 +225,23 @@ def chart_brackets(c: CanonicalPoint):
 
 
 def _rhs_vector(n: int, state: tuple) -> tuple:
-    x = PhasePoint(n, state[:n], state[n:])
-    dQ, dz = hamilton_rhs(x)
-    return tuple(dz) + tuple(dQ)
+    """(dz, dQ) at the raw float state (z_1..z_n, Q_1..Q_n)."""
+    z, Q = state[:n], state[n:]
+    if any(v == 0 for v in z):
+        raise ZeroBaseError("all z_i must be nonzero")
+    dQ, dz = _rates(n, z, Q, 0.0)
+    return dz + dQ
 
 
 def _rk4_step(n: int, state: tuple, h: float) -> tuple:
+    half = 0.5 * h
     k1 = _rhs_vector(n, state)
-    k2 = _rhs_vector(n, tuple(s + 0.5 * h * k for s, k in zip(state, k1)))
-    k3 = _rhs_vector(n, tuple(s + 0.5 * h * k for s, k in zip(state, k2)))
-    k4 = _rhs_vector(n, tuple(s + h * k for s, k in zip(state, k3)))
-    return tuple(s + h / 6.0 * (a + 2 * b + 2 * c + d)
-                 for s, a, b, c, d in zip(state, k1, k2, k3, k4))
+    k2 = _rhs_vector(n, tuple([s + half * k for s, k in zip(state, k1)]))
+    k3 = _rhs_vector(n, tuple([s + half * k for s, k in zip(state, k2)]))
+    k4 = _rhs_vector(n, tuple([s + h * k for s, k in zip(state, k3)]))
+    sixth = h / 6.0
+    return tuple([s + sixth * (a + 2 * b + 2 * c + d)
+                  for s, a, b, c, d in zip(state, k1, k2, k3, k4)])
 
 
 def _check_window(n: int, state: tuple, t: float):
@@ -241,27 +250,49 @@ def _check_window(n: int, state: tuple, t: float):
             raise StepBlowupError(f"|z_{i + 1}| left {Z_WINDOW} at t={t}")
 
 
+def step_count(T: float, h: float, names: tuple[str, str] = ("T", "h")) -> int:
+    """The number of RK4 steps of size h that end at time T.
+
+    Raises ValueError unless T and h are finite, T >= 0, h > 0 and T/h is
+    within 1e-9 of a whole number; ``names`` are how the messages call T
+    and h.
+    """
+    t_name, h_name = names
+    if not (math.isfinite(T) and math.isfinite(h)):
+        raise ValueError(f"{t_name} and {h_name} must be finite")
+    if h <= 0:
+        raise ValueError(f"{h_name} must be positive")
+    if T < 0:
+        raise ValueError(f"{t_name} must be >= 0")
+    steps = T / h
+    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
+        raise ValueError(f"{t_name} {T!r} is not a whole number of {h_name} {h!r} steps")
+    return round(steps)
+
+
 def _rk4_states(x0: PhasePoint, T: float, h: float):
-    """Yield (t, state) at t = 0 and after each of the round(T/h) RK4 steps.
+    """Yield (t, state) at t = 0 and after each of the step_count(T, h) RK4 steps.
 
     A state is the raw tuple (z_1..z_n, Q_1..Q_n).  Raises StepBlowupError
     when a |z_i| leaves Z_WINDOW.
     """
     if x0.mode != "float":
         raise ModeError("integration runs in float mode")
-    if h <= 0:
-        raise ValueError("need h > 0")
+    steps = step_count(T, h)
     n = x0.n
     state = tuple(x0.z) + tuple(x0.Q)
     yield 0.0, state
-    for k in range(1, max(0, round(T / h)) + 1):
+    for k in range(1, steps + 1):
         state = _rk4_step(n, state, h)
         _check_window(n, state, k * h)
         yield k * h, state
 
 
 def rk4_endpoint(x0: PhasePoint, T: float, h: float) -> PhasePoint:
-    """Endpoint of the RK4 flow, without trajectory or drift bookkeeping."""
+    """Endpoint of the RK4 flow, without trajectory or drift bookkeeping.
+
+    T and h follow integrate's rules.
+    """
     for _, state in _rk4_states(x0, T, h):
         pass
     return PhasePoint(x0.n, state[:x0.n], state[x0.n:])
@@ -272,15 +303,19 @@ def integrate(x0: PhasePoint, T: float, h: float = 1e-3) -> Trajectory:
 
     The returned trajectory stores every accepted state together with the
     relative drift of the conserved quantities against their initial
-    values.  Raises StepBlowupError when a |z_i| leaves Z_WINDOW.
+    values.  Raises ValueError unless T is a whole number of h steps (see
+    step_count), and StepBlowupError when a |z_i| leaves Z_WINDOW.
     """
     steps = _rk4_states(x0, T, h)
-    next(steps)  # checks x0 and h before the drift bookkeeping starts
+    next(steps)  # checks x0, T and h before the drift bookkeeping starts
     n = x0.n
     # Drift diagnostics evaluate the polynomial form of the F_i where it is
-    # available: the float charpoly recurrence carries a roundoff floor of
-    # ~1e-9 at moderate amplitudes, which would mask the integrator error.
-    # The two routes are exactly equal; see the verification suite.
+    # available (n <= MAX_SYMBOLIC_RANK): the float Faddeev-LeVerrier
+    # char_poly loses accuracy fast with n (worst relative errors of 4e-3
+    # at n = 5 and 1e7 at n = 8 on random canonical points), so above the
+    # cap the drift column shows its roundoff, not the integrator error.
+    # In exact arithmetic the two routes are equal; see the verification
+    # suite.
     values = (conserved_values_by_path if n <= MAX_SYMBOLIC_RANK
               else conserved_values)
     f0 = values(x0)

@@ -34,7 +34,7 @@ def _term_sort_key(key: ExpKey):
 class LaurentPoly:
     """Immutable Laurent polynomial over Q in 2n variables."""
 
-    __slots__ = ("n", "_terms")
+    __slots__ = ("n", "_terms", "_plan")
 
     def __init__(self, n: int, terms: Mapping[ExpKey, Fraction] | None = None):
         if n < 1:
@@ -51,6 +51,7 @@ class LaurentPoly:
             if c != 0:
                 clean[(ez, eq)] = c
         self._terms = clean
+        self._plan = None  # the _EvalPlan, made by the first evaluate call
 
     # -- constructors -----------------------------------------------------
 
@@ -162,7 +163,12 @@ class LaurentPoly:
     # -- calculus / evaluation ------------------------------------------------
 
     def evaluate(self, z: Sequence, Q: Sequence | None = None):
-        """Exact value at z = (z_1..z_n), Q = (Q_1..Q_n).
+        """Value at z = (z_1..z_n), Q = (Q_1..Q_n).
+
+        Each term is its coefficient times the powers z_i ** e and Q_i ** e
+        in variable order, and the terms are added in storage order.  The
+        value is exact at a rational point; at a float point it rounds
+        exactly as that term-by-term evaluation does.
 
         Also accepts a single object with ``.z`` and ``.Q`` attributes.
         Raises ZeroBaseError when some z_i vanishes.
@@ -173,18 +179,22 @@ class LaurentPoly:
             raise IndexMismatchError("point size does not match variable count")
         if any(v == 0 for v in z):
             raise ZeroBaseError("evaluation requires all z_i != 0")
-        acc = None
-        for (ez, eq), c in self._terms.items():
-            term = c
-            for base, e in zip(z, ez):
-                if e:
-                    term = term * base ** e
-            for base, e in zip(Q, eq):
-                if e:
-                    term = term * base ** e
-            acc = term if acc is None else acc + term
-        if acc is None:
+        if not self._terms:
             return Fraction(0) if all(isinstance(v, (int, Fraction)) for v in z) else 0.0
+        plan = self._plan
+        if plan is None:
+            plan = self._plan = _EvalPlan(self._terms)
+        point = (*z, *Q)
+        powers = [point[v] ** e for v, e in plan.powers]
+        if all(type(v) is float for v in point):
+            coeffs = plan.float_coeffs()
+        else:
+            coeffs = plan.coeffs
+        acc = None
+        for term, factors in zip(coeffs, plan.factors):
+            for j in factors:
+                term = term * powers[j]
+            acc = term if acc is None else acc + term
         return acc
 
     def partial_derivative(self, var: str) -> "LaurentPoly":
@@ -243,6 +253,35 @@ class LaurentPoly:
     def from_json_obj(cls, obj) -> "LaurentPoly":
         return cls(obj["n"],
                    {(tuple(t["z"]), tuple(t["Q"])): Fraction(t["c"]) for t in obj["terms"]})
+
+
+class _EvalPlan:
+    """The terms of a polynomial as index tuples into a table of powers.
+
+    ``powers`` lists the distinct (variable, exponent) pairs, the variable
+    indexing the point (z_1..z_n, Q_1..Q_n); ``factors[t]`` indexes the
+    powers of term t in variable order, and ``coeffs[t]`` is its
+    coefficient.  ``Fraction * float`` computes ``float(c) * x``, so at a
+    float point the coefficients of terms with a factor are converted once
+    up front; a constant term keeps its Fraction.
+    """
+
+    __slots__ = ("powers", "factors", "coeffs", "_floats")
+
+    def __init__(self, terms: Mapping[ExpKey, Fraction]):
+        table: dict[tuple[int, int], int] = {}
+        self.factors = [tuple(table.setdefault(pair, len(table))
+                              for pair in enumerate(ez + eq) if pair[1])
+                        for ez, eq in terms]
+        self.powers = tuple(table)
+        self.coeffs = list(terms.values())
+        self._floats = None
+
+    def float_coeffs(self) -> list:
+        if self._floats is None:
+            self._floats = [float(c) if f else c
+                            for c, f in zip(self.coeffs, self.factors)]
+        return self._floats
 
 
 def _parse_var(var: str, n: int) -> tuple[str, int]:

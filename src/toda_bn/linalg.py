@@ -11,14 +11,17 @@ Two scalar modes are supported and never mixed inside one matrix:
 In exact mode the characteristic polynomial comes from a Hessenberg
 reduction and the Hessenberg coefficient recurrence (Cohen, *A Course in
 Computational Algebraic Number Theory*, Alg. 2.2.9), O(d^3); in float mode
-from the Faddeev-LeVerrier recurrence, O(d^4).  Exact-mode products and
-eliminations skip zero entries, since the Lax factors are sparse.
+from the Faddeev-LeVerrier recurrence, O(d^4), run on plain lists and kept
+bit for bit (its roundoff is large from d = 10 up) until a float Hessenberg
+route replaces it.  Exact-mode products and eliminations skip zero
+entries, since the Lax factors are sparse.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 from .errors import DegeneratePointError, ModeError, SingularMatrixError
@@ -221,9 +224,8 @@ class SquareMatrix:
                 rows.append(acc)
             return SquareMatrix(rows, "exact")
         cols = list(zip(*other._rows))
-        return SquareMatrix(
-            [[sum(ra[k] * col[k] for k in range(d)) for col in cols] for ra in self._rows],
-            self._mode)
+        return SquareMatrix([[sum(map(mul, ra, col)) for col in cols] for ra in self._rows],
+                            self._mode)
 
     def __mul__(self, scalar):
         s = coerce_scalar(scalar, self._mode)
@@ -333,18 +335,11 @@ class SquareMatrix:
 
     def char_poly(self) -> "PolyInLambda":
         """Coefficients of det(lambda*E - self), highest degree first."""
-        # Float keeps Faddeev-LeVerrier: simulate and conserved print its roundoff.
+        # Float keeps Faddeev-LeVerrier bit for bit, since simulate and
+        # conserved print its roundoff, until a float Hessenberg replaces it.
         if self._mode == "exact":
             return PolyInLambda(_hessenberg_char_poly([list(r) for r in self._rows]))
-        d = self._dim
-        ident = SquareMatrix.identity(d, "float")
-        coeffs = [1.0]
-        m = SquareMatrix.zero(d, "float")
-        for k in range(1, d + 1):
-            m = self @ m + coeffs[-1] * ident
-            am = self @ m
-            coeffs.append(-am.trace() / k)
-        return PolyInLambda(tuple(coeffs))
+        return PolyInLambda(_faddeev_leverrier(self._rows))
 
     # -- serialization -------------------------------------------------------
 
@@ -425,6 +420,31 @@ def _hessenberg_char_poly(h: list) -> tuple:
                     p[k] -= f * a
         polys.append(p)
     return tuple(reversed(polys[d]))
+
+
+def _faddeev_leverrier(a: Sequence[Sequence[float]]) -> tuple:
+    """det(lambda*E - A) of a float matrix given as rows, coefficients
+    highest degree first, by the Faddeev-LeVerrier recurrence
+
+        M_0 = 0,  M_k = A M_{k-1} + c_{k-1} E,  c_k = -tr(A M_k) / k.
+
+    The float operations and their order are those of the same recurrence
+    on SquareMatrix values: ``sum`` over each row-column product, from int
+    0, then ``+ 1.0*c`` on the diagonal and ``+ 0.0*c`` off it (a NaN when
+    c is not finite).  Of A M_k only the diagonal is formed.
+    """
+    d = len(a)
+    coeffs = [1.0]
+    m = [[0.0] * d for _ in range(d)]
+    for k in range(1, d + 1):
+        c = coeffs[-1]
+        on, off = 1.0 * c, 0.0 * c
+        cols = list(zip(*m))
+        m = [[sum(map(mul, row, col)) + (on if i == j else off)
+              for j, col in enumerate(cols)] for i, row in enumerate(a)]
+        trace = sum(sum(map(mul, row, col)) for row, col in zip(a, zip(*m)))
+        coeffs.append(-trace / k)
+    return tuple(coeffs)
 
 
 @dataclass(frozen=True)

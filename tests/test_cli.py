@@ -1,8 +1,13 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import toda_bn
 from toda_bn.cli import main
 
 WORKED = '{"n": 2, "z": ["2", "3"], "Q": ["1/2", "1/5"]}'
@@ -179,6 +184,18 @@ def test_simulate_bad_range_exits_2_with_one_line(capsys, flags):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--T", "inf"), "--T and --h must be finite"),
+    (("--T", "1", "--h", "0"), "--h must be positive"),
+    (("--T", "-1"), "--T must be >= 0"),
+    (("--T", "1", "--h", "0.3"), "--T 1.0 is not a whole number of --h 0.3 steps"),
+])
+def test_simulate_T_h_messages(capsys, flags, message):
+    code, _, err = run(capsys, "simulate", "--init", "0.1,0.2", *flags)
+    assert code == 2
+    assert err == f"error: {message}\n"
+
+
 def test_simulate_ends_at_T(capsys):
     code, out, _ = run(capsys, "simulate", "--init", "0.1,0.2", "--T", "0.9", "--h", "0.3")
     assert code == 0
@@ -225,3 +242,49 @@ def test_verify_report_golden(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "225d156403546935751f088b6e303aff4112eb785aa5ff7b8cd4206e8f946a96"
+
+
+# simulate CSVs, drift column included, in the benchmark's argv form:
+# h = 2^-10, so every t = k h is exact in binary64 and T is a whole number of
+# steps.  The drift column comes from LaurentPoly.evaluate for n <= 6 and from
+# the float char_poly at n = 8.
+FLOW_H = 2.0 ** -10
+SIMULATE_GOLDEN = {
+    3: ({"q": [0.31, -0.52, 0.17], "p": [0.12, -0.43, 0.64]}, 256,
+        "bb5f809cbab152e61a2b3ff1496c73cd6354e3d2d3b77f7d495d87d1ca9cc55d"),
+    6: ({"q": [0.21, -0.35, 0.48, -0.12, 0.66, -0.27],
+         "p": [-0.14, 0.39, 0.05, -0.58, 0.23, 0.41]}, 8,
+        "500417bc8b68d01e444683c6b10d83c830315dd2f8805f8f36cf6317eacb0d96"),
+    8: ({"q": [0.44, -0.19, 0.27, -0.63, 0.08, 0.35, -0.41, 0.16],
+         "p": [0.22, -0.31, 0.57, 0.09, -0.46, 0.13, -0.05, 0.38]}, 16,
+        "f922a76bd02463a7200ac6b1bb7555a4fc25b0f5bf565f697826a5ac18ae6757"),
+}
+
+
+def simulate_argv(n):
+    init, steps, _ = SIMULATE_GOLDEN[n]
+    return ["simulate", "--init", json.dumps(init),
+            "--T", repr(steps * FLOW_H), "--h", repr(FLOW_H)]
+
+
+@pytest.mark.parametrize("n", sorted(SIMULATE_GOLDEN))
+def test_simulate_csv_golden(capsys, n):
+    code, out, _ = run(capsys, *simulate_argv(n))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_GOLDEN[n][2]
+
+
+def test_simulate_imports_neither_numpy_nor_scipy():
+    # numpy and scipy load only for mat_exp; simulate's start-up and memory
+    # would grow by about 0.1 s and 13 MB if they loaded
+    code = ("import json, sys\n"
+            "from toda_bn.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0\n"
+            "print(sorted(m for m in ('numpy', 'scipy') if m in sys.modules))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(toda_bn.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", code,
+                           json.dumps([simulate_argv(3), simulate_argv(8)])],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"

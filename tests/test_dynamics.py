@@ -10,6 +10,7 @@ from toda_bn import (
     PhasePoint,
     SquareMatrix,
     StepBlowupError,
+    ZeroBaseError,
     build_lax,
     chart_brackets,
     exact_flow,
@@ -25,6 +26,7 @@ from toda_bn import (
     to_phase,
 )
 from toda_bn import f_poly
+from toda_bn.dynamics import step_count
 from toda_bn.lax import evaluate_matrix, lax_symbolic
 from toda_bn.verify import random_canonical, random_matrix, random_point
 
@@ -228,7 +230,7 @@ def test_rk4_fourth_order(rng):
 @pytest.mark.parametrize("n", [2, 3])
 def test_rk4_endpoint_is_integrate_endpoint(rng, n):
     x = to_phase(random_canonical(n, rng))
-    for T, h in ((0.0, 1e-3), (0.05, 1e-3), (0.1, 3e-3)):
+    for T, h in ((0.0, 1e-3), (0.05, 1e-3), (0.099, 3e-3)):
         assert rk4_endpoint(x, T, h) == integrate(x, T, h).endpoint
 
 
@@ -240,3 +242,39 @@ def test_flow_argument_checks(worked_point, rng):
         for h in (0.0, -1e-3):
             with pytest.raises(ValueError):
                 flow(x, 0.1, h)
+
+
+def test_step_count():
+    assert step_count(0.0, 1e-3) == 0
+    assert step_count(0.9, 0.3) == 3
+    assert step_count(0.3, 1e-4) == 3000  # 0.3 / 1e-4 is 2999.9999999999995
+    assert step_count(32 * 2.0 ** -10, 2.0 ** -10) == 32
+
+
+@pytest.mark.parametrize("T,h", [
+    (1.0, 0.3), (0.1, 3e-3), (-0.1, 1e-3), (-1e-3, 1e-3), (math.inf, 1e-3),
+    (math.nan, 1e-3), (0.1, math.inf), (0.1, math.nan), (0.0, 0.0), (0.1, -1e-3),
+    (1e300, 1e-300),
+], ids=["not-a-multiple", "not-a-multiple-small", "T-negative", "T-minus-one-step",
+        "T-inf", "T-nan", "h-inf", "h-nan", "h-zero", "h-negative", "T/h-inf"])
+def test_flow_rejects_T_h_that_do_not_end_at_T(rng, T, h):
+    x = to_phase(random_canonical(1, rng))
+    for flow in (rk4_endpoint, integrate):
+        with pytest.raises(ValueError):
+            flow(x, T, h)
+    with pytest.raises(ValueError):
+        step_count(T, h)
+
+
+def test_step_count_messages():
+    # simulate passes its flag names; see test_cli.test_simulate_T_h_messages
+    with pytest.raises(ValueError, match=r"^T 1\.0 is not a whole number of h 0\.3 steps$"):
+        step_count(1.0, 0.3)
+
+
+def test_rk4_stage_with_zero_z_raises():
+    # n = 1: dz/dt = Q z^2, so the second stage is z + (h/2) Q z^2 = 0 exactly
+    x = PhasePoint(1, (1.0,), (-4.0,))
+    for flow in (rk4_endpoint, integrate):
+        with pytest.raises(ZeroBaseError):
+            flow(x, 0.5, 0.5)

@@ -1,14 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toda_bn import (
+    CanonicalPoint,
     IndexMismatchError,
     LaurentPoly,
     UnknownVariableError,
     ZeroBaseError,
     f_poly,
+    to_phase,
 )
+from toda_bn.lax import lax_symbolic
 from toda_bn.verify import random_point, random_rational
 
 
@@ -126,3 +131,147 @@ def test_str_deterministic_and_json_roundtrip(rng):
     assert str(LaurentPoly.zero(2)) == "0"
     q = LaurentPoly.q_var(2, 2) * LaurentPoly.z_var(2, 1, -1) * Fraction(3, 2)
     assert str(q) == "3/2 * z1^-1 Q2^1"
+
+
+# -- evaluate against the term-by-term loop, bit for bit -------------------------
+
+
+def evaluate_term_by_term(p, z, Q):
+    """LaurentPoly.evaluate as a plain loop over the terms: each term is its
+    coefficient times z_i ** e and Q_i ** e in variable order, and the terms
+    are added in storage order."""
+    if len(z) != p.n or len(Q) != p.n:
+        raise IndexMismatchError("point size does not match variable count")
+    if any(v == 0 for v in z):
+        raise ZeroBaseError("evaluation requires all z_i != 0")
+    acc = None
+    for (ez, eq), c in p.terms.items():
+        term = c
+        for base, e in zip(z, ez):
+            if e:
+                term = term * base ** e
+        for base, e in zip(Q, eq):
+            if e:
+                term = term * base ** e
+        acc = term if acc is None else acc + term
+    if acc is None:
+        return Fraction(0) if all(isinstance(v, (int, Fraction)) for v in z) else 0.0
+    return acc
+
+
+def outcome(f, *args):
+    """(type, repr) of f's value, or the class of the exception it raises."""
+    try:
+        value = f(*args)
+    except ArithmeticError as e:  # a subnormal z_i ** -1 overflows
+        return type(e)
+    return type(value), repr(value)
+
+
+def assert_same_values(polys, z, Q):
+    for p in polys:
+        assert outcome(p.evaluate, z, Q) == outcome(evaluate_term_by_term, p, z, Q)
+
+
+def conserved_polys(n):
+    return [f_poly(n, i, mode) for mode in ("original", "improved") for i in range(2 * n + 1)]
+
+
+def lax_polys(n):
+    return [entry for row in lax_symbolic(n) for entry in row]
+
+
+UNIT = st.floats(-1.5, 1.5)
+NONZERO_FLOATS = st.floats(-4, 4).filter(lambda v: v != 0)
+NONZERO_FRACTIONS = st.fractions(-9, 9, max_denominator=9).filter(lambda v: v != 0)
+
+
+@settings(max_examples=24, deadline=None)
+@given(st.integers(1, 6).flatmap(
+    lambda n: st.tuples(st.lists(UNIT, min_size=n, max_size=n),
+                        st.lists(UNIT, min_size=n, max_size=n))))
+def test_evaluate_bits_at_float_canonical_points(qp):
+    x = to_phase(CanonicalPoint(*qp))
+    polys = conserved_polys(x.n) + (lax_polys(x.n) if x.n <= 4 else [])
+    assert_same_values(polys, x.z, x.Q)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.lists(NONZERO_FLOATS, min_size=n, max_size=n),
+                        st.lists(st.floats(-3, 3), min_size=n, max_size=n))))
+def test_evaluate_bits_at_float_points(zq):
+    z, Q = map(tuple, zq)
+    assert_same_values(conserved_polys(len(z)) + lax_polys(len(z)), z, Q)
+
+
+def test_evaluate_overflow_matches_term_by_term():
+    for z in ((2.2250738585e-313, 1.0), (1e300, -2.0), (1.0, 1e-200)):
+        assert_same_values(conserved_polys(2), z, (0.5, 1e200))
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(1, 4).flatmap(
+    lambda n: st.tuples(st.lists(NONZERO_FRACTIONS, min_size=n, max_size=n),
+                        st.lists(st.fractions(-9, 9, max_denominator=9),
+                                 min_size=n, max_size=n))))
+def test_evaluate_exact_at_rational_points(zq):
+    z, Q = map(tuple, zq)
+    assert_same_values(conserved_polys(len(z)) + lax_polys(len(z)), z, Q)
+
+
+MIXED = st.one_of(NONZERO_FLOATS, NONZERO_FRACTIONS, st.integers(-3, 3).filter(bool))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(st.lists(MIXED, min_size=n, max_size=n),
+                        st.lists(MIXED, min_size=n, max_size=n))))
+def test_evaluate_bits_at_mixed_points(zq):
+    # ints, Fractions and floats mixed: int ** -1 is a float, and the
+    # coefficients stay Fractions unless every coordinate is a float
+    z, Q = map(tuple, zq)
+    assert_same_values(conserved_polys(len(z)), z, Q)
+
+
+def test_evaluate_rational_z_float_q():
+    # a term's z powers are exact here, so only its Q powers are floats:
+    # c * z^e stays a Fraction until the first float factor
+    z = (Fraction(3, 7), Fraction(-5, 3), Fraction(9, 4), Fraction(2, 9))
+    for Q in ((0.1, -0.7, 0.3, 1.9), (1e-3, 2.5, -0.35, 0.65)):
+        for n in (2, 3, 4):
+            assert_same_values(conserved_polys(n) + lax_polys(n), z[:n], Q[:n])
+
+
+def test_evaluate_alternating_point_types():
+    p = f_poly(3, 3)
+    points = [((1.25, -0.5, 2.0), (0.5, -0.75, 0.25)),
+              ((Fraction(5, 4), Fraction(-1, 2), 2), (Fraction(1, 2), Fraction(-3, 4), 0)),
+              ((2, -1, 3), (1, 2, -1))]
+    for z, Q in points + points[::-1]:
+        assert_same_values([p], z, Q)
+
+
+def test_evaluate_zero_and_constant_polynomials():
+    zero, seven = LaurentPoly.zero(2), LaurentPoly.constant(2, Fraction(7, 3))
+    for z, Q, zero_value in [((0.5, -2.0), (0.25, 0.0), 0.0),
+                             ((Fraction(1, 2), 3), (Fraction(1), 0), Fraction(0)),
+                             ((1, 2), (0, 0), Fraction(0))]:
+        got = zero.evaluate(z, Q)
+        assert type(got) is type(zero_value) and got == zero_value
+        assert_same_values([zero, seven], z, Q)
+        # a constant term keeps its Fraction at a float point: F_0 = 1
+        assert outcome(seven.evaluate, z, Q) == (Fraction, repr(Fraction(7, 3)))
+    assert type(f_poly(2, 0).evaluate((0.5, -2.0), (0.25, 0.0))) is Fraction
+
+
+def test_evaluate_error_cases():
+    p = f_poly(2, 1)
+    for poly in (p, LaurentPoly.zero(2)):
+        with pytest.raises(IndexMismatchError):
+            poly.evaluate((1.0, 2.0, 3.0), (0.5, 0.5))
+        with pytest.raises(IndexMismatchError):
+            poly.evaluate((1.0, 2.0), (0.5,))
+        for z in ((0.0, 2.0), (Fraction(1), Fraction(0)), (1, 0)):
+            with pytest.raises(ZeroBaseError):
+                poly.evaluate(z, (0.5, 0.5))

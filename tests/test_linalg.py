@@ -17,8 +17,9 @@ from toda_bn import (
     mat_exp,
 )
 from toda_bn.conserved import conserved_values
+from toda_bn.dynamics import to_phase
 from toda_bn.linalg import interpolate_poly
-from toda_bn.verify import random_matrix
+from toda_bn.verify import random_canonical, random_matrix
 
 
 def test_identity_inverse():
@@ -287,3 +288,70 @@ FLOAT_GOLDEN = [
 def test_float_path_bytes_pinned(x, digest):
     blob = repr((conserved_values(x), build_lax(x).inverse().rows)).encode()
     assert hashlib.sha256(blob).hexdigest() == digest
+
+
+# -- float kernel: Faddeev-LeVerrier and @ against SquareMatrix loops ----------
+
+
+def faddeev_leverrier_on_matrices(a):
+    """Float char_poly coefficients by the recurrence on SquareMatrix values:
+    M_k = A M_{k-1} + c_{k-1} E, c_k = -tr(A M_k) / k, with dense products."""
+    d = a.dim
+    ident = SquareMatrix.identity(d, "float")
+    coeffs = [1.0]
+    m = SquareMatrix.zero(d, "float")
+    for k in range(1, d + 1):
+        m = SquareMatrix(dense_product(a, m), "float") + coeffs[-1] * ident
+        am = SquareMatrix(dense_product(a, m), "float")
+        coeffs.append(-am.trace() / k)
+    return tuple(coeffs)
+
+
+def dense_product(a, b):
+    d = a.dim
+    return [[sum(a[i, k] * b[k, j] for k in range(d)) for j in range(d)] for i in range(d)]
+
+
+FLOAT_ENTRIES = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-10, 10),
+                          st.floats(-1e200, 1e200))
+
+
+@st.composite
+def float_matrices(draw, dims=st.integers(1, 20)):
+    d = draw(dims)
+    return SquareMatrix(draw(st.lists(st.lists(FLOAT_ENTRIES, min_size=d, max_size=d),
+                                      min_size=d, max_size=d)), "float")
+
+
+@settings(max_examples=40, deadline=None)
+@given(float_matrices())
+def test_float_char_poly_matches_matrix_recurrence(a):
+    # huge entries drive coefficients to inf and nan, where + 0.0*c matters
+    assert repr(a.char_poly().coeffs) == repr(faddeev_leverrier_on_matrices(a))
+
+
+@settings(max_examples=40, deadline=None)
+@given(float_matrices(dims=st.integers(1, 12)), st.data())
+def test_float_matmul_matches_dense_sum(a, data):
+    b = data.draw(float_matrices(dims=st.just(a.dim)))
+    assert repr((a @ b).rows) == repr(tuple(map(tuple, dense_product(a, b))))
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_float_char_poly_on_lax_matrices(rng, n):
+    for scale in (0.5, 1.5):
+        L = build_lax(to_phase(random_canonical(n, rng, scale)))
+        assert repr(L.char_poly().coeffs) == repr(faddeev_leverrier_on_matrices(L))
+
+
+def test_float_char_poly_signed_zeros_and_overflow():
+    # negative coefficients make 0.0*c a -0.0; zero matrices give -0.0 coefficients
+    for rows in ([[0.0, 0.0], [0.0, 0.0]], [[-0.0, 1.0], [0.0, -0.0]],
+                 [[3.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
+                 [[0.0, -2.0, 0.0], [1.0, 0.0, -0.0], [0.0, 5.0, 0.0]]):
+        a = SquareMatrix(rows, "float")
+        assert repr(a.char_poly().coeffs) == repr(faddeev_leverrier_on_matrices(a))
+    assert repr(SquareMatrix.zero(2, "float").char_poly().coeffs) == "(1.0, -0.0, -0.0)"
+    # c_2 overflows to inf, so 0.0*c_2 is a NaN off the diagonal of M_3
+    a = SquareMatrix([[2.0, 0.0, 0.0], [0.0, 1e154, 0.0], [0.0, 0.0, 1e154]], "float")
+    assert repr(a.char_poly().coeffs) == "(1.0, -2e+154, inf, nan)"
