@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import exp
+from operator import add
 from typing import Sequence
 
 from .errors import DegeneratePointError, ModeError
@@ -105,19 +106,29 @@ def f_poly(n: int, i: int, mode: str = "original") -> LaurentPoly:
     mode "original" sums over all interval chains; mode "improved" prunes
     the pairwise-cancelling chains as described in the module docstring.
     F_0 = 1 by convention.
+
+    The sum is a memoized recursion over (position, chains left, forced)
+    on plain term maps {(z exponents, Q exponents): int}.  Every interval
+    weight is a monomial with coefficient +-1, so the coefficients stay
+    ints until the end.  Each step copies the map of the chains that skip
+    the position and adds the weight times each continuation into it in
+    place, term by term, exactly as ``LaurentPoly`` addition of a product
+    would; so the result keeps the storage order of the ring recursion,
+    which the float sums of ``evaluate`` follow.
     """
     if not 0 <= i <= 2 * n:
         raise ValueError(f"need 0 <= i <= 2n, got i={i}")
     if mode not in ("original", "improved"):
         raise ValueError(f"unknown mode {mode!r}")
     improved = mode == "improved"
-    zero = LaurentPoly.zero(n)
-    one = LaurentPoly.one(n)
-    memo: dict[tuple[int, int, bool], LaurentPoly] = {}
+    zero: dict = {}
+    one = {((0,) * n, (0,) * n): 1}
+    memo: dict[tuple[int, int, bool], dict] = {}
 
-    def chains(pos: int, left: int, forced: bool) -> LaurentPoly:
+    def chains(pos: int, left: int, forced: bool) -> dict:
         # Sum of weight products over chains of `left` intervals starting at
         # positions >= pos; `forced` pins the next interval to start at pos.
+        # The returned maps are shared through the memo and never mutated.
         if left == 0:
             return zero if forced else one
         if pos > 2 * n:
@@ -125,17 +136,25 @@ def f_poly(n: int, i: int, mode: str = "original") -> LaurentPoly:
         key = (pos, left, forced)
         if key in memo:
             return memo[key]
-        acc = zero if forced else chains(pos + 1, left, False)
+        acc = {} if forced else dict(chains(pos + 1, left, False))
         for y in _shapes(n, pos):
             if improved and _is_long_dashed(n, pos, y) and pos <= n - 1:
                 continue
-            w = interval_weight(n, pos, y)
+            ((wz, wq), wc), = interval_weight(n, pos, y).terms.items()
+            wc = int(wc)  # +-1
             nxt_forced = improved and _is_short_dashed(n, pos, y)
-            acc = acc + w * chains(y + 1, left - 1, nxt_forced)
+            for (ez, eq), c in chains(y + 1, left - 1, nxt_forced).items():
+                k = (tuple(map(add, wz, ez)), tuple(map(add, wq, eq)))
+                s = acc.get(k, 0) + wc * c
+                if s == 0:
+                    acc.pop(k, None)
+                else:
+                    acc[k] = s
         memo[key] = acc
         return acc
 
-    return chains(1, i, False)
+    terms = chains(1, i, False)
+    return LaurentPoly._trusted(n, {k: Fraction(c) for k, c in terms.items()})
 
 
 def conserved_values(x: PhasePoint) -> tuple:

@@ -274,13 +274,15 @@ def _rk4_states(x0: PhasePoint, T: float, h: float):
     """Yield (t, state) at t = 0 and after each of the step_count(T, h) RK4 steps.
 
     A state is the raw tuple (z_1..z_n, Q_1..Q_n).  Raises StepBlowupError
-    when a |z_i| leaves Z_WINDOW.
+    when a |z_i| lies outside Z_WINDOW, x0 included, so every state yielded
+    has float coordinates and no zero z_i.
     """
     if x0.mode != "float":
         raise ModeError("integration runs in float mode")
     steps = step_count(T, h)
     n = x0.n
     state = tuple(x0.z) + tuple(x0.Q)
+    _check_window(n, state, 0.0)
     yield 0.0, state
     for k in range(1, steps + 1):
         state = _rk4_step(n, state, h)
@@ -295,7 +297,7 @@ def rk4_endpoint(x0: PhasePoint, T: float, h: float) -> PhasePoint:
     """
     for _, state in _rk4_states(x0, T, h):
         pass
-    return PhasePoint(x0.n, state[:x0.n], state[x0.n:])
+    return PhasePoint._trusted(x0.n, state[:x0.n], state[x0.n:])
 
 
 def integrate(x0: PhasePoint, T: float, h: float = 1e-3) -> Trajectory:
@@ -304,7 +306,8 @@ def integrate(x0: PhasePoint, T: float, h: float = 1e-3) -> Trajectory:
     The returned trajectory stores every accepted state together with the
     relative drift of the conserved quantities against their initial
     values.  Raises ValueError unless T is a whole number of h steps (see
-    step_count), and StepBlowupError when a |z_i| leaves Z_WINDOW.
+    step_count), and StepBlowupError when a |z_i| of x0 or of a later
+    state lies outside Z_WINDOW.
     """
     steps = _rk4_states(x0, T, h)
     next(steps)  # checks x0, T and h before the drift bookkeeping starts
@@ -329,7 +332,7 @@ def integrate(x0: PhasePoint, T: float, h: float = 1e-3) -> Trajectory:
     states = [x0]
     drifts = [0.0]
     for t, state in steps:
-        x = PhasePoint(n, state[:n], state[n:])
+        x = PhasePoint._trusted(n, state[:n], state[n:])
         times.append(t)
         states.append(x)
         drifts.append(drift_of(x))

@@ -53,6 +53,21 @@ class LaurentPoly:
         self._terms = clean
         self._plan = None  # the _EvalPlan, made by the first evaluate call
 
+    @classmethod
+    def _trusted(cls, n: int, terms: dict) -> "LaurentPoly":
+        """A polynomial that takes ``terms`` as its term map, unchecked.
+
+        The caller guarantees what ``__init__`` would check: every key is a
+        pair of length-n int tuples with nonnegative Q exponents, and every
+        value is a nonzero Fraction.  The dict is kept, not copied, so its
+        order is the storage order.
+        """
+        self = object.__new__(cls)
+        self.n = n
+        self._terms = terms
+        self._plan = None
+        return self
+
     # -- constructors -----------------------------------------------------
 
     @classmethod
@@ -131,12 +146,12 @@ class LaurentPoly:
                 terms.pop(k, None)
             else:
                 terms[k] = s
-        return LaurentPoly(self.n, terms)
+        return LaurentPoly._trusted(self.n, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return LaurentPoly(self.n, {k: -c for k, c in self._terms.items()})
+        return LaurentPoly._trusted(self.n, {k: -c for k, c in self._terms.items()})
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -156,7 +171,7 @@ class LaurentPoly:
                     out.pop(key, None)
                 else:
                     out[key] = s
-        return LaurentPoly(self.n, out)
+        return LaurentPoly._trusted(self.n, out)
 
     __rmul__ = __mul__
 
@@ -221,11 +236,11 @@ class LaurentPoly:
                 out.pop(key, None)
             else:
                 out[key] = s
-        return LaurentPoly(self.n, out)
+        return LaurentPoly._trusted(self.n, out)
 
     def substitute_q_zero(self) -> "LaurentPoly":
         """The specialization Q_1 = ... = Q_n = 0 (drop terms with Q factors)."""
-        return LaurentPoly(
+        return LaurentPoly._trusted(
             self.n, {k: c for k, c in self._terms.items() if not any(k[1])})
 
     # -- presentation -----------------------------------------------------------

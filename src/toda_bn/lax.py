@@ -50,6 +50,20 @@ class PhasePoint:
         if any(v == 0 for v in self.z):
             raise ZeroBaseError("all z_i must be nonzero")
 
+    @classmethod
+    def _trusted(cls, n: int, z: tuple, Q: tuple) -> "PhasePoint":
+        """A point that takes z and Q as they are, unchecked.
+
+        The caller guarantees what ``__post_init__`` would establish: z and
+        Q are tuples of length n >= 1, all exactly Fraction or all exactly
+        float, and no z_i is zero.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "Q", Q)
+        return self
+
     @property
     def mode(self) -> str:
         return "float" if isinstance(self.z[0], float) else "exact"

@@ -32,6 +32,8 @@ Scalar = Union[Fraction, float]
 #: singularity / degeneracy.  Single documented constant for the package.
 SINGULARITY_RTOL = 1e-12
 
+_ZERO = Fraction(0)
+
 
 def classify_scalar(value) -> str:
     """Return the mode ("exact" or "float") a raw scalar belongs to."""
@@ -45,12 +47,21 @@ def classify_scalar(value) -> str:
 
 
 def coerce_scalar(value, mode: str) -> Scalar:
+    """``value`` as a scalar of ``mode``.
+
+    Ints are absorbed into either mode and Fractions into float mode; a
+    float never enters exact mode.  Anything :func:`classify_scalar`
+    rejects (a bool, a string, another type) raises ModeError.
+    """
     if mode == "exact":
         if type(value) is Fraction:
             return value
-        if isinstance(value, float):
+        if classify_scalar(value) == "float":
             raise ModeError("refusing to coerce a float into exact mode")
         return Fraction(value)
+    if type(value) is float:
+        return value
+    classify_scalar(value)
     return float(value)
 
 
@@ -108,6 +119,22 @@ class SquareMatrix:
         self._dim = d
         self._mode = mode
 
+    @classmethod
+    def _trusted(cls, rows: tuple, mode: str) -> "SquareMatrix":
+        """A matrix that takes ``rows`` as they are, unchecked.
+
+        The caller guarantees what ``__init__`` would establish: ``rows`` is
+        a nonempty square tuple of tuples, and every entry is exactly a
+        Fraction in exact mode or exactly a float in float mode.  Kernel
+        outputs are built this way; input from outside goes through
+        ``__init__``.
+        """
+        self = object.__new__(cls)
+        self._rows = rows
+        self._dim = len(rows)
+        self._mode = mode
+        return self
+
     # -- construction -----------------------------------------------------
 
     @classmethod
@@ -143,8 +170,8 @@ class SquareMatrix:
                     if blk.dim != n or blk.mode != mode:
                         raise ModeError("blocks must share size and mode")
                     row.extend(blk._rows[r])
-                rows.append(row)
-        return cls(rows, mode)
+                rows.append(tuple(row))
+        return cls._trusted(tuple(rows), mode)
 
     # -- basic accessors ---------------------------------------------------
 
@@ -177,13 +204,15 @@ class SquareMatrix:
         return f"SquareMatrix(\n {body})"
 
     def block(self, i0: int, j0: int, size: int) -> "SquareMatrix":
-        return SquareMatrix(
-            [r[j0:j0 + size] for r in self._rows[i0:i0 + size]], self._mode)
+        rows = tuple(r[j0:j0 + size] for r in self._rows[i0:i0 + size])
+        if size < 1 or len(rows) != size or any(len(r) != size for r in rows):
+            raise ValueError("rows must form a nonempty square array")
+        return SquareMatrix._trusted(rows, self._mode)
 
     def with_entry(self, i: int, j: int, value) -> "SquareMatrix":
         rows = [list(r) for r in self._rows]
-        rows[i][j] = value
-        return SquareMatrix(rows, self._mode)
+        rows[i][j] = coerce_scalar(value, self._mode)
+        return SquareMatrix._trusted(tuple(map(tuple, rows)), self._mode)
 
     def _check_compatible(self, other: "SquareMatrix"):
         if not isinstance(other, SquareMatrix):
@@ -197,18 +226,21 @@ class SquareMatrix:
 
     def __add__(self, other):
         self._check_compatible(other)
-        return SquareMatrix(
-            [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)],
+        return SquareMatrix._trusted(
+            tuple(tuple([a + b for a, b in zip(ra, rb)])
+                  for ra, rb in zip(self._rows, other._rows)),
             self._mode)
 
     def __sub__(self, other):
         self._check_compatible(other)
-        return SquareMatrix(
-            [[a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)],
+        return SquareMatrix._trusted(
+            tuple(tuple([a - b for a, b in zip(ra, rb)])
+                  for ra, rb in zip(self._rows, other._rows)),
             self._mode)
 
     def __neg__(self):
-        return SquareMatrix([[-a for a in r] for r in self._rows], self._mode)
+        return SquareMatrix._trusted(tuple(tuple([-a for a in r]) for r in self._rows),
+                                     self._mode)
 
     def __matmul__(self, other):
         self._check_compatible(other)
@@ -217,15 +249,16 @@ class SquareMatrix:
             other_nz = [_nonzero_entries(rb) for rb in other._rows]
             rows = []
             for ra in self._rows:
-                acc = [0] * d
+                acc = [_ZERO] * d  # a Fraction, so untouched entries stay exact
                 for k, a in _nonzero_entries(ra):
                     for j, b in other_nz[k]:
                         acc[j] += a * b
-                rows.append(acc)
-            return SquareMatrix(rows, "exact")
+                rows.append(tuple(acc))
+            return SquareMatrix._trusted(tuple(rows), "exact")
         cols = list(zip(*other._rows))
-        return SquareMatrix([[sum(map(mul, ra, col)) for col in cols] for ra in self._rows],
-                            self._mode)
+        return SquareMatrix._trusted(
+            tuple(tuple([sum(map(mul, ra, col)) for col in cols]) for ra in self._rows),
+            self._mode)
 
     def __mul__(self, scalar):
         s = coerce_scalar(scalar, self._mode)
@@ -238,7 +271,7 @@ class SquareMatrix:
         return self @ other - other @ self
 
     def transpose(self) -> "SquareMatrix":
-        return SquareMatrix(list(zip(*self._rows)), self._mode)
+        return SquareMatrix._trusted(tuple(zip(*self._rows)), self._mode)
 
     def trace(self) -> Scalar:
         return sum(self._rows[i][i] for i in range(self._dim))
@@ -284,7 +317,7 @@ class SquareMatrix:
                 if r != c and aug[r][c] != 0:
                     f = aug[r][c]
                     aug[r] = _minus_multiple(aug[r], f, aug[c], nz)
-        return SquareMatrix([r[d:] for r in aug], self._mode)
+        return SquareMatrix._trusted(tuple(tuple(r[d:]) for r in aug), self._mode)
 
     def det(self) -> Scalar:
         """Determinant via elimination with row swaps; exact in rational mode."""
@@ -331,7 +364,8 @@ class SquareMatrix:
                     low[r][c] = f
                     up[r] = _minus_multiple(up[r], f, up[c], nz)
                     up[r][c] = zero
-        return SquareMatrix(low, self._mode), SquareMatrix(up, self._mode)
+        return (SquareMatrix._trusted(tuple(map(tuple, low)), self._mode),
+                SquareMatrix._trusted(tuple(map(tuple, up)), self._mode))
 
     def char_poly(self) -> "PolyInLambda":
         """Coefficients of det(lambda*E - self), highest degree first."""

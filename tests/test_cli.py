@@ -176,7 +176,9 @@ def test_bad_init_exits_2(capsys):
     ("--init", "0.1,0.2", "--T", "-1"),
     ("--init", "0.1,0.2", "--T", "1", "--h", "0.3"),
     ("--init", "0.1,0.2", "--T", "1e300", "--h", "1e-300"),
-], ids=["overflow", "T-inf", "h-nan", "T-negative", "T-not-multiple-of-h", "T/h-inf"])
+    ("--init", '{"n": 1, "z": [1e-320], "Q": [0.5]}', "--T", "0.001", "--h", "0.001"),
+], ids=["overflow", "T-inf", "h-nan", "T-negative", "T-not-multiple-of-h", "T/h-inf",
+        "init-outside-z-window"])
 def test_simulate_bad_range_exits_2_with_one_line(capsys, flags):
     code, out, err = run(capsys, "simulate", *flags)
     assert code == 2

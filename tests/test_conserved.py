@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from toda_bn import (
     ideal_generator,
     interval_weight,
 )
+from toda_bn.conserved import _is_long_dashed, _is_short_dashed, _shapes
 from toda_bn.verify import printed_f1, printed_f2_n2, random_point, random_rational
 
 
@@ -160,3 +162,63 @@ def test_elementary_symmetric_z_poly_edges():
     assert elementary_symmetric_z_poly(2, 0) == LaurentPoly.one(2)
     assert elementary_symmetric_z_poly(2, 5) == LaurentPoly.zero(2)
     assert isinstance(elementary_symmetric_z_poly(2, 5), LaurentPoly)
+
+
+# -- the term order of f_poly: float evaluate sums in storage order -------------
+
+# sha256 over repr(list(f_poly(n, i, mode).terms.items())) + "\n" for i = 0..2n,
+# taken from the LaurentPoly ring recursion that the term-map DP replaced
+F_POLY_GOLDEN = {
+    1: "5050c9d412ab2a349b08fb8500a6ca064b91234b3cd05a7a88a666c9decab6f8",
+    2: "67b06d1422ccec4a7fa67071cb5808be915400cb17174cf521c45123751b1cad",
+    3: "cf690a9904e1e8d5c58abb00664a5e5921103ba5695461d588108ac6de39ca6b",
+    4: "8c35769cb3fc8c76133c698443e423a44ed0b7bd31c00c8bc6cba5808b413eb6",
+    5: "fef87a9dc437d751268132368d14ccbf026abe089dfa11dc7b59228bd973e45a",
+    6: "d732d1bda7931f45913b7b3dd00a6d4f5d4d022f9d27bbde242a1cc854aec246",
+}
+
+
+@pytest.mark.parametrize("mode", ["original", "improved"])
+@pytest.mark.parametrize("n", sorted(F_POLY_GOLDEN))
+def test_f_poly_term_order_pinned(n, mode):
+    digest = hashlib.sha256()
+    for i in range(2 * n + 1):
+        digest.update(repr(list(f_poly(n, i, mode).terms.items())).encode() + b"\n")
+    assert digest.hexdigest() == F_POLY_GOLDEN[n]
+
+
+def f_poly_by_ring(n, i, mode):
+    """F_i by the memoized chain recursion in the LaurentPoly ring."""
+    improved = mode == "improved"
+    zero = LaurentPoly.zero(n)
+    one = LaurentPoly.one(n)
+    memo = {}
+
+    def chains(pos, left, forced):
+        if left == 0:
+            return zero if forced else one
+        if pos > 2 * n:
+            return zero
+        key = (pos, left, forced)
+        if key in memo:
+            return memo[key]
+        acc = zero if forced else chains(pos + 1, left, False)
+        for y in _shapes(n, pos):
+            if improved and _is_long_dashed(n, pos, y) and pos <= n - 1:
+                continue
+            w = interval_weight(n, pos, y)
+            nxt_forced = improved and _is_short_dashed(n, pos, y)
+            acc = acc + w * chains(y + 1, left - 1, nxt_forced)
+        memo[key] = acc
+        return acc
+
+    return chains(1, i, False)
+
+
+@pytest.mark.parametrize("mode", ["original", "improved"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_f_poly_matches_ring_recursion_in_order(n, mode):
+    for i in range(2 * n + 1):
+        dp, ring = f_poly(n, i, mode), f_poly_by_ring(n, i, mode)
+        assert list(dp.terms.items()) == list(ring.terms.items())
+        assert all(type(c) is Fraction for c in dp.terms.values())

@@ -278,3 +278,24 @@ def test_rk4_stage_with_zero_z_raises():
     for flow in (rk4_endpoint, integrate):
         with pytest.raises(ZeroBaseError):
             flow(x, 0.5, 0.5)
+
+
+@pytest.mark.parametrize("z", [1e-320, -1e-13, 1e13, math.inf, math.nan],
+                         ids=["subnormal", "small", "large", "inf", "nan"])
+def test_x0_outside_the_window_raises_before_any_step(z):
+    x = PhasePoint(1, (z,), (0.5,))
+    for flow in (rk4_endpoint, integrate):
+        for T in (0.0, 1e-3):
+            with pytest.raises(StepBlowupError, match=r"at t=0\.0$"):
+                flow(x, T, 1e-3)
+
+
+@pytest.mark.parametrize("n", [1, 3, 7])
+def test_trajectory_states_are_valid_points(rng, n):
+    x = to_phase(random_canonical(n, rng))
+    states = integrate(x, T=0.02, h=1e-3).states + (rk4_endpoint(x, 0.02, 1e-3),)
+    for s in states:
+        assert type(s.z) is tuple and type(s.Q) is tuple
+        assert all(type(v) is float for v in s.z + s.Q)
+        again = PhasePoint(s.n, s.z, s.Q)
+        assert again == s and again.mode == s.mode == "float"

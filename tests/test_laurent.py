@@ -275,3 +275,34 @@ def test_evaluate_error_cases():
         for z in ((0.0, 2.0), (Fraction(1), Fraction(0)), (1, 0)):
             with pytest.raises(ZeroBaseError):
                 poly.evaluate(z, (0.5, 0.5))
+
+
+# -- ring results are built unchecked: they must be what __init__ would build ---
+
+
+@st.composite
+def polys(draw, n):
+    keys = st.tuples(st.tuples(*[st.integers(-2, 2)] * n), st.tuples(*[st.integers(0, 2)] * n))
+    coeffs = st.one_of(st.integers(-2, 2), st.fractions(-3, 3, max_denominator=4))
+    return LaurentPoly(n, draw(st.dictionaries(keys, coeffs, max_size=6)))
+
+
+def assert_valid_terms(p):
+    for key, c in p.terms.items():
+        assert type(key) is tuple and len(key) == 2
+        for exps in key:
+            assert type(exps) is tuple and len(exps) == p.n
+            assert all(type(e) is int for e in exps)
+        assert all(e >= 0 for e in key[1])
+        assert type(c) is Fraction and c != 0
+    again = LaurentPoly(p.n, p.terms)
+    assert list(again.terms.items()) == list(p.terms.items())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(polys(n), polys(n), st.integers(1, n))))
+def test_ring_results_have_valid_terms(abk):
+    a, b, k = abk
+    for p in (a + b, a - b, a * b, -a, a + 2, 3 * a, a - a, a.partial_derivative(f"z{k}"),
+              a.partial_derivative(f"Q{k}"), a.substitute_q_zero()):
+        assert_valid_terms(p)

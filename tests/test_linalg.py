@@ -355,3 +355,83 @@ def test_float_char_poly_signed_zeros_and_overflow():
     # c_2 overflows to inf, so 0.0*c_2 is a NaN off the diagonal of M_3
     a = SquareMatrix([[2.0, 0.0, 0.0], [0.0, 1e154, 0.0], [0.0, 0.0, 1e154]], "float")
     assert repr(a.char_poly().coeffs) == "(1.0, -2e+154, inf, nan)"
+
+
+# -- validation at the public constructor, trusted kernel outputs ---------------
+
+
+@pytest.mark.parametrize("value", [True, False, "1/2", "nan", None, [1]],
+                         ids=["true", "false", "str", "str-nan", "none", "list"])
+@pytest.mark.parametrize("mode", [None, "exact", "float"])
+def test_constructor_rejects_non_scalars_in_every_mode(value, mode):
+    with pytest.raises(ModeError):
+        SquareMatrix([[value]], mode)
+    with pytest.raises(ModeError):
+        SquareMatrix([[1, 0], [0, value]], mode)
+    with pytest.raises(ModeError):
+        SquareMatrix.identity(2, mode or "exact").with_entry(0, 1, value)
+
+
+def test_constructor_absorbs_ints_in_an_explicit_mode():
+    assert SquareMatrix([[1, 2], [3, 4]], "float").rows == ((1.0, 2.0), (3.0, 4.0))
+    exact = SquareMatrix([[1, Fraction(1, 2)], [0, 4]], "exact")
+    assert all(type(v) is Fraction for r in exact.rows for v in r)
+    assert type(SquareMatrix.identity(2, "float").with_entry(0, 1, 3)[0, 1]) is float
+    assert type(SquareMatrix.identity(2).with_entry(0, 1, 3)[0, 1]) is Fraction
+    with pytest.raises(ModeError):
+        SquareMatrix([[0.5]], "exact")
+    with pytest.raises(ModeError):
+        SquareMatrix.identity(2).with_entry(0, 0, 0.5)
+
+
+def test_block_rejects_a_window_outside_the_matrix():
+    m = SquareMatrix.identity(3)
+    for i0, j0, size in ((0, 0, 0), (2, 0, 2), (0, 2, 2), (0, 0, 4)):
+        with pytest.raises(ValueError):
+            m.block(i0, j0, size)
+
+
+def assert_canonical(m):
+    """m as the public constructor would build it from its own rows."""
+    entry_type = Fraction if m.mode == "exact" else float
+    assert type(m.rows) is tuple and len(m.rows) == m.dim
+    assert all(type(r) is tuple and len(r) == m.dim for r in m.rows)
+    assert all(type(v) is entry_type for r in m.rows for v in r)
+    assert m == SquareMatrix(m.rows, m.mode)
+
+
+KERNEL_ENTRIES = {
+    "exact": ENTRIES,
+    "float": st.one_of(st.just(0.0), st.just(-0.0), st.floats(-10, 10)),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(["exact", "float"]).flatmap(
+    lambda mode: st.integers(1, 8).flatmap(
+        lambda d: st.lists(st.lists(st.lists(KERNEL_ENTRIES[mode], min_size=d, max_size=d),
+                                    min_size=d, max_size=d), min_size=2, max_size=2)
+        .map(lambda pair: (SquareMatrix(pair[0], mode), SquareMatrix(pair[1], mode))))),
+    st.data())
+def test_kernel_outputs_are_canonical(ab, data):
+    a, b = ab
+    d = a.dim
+    outputs = [a @ b, a + b, a - b, -a, a.transpose(),
+               SquareMatrix.from_blocks([[a, b], [b, a]])]
+    size = data.draw(st.integers(1, d))
+    outputs.append(a.block(data.draw(st.integers(0, d - size)),
+                           data.draw(st.integers(0, d - size)), size))
+    new = data.draw(st.one_of(st.integers(-3, 3), KERNEL_ENTRIES[a.mode]))
+    outputs.append(a.with_entry(data.draw(st.integers(0, d - 1)),
+                                data.draw(st.integers(0, d - 1)), new))
+    try:
+        outputs.append(a.inverse())
+    except SingularMatrixError:
+        pass
+    try:
+        outputs.extend(a.lu_unit_lower())
+    except DegeneratePointError:
+        pass
+    for out in outputs:
+        assert out.mode == a.mode
+        assert_canonical(out)
