@@ -106,20 +106,29 @@ def f_poly(n: int, i: int, mode: str = "original") -> LaurentPoly:
     mode "original" sums over all interval chains; mode "improved" prunes
     the pairwise-cancelling chains as described in the module docstring.
     F_0 = 1 by convention.
-
-    The sum is a memoized recursion over (position, chains left, forced)
-    on plain term maps {(z exponents, Q exponents): int}.  Every interval
-    weight is a monomial with coefficient +-1, so the coefficients stay
-    ints until the end.  Each step copies the map of the chains that skip
-    the position and adds the weight times each continuation into it in
-    place, term by term, exactly as ``LaurentPoly`` addition of a product
-    would; so the result keeps the storage order of the ring recursion,
-    which the float sums of ``evaluate`` follow.
     """
     if not 0 <= i <= 2 * n:
         raise ValueError(f"need 0 <= i <= 2n, got i={i}")
     if mode not in ("original", "improved"):
         raise ValueError(f"unknown mode {mode!r}")
+    return _f_polys(n, mode)[i]
+
+
+@lru_cache(maxsize=None)
+def _f_polys(n: int, mode: str) -> tuple[LaurentPoly, ...]:
+    """F_0..F_2n of one rank and mode, from one pass with one memo.
+
+    The sum is a memoized recursion over (position, chains left, forced)
+    on plain term maps {(z exponents, Q exponents): int}; no key depends
+    on i, so F_0..F_2n share the memo, which is dropped after the pass.
+    Every interval weight is a monomial with coefficient +-1, so the
+    coefficients stay ints until the end.  Each step copies the map of
+    the chains that skip the position and adds the weight times each
+    continuation into it in place, term by term, exactly as
+    ``LaurentPoly`` addition of a product would; so the result keeps the
+    storage order of the ring recursion, which the float sums of
+    ``evaluate`` follow.
+    """
     improved = mode == "improved"
     zero: dict = {}
     one = {((0,) * n, (0,) * n): 1}
@@ -153,8 +162,9 @@ def f_poly(n: int, i: int, mode: str = "original") -> LaurentPoly:
         memo[key] = acc
         return acc
 
-    terms = chains(1, i, False)
-    return LaurentPoly._trusted(n, {k: Fraction(c) for k, c in terms.items()})
+    return tuple(
+        LaurentPoly._trusted(n, {k: Fraction(c) for k, c in chains(1, i, False).items()})
+        for i in range(2 * n + 1))
 
 
 def conserved_values(x: PhasePoint) -> tuple:

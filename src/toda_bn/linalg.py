@@ -8,19 +8,30 @@ Two scalar modes are supported and never mixed inside one matrix:
 * ``"float"``  -- entries are IEEE binary64; used only for flows and matrix
   exponentials.
 
-In exact mode the characteristic polynomial comes from a Hessenberg
-reduction and the Hessenberg coefficient recurrence (Cohen, *A Course in
-Computational Algebraic Number Theory*, Alg. 2.2.9), O(d^3); in float mode
-from the Faddeev-LeVerrier recurrence, O(d^4), run on plain lists and kept
-bit for bit (its roundoff is large from d = 10 up) until a float Hessenberg
-route replaces it.  Exact-mode products and eliminations skip zero
-entries, since the Lax factors are sparse.
+Every exact-mode kernel (``@``, ``inverse``, ``det``, ``lu_unit_lower``,
+``char_poly``) runs on reduced (numerator, denominator) int pairs: it
+splits its Fraction operands into int lists once, updates rows in place
+with one multiply-add over the pivot row's nonzero entries, which reduces
+each product and sum as Fraction's own arithmetic does (Knuth, TAOCP
+vol. 2, 4.5.1), and builds one Fraction per output entry.  Its pivot is
+the first nonzero entry at or below the diagonal; exact results are
+unique, so neither the pivot rule nor the int pairs can change them.  The
+characteristic polynomial comes from a Hessenberg reduction and the
+Hessenberg coefficient recurrence (Cohen, *A Course in Computational
+Algebraic Number Theory*, Alg. 2.2.9), O(d^3).
+
+Float mode keeps max-|.| pivots and dense row updates (skipping v - f*0.0
+can flip the sign of a zero), and gets its characteristic polynomial from
+the Faddeev-LeVerrier recurrence, O(d^4), run on plain lists and kept bit
+for bit (its roundoff is large from d = 10 up) until a float Hessenberg
+route replaces it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -31,8 +42,6 @@ Scalar = Union[Fraction, float]
 #: Relative pivot threshold below which float-mode elimination reports
 #: singularity / degeneracy.  Single documented constant for the package.
 SINGULARITY_RTOL = 1e-12
-
-_ZERO = Fraction(0)
 
 
 def classify_scalar(value) -> str:
@@ -244,17 +253,8 @@ class SquareMatrix:
 
     def __matmul__(self, other):
         self._check_compatible(other)
-        d = self._dim
         if self._mode == "exact":
-            other_nz = [_nonzero_entries(rb) for rb in other._rows]
-            rows = []
-            for ra in self._rows:
-                acc = [_ZERO] * d  # a Fraction, so untouched entries stay exact
-                for k, a in _nonzero_entries(ra):
-                    for j, b in other_nz[k]:
-                        acc[j] += a * b
-                rows.append(tuple(acc))
-            return SquareMatrix._trusted(tuple(rows), "exact")
+            return SquareMatrix._trusted(_exact_matmul(self._rows, other._rows), "exact")
         cols = list(zip(*other._rows))
         return SquareMatrix._trusted(
             tuple(tuple([sum(map(mul, ra, col)) for col in cols]) for ra in self._rows),
@@ -279,66 +279,53 @@ class SquareMatrix:
     def max_abs(self) -> float:
         return max(abs(v) for r in self._rows for v in r)
 
-    def _pivot_nonzeros(self, row):
-        """The (j, entry) pairs an exact-mode row update needs; None in float
-        mode, whose updates stay dense: skipping v - f*0.0 can flip the sign
-        of a zero."""
-        return _nonzero_entries(row) if self._mode == "exact" else None
-
-    def _pivot_is_zero(self, pivot, scale) -> bool:
-        if self._mode == "exact":
-            return pivot == 0
-        return abs(pivot) < SINGULARITY_RTOL * max(scale, 1e-300)
-
     def inverse(self) -> "SquareMatrix":
-        """Gauss-Jordan with partial pivoting; exact in rational mode.
+        """Gauss-Jordan elimination; exact in rational mode.
 
-        Raises SingularMatrixError when a pivot vanishes (exact zero test
-        in rational mode, |pivot| < SINGULARITY_RTOL * max|entry| in float).
+        Raises SingularMatrixError("singular at column c") when a pivot
+        vanishes: in rational mode c is the first column in the span of
+        the earlier ones; in float mode |pivot| < SINGULARITY_RTOL *
+        max|entry| under partial pivoting.
         """
+        if self._mode == "exact":
+            return SquareMatrix._trusted(_exact_inverse(self._rows), "exact")
         d = self._dim
-        scale = float(self.max_abs()) if self._mode == "float" else 0.0
-        aug = [list(r) + [Fraction(int(i == j)) if self._mode == "exact" else float(i == j)
-                          for j in range(d)] for i, r in enumerate(self._rows)]
+        tol = SINGULARITY_RTOL * max(float(self.max_abs()), 1e-300)
+        aug = [list(r) + [float(i == j) for j in range(d)] for i, r in enumerate(self._rows)]
         for c in range(d):
             p = max(range(c, d), key=lambda r: abs(aug[r][c]))
-            if self._pivot_is_zero(aug[p][c], scale):
+            if abs(aug[p][c]) < tol:
                 raise SingularMatrixError(f"singular at column {c}")
             aug[c], aug[p] = aug[p], aug[c]
             piv = aug[c][c]
-            nz = self._pivot_nonzeros(aug[c])
-            if nz is None:
-                aug[c] = [v / piv for v in aug[c]]
-            else:
-                nz = [(j, v / piv) for j, v in nz]
-                for j, v in nz:
-                    aug[c][j] = v
+            aug[c] = [v / piv for v in aug[c]]
             for r in range(d):
                 if r != c and aug[r][c] != 0:
                     f = aug[r][c]
-                    aug[r] = _minus_multiple(aug[r], f, aug[c], nz)
+                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
         return SquareMatrix._trusted(tuple(tuple(r[d:]) for r in aug), self._mode)
 
     def det(self) -> Scalar:
         """Determinant via elimination with row swaps; exact in rational mode."""
+        if self._mode == "exact":
+            return _exact_det(self._rows)
         d = self._dim
         m = [list(r) for r in self._rows]
-        scale = float(self.max_abs()) if self._mode == "float" else 0.0
+        tol = SINGULARITY_RTOL * max(float(self.max_abs()), 1e-300)
         sign = 1
-        out = Fraction(1) if self._mode == "exact" else 1.0
+        out = 1.0
         for c in range(d):
             p = max(range(c, d), key=lambda r: abs(m[r][c]))
-            if self._pivot_is_zero(m[p][c], scale):
-                return Fraction(0) if self._mode == "exact" else 0.0
+            if abs(m[p][c]) < tol:
+                return 0.0
             if p != c:
                 m[c], m[p] = m[p], m[c]
                 sign = -sign
             out *= m[c][c]
-            nz = self._pivot_nonzeros(m[c])
             for r in range(c + 1, d):
                 if m[r][c] != 0:
                     f = m[r][c] / m[c][c]
-                    m[r] = _minus_multiple(m[r], f, m[c], nz)
+                    m[r] = [v - f * w for v, w in zip(m[r], m[c])]
         return sign * out
 
     def lu_unit_lower(self) -> tuple["SquareMatrix", "SquareMatrix"]:
@@ -348,22 +335,22 @@ class SquareMatrix:
         factorization is unique when it exists.  Raises
         DegeneratePointError when a leading principal minor vanishes.
         """
+        if self._mode == "exact":
+            low, up = _exact_lu_unit_lower(self._rows)
+            return SquareMatrix._trusted(low, "exact"), SquareMatrix._trusted(up, "exact")
         d = self._dim
-        scale = float(self.max_abs()) if self._mode == "float" else 0.0
-        one = Fraction(1) if self._mode == "exact" else 1.0
-        zero = Fraction(0) if self._mode == "exact" else 0.0
-        low = [[one if i == j else zero for j in range(d)] for i in range(d)]
+        tol = SINGULARITY_RTOL * max(float(self.max_abs()), 1e-300)
+        low = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
         up = [list(r) for r in self._rows]
         for c in range(d):
-            if self._pivot_is_zero(up[c][c], scale):
+            if abs(up[c][c]) < tol:
                 raise DegeneratePointError(f"vanishing leading minor at index {c}")
-            nz = self._pivot_nonzeros(up[c])
             for r in range(c + 1, d):
                 if up[r][c] != 0:
                     f = up[r][c] / up[c][c]
                     low[r][c] = f
-                    up[r] = _minus_multiple(up[r], f, up[c], nz)
-                    up[r][c] = zero
+                    up[r] = [v - f * w for v, w in zip(up[r], up[c])]
+                    up[r][c] = 0.0
         return (SquareMatrix._trusted(tuple(map(tuple, low)), self._mode),
                 SquareMatrix._trusted(tuple(map(tuple, up)), self._mode))
 
@@ -372,7 +359,7 @@ class SquareMatrix:
         # Float keeps Faddeev-LeVerrier bit for bit, since simulate and
         # conserved print its roundoff, until a float Hessenberg replaces it.
         if self._mode == "exact":
-            return PolyInLambda(_hessenberg_char_poly([list(r) for r in self._rows]))
+            return PolyInLambda(_hessenberg_char_poly(self._rows))
         return PolyInLambda(_faddeev_leverrier(self._rows))
 
     # -- serialization -------------------------------------------------------
@@ -385,75 +372,243 @@ class SquareMatrix:
         return cls([[parse_scalar(v) for v in r] for r in obj])
 
 
-def _nonzero_entries(row) -> list:
-    """The (index, entry) pairs of the nonzero entries of a row."""
-    return [(j, v) for j, v in enumerate(row) if v]
+# -- exact kernel on reduced integer pairs ------------------------------------
+#
+# A matrix is a list of numerator rows and a list of denominator rows.  Every
+# pair is kept reduced with a positive denominator, zero as (0, 1).
 
 
-def _minus_multiple(row, f, pivot, nz):
-    """row - f * pivot.  ``nz`` lists the pivot's nonzero entries, and only
-    those are updated, in place; ``None`` means the dense float update."""
-    if nz is None:
-        return [v - f * w for v, w in zip(row, pivot)]
-    for j, w in nz:
-        row[j] -= f * w
-    return row
+def _split(rows) -> tuple[list, list]:
+    """The numerator rows and the denominator rows of Fraction rows."""
+    return ([[v.numerator for v in r] for r in rows],
+            [[v.denominator for v in r] for r in rows])
 
 
-def _hessenberg_char_poly(h: list) -> tuple:
-    """det(lambda*E - H) of a Fraction matrix given as a list of row lists,
-    coefficients highest degree first (Cohen, Alg. 2.2.9).
+def _nonzeros(nums: list, dens: list) -> list:
+    """The (index, numerator, denominator) triples of a row's nonzero entries."""
+    return [(j, n, dens[j]) for j, n in enumerate(nums) if n]
 
-    ``h`` is reduced in place to upper Hessenberg form by similarity
-    transforms whose pivot is the first exactly nonzero entry on or below
-    the subdiagonal; a column without one is already reduced.  The leading
-    principal minors p_0..p_d of lambda*E - H then follow the recurrence
+
+def _fraction_rows(num_rows, den_rows) -> tuple:
+    return tuple(tuple(map(Fraction, nums, dens)) for nums, dens in zip(num_rows, den_rows))
+
+
+def _addmul(nums: list, dens: list, fn: int, fd: int, pivot: list) -> None:
+    """row += (fn/fd) * pivot_row, in place.
+
+    The row is ``nums``/``dens``; ``pivot`` lists the pivot row's nonzero
+    entries as from :func:`_nonzeros`, and only those are updated.  Each
+    product and sum is reduced as Fraction's own ``_mul`` and ``_add``
+    reduce them (Knuth, TAOCP vol. 2, 4.5.1): from reduced operands with
+    positive denominators it gives a reduced pair with a positive
+    denominator, and a zero sum comes out as (0, 1).
+    """
+    for j, wn, wd in pivot:
+        g1 = gcd(fn, wd)
+        g2 = gcd(wn, fd)
+        if g1 > 1:
+            pn, pd = fn // g1, wd // g1
+        else:
+            pn, pd = fn, wd
+        if g2 > 1:
+            pn *= wn // g2
+            pd *= fd // g2
+        else:
+            pn *= wn
+            pd *= fd
+        an = nums[j]
+        if not an:
+            nums[j] = pn
+            dens[j] = pd
+            continue
+        ad = dens[j]
+        g = gcd(ad, pd)
+        if g == 1:
+            nums[j] = an * pd + pn * ad
+            dens[j] = ad * pd
+            continue
+        s = ad // g
+        t = an * (pd // g) + pn * s
+        h = gcd(t, g)
+        if h == 1:
+            nums[j] = t
+            dens[j] = s * pd
+        else:
+            nums[j] = t // h
+            dens[j] = s * (pd // h)
+
+
+def _div(an: int, ad: int, bn: int, bd: int) -> tuple[int, int]:
+    """The reduced pair of (an/ad) / (bn/bd), for reduced pairs and bn != 0,
+    as Fraction's ``_div``; so for b != 0, ``_div(an, ad, bd, bn)`` is the
+    product a * b."""
+    g1 = gcd(an, bn)
+    if g1 > 1:
+        an //= g1
+        bn //= g1
+    g2 = gcd(bd, ad)
+    if g2 > 1:
+        ad //= g2
+        bd //= g2
+    n, d = an * bd, bn * ad
+    if d < 0:
+        return -n, -d
+    return n, d
+
+
+def _first_pivot(nums: list, c: int, start: int):
+    """The first row at or below ``start`` whose entry in column c is nonzero."""
+    return next((r for r in range(start, len(nums)) if nums[r][c]), None)
+
+
+def _exact_matmul(a_rows, b_rows) -> tuple:
+    """a @ b over the nonzero entries of each, as Fraction rows."""
+    d = len(a_rows)
+    b_nz = [[(j, v.numerator, v.denominator) for j, v in enumerate(r) if v] for r in b_rows]
+    out_n, out_d = [], []
+    for r in a_rows:
+        nums, dens = [0] * d, [1] * d
+        for k, v in enumerate(r):
+            if v:
+                _addmul(nums, dens, v.numerator, v.denominator, b_nz[k])
+        out_n.append(nums)
+        out_d.append(dens)
+    return _fraction_rows(out_n, out_d)
+
+
+def _exact_inverse(rows) -> tuple:
+    """Gauss-Jordan on [rows | E]; the pivot is the first nonzero entry at or
+    below the diagonal, so the column of a SingularMatrixError is the first
+    one in the span of the earlier columns."""
+    d = len(rows)
+    nums, dens = _split(rows)
+    for i in range(d):
+        nums[i] += [int(i == j) for j in range(d)]
+        dens[i] += [1] * d
+    for c in range(d):
+        p = _first_pivot(nums, c, c)
+        if p is None:
+            raise SingularMatrixError(f"singular at column {c}")
+        nums[c], nums[p] = nums[p], nums[c]
+        dens[c], dens[p] = dens[p], dens[c]
+        rn, rd = nums[c], dens[c]
+        pn, pd = rn[c], rd[c]
+        pivot = [(j, *_div(n, rd[j], pn, pd)) for j, n in enumerate(rn) if n]
+        for j, n, dd in pivot:
+            rn[j] = n
+            rd[j] = dd
+        for r in range(d):
+            if r != c and nums[r][c]:
+                _addmul(nums[r], dens[r], -nums[r][c], dens[r][c], pivot)
+    return _fraction_rows([r[d:] for r in nums], [r[d:] for r in dens])
+
+
+def _exact_det(rows) -> Fraction:
+    """The determinant by elimination with the first nonzero pivot."""
+    d = len(rows)
+    nums, dens = _split(rows)
+    sign, on, od = 1, 1, 1
+    for c in range(d):
+        p = _first_pivot(nums, c, c)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            nums[c], nums[p] = nums[p], nums[c]
+            dens[c], dens[p] = dens[p], dens[c]
+            sign = -sign
+        pn, pd = nums[c][c], dens[c][c]
+        on, od = _div(on, od, pd, pn)
+        pivot = _nonzeros(nums[c], dens[c])
+        for r in range(c + 1, d):
+            if nums[r][c]:
+                fn, fd = _div(nums[r][c], dens[r][c], pn, pd)
+                _addmul(nums[r], dens[r], -fn, fd, pivot)
+    return Fraction(sign * on, od)
+
+
+def _exact_lu_unit_lower(rows) -> tuple[tuple, tuple]:
+    """Doolittle without pivoting: the (lower, upper) Fraction rows."""
+    d = len(rows)
+    nums, dens = _split(rows)
+    low_n = [[int(i == j) for j in range(d)] for i in range(d)]
+    low_d = [[1] * d for _ in range(d)]
+    for c in range(d):
+        pn, pd = nums[c][c], dens[c][c]
+        if not pn:
+            raise DegeneratePointError(f"vanishing leading minor at index {c}")
+        pivot = _nonzeros(nums[c], dens[c])
+        for r in range(c + 1, d):
+            if nums[r][c]:
+                fn, fd = _div(nums[r][c], dens[r][c], pn, pd)
+                low_n[r][c], low_d[r][c] = fn, fd
+                _addmul(nums[r], dens[r], -fn, fd, pivot)
+    return _fraction_rows(low_n, low_d), _fraction_rows(nums, dens)
+
+
+def _hessenberg_char_poly(rows) -> tuple:
+    """det(lambda*E - H) of Fraction rows, coefficients highest degree first
+    (Cohen, Alg. 2.2.9).
+
+    H is reduced to upper Hessenberg form by similarity transforms whose
+    pivot is the first nonzero entry on or below the subdiagonal; a column
+    without one is already reduced.  The leading principal minors p_0..p_d
+    of lambda*E - H then follow the recurrence
     p_{m+1} = (lambda - h_mm) p_m - sum_{i<m} h_im (h_{i+1,i}..h_{m,m-1}) p_i,
     whose sum stops at the first zero subdiagonal entry.
     """
-    d = len(h)
+    d = len(rows)
+    nums, dens = _split(rows)
     for m in range(1, d - 1):
         c = m - 1
-        piv = next((i for i in range(m, d) if h[i][c]), None)
-        if piv is None:
+        p = _first_pivot(nums, c, m)
+        if p is None:
             continue
-        if piv != m:
-            h[piv], h[m] = h[m], h[piv]
-            for row in h:
-                row[piv], row[m] = row[m], row[piv]
-        t = h[m][c]
-        pivot_nz = _nonzero_entries(h[m])
+        if p != m:
+            nums[p], nums[m] = nums[m], nums[p]
+            dens[p], dens[m] = dens[m], dens[p]
+            for rn, rd in zip(nums, dens):
+                rn[p], rn[m] = rn[m], rn[p]
+                rd[p], rd[m] = rd[m], rd[p]
+        tn, td = nums[m][c], dens[m][c]
+        pivot = _nonzeros(nums[m], dens[m])
         # R_i -= u_i R_m for every i > m, then C_m += u_i C_i for every i:
         # the row operations commute, and the column operations multiply by
         # the inverse of their product on the right.
         us = []
         for i in range(m + 1, d):
-            if h[i][c]:
-                u = h[i][c] / t
-                _minus_multiple(h[i], u, h[m], pivot_nz)
-                us.append((i, u))
-        for row in h:
-            for i, u in us:
-                if row[i]:
-                    row[m] += u * row[i]
-    # polys[k] holds p_k lowest degree first
-    polys = [[Fraction(1)]]
+            if nums[i][c]:
+                un, ud = _div(nums[i][c], dens[i][c], tn, td)
+                _addmul(nums[i], dens[i], -un, ud, pivot)
+                us.append((i, un, ud))
+        if us:
+            col_n = [rn[m] for rn in nums]
+            col_d = [rd[m] for rd in dens]
+            for i, un, ud in us:
+                _addmul(col_n, col_d, un, ud,
+                        [(r, rn[i], dens[r][i]) for r, rn in enumerate(nums) if rn[i]])
+            for rn, rd, n, dd in zip(nums, dens, col_n, col_d):
+                rn[m] = n
+                rd[m] = dd
+    # p_k, lowest degree first, as numerator and denominator lists; and the
+    # nonzero entries of each
+    polys = [([1], [1])]
+    polys_nz = [[(0, 1, 1)]]
     for m in range(d):
-        p = [Fraction(0)] + polys[m]
-        if h[m][m]:
-            for k, a in enumerate(polys[m]):
-                p[k] -= h[m][m] * a
-        t = Fraction(1)
+        pn, pd = [0] + polys[m][0], [1] + polys[m][1]
+        if nums[m][m]:
+            _addmul(pn, pd, -nums[m][m], dens[m][m], polys_nz[m])
+        tn, td = 1, 1
         for i in range(m - 1, -1, -1):
-            t *= h[i + 1][i]
-            if not t:
+            if not nums[i + 1][i]:
                 break
-            if h[i][m]:
-                f = t * h[i][m]
-                for k, a in enumerate(polys[i]):
-                    p[k] -= f * a
-        polys.append(p)
-    return tuple(reversed(polys[d]))
+            tn, td = _div(tn, td, dens[i + 1][i], nums[i + 1][i])  # t *= h_{i+1,i}
+            if nums[i][m]:
+                fn, fd = _div(tn, td, dens[i][m], nums[i][m])  # t * h_im
+                _addmul(pn, pd, -fn, fd, polys_nz[i])
+        polys.append((pn, pd))
+        polys_nz.append(_nonzeros(pn, pd))
+    pn, pd = polys[d]
+    return tuple(map(Fraction, reversed(pn), reversed(pd)))
 
 
 def _faddeev_leverrier(a: Sequence[Sequence[float]]) -> tuple:

@@ -18,7 +18,7 @@ from toda_bn import (
 )
 from toda_bn.conserved import conserved_values
 from toda_bn.dynamics import to_phase
-from toda_bn.linalg import interpolate_poly
+from toda_bn.linalg import _addmul, _div, interpolate_poly
 from toda_bn.verify import random_canonical, random_matrix
 
 
@@ -435,3 +435,220 @@ def test_kernel_outputs_are_canonical(ab, data):
     for out in outputs:
         assert out.mode == a.mode
         assert_canonical(out)
+
+
+# -- exact kernel on integer pairs against the Fraction kernels it replaced -----
+#
+# The references are the Fraction loops of the exact kernel before it ran on
+# (numerator, denominator) pairs: max-|.| Gauss-Jordan, det with row swaps,
+# unpivoted Doolittle, the Hessenberg char_poly and the zero-skipping product.
+
+
+def _nonzero_entries(row):
+    return [(j, v) for j, v in enumerate(row) if v]
+
+
+def _minus_multiple(row, f, nz):
+    for j, w in nz:
+        row[j] -= f * w
+
+
+def reference_matmul(a, b):
+    d = len(a)
+    b_nz = [_nonzero_entries(r) for r in b]
+    rows = []
+    for ra in a:
+        acc = [Fraction(0)] * d
+        for k, x in _nonzero_entries(ra):
+            for j, y in b_nz[k]:
+                acc[j] += x * y
+        rows.append(tuple(acc))
+    return tuple(rows)
+
+
+def reference_inverse(rows):
+    d = len(rows)
+    aug = [list(r) + [Fraction(int(i == j)) for j in range(d)] for i, r in enumerate(rows)]
+    for c in range(d):
+        p = max(range(c, d), key=lambda r: abs(aug[r][c]))
+        if aug[p][c] == 0:
+            raise SingularMatrixError(f"singular at column {c}")
+        aug[c], aug[p] = aug[p], aug[c]
+        piv = aug[c][c]
+        nz = [(j, v / piv) for j, v in _nonzero_entries(aug[c])]
+        for j, v in nz:
+            aug[c][j] = v
+        for r in range(d):
+            if r != c and aug[r][c] != 0:
+                _minus_multiple(aug[r], aug[r][c], nz)
+    return tuple(tuple(r[d:]) for r in aug)
+
+
+def reference_det(rows):
+    d = len(rows)
+    m = [list(r) for r in rows]
+    sign, out = 1, Fraction(1)
+    for c in range(d):
+        p = max(range(c, d), key=lambda r: abs(m[r][c]))
+        if m[p][c] == 0:
+            return Fraction(0)
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            sign = -sign
+        out *= m[c][c]
+        nz = _nonzero_entries(m[c])
+        for r in range(c + 1, d):
+            if m[r][c] != 0:
+                _minus_multiple(m[r], m[r][c] / m[c][c], nz)
+    return sign * out
+
+
+def reference_lu_unit_lower(rows):
+    d = len(rows)
+    low = [[Fraction(int(i == j)) for j in range(d)] for i in range(d)]
+    up = [list(r) for r in rows]
+    for c in range(d):
+        if up[c][c] == 0:
+            raise DegeneratePointError(f"vanishing leading minor at index {c}")
+        nz = _nonzero_entries(up[c])
+        for r in range(c + 1, d):
+            if up[r][c] != 0:
+                f = up[r][c] / up[c][c]
+                low[r][c] = f
+                _minus_multiple(up[r], f, nz)
+    return tuple(map(tuple, low)), tuple(map(tuple, up))
+
+
+def reference_char_poly(rows):
+    h = [list(r) for r in rows]
+    d = len(h)
+    for m in range(1, d - 1):
+        c = m - 1
+        piv = next((i for i in range(m, d) if h[i][c]), None)
+        if piv is None:
+            continue
+        if piv != m:
+            h[piv], h[m] = h[m], h[piv]
+            for row in h:
+                row[piv], row[m] = row[m], row[piv]
+        t = h[m][c]
+        pivot_nz = _nonzero_entries(h[m])
+        us = []
+        for i in range(m + 1, d):
+            if h[i][c]:
+                u = h[i][c] / t
+                _minus_multiple(h[i], u, pivot_nz)
+                us.append((i, u))
+        for row in h:
+            for i, u in us:
+                if row[i]:
+                    row[m] += u * row[i]
+    polys = [[Fraction(1)]]
+    for m in range(d):
+        p = [Fraction(0)] + polys[m]
+        if h[m][m]:
+            for k, a in enumerate(polys[m]):
+                p[k] -= h[m][m] * a
+        t = Fraction(1)
+        for i in range(m - 1, -1, -1):
+            t *= h[i + 1][i]
+            if not t:
+                break
+            if h[i][m]:
+                f = t * h[i][m]
+                for k, a in enumerate(polys[i]):
+                    p[k] -= f * a
+        polys.append(p)
+    return tuple(reversed(polys[d]))
+
+
+def outcome(call):
+    """("ok", value) or (error class, message): what a caller can see."""
+    try:
+        return "ok", call()
+    except (SingularMatrixError, DegeneratePointError) as exc:
+        return type(exc), str(exc)
+
+
+BIG = 2 ** 256
+BIG_ENTRIES = st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG))
+
+
+@st.composite
+def rational_matrices(draw, dims=st.integers(1, 12)):
+    """Sparse rational matrices: small entries at any density, or at most
+    3d/2 nonzero entries of up to 256 bits (more of them make the exact
+    Hessenberg reduction's intermediate entries swell to seconds a call).
+    Sometimes a column is a combination of the earlier ones, so that the
+    matrix is singular and a leading minor vanishes."""
+    d = draw(dims)
+    if draw(st.booleans()):
+        rows = draw(st.lists(st.lists(ENTRIES, min_size=d, max_size=d),
+                             min_size=d, max_size=d))
+    else:
+        rows = [[Fraction(0)] * d for _ in range(d)]
+        index = st.integers(0, d - 1)
+        for i, j, v in draw(st.lists(st.tuples(index, index, BIG_ENTRIES),
+                                     max_size=d + d // 2)):
+            rows[i][j] = v
+    if d > 1 and draw(st.booleans()):
+        c = draw(st.integers(1, d - 1))
+        coeffs = draw(st.lists(ENTRIES, min_size=c, max_size=c))
+        for r in rows:
+            r[c] = sum(k * r[j] for j, k in enumerate(coeffs))
+    return SquareMatrix(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.data())
+def test_pair_kernel_matches_fraction_reference(a, data):
+    b = data.draw(rational_matrices(dims=st.just(a.dim)))
+    assert (a @ b).rows == reference_matmul(a.rows, b.rows)
+    assert a.det() == reference_det(a.rows)
+    assert type(a.det()) is Fraction
+    assert outcome(lambda: a.inverse().rows) == outcome(lambda: reference_inverse(a.rows))
+    assert (outcome(lambda: tuple(m.rows for m in a.lu_unit_lower()))
+            == outcome(lambda: reference_lu_unit_lower(a.rows)))
+    assert a.char_poly().coeffs == reference_char_poly(a.rows)
+
+
+@pytest.mark.parametrize("rows,column", [
+    ([[0, 1], [0, 2]], 0),
+    ([[1, 2], [2, 4]], 1),
+    # the max-|.| pivot and the first nonzero pivot differ in column 0
+    ([[1, 2, 3], [5, 1, 0], [7, 5, 6]], 2),
+    ([[Fraction(1, 3), 0, 1, 0], [0, 0, 2, 0], [1, 0, 0, 5], [0, 0, 7, 1]], 1),
+])
+def test_singular_column_is_the_first_in_the_span_of_the_earlier(rows, column):
+    m = SquareMatrix(rows)
+    for call in (lambda: m.inverse(), lambda: reference_inverse(m.rows)):
+        with pytest.raises(SingularMatrixError, match=f"^singular at column {column}$"):
+            call()
+    assert m.det() == 0
+
+
+PAIR_ENTRIES = st.one_of(ENTRIES, BIG_ENTRIES)
+
+
+def is_reduced(n, d):
+    return type(n) is int and type(d) is int and d > 0 and math.gcd(n, d) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(PAIR_ENTRIES, min_size=1, max_size=6), st.data())
+def test_pair_helpers_keep_pairs_reduced(row, data):
+    f = data.draw(PAIR_ENTRIES)
+    pivot = data.draw(st.lists(PAIR_ENTRIES, min_size=len(row), max_size=len(row)))
+    nums = [v.numerator for v in row]
+    dens = [v.denominator for v in row]
+    _addmul(nums, dens, f.numerator, f.denominator,
+            [(j, w.numerator, w.denominator) for j, w in enumerate(pivot) if w])
+    assert all(is_reduced(n, d) for n, d in zip(nums, dens))
+    assert [Fraction(n, d) for n, d in zip(nums, dens)] == [
+        v + f * w for v, w in zip(row, pivot)]
+    for a, b in zip(row, pivot):
+        if b:
+            quotient = _div(a.numerator, a.denominator, b.numerator, b.denominator)
+            product = _div(a.numerator, a.denominator, b.denominator, b.numerator)
+            assert is_reduced(*quotient) and Fraction(*quotient) == a / b
+            assert is_reduced(*product) and Fraction(*product) == a * b
