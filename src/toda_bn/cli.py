@@ -95,7 +95,11 @@ def _emit(payload: str, out: str | None):
 
 
 def _json_dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    """obj as indented JSON; a NaN or infinite float raises CliError."""
+    try:
+        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+    except ValueError as e:
+        raise CliError(f"result is not finite: {e}") from e
 
 
 def cmd_lax(args) -> int:
@@ -150,10 +154,16 @@ def cmd_backlund(args) -> int:
     x, _ = _parse_point(args.point, args.n)
     if args.steps < 0:
         raise CliError("--steps must be >= 0")
-    routes = ("map", "conjugate") if args.route == "both" else (args.route,)
-    payload = {"route": args.route, "steps": []}
+    payload = _float_range(lambda: _backlund_payload(x, args.steps, args.route))
+    _emit(_json_dumps(payload), args.out)
+    return 0
+
+
+def _backlund_payload(x, steps: int, route: str) -> dict:
+    routes = ("map", "conjugate") if route == "both" else (route,)
+    payload = {"route": route, "steps": []}
     points = {r: x for r in routes}
-    for k in range(args.steps + 1):
+    for k in range(steps + 1):
         entry = {"step": k}
         for r in routes:
             p = points[r]
@@ -162,12 +172,11 @@ def cmd_backlund(args) -> int:
         if len(routes) == 2:
             entry["routes_agree"] = points["map"] == points["conjugate"]
         payload["steps"].append(entry)
-        if k < args.steps:
+        if k < steps:
             for r in routes:
                 points[r] = (bk.backlund_map(points[r]) if r == "map"
                              else bk.backlund_conjugate(points[r]))
-    _emit(_json_dumps(payload), args.out)
-    return 0
+    return payload
 
 
 def _canonical_payload(x, c) -> dict:

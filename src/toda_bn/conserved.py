@@ -168,9 +168,23 @@ def _f_polys(n: int, mode: str) -> tuple[LaurentPoly, ...]:
 
 
 def conserved_values(x: PhasePoint) -> tuple:
-    """F_0..F_2n at x through the characteristic-polynomial route."""
+    """F_0..F_2n at x through the characteristic-polynomial route.
+
+    Like ``build_lax``, an exact point's values are memoized for the last
+    8 points (both routes of a Backlund step reach the same point); float
+    points are never memoized, since -0.0 and 0.0 are equal keys.
+    """
+    if x.mode == "exact":
+        return _conserved_values_exact(x)
+    return _char_poly_values(x)
+
+
+def _char_poly_values(x: PhasePoint) -> tuple:
     coeffs = build_lax(x).char_poly().coeffs
     return tuple((-1) ** i * c for i, c in enumerate(coeffs))
+
+
+_conserved_values_exact = lru_cache(maxsize=8)(_char_poly_values)
 
 
 def conserved_values_by_path(x: PhasePoint, mode: str = "original") -> tuple:

@@ -125,9 +125,26 @@ def build_factors(x: PhasePoint) -> tuple[SquareMatrix, SquareMatrix, SquareMatr
 
 
 def build_lax(x: PhasePoint) -> SquareMatrix:
-    """L = N B C^{-1}; entries are exact in rational mode."""
+    """L = N B C^{-1}; entries are exact in rational mode.
+
+    An exact point's matrix is memoized, keyed by the point, in a memo of
+    the last 8 points: a Backlund step builds L of one point up to four
+    times.  The memo is exact only, because -0.0 == 0.0 with equal
+    hashes, so a float memo could return zeros of the other sign; and it
+    is bounded, because orbit entries grow by about 80 bits a step.  The
+    matrix is immutable, so a hit is the value a fresh build returns.
+    """
+    if x.mode == "exact":
+        return _build_lax_exact(x)
+    return _lax_product(x)
+
+
+def _lax_product(x: PhasePoint) -> SquareMatrix:
     N, B, C = build_factors(x)
     return N @ B @ C.inverse()
+
+
+_build_lax_exact = lru_cache(maxsize=8)(_lax_product)
 
 
 @lru_cache(maxsize=None)

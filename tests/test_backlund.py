@@ -16,6 +16,8 @@ from toda_bn import (
     membership,
     to_phase,
 )
+from toda_bn.conserved import _conserved_values_exact
+from toda_bn.lax import _build_lax_exact
 from toda_bn.verify import printed_backlund_n2, random_canonical, random_point, random_rational
 
 
@@ -118,3 +120,44 @@ def test_flow_commutation(rng):
     assert flow_commutation_check(x, t=0.0).discrepancy == 0.0
     rep = flow_commutation_check(x, t=0.2, h=1e-3)
     assert rep.discrepancy < 1e-6
+
+
+def _orbit_both_routes(x, steps, before_call):
+    """[(map point, conjugate point, their F), ...] along an exact orbit."""
+    out = []
+    a = b = x
+    for k in range(steps + 1):
+        before_call()
+        fa = conserved_values(a)
+        before_call()
+        out.append((a, b, fa, conserved_values(b)))
+        if k < steps:
+            before_call()
+            a = backlund_map(a)
+            before_call()
+            b = backlund_conjugate(b)
+    return out
+
+
+def _clear_memos():
+    _build_lax_exact.cache_clear()
+    _conserved_values_exact.cache_clear()
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_orbit_is_the_same_with_warm_or_cleared_memos(rng, n):
+    while True:
+        x = random_point(n, rng)
+        try:
+            cold = _orbit_both_routes(x, 12, _clear_memos)
+            break
+        except DegeneratePointError:
+            continue
+    hits = _build_lax_exact.cache_info().hits
+    warm = _orbit_both_routes(x, 12, lambda: None)
+    assert _build_lax_exact.cache_info().hits > hits
+    assert warm == cold
+    f0 = cold[0][2]
+    for a, b, fa, fb in warm:
+        assert a == b
+        assert fa == fb == f0

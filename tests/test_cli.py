@@ -151,6 +151,9 @@ BAD_POINTS = [
     ("conserved", "0.1,0.2,0.3"),
     ("conserved", "0.1,abc"),
     ("canonical", '{"n": 1, "z": ["1e400"], "Q": ["-1"]}'),
+    ("lax", '{"n": 2, "z": [1e200, 1e200], "Q": [1e200, 1]}'),
+    ("conserved", '{"n": 2, "z": [1e200, 1e200], "Q": [1e200, 1]}'),
+    ("backlund", '{"n": 2, "z": [1e300, 1], "Q": [1e300, 2]}'),
 ]
 
 

@@ -12,7 +12,8 @@ from toda_bn import (
     lax_symbolic,
     parameters_from_lax,
 )
-from toda_bn.lax import evaluate_matrix
+from toda_bn.conserved import _conserved_values_exact, conserved_values
+from toda_bn.lax import _build_lax_exact, evaluate_matrix
 from toda_bn.verify import printed_lax_n2, random_point
 
 
@@ -124,6 +125,34 @@ def test_not_in_gamma_detected(worked_point):
     bad = L.with_entry(0, 3, L[0, 3] + 1)  # break the J block
     with pytest.raises(NotInGammaError):
         parameters_from_lax(bad)
+
+
+def test_not_in_gamma_detected_on_a_memo_hit(rng):
+    # A perturbed entry on or above the diagonal of the upper-right J block
+    # leaves every read intact, so recovery reaches the rebuild of the very
+    # point L was built from; that build comes from the memo, and the
+    # entrywise check must still reject the matrix.
+    for n in (2, 3, 4):
+        x = random_point(n, rng)
+        L = build_lax(x)
+        for i in range(n):
+            for j in range(n + i, 2 * n):
+                bad = L.with_entry(i, j, L[i, j] + 1)
+                _build_lax_exact.cache_clear()
+                build_lax(x)
+                with pytest.raises(NotInGammaError,
+                                   match=rf"rebuilt Lax matrix differs at \({i}, {j}\)"):
+                    parameters_from_lax(bad)
+                assert _build_lax_exact.cache_info().hits == 1
+
+
+def test_float_points_bypass_the_memos(rng):
+    x = random_point(3, rng).to_float()
+    before = (_build_lax_exact.cache_info(), _conserved_values_exact.cache_info())
+    for _ in range(2):
+        assert parameters_from_lax(build_lax(x)).mode == "float"
+        conserved_values(x)
+    assert (_build_lax_exact.cache_info(), _conserved_values_exact.cache_info()) == before
 
 
 def test_phase_point_json(worked_point):

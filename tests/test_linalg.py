@@ -652,3 +652,12 @@ def test_pair_helpers_keep_pairs_reduced(row, data):
             product = _div(a.numerator, a.denominator, b.denominator, b.numerator)
             assert is_reduced(*quotient) and Fraction(*quotient) == a / b
             assert is_reduced(*product) and Fraction(*product) == a * b
+
+
+def test_float_det_sign_follows_row_swaps():
+    # max-|.| pivoting swaps rows 0 and 2 once, so the float det must flip sign
+    rows = [[1, 0, 2], [0, 3, 1], [4, 1, 0]]
+    exact = SquareMatrix(rows).det()
+    got = SquareMatrix([[float(v) for v in r] for r in rows], "float").det()
+    assert exact == -25
+    assert got == pytest.approx(float(exact), rel=1e-12)
