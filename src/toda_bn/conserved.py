@@ -6,7 +6,7 @@ matrix: det(lambda*E - L) = sum_i (-1)^i F_i lambda^(2n-i).
 Route two sums weighted chains of intervals in the index set
 I = {1 < 2 < ... < n < nbar < ... < 1bar}, identified with {1..2n} via
 kbar = 2n+1-k.  An interval (x, y) carries a nonzero weight w(x, y) for
-exactly seven shapes:
+exactly six shapes:
 
     (k, k)         ->  z_k
     (k, k+1)       -> -Q_k z_k                (k < n)
@@ -15,14 +15,18 @@ exactly seven shapes:
     (k, kbar)      -> -z_k Q_k Q_{k+1}...Q_n
     (k, k+1bar)    ->  z_k Q_k Q_{k+1}...Q_n  (k < n)
 
-and F_i is the sum over chains x_1 <= y_1 < x_2 <= y_2 < ... < x_i <= y_i
-of the products of the interval weights.
+The interval (n, nbar) is both adjacent and long-dashed; its weight is
+the long-dashed one, -z_n Q_n.  F_i is the sum over chains
+x_1 <= y_1 < x_2 <= y_2 < ... < x_i <= y_i of the products of the
+interval weights.
 
 The "improved" variant prunes the chains that cancel in pairs: intervals
 (k, kbar) with k < n are dropped, and an interval (k, k+1bar) must be
 followed immediately by one starting at kbar.  Both variants expand to
 the same polynomial; the pruning is exactly the pairwise cancellation
-coming from w(k, k+1bar) = -w(k, kbar).
+coming from w(k, k+1bar) = -w(k, kbar).  Both variants read one
+interval table per rank, the improved one with those entries dropped or
+marked.
 """
 
 from __future__ import annotations
@@ -37,66 +41,57 @@ from typing import Sequence
 from .errors import DegeneratePointError, ModeError
 from .laurent import LaurentPoly
 from .lax import PhasePoint, build_factors, build_lax
-from .linalg import PolyInLambda, SquareMatrix, interpolate_poly
+from .linalg import SquareMatrix, interpolate_poly
 
 #: Symbolic expansion guard: chain enumeration grows quickly with n, so the
 #: path-formula route stays a desk-scale verification tool.
 MAX_SYMBOLIC_RANK = 6
 
 
-def _tail_q_monomial(n: int, k: int) -> LaurentPoly:
-    """Q_k Q_{k+1} ... Q_n as a Laurent polynomial (1-based k)."""
-    eq = [0] * n
-    for m in range(k, n + 1):
-        eq[m - 1] = 1
-    return LaurentPoly.monomial(n, [0] * n, eq)
+@lru_cache(maxsize=None)
+def _interval_table(n: int, improved: bool) -> tuple:
+    """The weighted intervals of each start x = 1..2n, at index x - 1.
+
+    Each row lists (y, z exponents, Q exponents, sign, forces_next) in
+    increasing y; the weight of (x, y) is the monomial sign * z^e * Q^f.
+    The improved table drops (k, kbar) for k < n, and its (k, k+1bar)
+    forces the next interval to start at kbar.
+    """
+    def unit(k: int, power: int = 1) -> tuple:
+        return tuple(power if m == k else 0 for m in range(1, n + 1))
+
+    zeros = (0,) * n
+    rows = []
+    for k in range(1, n + 1):               # x = k
+        z, tail = unit(k), tuple(int(m >= k) for m in range(1, n + 1))
+        row = [(k, z, zeros, 1, False)]
+        if k < n:
+            row += [(k + 1, z, unit(k), -1, False), (2 * n - k, z, tail, 1, improved)]
+        if k == n or not improved:
+            row.append((2 * n + 1 - k, z, tail, -1, False))
+        rows.append(tuple(row))
+    for k in range(n, 0, -1):               # x = kbar
+        x, zinv = 2 * n + 1 - k, unit(k, -1)
+        row = [(x, zinv, zeros, 1, False)]
+        if k > 1:
+            row.append((x + 1, zinv, unit(k - 1), -1, False))
+        rows.append(tuple(row))
+    return tuple(rows)
 
 
 def interval_weight(n: int, x: int, y: int) -> LaurentPoly:
     """The weight w(x, y) of the shortest path from line x to line y.
 
-    Indices are 1-based elements of {1..2n}; any pair outside the seven
-    weighted shapes (including x > y) gets the zero polynomial.
+    Indices are 1-based elements of {1..2n}; any pair outside the six
+    weighted shapes of the module docstring (including x > y) gets the
+    zero polynomial.
     """
     if not (1 <= x <= 2 * n and 1 <= y <= 2 * n):
         raise ValueError(f"indices must lie in 1..{2 * n}")
-    zero = LaurentPoly.zero(n)
-    if x > y:
-        return zero
-    if x == y:
-        if x <= n:
-            return LaurentPoly.z_var(n, x)
-        return LaurentPoly.z_var(n, 2 * n + 1 - x, -1)
-    if y == x + 1 and y <= n:
-        return -(LaurentPoly.q_var(n, x) * LaurentPoly.z_var(n, x))
-    if y == x + 1 and x >= n + 1:
-        k = 2 * n + 1 - x
-        return -(LaurentPoly.q_var(n, k - 1) * LaurentPoly.z_var(n, k, -1))
-    if y == 2 * n + 1 - x and x <= n:
-        return -(LaurentPoly.z_var(n, x) * _tail_q_monomial(n, x))
-    if y == 2 * n - x and x <= n - 1:
-        return LaurentPoly.z_var(n, x) * _tail_q_monomial(n, x)
-    return zero
-
-
-def _shapes(n: int, x: int) -> list[int]:
-    """End points y >= x with nonzero weight for an interval starting at x."""
-    ys = [x]
-    if x + 1 <= n or n + 1 <= x <= 2 * n - 1:
-        ys.append(x + 1)
-    if x <= n - 1:
-        ys.append(2 * n - x)
-    if x <= n:
-        ys.append(2 * n + 1 - x)
-    return sorted(set(ys))
-
-
-def _is_short_dashed(n: int, x: int, y: int) -> bool:
-    return x <= n - 1 and y == 2 * n - x
-
-
-def _is_long_dashed(n: int, x: int, y: int) -> bool:
-    return x <= n and y == 2 * n + 1 - x
+    for end, wz, wq, sign, _ in _interval_table(n, False)[x - 1]:
+        if end == y:
+            return LaurentPoly.monomial(n, wz, wq, sign)
+    return LaurentPoly.zero(n)
 
 
 @lru_cache(maxsize=None)
@@ -121,15 +116,15 @@ def _f_polys(n: int, mode: str) -> tuple[LaurentPoly, ...]:
     The sum is a memoized recursion over (position, chains left, forced)
     on plain term maps {(z exponents, Q exponents): int}; no key depends
     on i, so F_0..F_2n share the memo, which is dropped after the pass.
-    Every interval weight is a monomial with coefficient +-1, so the
-    coefficients stay ints until the end.  Each step copies the map of
-    the chains that skip the position and adds the weight times each
-    continuation into it in place, term by term, exactly as
-    ``LaurentPoly`` addition of a product would; so the result keeps the
-    storage order of the ring recursion, which the float sums of
-    ``evaluate`` follow.
+    The mode only picks the interval table.  Every interval weight is a
+    monomial with coefficient +-1, so the coefficients stay ints until
+    the end.  Each step copies the map of the chains that skip the
+    position and adds the weight times each continuation into it in
+    place, term by term, exactly as ``LaurentPoly`` addition of a product
+    would; so the result keeps the storage order of the ring recursion,
+    which the float sums of ``evaluate`` follow.
     """
-    improved = mode == "improved"
+    table = _interval_table(n, mode == "improved")
     zero: dict = {}
     one = {((0,) * n, (0,) * n): 1}
     memo: dict[tuple[int, int, bool], dict] = {}
@@ -146,12 +141,7 @@ def _f_polys(n: int, mode: str) -> tuple[LaurentPoly, ...]:
         if key in memo:
             return memo[key]
         acc = {} if forced else dict(chains(pos + 1, left, False))
-        for y in _shapes(n, pos):
-            if improved and _is_long_dashed(n, pos, y) and pos <= n - 1:
-                continue
-            ((wz, wq), wc), = interval_weight(n, pos, y).terms.items()
-            wc = int(wc)  # +-1
-            nxt_forced = improved and _is_short_dashed(n, pos, y)
+        for y, wz, wq, wc, nxt_forced in table[pos - 1]:
             for (ez, eq), c in chains(y + 1, left - 1, nxt_forced).items():
                 k = (tuple(map(add, wz, ez)), tuple(map(add, wq, eq)))
                 s = acc.get(k, 0) + wc * c
@@ -302,6 +292,6 @@ def path_weight_oracle(x: PhasePoint) -> PathWeightReport:
 
     cs = build_lax(x).char_poly()
     pts = [(lam, (Lam * Fraction(lam) - M).det()) for lam in range(d + 1)]
-    spectrum_ok = (interpolate_poly(pts) == PolyInLambda(cs.coeffs))
+    spectrum_ok = (interpolate_poly(pts) == cs)
 
     return PathWeightReport(c_ok, three_ok, entry_ok, spectrum_ok)

@@ -262,7 +262,8 @@ class SquareMatrix:
 
     def __mul__(self, scalar):
         s = coerce_scalar(scalar, self._mode)
-        return SquareMatrix([[a * s for a in r] for r in self._rows], self._mode)
+        return SquareMatrix._trusted(tuple(tuple(a * s for a in r) for r in self._rows),
+                                     self._mode)
 
     __rmul__ = __mul__
 

@@ -18,7 +18,6 @@ from toda_bn import (
     ideal_generator,
     interval_weight,
 )
-from toda_bn.conserved import _is_long_dashed, _is_short_dashed, _shapes
 from toda_bn.verify import printed_f1, printed_f2_n2, random_point, random_rational
 
 
@@ -42,6 +41,41 @@ def test_weight_table_zero_cases():
     assert interval_weight(2, 3, 1).is_zero()  # x > y
     with pytest.raises(ValueError):
         interval_weight(2, 0, 1)
+
+
+def docstring_weights(n):
+    """The six weighted shapes of the conserved module docstring, by (x, y)."""
+    z, q = LaurentPoly.z_var, LaurentPoly.q_var
+
+    def bar(k):
+        return 2 * n + 1 - k
+
+    def tail(k):  # Q_k Q_{k+1} ... Q_n
+        acc = LaurentPoly.one(n)
+        for m in range(k, n + 1):
+            acc = acc * q(n, m)
+        return acc
+
+    w = {}
+    for k in range(1, n + 1):
+        w[(k, k)] = z(n, k)
+        w[(bar(k), bar(k))] = z(n, k, -1)
+        w[(k, bar(k))] = -(z(n, k) * tail(k))
+        if k < n:
+            w[(k, k + 1)] = -(q(n, k) * z(n, k))
+            w[(k, bar(k + 1))] = z(n, k) * tail(k)
+        if k > 1:
+            w[(bar(k), bar(k - 1))] = -(q(n, k - 1) * z(n, k, -1))
+    assert len(w) == 6 * n - 3  # no two shapes name the same pair
+    return w
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_weight_table_every_pair(n):
+    expected = docstring_weights(n)
+    for x in range(1, 2 * n + 1):
+        for y in range(1, 2 * n + 1):
+            assert interval_weight(n, x, y) == expected.get((x, y), LaurentPoly.zero(n)), (x, y)
 
 
 def test_f1_matches_printed_formula():
@@ -188,7 +222,12 @@ def test_f_poly_term_order_pinned(n, mode):
 
 
 def f_poly_by_ring(n, i, mode):
-    """F_i by the memoized chain recursion in the LaurentPoly ring."""
+    """F_i by the memoized chain recursion in the LaurentPoly ring.
+
+    The intervals starting at x are the y with a nonzero interval_weight,
+    in increasing y.  Mode "improved" drops (k, kbar) for k < n, and after
+    (k, k+1bar) for k < n the next interval must start at kbar.
+    """
     improved = mode == "improved"
     zero = LaurentPoly.zero(n)
     one = LaurentPoly.one(n)
@@ -203,11 +242,11 @@ def f_poly_by_ring(n, i, mode):
         if key in memo:
             return memo[key]
         acc = zero if forced else chains(pos + 1, left, False)
-        for y in _shapes(n, pos):
-            if improved and _is_long_dashed(n, pos, y) and pos <= n - 1:
-                continue
+        for y in range(pos, 2 * n + 1):
             w = interval_weight(n, pos, y)
-            nxt_forced = improved and _is_short_dashed(n, pos, y)
+            if w.is_zero() or (improved and pos < n and y == 2 * n + 1 - pos):
+                continue
+            nxt_forced = improved and pos < n and y == 2 * n - pos
             acc = acc + w * chains(y + 1, left - 1, nxt_forced)
         memo[key] = acc
         return acc

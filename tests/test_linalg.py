@@ -121,6 +121,10 @@ def test_mode_mixing_rejected():
         SquareMatrix([[0.5, Fraction(1)], [0, 1]])  # order must not matter
     with pytest.raises(ModeError):
         SquareMatrix.identity(2) @ SquareMatrix.identity(2, "float")
+    with pytest.raises(ModeError):
+        SquareMatrix.identity(2) * 0.5  # the scalar multiple keeps the mode
+    with pytest.raises(ModeError):
+        True * SquareMatrix.identity(2, "float")
     assert SquareMatrix([[0.5, 1], [0, 1]]).mode == "float"  # ints absorb
 
 
@@ -416,7 +420,8 @@ KERNEL_ENTRIES = {
 def test_kernel_outputs_are_canonical(ab, data):
     a, b = ab
     d = a.dim
-    outputs = [a @ b, a + b, a - b, -a, a.transpose(),
+    s = data.draw(st.one_of(st.integers(-3, 3), KERNEL_ENTRIES[a.mode]))
+    outputs = [a @ b, a + b, a - b, -a, a * s, s * a, a.transpose(),
                SquareMatrix.from_blocks([[a, b], [b, a]])]
     size = data.draw(st.integers(1, d))
     outputs.append(a.block(data.draw(st.integers(0, d - size)),
