@@ -97,10 +97,9 @@ def kr_factors(x: PhasePoint) -> KRFactors:
         if i >= 2:
             k11[i - 1][i - 2] = M[i - 2] * a[i - 2] * b[i - 2] / M[i - 1]
     K11 = SquareMatrix(k11, mode)
-    J = SquareMatrix.reversal(n, mode)
     K12 = SquareMatrix.zero(n, mode).with_entry(0, n - 1, M[n - 1] * a[n - 1] * b[n - 1])
     K = SquareMatrix.from_blocks([[K11, SquareMatrix.zero(n, mode)],
-                                  [K12, J @ K11 @ J]])
+                                  [K12, K11.flip()]])
 
     r11 = [[zero] * n for _ in range(n)]
     for i in range(1, n + 1):

@@ -120,7 +120,7 @@ def build_factors(x: PhasePoint) -> tuple[SquareMatrix, SquareMatrix, SquareMatr
     N = SquareMatrix.from_blocks([[N11, Z0], [Z0, N22]])
     B = SquareMatrix.from_blocks([[SquareMatrix.identity(n, mode), J],
                                   [Z0, SquareMatrix.identity(n, mode)]])
-    C = SquareMatrix.from_blocks([[J @ N22 @ J, Z0], [P, J @ N11 @ J]])
+    C = SquareMatrix.from_blocks([[N22.flip(), Z0], [P, N11.flip()]])
     return N, B, C
 
 
@@ -272,14 +272,12 @@ def gamma_membership(L: SquareMatrix) -> GammaReport:
                 viol("gamma1", i, j)
 
     J = SquareMatrix.reversal(n, mode)
-    U = L.block(0, 0, n)
-    W = L.block(n, n, n)
     in_g2 = True
     blocks = [
         ("gamma2:upper-right-of-L", L.block(0, n, n), J),
         ("gamma2:upper-right-of-inverse", A.block(0, n, n), -J),
-        ("gamma2:upper-left-of-inverse", A.block(0, 0, n), J @ W @ J),
-        ("gamma2:lower-right-of-inverse", A.block(n, n, n), J @ U @ J),
+        ("gamma2:upper-left-of-inverse", A.block(0, 0, n), L.block(n, n, n).flip()),
+        ("gamma2:lower-right-of-inverse", A.block(n, n, n), L.block(0, 0, n).flip()),
     ]
     for name, got, expect in blocks:
         diff = got - expect

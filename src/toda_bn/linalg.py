@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isfinite
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -108,6 +108,14 @@ def parse_scalar(obj) -> Scalar:
     if isinstance(obj, (int, float)):
         return float(obj)
     raise ModeError(f"cannot parse scalar from {obj!r}")
+
+
+def _check_finite(rows) -> None:
+    """Raise ValueError naming the first non-finite entry of float rows."""
+    for i, r in enumerate(rows):
+        if not all(map(isfinite, r)):
+            j = next(j for j, v in enumerate(r) if not isfinite(v))
+            raise ValueError(f"non-finite entry {r[j]!r} at row {i}, column {j}")
 
 
 class SquareMatrix:
@@ -213,12 +221,14 @@ class SquareMatrix:
         return f"SquareMatrix(\n {body})"
 
     def block(self, i0: int, j0: int, size: int) -> "SquareMatrix":
-        rows = tuple(r[j0:j0 + size] for r in self._rows[i0:i0 + size])
-        if size < 1 or len(rows) != size or any(len(r) != size for r in rows):
-            raise ValueError("rows must form a nonempty square array")
-        return SquareMatrix._trusted(rows, self._mode)
+        if min(i0, j0) < 0 or size < 1 or max(i0, j0) + size > self._dim:
+            raise ValueError(f"no {size} x {size} block at ({i0}, {j0})")
+        return SquareMatrix._trusted(
+            tuple(r[j0:j0 + size] for r in self._rows[i0:i0 + size]), self._mode)
 
     def with_entry(self, i: int, j: int, value) -> "SquareMatrix":
+        if not (0 <= i < self._dim and 0 <= j < self._dim):
+            raise IndexError(f"no entry ({i}, {j})")
         rows = [list(r) for r in self._rows]
         rows[i][j] = coerce_scalar(value, self._mode)
         return SquareMatrix._trusted(tuple(map(tuple, rows)), self._mode)
@@ -271,6 +281,11 @@ class SquareMatrix:
         """[self, other] = self@other - other@self."""
         return self @ other - other @ self
 
+    def flip(self) -> "SquareMatrix":
+        """``J @ self @ J`` for the reversal J, as an index flip; in float mode
+        it keeps a -0.0 or an inf, which the products turn into 0.0 or NaNs."""
+        return SquareMatrix._trusted(tuple(r[::-1] for r in reversed(self._rows)), self._mode)
+
     def transpose(self) -> "SquareMatrix":
         return SquareMatrix._trusted(tuple(zip(*self._rows)), self._mode)
 
@@ -286,10 +301,12 @@ class SquareMatrix:
         Raises SingularMatrixError("singular at column c") when a pivot
         vanishes: in rational mode c is the first column in the span of
         the earlier ones; in float mode |pivot| < SINGULARITY_RTOL *
-        max|entry| under partial pivoting.
+        max|entry| under partial pivoting.  A non-finite float entry
+        raises ValueError.
         """
         if self._mode == "exact":
             return SquareMatrix._trusted(_exact_inverse(self._rows), "exact")
+        _check_finite(self._rows)
         d = self._dim
         tol = SINGULARITY_RTOL * max(float(self.max_abs()), 1e-300)
         aug = [list(r) + [float(i == j) for j in range(d)] for i, r in enumerate(self._rows)]
@@ -307,9 +324,13 @@ class SquareMatrix:
         return SquareMatrix._trusted(tuple(tuple(r[d:]) for r in aug), self._mode)
 
     def det(self) -> Scalar:
-        """Determinant via elimination with row swaps; exact in rational mode."""
+        """Determinant via elimination with row swaps; exact in rational mode.
+
+        A non-finite float entry raises ValueError.
+        """
         if self._mode == "exact":
             return _exact_det(self._rows)
+        _check_finite(self._rows)
         d = self._dim
         m = [list(r) for r in self._rows]
         tol = SINGULARITY_RTOL * max(float(self.max_abs()), 1e-300)
@@ -334,11 +355,13 @@ class SquareMatrix:
 
         lower is unit lower triangular, upper is upper triangular; the
         factorization is unique when it exists.  Raises
-        DegeneratePointError when a leading principal minor vanishes.
+        DegeneratePointError when a leading principal minor vanishes, and
+        ValueError on a non-finite float entry.
         """
         if self._mode == "exact":
             low, up = _exact_lu_unit_lower(self._rows)
             return SquareMatrix._trusted(low, "exact"), SquareMatrix._trusted(up, "exact")
+        _check_finite(self._rows)
         d = self._dim
         tol = SINGULARITY_RTOL * max(float(self.max_abs()), 1e-300)
         low = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]

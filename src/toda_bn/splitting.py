@@ -4,7 +4,8 @@ With matrices written in n x n blocks and J the n x n reversal:
 
 * the "plus" subalgebra consists of [[X, Y], [0, Z]] with X upper
   triangular and Z strictly upper triangular (zero diagonal);
-* the "minus" subalgebra consists of [[U, 0], [V, W]] with W = J U J.
+* the "minus" subalgebra consists of [[U, 0], [V, W]] with
+  W = J U J = ``U.flip()``, an index flip rather than two products.
 
 The two patterns intersect trivially and sum to everything, so they
 define linear projections pi_plus / pi_minus computed here by an explicit
@@ -59,17 +60,11 @@ def project(X: SquareMatrix) -> SplitPair:
     """
     n = _half(X)
     mode = X.mode
-    U = [[None] * n for _ in range(n)]
-    for k in range(n):
-        for l in range(n):
-            if k > l:
-                U[k][l] = X[k, l]
-            else:
-                U[k][l] = X[n + (n - 1 - k), n + (n - 1 - l)]
-    Ub = SquareMatrix(U, mode)
-    J = SquareMatrix.reversal(n, mode)
+    JDJ = X.block(n, n, n).flip()
+    Ub = SquareMatrix([[X[k, l] if k > l else JDJ[k, l] for l in range(n)] for k in range(n)],
+                      mode)
     Z0 = SquareMatrix.zero(n, mode)
-    minus = SquareMatrix.from_blocks([[Ub, Z0], [X.block(n, 0, n), J @ Ub @ J]])
+    minus = SquareMatrix.from_blocks([[Ub, Z0], [X.block(n, 0, n), Ub.flip()]])
     return SplitPair(X - minus, minus)
 
 
@@ -118,8 +113,7 @@ def membership(X: SquareMatrix, which: str) -> bool:
         for j in range(n):
             if not zero(X[i, n + j]):
                 return False
-    J = SquareMatrix.reversal(n, mode)
-    expect = J @ X.block(0, 0, n) @ J
+    expect = X.block(0, 0, n).flip()
     W = X.block(n, n, n)
     return all(_close(W[i, j], expect[i, j], mode, scale)
                for i in range(n) for j in range(n))
@@ -145,9 +139,8 @@ def _lower_unitupper(X: SquareMatrix) -> tuple[SquareMatrix, SquareMatrix]:
 
 def _unitupper_lower(X: SquareMatrix) -> tuple[SquareMatrix, SquareMatrix]:
     """X = Ru @ Lo with Ru unit upper triangular and Lo lower triangular."""
-    S = SquareMatrix.reversal(X.dim, X.mode)
-    lo, up = (S @ X @ S).lu_unit_lower()
-    return S @ lo @ S, S @ up @ S
+    lo, up = X.flip().lu_unit_lower()
+    return lo.flip(), up.flip()
 
 
 def factor_minus_plus(X: SquareMatrix) -> tuple[SquareMatrix, SquareMatrix]:
@@ -173,11 +166,12 @@ def factor_minus_plus(X: SquareMatrix) -> tuple[SquareMatrix, SquareMatrix]:
         Cinv = C.inverse()
     except SingularMatrixError as e:
         raise DegeneratePointError(f"singular lower-right Gauss block: {e}") from e
+    # Not a conjugation: in float mode Cinv @ A.flip() would add its terms in reverse order.
     R2, U2 = _unitupper_lower(Cinv @ J @ A @ J)
-    JU2invJ = J @ U2.inverse() @ J
+    JU2invJ = U2.inverse().flip()
     Z0 = SquareMatrix.zero(n, mode)
     K = SquareMatrix.from_blocks([[A @ JU2invJ, Z0], [B @ JU2invJ, C @ R2]])
-    G = SquareMatrix.from_blocks([[J @ U2 @ J, Z0], [Z0, R2.inverse()]])
+    G = SquareMatrix.from_blocks([[U2.flip(), Z0], [Z0, R2.inverse()]])
     return K, G @ Ru
 
 

@@ -116,9 +116,8 @@ def random_alg_minus(n: int, rng: random.Random) -> SquareMatrix:
     u = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
     v = [[random_rational(rng) for _ in range(n)] for _ in range(n)]
     U = SquareMatrix(u)
-    J = SquareMatrix.reversal(n)
     return SquareMatrix.from_blocks([[U, SquareMatrix.zero(n)],
-                                     [SquareMatrix(v), J @ U @ J]])
+                                     [SquareMatrix(v), U.flip()]])
 
 
 def random_g_plus(n: int, rng: random.Random) -> SquareMatrix:

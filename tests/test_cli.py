@@ -166,6 +166,25 @@ def test_bad_point_exits_2_with_one_line(capsys, command, point):
     assert "Traceback" not in err
 
 
+# Float points whose Lax factor C overflows: Q_1 z_1 = inf lands at row 1,
+# column 0 of C, and Q_2 z_2 = inf at row 2, column 1.
+OVERFLOW_POINTS = [
+    ('{"n": 2, "z": [1e200, 1e200], "Q": [1e200, 1]}', "row 1, column 0"),
+    ('{"n": 2, "z": [1e300, 1], "Q": [1e300, 2]}', "row 1, column 0"),
+    ('{"n": 2, "z": [1, 1e300], "Q": [2, 1e300]}', "row 2, column 1"),
+]
+
+
+@pytest.mark.parametrize("route", ["map", "conjugate", "both"])
+@pytest.mark.parametrize("point,entry", OVERFLOW_POINTS,
+                         ids=["Q1z1-1e400", "Q1z1-1e600", "Q2z2-1e600"])
+def test_backlund_overflow_exits_2_on_every_route(capsys, point, entry, route):
+    code, out, err = run(capsys, "backlund", "--route", route, "--point", point)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: non-finite entry inf at {entry}\n"
+
+
 def test_bad_init_exits_2(capsys):
     code, _, err = run(capsys, "simulate", "--init", '{"q": [NaN], "p": [0.0]}', "--T", "0.1")
     assert code == 2

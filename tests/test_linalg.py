@@ -390,7 +390,8 @@ def test_constructor_absorbs_ints_in_an_explicit_mode():
 
 def test_block_rejects_a_window_outside_the_matrix():
     m = SquareMatrix.identity(3)
-    for i0, j0, size in ((0, 0, 0), (2, 0, 2), (0, 2, 2), (0, 0, 4)):
+    for i0, j0, size in ((0, 0, 0), (2, 0, 2), (0, 2, 2), (0, 0, 4),
+                         (-2, 0, 1), (0, -1, 1), (-1, -1, 2), (-3, -3, 3)):
         with pytest.raises(ValueError):
             m.block(i0, j0, size)
 
@@ -666,3 +667,56 @@ def test_float_det_sign_follows_row_swaps():
     got = SquareMatrix([[float(v) for v in r] for r in rows], "float").det()
     assert exact == -25
     assert got == pytest.approx(float(exact), rel=1e-12)
+
+
+# -- the reversal conjugation as an index flip, and rejected inputs -------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices())
+def test_flip_is_the_reversal_conjugation_exact(m):
+    J = SquareMatrix.reversal(m.dim)
+    assert m.flip() == J @ m @ J
+    assert m.flip().flip() == m
+    assert_canonical(m.flip())
+
+
+# finite floats without -0.0, where J @ m @ J keeps every bit
+FINITE_FLOATS = st.floats(allow_nan=False, allow_infinity=False).map(lambda v: v + 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8).flatmap(
+    lambda d: st.lists(st.lists(FINITE_FLOATS, min_size=d, max_size=d),
+                       min_size=d, max_size=d)))
+def test_flip_is_the_reversal_conjugation_float(rows):
+    m = SquareMatrix(rows, "float")
+    J = SquareMatrix.reversal(m.dim, "float")
+    assert repr(m.flip()) == repr(J @ m @ J)
+    assert m.flip().flip() == m
+    assert_canonical(m.flip())
+
+
+def test_flip_keeps_signed_zeros_and_inf():
+    m = SquareMatrix([[-0.0, math.inf], [1.0, 2.0]], "float")
+    assert repr(m.flip().rows) == "((2.0, 1.0), (inf, -0.0))"
+
+
+@pytest.mark.parametrize("rows,entry", [
+    ([[math.inf, 1.0], [0.0, 1.0]], "inf at row 0, column 0"),
+    ([[1.0, 2.0], [-math.inf, math.nan]], "-inf at row 1, column 0"),
+    ([[1.0, 0.0], [0.0, math.nan]], "nan at row 1, column 1"),
+], ids=["inf", "first-of-two", "nan"])
+@pytest.mark.parametrize("op", ["inverse", "det", "lu_unit_lower"])
+def test_float_elimination_names_the_first_non_finite_entry(rows, entry, op):
+    m = SquareMatrix(rows, "float")
+    with pytest.raises(ValueError, match=f"^non-finite entry {entry}$"):
+        getattr(m, op)()
+
+
+def test_with_entry_rejects_an_index_outside_the_matrix():
+    m = SquareMatrix([[1, 2, 3], [4, 5, 6], [7, 8, 9]])
+    for i, j in ((-1, -1), (-1, 0), (0, -3), (3, 0), (0, 3)):
+        with pytest.raises(IndexError):
+            m.with_entry(i, j, 0)
+    assert m.with_entry(2, 2, 0).rows == ((1, 2, 3), (4, 5, 6), (7, 8, 0))

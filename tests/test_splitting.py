@@ -1,6 +1,9 @@
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toda_bn import (
     DegeneratePointError,
@@ -15,6 +18,7 @@ from toda_bn import (
     pattern_dimension,
     project,
 )
+from toda_bn.splitting import _lower_unitupper, _unitupper_lower
 from toda_bn.verify import (
     random_alg_minus,
     random_alg_plus,
@@ -127,3 +131,86 @@ def test_factor_plus_minus_on_lax(rng):
         assert membership(mp, "G_plus") and membership(kinv, "G_minus")
         # the G_minus factor inverts to the closed-form K
         assert kinv.inverse() == kr_factors(x).K
+
+
+# -- the index flip against the product-based code it replaced ------------------
+
+
+def old_unitupper_lower(X):
+    S = SquareMatrix.reversal(X.dim, X.mode)
+    lo, up = (S @ X @ S).lu_unit_lower()
+    return S @ lo @ S, S @ up @ S
+
+
+def old_factor_minus_plus(X):
+    n = X.dim // 2
+    mode = X.mode
+    Lo, Ru = _lower_unitupper(X)
+    A = Lo.block(0, 0, n)
+    B = Lo.block(n, 0, n)
+    C = Lo.block(n, n, n)
+    J = SquareMatrix.reversal(n, mode)
+    try:
+        Cinv = C.inverse()
+    except SingularMatrixError as e:
+        raise DegeneratePointError(f"singular lower-right Gauss block: {e}") from e
+    R2, U2 = old_unitupper_lower(Cinv @ J @ A @ J)
+    JU2invJ = J @ U2.inverse() @ J
+    Z0 = SquareMatrix.zero(n, mode)
+    K = SquareMatrix.from_blocks([[A @ JU2invJ, Z0], [B @ JU2invJ, C @ R2]])
+    G = SquareMatrix.from_blocks([[J @ U2 @ J, Z0], [Z0, R2.inverse()]])
+    return K, G @ Ru
+
+
+# Exact entries, and floats k/8 that keep the float eliminations away from
+# underflow, so that the old code's products and the flip see equal bits.
+SPLIT_ENTRIES = {
+    "exact": st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=6)),
+    "float": st.integers(-72, 72).map(lambda k: k / 8),
+}
+
+
+@st.composite
+def mode_matrices(draw, dims):
+    mode = draw(st.sampled_from(["exact", "float"]))
+    d = draw(dims)
+    rows = draw(st.lists(st.lists(SPLIT_ENTRIES[mode], min_size=d, max_size=d),
+                         min_size=d, max_size=d))
+    return SquareMatrix(rows, mode)
+
+
+def same_outcome(new, old, X):
+    """new(X) and old(X) give equal factors, by repr in float mode, or raise
+    the same error."""
+    try:
+        want = old(X)
+    except (DegeneratePointError, SingularMatrixError) as e:
+        with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
+            new(X)
+        return
+    got = new(X)
+    if X.mode == "exact":
+        assert got == want
+    else:
+        assert repr(got) == repr(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode_matrices(st.integers(1, 8)))
+def test_unitupper_lower_matches_the_product_code(X):
+    same_outcome(_unitupper_lower, old_unitupper_lower, X)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mode_matrices(st.sampled_from([2, 4, 6, 8])))
+def test_factor_minus_plus_matches_the_product_code(X):
+    same_outcome(factor_minus_plus, old_factor_minus_plus, X)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_factor_minus_plus_matches_the_product_code_on_lax(rng, mode):
+    for n in (1, 2, 3, 4):
+        x = random_point(n, rng)
+        L = build_lax(x if mode == "exact" else x.to_float())
+        same_outcome(factor_minus_plus, old_factor_minus_plus, L)
+        same_outcome(factor_minus_plus, old_factor_minus_plus, L.inverse())
