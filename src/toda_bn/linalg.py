@@ -15,16 +15,19 @@ with one multiply-add over the pivot row's nonzero entries, which reduces
 each product and sum as Fraction's own arithmetic does (Knuth, TAOCP
 vol. 2, 4.5.1), and builds one Fraction per output entry.  Its pivot is
 the first nonzero entry at or below the diagonal; exact results are
-unique, so neither the pivot rule nor the int pairs can change them.  The
-characteristic polynomial comes from a Hessenberg reduction and the
-Hessenberg coefficient recurrence (Cohen, *A Course in Computational
-Algebraic Number Theory*, Alg. 2.2.9), O(d^3).
+unique, so neither the pivot rule nor the int pairs can change them.
 
 Float mode keeps max-|.| pivots and dense row updates (skipping v - f*0.0
-can flip the sign of a zero), and gets its characteristic polynomial from
-the Faddeev-LeVerrier recurrence, O(d^4), run on plain lists and kept bit
-for bit (its roundoff is large from d = 10 up) until a float Hessenberg
-route replaces it.
+can flip the sign of a zero), and its eliminations reject a non-finite
+entry with ValueError.
+
+Both modes get the characteristic polynomial from one algorithm: a
+Hessenberg reduction by similarity transforms and the Hessenberg
+coefficient recurrence (Cohen, *A Course in Computational Algebraic Number
+Theory*, Alg. 2.2.9), O(d^3).  Only the pivot rule differs by mode: the
+first nonzero entry on or below the subdiagonal in exact mode, the largest
+|.| there in float mode (Wilkinson, *The Algebraic Eigenvalue Problem*,
+ch. 6).
 """
 
 from __future__ import annotations
@@ -379,12 +382,14 @@ class SquareMatrix:
                 SquareMatrix._trusted(tuple(map(tuple, up)), self._mode))
 
     def char_poly(self) -> "PolyInLambda":
-        """Coefficients of det(lambda*E - self), highest degree first."""
-        # Float keeps Faddeev-LeVerrier bit for bit, since simulate and
-        # conserved print its roundoff, until a float Hessenberg replaces it.
+        """Coefficients of det(lambda*E - self), highest degree first.
+
+        A non-finite float entry raises ValueError.
+        """
         if self._mode == "exact":
             return PolyInLambda(_hessenberg_char_poly(self._rows))
-        return PolyInLambda(_faddeev_leverrier(self._rows))
+        _check_finite(self._rows)
+        return PolyInLambda(_float_hessenberg_char_poly(self._rows))
 
     # -- serialization -------------------------------------------------------
 
@@ -635,29 +640,53 @@ def _hessenberg_char_poly(rows) -> tuple:
     return tuple(map(Fraction, reversed(pn), reversed(pd)))
 
 
-def _faddeev_leverrier(a: Sequence[Sequence[float]]) -> tuple:
-    """det(lambda*E - A) of a float matrix given as rows, coefficients
-    highest degree first, by the Faddeev-LeVerrier recurrence
+def _float_hessenberg_char_poly(rows) -> tuple:
+    """det(lambda*E - H) of float rows, coefficients highest degree first:
+    :func:`_hessenberg_char_poly` step by step on plain floats.
 
-        M_0 = 0,  M_k = A M_{k-1} + c_{k-1} E,  c_k = -tr(A M_k) / k.
-
-    The float operations and their order are those of the same recurrence
-    on SquareMatrix values: ``sum`` over each row-column product, from int
-    0, then ``+ 1.0*c`` on the diagonal and ``+ 0.0*c`` off it (a NaN when
-    c is not finite).  Of A M_k only the diagonal is formed.
+    The pivot is the largest |.| on or below the subdiagonal, so every
+    multiplier has |u| <= 1; a column whose largest |.| there is 0 is
+    already reduced.  Row updates are dense, as in the other float kernels.
     """
-    d = len(a)
-    coeffs = [1.0]
-    m = [[0.0] * d for _ in range(d)]
-    for k in range(1, d + 1):
-        c = coeffs[-1]
-        on, off = 1.0 * c, 0.0 * c
-        cols = list(zip(*m))
-        m = [[sum(map(mul, row, col)) + (on if i == j else off)
-              for j, col in enumerate(cols)] for i, row in enumerate(a)]
-        trace = sum(sum(map(mul, row, col)) for row, col in zip(a, zip(*m)))
-        coeffs.append(-trace / k)
-    return tuple(coeffs)
+    d = len(rows)
+    h = [list(r) for r in rows]
+    for m in range(1, d - 1):
+        c = m - 1
+        p = max(range(m, d), key=lambda r: abs(h[r][c]))
+        if h[p][c] == 0:
+            continue
+        if p != m:
+            h[p], h[m] = h[m], h[p]
+            for r in h:
+                r[p], r[m] = r[m], r[p]
+        t = h[m][c]
+        pivot = h[m]
+        us = []
+        for i in range(m + 1, d):
+            if h[i][c] != 0:
+                u = h[i][c] / t
+                h[i] = [v - u * w for v, w in zip(h[i], pivot)]
+                us.append((i, u))
+        for i, u in us:
+            for r in h:
+                r[m] += u * r[i]
+    polys = [[1.0]]
+    for m in range(d):
+        p = [0.0] + polys[m]
+        if h[m][m] != 0:
+            for k, a in enumerate(polys[m]):
+                p[k] -= h[m][m] * a
+        t = 1.0
+        for i in range(m - 1, -1, -1):
+            if h[i + 1][i] == 0:
+                break
+            t *= h[i + 1][i]
+            if h[i][m] != 0:
+                f = t * h[i][m]
+                for k, a in enumerate(polys[i]):
+                    p[k] -= f * a
+        polys.append(p)
+    return tuple(reversed(polys[d]))
 
 
 @dataclass(frozen=True)

@@ -166,23 +166,31 @@ def test_bad_point_exits_2_with_one_line(capsys, command, point):
     assert "Traceback" not in err
 
 
-# Float points whose Lax factor C overflows: Q_1 z_1 = inf lands at row 1,
-# column 0 of C, and Q_2 z_2 = inf at row 2, column 1.
+# Float points whose product Q_k z_k overflows, and the error naming it.
 OVERFLOW_POINTS = [
-    ('{"n": 2, "z": [1e200, 1e200], "Q": [1e200, 1]}', "row 1, column 0"),
-    ('{"n": 2, "z": [1e300, 1], "Q": [1e300, 2]}', "row 1, column 0"),
-    ('{"n": 2, "z": [1, 1e300], "Q": [2, 1e300]}', "row 2, column 1"),
+    ('{"n": 2, "z": [1e200, 1e200], "Q": [1e200, 1]}', "Q_1 z_1 overflows: 1e+200 * 1e+200"),
+    ('{"n": 2, "z": [1e300, 1], "Q": [1e300, 2]}', "Q_1 z_1 overflows: 1e+300 * 1e+300"),
+    ('{"n": 2, "z": [1, 1e300], "Q": [2, 1e300]}', "Q_2 z_2 overflows: 1e+300 * 1e+300"),
 ]
+OVERFLOW_IDS = ["Q1z1-1e400", "Q1z1-1e600", "Q2z2-1e600"]
 
 
 @pytest.mark.parametrize("route", ["map", "conjugate", "both"])
-@pytest.mark.parametrize("point,entry", OVERFLOW_POINTS,
-                         ids=["Q1z1-1e400", "Q1z1-1e600", "Q2z2-1e600"])
-def test_backlund_overflow_exits_2_on_every_route(capsys, point, entry, route):
+@pytest.mark.parametrize("point,message", OVERFLOW_POINTS, ids=OVERFLOW_IDS)
+def test_backlund_overflow_exits_2_on_every_route(capsys, point, message, route):
     code, out, err = run(capsys, "backlund", "--route", route, "--point", point)
     assert code == 2
     assert out == ""
-    assert err == f"error: non-finite entry inf at {entry}\n"
+    assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("command", ["lax", "conserved"])
+@pytest.mark.parametrize("point,message", OVERFLOW_POINTS, ids=OVERFLOW_IDS)
+def test_overflowing_product_is_named(capsys, point, message, command):
+    code, out, err = run(capsys, command, "--point", point)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
 
 
 def test_bad_init_exits_2(capsys):
@@ -271,7 +279,7 @@ def test_verify_report_golden(capsys):
 # simulate CSVs, drift column included, in the benchmark's argv form:
 # h = 2^-10, so every t = k h is exact in binary64 and T is a whole number of
 # steps.  The drift column comes from LaurentPoly.evaluate for n <= 6 and from
-# the float char_poly at n = 8.
+# the float Hessenberg char_poly at n = 8.
 FLOW_H = 2.0 ** -10
 SIMULATE_GOLDEN = {
     3: ({"q": [0.31, -0.52, 0.17], "p": [0.12, -0.43, 0.64]}, 256,
@@ -281,7 +289,7 @@ SIMULATE_GOLDEN = {
         "500417bc8b68d01e444683c6b10d83c830315dd2f8805f8f36cf6317eacb0d96"),
     8: ({"q": [0.44, -0.19, 0.27, -0.63, 0.08, 0.35, -0.41, 0.16],
          "p": [0.22, -0.31, 0.57, 0.09, -0.46, 0.13, -0.05, 0.38]}, 16,
-        "f922a76bd02463a7200ac6b1bb7555a4fc25b0f5bf565f697826a5ac18ae6757"),
+        "2bc16f7d212aa5fd2d6118ed0e16395c0a7a0357c2c3c67c62627e6e764fe77a"),
 }
 
 
@@ -296,6 +304,15 @@ def test_simulate_csv_golden(capsys, n):
     code, out, _ = run(capsys, *simulate_argv(n))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_GOLDEN[n][2]
+
+
+def test_simulate_drift_at_n8_within_bound(capsys):
+    # the drift column is integrator error plus char_poly roundoff
+    code, out, _ = run(capsys, *simulate_argv(8))
+    assert code == 0
+    drifts = [float(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
+    assert len(drifts) == SIMULATE_GOLDEN[8][1] + 1
+    assert max(drifts) <= 1e-8
 
 
 def test_simulate_imports_neither_numpy_nor_scipy():

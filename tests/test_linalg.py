@@ -17,9 +17,8 @@ from toda_bn import (
     mat_exp,
 )
 from toda_bn.conserved import conserved_values
-from toda_bn.dynamics import to_phase
 from toda_bn.linalg import _addmul, _div, interpolate_poly
-from toda_bn.verify import random_canonical, random_matrix
+from toda_bn.verify import random_matrix
 
 
 def test_identity_inverse():
@@ -213,6 +212,9 @@ def block_upper(a, b, c):
 # (matrix, its characteristic polynomial or None); each reaches the branches
 # for a column without a pivot, a row swap, or a zero subdiagonal entry
 STRUCTURED = {
+    "upper-triangular": (SquareMatrix(
+        [[2, 1, 0, 3], [0, -1, 4, 0], [0, 0, Fraction(1, 2), 5], [0, 0, 0, 3]]),
+        (1, Fraction(-9, 2), 3, Fraction(11, 2), -3)),
     "zero": (SquareMatrix.zero(5), (1, 0, 0, 0, 0, 0)),
     "nilpotent-jordan": (jordan_block(6), (1, 0, 0, 0, 0, 0, 0)),
     "nilpotent-jordan-lower": (jordan_block(6).transpose(), (1, 0, 0, 0, 0, 0, 0)),
@@ -227,6 +229,9 @@ STRUCTURED = {
     "column-zero-below-subdiagonal": (SquareMatrix(
         [[1, 2, 3, 4, 5], [6, 7, 8, 9, 1], [0, 2, 3, 4, 5], [0, 0, 0, 1, 2], [0, 0, 0, 3, 4]]),
         None),
+    # the largest |.| below the diagonal of column 0 is in row 2, not row 1
+    "largest-pivot-below-subdiagonal": (SquareMatrix(
+        [[1, 2, 3, 4], [1, 0, 2, 1], [7, 1, 0, 3], [2, 5, 1, 1]]), None),
 }
 
 
@@ -276,15 +281,15 @@ def test_sparse_products_inverse_det_lu(a, b):
         assert det == math.prod(upper[i, i] for i in range(a.dim))
 
 
-# Float points whose conserved values (the float Faddeev-LeVerrier char_poly)
-# and Lax inverse are pinned byte for byte: both use only + - * /, so the
+# Float points whose conserved values (the float Hessenberg char_poly) and
+# Lax inverse are pinned byte for byte: both use only + - * /, so the
 # digests do not depend on the platform's libm.
 FLOAT_GOLDEN = [
     (PhasePoint(3, (1.3, -0.7, 2.1), (0.4, -0.25, 0.15)),
-     "9c611eac033a67a8395fadced523a6b0188cb1436755bc7ac82afb1bc1988669"),
+     "0f5e4e38cb450741034b9a762fd7e68ece26db8f050c7c7e3321b39874c7a04e"),
     (PhasePoint(8, (1.1, -0.9, 1.7, 0.6, -1.3, 2.2, 0.8, -1.5),
                 (0.3, -0.2, 0.45, 0.1, -0.35, 0.25, 0.05, -0.15)),
-     "1fcdd2755520ade72ac3134e1b93c65eb65b39782d5c2c49f9ad557924741dff"),
+     "7f8af2452b772c0de589dd87c1227e8f84b5332a5417bbd134515ccafbdf6e71"),
 ]
 
 
@@ -294,21 +299,52 @@ def test_float_path_bytes_pinned(x, digest):
     assert hashlib.sha256(blob).hexdigest() == digest
 
 
-# -- float kernel: Faddeev-LeVerrier and @ against SquareMatrix loops ----------
+# -- float kernel: the Hessenberg char_poly against exact, and @ ----------------
+
+#: Relative bound, against max(1, |exact|), of float char_poly coefficients on
+#: Lax matrices at chart points and on the structured matrices above.
+FLOAT_CHAR_POLY_RTOL = 1e-12
 
 
-def faddeev_leverrier_on_matrices(a):
-    """Float char_poly coefficients by the recurrence on SquareMatrix values:
-    M_k = A M_{k-1} + c_{k-1} E, c_k = -tr(A M_k) / k, with dense products."""
-    d = a.dim
-    ident = SquareMatrix.identity(d, "float")
-    coeffs = [1.0]
-    m = SquareMatrix.zero(d, "float")
-    for k in range(1, d + 1):
-        m = SquareMatrix(dense_product(a, m), "float") + coeffs[-1] * ident
-        am = SquareMatrix(dense_product(a, m), "float")
-        coeffs.append(-am.trace() / k)
-    return tuple(coeffs)
+def assert_near_exact(got, exact):
+    assert len(got) == len(exact) and all(type(v) is float for v in got)
+    for g, e in zip(got, exact):
+        assert abs(Fraction(g) - e) <= FLOAT_CHAR_POLY_RTOL * max(1, abs(e)), (g, e)
+
+
+def dyadic_chart_point(n, ks, js):
+    """The exact point z_i = k_i / 8 > 0, Q_i = -j_i / 16 < 0 of the canonical
+    chart; its float copy is the same point, so only the kernel rounds."""
+    return PhasePoint(n, tuple(Fraction(k, 8) for k in ks), tuple(Fraction(-j, 16) for j in js))
+
+
+def assert_float_conserved_near_exact(x):
+    assert_near_exact(conserved_values(x.to_float()), conserved_values(x))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_float_char_poly_on_lax_matrices(rng, n):
+    for _ in range(3):
+        ks, js = ([rng.randint(1, 16) for _ in range(n)] for _ in range(2))
+        assert_float_conserved_near_exact(dyadic_chart_point(n, ks, js))
+
+
+DYADIC_CHART_POINTS = st.integers(1, 8).flatmap(lambda n: st.builds(
+    dyadic_chart_point, st.just(n),
+    *(st.lists(st.integers(1, 16), min_size=n, max_size=n) for _ in range(2))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(DYADIC_CHART_POINTS)
+def test_float_conserved_values_near_exact_at_chart_points(x):
+    assert_float_conserved_near_exact(x)
+
+
+@pytest.mark.parametrize("name", sorted(STRUCTURED))
+def test_float_char_poly_structured_cases(name):
+    m = STRUCTURED[name][0]
+    floats = SquareMatrix([[float(v) for v in r] for r in m.rows], "float")
+    assert_near_exact(floats.char_poly().coeffs, m.char_poly().coeffs)
 
 
 def dense_product(a, b):
@@ -328,37 +364,10 @@ def float_matrices(draw, dims=st.integers(1, 20)):
 
 
 @settings(max_examples=40, deadline=None)
-@given(float_matrices())
-def test_float_char_poly_matches_matrix_recurrence(a):
-    # huge entries drive coefficients to inf and nan, where + 0.0*c matters
-    assert repr(a.char_poly().coeffs) == repr(faddeev_leverrier_on_matrices(a))
-
-
-@settings(max_examples=40, deadline=None)
 @given(float_matrices(dims=st.integers(1, 12)), st.data())
 def test_float_matmul_matches_dense_sum(a, data):
     b = data.draw(float_matrices(dims=st.just(a.dim)))
     assert repr((a @ b).rows) == repr(tuple(map(tuple, dense_product(a, b))))
-
-
-@pytest.mark.parametrize("n", range(1, 11))
-def test_float_char_poly_on_lax_matrices(rng, n):
-    for scale in (0.5, 1.5):
-        L = build_lax(to_phase(random_canonical(n, rng, scale)))
-        assert repr(L.char_poly().coeffs) == repr(faddeev_leverrier_on_matrices(L))
-
-
-def test_float_char_poly_signed_zeros_and_overflow():
-    # negative coefficients make 0.0*c a -0.0; zero matrices give -0.0 coefficients
-    for rows in ([[0.0, 0.0], [0.0, 0.0]], [[-0.0, 1.0], [0.0, -0.0]],
-                 [[3.0, 0.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 1.0]],
-                 [[0.0, -2.0, 0.0], [1.0, 0.0, -0.0], [0.0, 5.0, 0.0]]):
-        a = SquareMatrix(rows, "float")
-        assert repr(a.char_poly().coeffs) == repr(faddeev_leverrier_on_matrices(a))
-    assert repr(SquareMatrix.zero(2, "float").char_poly().coeffs) == "(1.0, -0.0, -0.0)"
-    # c_2 overflows to inf, so 0.0*c_2 is a NaN off the diagonal of M_3
-    a = SquareMatrix([[2.0, 0.0, 0.0], [0.0, 1e154, 0.0], [0.0, 0.0, 1e154]], "float")
-    assert repr(a.char_poly().coeffs) == "(1.0, -2e+154, inf, nan)"
 
 
 # -- validation at the public constructor, trusted kernel outputs ---------------
@@ -707,7 +716,7 @@ def test_flip_keeps_signed_zeros_and_inf():
     ([[1.0, 2.0], [-math.inf, math.nan]], "-inf at row 1, column 0"),
     ([[1.0, 0.0], [0.0, math.nan]], "nan at row 1, column 1"),
 ], ids=["inf", "first-of-two", "nan"])
-@pytest.mark.parametrize("op", ["inverse", "det", "lu_unit_lower"])
+@pytest.mark.parametrize("op", ["inverse", "det", "lu_unit_lower", "char_poly"])
 def test_float_elimination_names_the_first_non_finite_entry(rows, entry, op):
     m = SquareMatrix(rows, "float")
     with pytest.raises(ValueError, match=f"^non-finite entry {entry}$"):
