@@ -27,7 +27,7 @@ from .conserved import MAX_SYMBOLIC_RANK, conserved_values, conserved_values_by_
 from .errors import ModeError, OutOfChartError, StepBlowupError, ZeroBaseError
 from .lax import PhasePoint, build_lax, parameters_from_lax
 from .linalg import SquareMatrix, mat_exp
-from .splitting import factor_plus_minus, project
+from .splitting import factor_minus_plus, project
 
 #: Trajectories must keep every |z_i| inside this window.
 Z_WINDOW = (1e-12, 1e12)
@@ -340,17 +340,15 @@ def integrate(x0: PhasePoint, T: float, h: float = 1e-3) -> Trajectory:
 def flow_conjugations(x0: PhasePoint, t: float) -> tuple[SquareMatrix, SquareMatrix]:
     """The two factorization expressions a L0 a^{-1} and b L0 b^{-1} of L(t).
 
-    exp(L0 t) is split as a^{-1} b with a in G_plus and b in G_minus; the
-    two conjugations agree up to roundoff and both solve the Lax equation.
+    exp(L0 t) = a^{-1} b with a in G_plus and b in G_minus, so exp(-L0 t) =
+    b^{-1} a is the factorization K R with K = b^{-1} and R = a.  The two
+    conjugations agree up to roundoff and both solve the Lax equation.
     """
     if x0.mode != "float":
         raise ModeError("the factorization flow runs in float mode")
     L0 = build_lax(x0)
-    X = mat_exp(L0, t)
-    Mp, Kinv = factor_plus_minus(X)  # X = Mp @ Kinv, a = Mp^{-1}, b = Kinv
-    a = Mp.inverse()
-    b = Kinv
-    return a @ L0 @ a.inverse(), b @ L0 @ b.inverse()
+    K, R = factor_minus_plus(mat_exp(L0, -t))
+    return R @ L0 @ R.inverse(), K.inverse() @ L0 @ K
 
 
 def exact_flow(x0: PhasePoint, t: float) -> PhasePoint:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isfinite
+from math import gcd, isfinite, ldexp
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -706,26 +706,28 @@ class PolyInLambda:
 
 
 def mat_exp(m: SquareMatrix, t: float = 1.0) -> SquareMatrix:
-    """exp(t*m) for float-mode matrices, by scaling-and-squaring (scipy)."""
+    """exp(t*m) for float-mode matrices, by scaling and squaring of a Taylor
+    polynomial (Moler & Van Loan, SIAM Review 45 (2003) 3, method 3).
+
+    s is the smallest s >= 0 with ||t*m / 2^s||_inf <= 1/2.  There the
+    degree-14 Taylor polynomial of exp is summed by Horner's rule; its
+    remainder is at most (1/2)^15 e^(1/2) / 15! ~ 3.8e-17, below the unit
+    roundoff.  The sum is then squared s times.  A non-finite entry of t*m
+    raises ValueError.
+    """
     if m.mode != "float":
         raise ModeError("mat_exp requires a float-mode matrix")
-    import numpy as np
-    from scipy.linalg import expm
-
-    arr = expm(float(t) * np.array(m.rows, dtype=float))
-    return SquareMatrix([[float(v) for v in row] for row in arr], "float")
-
-
-def interpolate_poly(points: Sequence[tuple]) -> PolyInLambda:
-    """Exact polynomial through d+1 (lambda, value) points, highest-degree first.
-
-    Used to read off coefficients of determinant polynomials that are not
-    plain characteristic polynomials; exact over rationals.
-    """
-    d = len(points) - 1
-    vand = SquareMatrix(
-        [[Fraction(lam) ** (d - j) for j in range(d + 1)] for lam, _ in points])
-    rhs = [Fraction(v) for _, v in points]
-    inv = vand.inverse()
-    coeffs = tuple(sum(inv[i, k] * rhs[k] for k in range(d + 1)) for i in range(d + 1))
-    return PolyInLambda(coeffs)
+    a = m * t
+    _check_finite(a.rows)
+    norm = max(sum(map(abs, r)) for r in a.rows)
+    s = 0
+    while norm > ldexp(0.5, s):
+        s += 1
+    a = a * ldexp(1.0, -s)
+    eye = SquareMatrix.identity(m.dim, "float")
+    p = eye
+    for k in range(14, 0, -1):
+        p = eye + (a @ p) * (1.0 / k)
+    for _ in range(s):
+        p = p @ p
+    return p

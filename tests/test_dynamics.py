@@ -210,10 +210,11 @@ def test_exact_flow_t_zero(rng):
     assert max(abs(a - b) for a, b in zip(y.z + y.Q, x.z + x.Q)) < 1e-9
 
 
-def test_exact_flow_routes_and_rk4(rng):
-    x = to_phase(random_canonical(2, rng))
+@pytest.mark.parametrize("n", range(2, 7))
+def test_exact_flow_routes_and_rk4(rng, n):
+    x = to_phase(random_canonical(n, rng))
     la, lb = flow_conjugations(x, 0.4)
-    assert max(abs(la[i, j] - lb[i, j]) for i in range(4) for j in range(4)) < 1e-9
+    assert max(abs(la[i, j] - lb[i, j]) for i in range(2 * n) for j in range(2 * n)) < 1e-9
     xe = exact_flow(x, 0.4)
     xr = rk4_endpoint(x, 0.4, 1e-4)
     assert max(abs(a - b) for a, b in zip(xe.z + xe.Q, xr.z + xr.Q)) < 1e-6
