@@ -26,7 +26,8 @@ followed immediately by one starting at kbar.  Both variants expand to
 the same polynomial; the pruning is exactly the pairwise cancellation
 coming from w(k, k+1bar) = -w(k, kbar).  Both variants read one
 interval table per rank, the improved one with those entries dropped or
-marked.
+marked.  ``f_poly`` expands route two into Laurent polynomials;
+``_chain_sums`` evaluates it at a point in O(n^2) scalar operations.
 """
 
 from __future__ import annotations
@@ -155,6 +156,60 @@ def _f_polys(n: int, mode: str) -> tuple[LaurentPoly, ...]:
     return tuple(
         LaurentPoly._trusted(n, {k: Fraction(c) for k, c in chains(1, i, False).items()})
         for i in range(2 * n + 1))
+
+
+@lru_cache(maxsize=None)
+def _weight_factors(n: int, improved: bool) -> tuple:
+    """The interval table with each weight as sparse factors, at index x - 1.
+
+    Each row lists (y, sign, factors, forces_next); a factor is an index
+    into (z_1..z_n, 1/z_1..1/z_n, Q_1..Q_n), and the weight of (x, y) is
+    sign times the product of the factors.  Every exponent in the table
+    is 0 or +-1 (only z appears inverted).
+    """
+    def factors(wz, wq):
+        return tuple([k if e > 0 else n + k for k, e in enumerate(wz) if e]
+                     + [2 * n + k for k, e in enumerate(wq) if e])
+
+    return tuple(tuple((y, sign, factors(wz, wq), nxt) for y, wz, wq, sign, nxt in row)
+                 for row in _interval_table(n, improved))
+
+
+def _chain_sums(n: int, z: Sequence, Q: Sequence, improved: bool) -> tuple:
+    """F_0..F_2n at (z, Q) by one backward pass over the interval table.
+
+    For each position, from 2n down to 1, ``forced[pos][l]`` is the sum
+    over chains of l intervals whose first starts at pos, and
+    ``free[pos][l]`` the sum over chains of l intervals starting at pos or
+    later; F_l = free[1][l].  An interval (pos, y) that forces the next
+    start continues with forced[y + 1], any other with free[y + 1].  The
+    pass takes O(n^2) ring operations in the scalar of z and Q, so a
+    Fraction point gives the exact F_i and a float point their float
+    values.
+    """
+    table = _weight_factors(n, improved)
+    d = 2 * n
+    vals = (*z, *(1 / v for v in z), *Q)
+    one = type(z[0])(1)
+    zero = one - one
+    free = [None] * (d + 2)
+    forced = [None] * (d + 2)
+    free[d + 1] = [one] + [zero] * d
+    forced[d + 1] = [zero] * (d + 1)
+    for pos in range(d, 0, -1):
+        start = [zero] * (d + 1)
+        for y, sign, factors, nxt_forced in table[pos - 1]:
+            w = vals[factors[0]]
+            for k in factors[1:]:
+                w = w * vals[k]
+            if sign < 0:
+                w = -w
+            tail = forced[y + 1] if nxt_forced else free[y + 1]
+            for length in range(1, d - y + 2):  # chains from y + 1 have <= 2n - y intervals
+                start[length] = start[length] + w * tail[length - 1]
+        forced[pos] = start
+        free[pos] = [a + b for a, b in zip(free[pos + 1], start)]
+    return tuple(free[1])
 
 
 def conserved_values(x: PhasePoint) -> tuple:

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import toda_bn
+from toda_bn import conserved as cv
 from toda_bn.cli import main
 
 WORKED = '{"n": 2, "z": ["2", "3"], "Q": ["1/2", "1/5"]}'
@@ -25,6 +27,41 @@ def test_conserved_worked_point(capsys):
     payload = json.loads(out)
     assert payload["F"] == ["1", "61/15", "223/30", "61/15", "1"]
     assert payload["routes_agree"] is True
+
+
+@pytest.mark.parametrize("point", [
+    '{"n": 2, "z": [2, 3], "Q": [0.5, 0.2]}',
+    '{"n": 8, "z": [1.5, 0.5, 2, 0.75, 1.25, 3, 0.6, 1.1], '
+    '"Q": [-0.3, 0.2, -0.7, 0.4, -0.1, 0.25, -0.5, 0.35]}',
+    '{"n": 7, "z": ["2", "3", "1/2", "5/3", "-1", "7", "2/9"], '
+    '"Q": ["1/2", "1/5", "3", "-2/7", "1/3", "4", "1/11"]}',
+], ids=["float-n2", "float-n8", "exact-n7"])
+def test_conserved_routes_agree_at_every_rank_and_mode(capsys, point):
+    code, out, _ = run(capsys, "conserved", "--point", point)
+    assert code == 0
+    payload = json.loads(out)
+    assert len(payload["F"]) == 2 * json.loads(point)["n"] + 1
+    assert payload["routes_agree"] is True
+
+
+@pytest.mark.parametrize("point,rel,agree", [
+    (WORKED, Fraction(1, 10 ** 30), False),
+    ('{"n": 2, "z": [2, 3], "Q": [0.5, 0.2]}', 1e-9, False),
+    ('{"n": 2, "z": [2, 3], "Q": [0.5, 0.2]}', 1e-12, True),
+])
+def test_conserved_routes_agree_is_a_real_check(capsys, monkeypatch, point, rel, agree):
+    # a chain-sum pass that is off in one F_i by `rel` of it
+    chain_sums = cv._chain_sums
+
+    def off(*args):
+        f = list(chain_sums(*args))
+        f[1] += rel * f[1]
+        return tuple(f)
+
+    monkeypatch.setattr(cv, "_chain_sums", off)
+    code, out, _ = run(capsys, "conserved", "--point", point)
+    assert code == 0
+    assert json.loads(out)["routes_agree"] is agree
 
 
 def test_lax_output(capsys):
@@ -278,18 +315,19 @@ def test_verify_report_golden(capsys):
 
 # simulate CSVs, drift column included, in the benchmark's argv form:
 # h = 2^-10, so every t = k h is exact in binary64 and T is a whole number of
-# steps.  The drift column comes from LaurentPoly.evaluate for n <= 6 and from
-# the float Hessenberg char_poly at n = 8.
+# steps.  The drift column compares the chain-sum pass at each state with F(0)
+# from LaurentPoly.evaluate for n <= 6 and from the float Hessenberg char_poly
+# at n = 8.
 FLOW_H = 2.0 ** -10
 SIMULATE_GOLDEN = {
     3: ({"q": [0.31, -0.52, 0.17], "p": [0.12, -0.43, 0.64]}, 256,
-        "bb5f809cbab152e61a2b3ff1496c73cd6354e3d2d3b77f7d495d87d1ca9cc55d"),
+        "45df05636b892d275c4024107c2c6b6c30f8efb1f78fbb03d59efb7db5c9cb33"),
     6: ({"q": [0.21, -0.35, 0.48, -0.12, 0.66, -0.27],
          "p": [-0.14, 0.39, 0.05, -0.58, 0.23, 0.41]}, 8,
-        "500417bc8b68d01e444683c6b10d83c830315dd2f8805f8f36cf6317eacb0d96"),
+        "6ce26f52ce30fb7a69c7c230bca5abad8f821b4042c58e995b211e199985df24"),
     8: ({"q": [0.44, -0.19, 0.27, -0.63, 0.08, 0.35, -0.41, 0.16],
          "p": [0.22, -0.31, 0.57, 0.09, -0.46, 0.13, -0.05, 0.38]}, 16,
-        "2bc16f7d212aa5fd2d6118ed0e16395c0a7a0357c2c3c67c62627e6e764fe77a"),
+        "920e3a2078d516e5dd471de90c865d47c672abde20f3e1d828057697bdf36087"),
 }
 
 
@@ -307,7 +345,8 @@ def test_simulate_csv_golden(capsys, n):
 
 
 def test_simulate_drift_at_n8_within_bound(capsys):
-    # the drift column is integrator error plus char_poly roundoff
+    # the drift column is integrator error plus the gap between the chain-sum
+    # pass and char_poly's F(0)
     code, out, _ = run(capsys, *simulate_argv(8))
     assert code == 0
     drifts = [float(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]

@@ -3,6 +3,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toda_bn import (
     DegeneratePointError,
@@ -18,6 +20,7 @@ from toda_bn import (
     ideal_generator,
     interval_weight,
 )
+from toda_bn.conserved import _chain_sums
 from toda_bn.verify import printed_f1, printed_f2_n2, random_point, random_rational
 
 
@@ -261,3 +264,39 @@ def test_f_poly_matches_ring_recursion_in_order(n, mode):
         dp, ring = f_poly(n, i, mode), f_poly_by_ring(n, i, mode)
         assert list(dp.terms.items()) == list(ring.terms.items())
         assert all(type(c) is Fraction for c in dp.terms.values())
+
+
+# -- the chain-sum pass: F_0..F_2n at a point, over any scalar ------------------
+
+NONZERO_FRACTIONS = st.fractions(-9, 9, max_denominator=9).filter(lambda v: v != 0)
+RATIONAL_POINTS = st.integers(1, 8).flatmap(lambda n: st.builds(
+    PhasePoint, st.just(n),
+    st.lists(NONZERO_FRACTIONS, min_size=n, max_size=n).map(tuple),
+    st.lists(st.fractions(-9, 9, max_denominator=9), min_size=n, max_size=n).map(tuple)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(RATIONAL_POINTS, st.booleans())
+def test_chain_sums_equal_char_poly_exactly(x, improved):
+    f = _chain_sums(x.n, x.z, x.Q, improved)
+    assert f == conserved_values(x)
+    assert all(type(v) is Fraction for v in f)
+
+
+#: Relative bound, against max(1, |exact|), of the float chain-sum pass.
+CHAIN_SUMS_RTOL = 1e-13
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_float_chain_sums_near_exact_at_dyadic_chart_points(rng, n):
+    # z_i = k_i / 8 > 0 and Q_i = -j_i / 16 < 0 are exact in binary64, so
+    # only the pass itself rounds
+    for _ in range(3):
+        z = tuple(Fraction(rng.randint(1, 16), 8) for _ in range(n))
+        Q = tuple(Fraction(-rng.randint(1, 16), 16) for _ in range(n))
+        exact = _chain_sums(n, z, Q, True)
+        for improved in (False, True):
+            got = _chain_sums(n, tuple(map(float, z)), tuple(map(float, Q)), improved)
+            assert all(type(v) is float for v in got)
+            for g, e in zip(got, exact):
+                assert abs(Fraction(g) - e) <= CHAIN_SUMS_RTOL * max(1, abs(e)), (g, e)

@@ -228,6 +228,24 @@ def test_rk4_fourth_order(rng):
         assert t2.max_drift * 8 <= t1.max_drift
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_drift_after_one_step_is_the_route_gap(rng, n):
+    # one RK4 step of 2^-20 errs by far less than 1e-12, so this bounds the gap
+    # between the chain-sum pass and the reference route (path formula for
+    # n <= 6, char_poly above), on both sides of the switch; the largest
+    # measured over 20 points per rank was 2.5e-14
+    x = to_phase(random_canonical(n, rng))
+    h = 2.0 ** -20
+    traj = integrate(x, T=h, h=h)
+    assert len(traj.drifts) == 2 and traj.drifts[0] == 0.0
+    assert traj.max_drift <= 1e-12
+
+
+def test_drift_at_n8_over_unit_time(rng):
+    x = to_phase(random_canonical(8, rng))
+    assert integrate(x, T=1.0, h=2.0 ** -10).max_drift <= 1e-10
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_rk4_endpoint_is_integrate_endpoint(rng, n):
     x = to_phase(random_canonical(n, rng))
