@@ -11,13 +11,18 @@ q_0 = -infinity turns the bracket into the standard one and H into the
 type-B relativistic Toda Hamiltonian 2 sum_i cosh(p_i) sqrt(...) sqrt(...).
 
 Numerical integration is fixed-step RK4 in the (z, Q) chart, where the
-right-hand side is rational; the exact factorization solution
+right-hand side is rational.  The docstring of hamilton_rhs is the spec of
+the rates; one emitter writes them out as straight-line Python, and the
+rates and the RK4 step are compiled from it once per rank, on first use,
+with the grouping of the formulas kept so float results keep their bits.
+The exact factorization solution
 L(t) = a(t) L0 a(t)^{-1} with exp(L0 t) = a^{-1} b provides an
 independent route for cross-checking trajectories.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,30 +102,59 @@ def hamilton_rhs(x: PhasePoint) -> tuple[tuple, tuple]:
         Q_n'/Q_n = (1-Q_n) z_n - (1-Q_{n-1}) z_n^{-1}
         z_n'/z_n = Q_n z_n - Q_{n-1} (z_{n-1} + z_n^{-1})
     """
-    zero = Fraction(0) if x.mode == "exact" else 0.0
-    return _rates(x.n, x.z, x.Q, zero)
+    return _rates_kernel(x.n)(*x.z, *x.Q)
 
 
-def _rates(n: int, z: Sequence, Q: Sequence, zero) -> tuple[tuple, tuple]:
-    """hamilton_rhs on raw coordinate tuples; ``zero`` is Q_0 in their ring."""
-    Qb = (zero, *Q)  # Q_0 = 0
-    dQ = []
-    dz = []
-    for i in range(1, n + 1):
-        if i < n:
-            rate = (-(1 - Qb[i - 1]) / z[i - 1]
-                    + (1 - Qb[i]) * (z[i - 1] + 1 / z[i])
-                    - (1 - Qb[i + 1]) * z[i])
+def _rate_lines(n: int, z: Sequence[str], Q: Sequence[str],
+                dz: Sequence[str], dQ: Sequence[str]) -> list[str]:
+    """Source lines that set the names dz[i] and dQ[i] to hamilton_rhs's rates.
+
+    z and Q name the coordinates.  Each shared sum s_i = z_i + 1/z_{i+1} and
+    each 1 - Q_i is formed once, into the temporaries ``s<i>`` and ``p<i>``.
+    Q_0 = 0 is folded in without a float literal, so exact points stay
+    Fraction, and every rate is grouped as hamilton_rhs's formula groups it,
+    so float rates keep their bits.
+    """
+    lines = [f"p{i} = 1 - {Q[i]}" for i in range(n)]
+    lines += [f"s{i} = {z[i]} + 1 / {z[i + 1]}" for i in range(n - 1)]
+    p = ["1"] + [f"p{i}" for i in range(n)]  # 1 - Q_i for i = 0..n
+    for i in range(n):
+        if i < n - 1:
+            rate = f"-{p[i]} / {z[i]} + {p[i + 1]} * s{i} - {p[i + 2]} * {z[i + 1]}"
+            right = f"{Q[i]} * s{i}"
         else:
-            rate = (1 - Qb[n]) * z[n - 1] - (1 - Qb[n - 1]) / z[n - 1]
-        dQ.append(Qb[i] * rate)
-    for i in range(1, n + 1):
-        right = Qb[i] * ((z[i - 1] + 1 / z[i]) if i < n else z[n - 1])
-        left = zero
-        if i >= 2:
-            left = Qb[i - 1] * (z[i - 2] + 1 / z[i - 1])
-        dz.append(z[i - 1] * (right - left))
-    return tuple(dQ), tuple(dz)
+            rate = f"{p[i + 1]} * {z[i]} - {p[i]} / {z[i]}"
+            right = f"{Q[i]} * {z[i]}"
+        if i:
+            right += f" - {Q[i - 1]} * s{i - 1}"
+        lines.append(f"{dQ[i]} = {Q[i]} * ({rate})")
+        lines.append(f"{dz[i]} = {z[i]} * ({right})")
+    return lines
+
+
+def _compile(kind: str, n: int, signature: str, body: list[str]):
+    """The function ``def signature: body``, compiled as ``<toda_bn kind n=..>``.
+
+    A division by a zero z_i in the body raises ZeroBaseError.
+    """
+    source = [f"def {signature}:", "    try:", *("        " + line for line in body),
+              "    except ZeroDivisionError:",
+              "        raise ZeroBaseError('all z_i must be nonzero') from None"]
+    namespace = {"ZeroBaseError": ZeroBaseError}
+    exec(compile("\n".join(source), f"<toda_bn {kind} n={n}>", "exec"), namespace)
+    return namespace[signature.split("(")[0]]
+
+
+@functools.lru_cache(maxsize=None)
+def _rates_kernel(n: int):
+    """rates(z_1..z_n, Q_1..Q_n) -> (dQ, dz), hamilton_rhs compiled for rank n."""
+    z = [f"z{i}" for i in range(n)]
+    Q = [f"q{i}" for i in range(n)]
+    dz = [f"dz{i}" for i in range(n)]
+    dQ = [f"dq{i}" for i in range(n)]
+    body = _rate_lines(n, z, Q, dz, dQ)
+    body.append(f"return ({', '.join(dQ)},), ({', '.join(dz)},)")
+    return _compile("rates", n, f"rates({', '.join(z + Q)})", body)
 
 
 def poisson_structure(x: PhasePoint) -> SquareMatrix:
@@ -232,24 +266,27 @@ def chart_brackets(c: CanonicalPoint):
 # -- numerical flow -----------------------------------------------------------
 
 
-def _rhs_vector(n: int, state: tuple) -> tuple:
-    """(dz, dQ) at the raw float state (z_1..z_n, Q_1..Q_n)."""
-    z, Q = state[:n], state[n:]
-    if any(v == 0 for v in z):
-        raise ZeroBaseError("all z_i must be nonzero")
-    dQ, dz = _rates(n, z, Q, 0.0)
-    return dz + dQ
+@functools.lru_cache(maxsize=None)
+def _rk4_kernel(n: int):
+    """step(state, h): one classical RK4 step of the rates, compiled for rank n.
 
-
-def _rk4_step(n: int, state: tuple, h: float) -> tuple:
-    half = 0.5 * h
-    k1 = _rhs_vector(n, state)
-    k2 = _rhs_vector(n, tuple([s + half * k for s, k in zip(state, k1)]))
-    k3 = _rhs_vector(n, tuple([s + half * k for s, k in zip(state, k2)]))
-    k4 = _rhs_vector(n, tuple([s + h * k for s, k in zip(state, k3)]))
-    sixth = h / 6.0
-    return tuple([s + sixth * (a + 2 * b + 2 * c + d)
-                  for s, a, b, c, d in zip(state, k1, k2, k3, k4)])
+    A state is the raw float tuple (z_1..z_n, Q_1..Q_n).  The four stages run
+    on local variables, in the order and grouping of the textbook step:
+    stage points s + h/2 k and s + h k, then s + h/6 (a + 2 b + 2 c + d).
+    """
+    names = [f"z{i}" for i in range(n)] + [f"q{i}" for i in range(n)]
+    body = [f"{', '.join(names)}, = state", "half = 0.5 * h"]
+    point = names
+    for stage, scale in zip("abcd", ("half", "half", "h", None)):
+        rates = [stage + v for v in names]
+        body += _rate_lines(n, point[:n], point[n:], rates[:n], rates[n:])
+        if scale:
+            point = ["t" + v for v in names]
+            body += [f"{t} = {v} + {scale} * {k}" for t, v, k in zip(point, names, rates)]
+    body.append("sixth = h / 6.0")
+    body.append("return (" + " ".join(
+        f"{v} + sixth * (a{v} + 2 * b{v} + 2 * c{v} + d{v})," for v in names) + ")")
+    return _compile("rk4", n, "step(state, h)", body)
 
 
 def _check_window(n: int, state: tuple, t: float):
@@ -292,8 +329,9 @@ def _rk4_states(x0: PhasePoint, T: float, h: float):
     state = tuple(x0.z) + tuple(x0.Q)
     _check_window(n, state, 0.0)
     yield 0.0, state
+    rk4_step = _rk4_kernel(n)
     for k in range(1, steps + 1):
-        state = _rk4_step(n, state, h)
+        state = rk4_step(state, h)
         _check_window(n, state, k * h)
         yield k * h, state
 

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toda_bn import (
     CanonicalPoint,
@@ -26,7 +28,7 @@ from toda_bn import (
     to_phase,
 )
 from toda_bn import f_poly
-from toda_bn.dynamics import step_count
+from toda_bn.dynamics import _rates_kernel, _rk4_kernel, step_count
 from toda_bn.lax import evaluate_matrix, lax_symbolic
 from toda_bn.verify import random_canonical, random_matrix, random_point
 
@@ -318,3 +320,126 @@ def test_trajectory_states_are_valid_points(rng, n):
         assert all(type(v) is float for v in s.z + s.Q)
         again = PhasePoint(s.n, s.z, s.Q)
         assert again == s and again.mode == s.mode == "float"
+
+
+# -- the compiled kernels against an interpreted reference ----------------------
+#
+# A plain loop over hamilton_rhs's formulas and the textbook RK4 step, in the
+# grouping the kernels promise to keep: they must reproduce it bit for bit.
+
+
+def _reference_rates(n, z, Q, zero):
+    Qb = (zero, *Q)  # Q_0 = 0
+    dQ = []
+    dz = []
+    for i in range(1, n + 1):
+        if i < n:
+            rate = (-(1 - Qb[i - 1]) / z[i - 1]
+                    + (1 - Qb[i]) * (z[i - 1] + 1 / z[i])
+                    - (1 - Qb[i + 1]) * z[i])
+        else:
+            rate = (1 - Qb[n]) * z[n - 1] - (1 - Qb[n - 1]) / z[n - 1]
+        dQ.append(Qb[i] * rate)
+    for i in range(1, n + 1):
+        right = Qb[i] * ((z[i - 1] + 1 / z[i]) if i < n else z[n - 1])
+        left = zero
+        if i >= 2:
+            left = Qb[i - 1] * (z[i - 2] + 1 / z[i - 1])
+        dz.append(z[i - 1] * (right - left))
+    return tuple(dQ), tuple(dz)
+
+
+def _reference_rhs_vector(n, state):
+    z, Q = state[:n], state[n:]
+    if any(v == 0 for v in z):
+        raise ZeroBaseError("all z_i must be nonzero")
+    dQ, dz = _reference_rates(n, z, Q, 0.0)
+    return dz + dQ
+
+
+def _reference_rk4_step(n, state, h):
+    half = 0.5 * h
+    k1 = _reference_rhs_vector(n, state)
+    k2 = _reference_rhs_vector(n, tuple([s + half * k for s, k in zip(state, k1)]))
+    k3 = _reference_rhs_vector(n, tuple([s + half * k for s, k in zip(state, k2)]))
+    k4 = _reference_rhs_vector(n, tuple([s + h * k for s, k in zip(state, k3)]))
+    sixth = h / 6.0
+    return tuple([s + sixth * (a + 2 * b + 2 * c + d)
+                  for s, a, b, c, d in zip(state, k1, k2, k3, k4)])
+
+
+def _bits(state):
+    return tuple("nan" if math.isnan(v) else v.hex() for v in state)
+
+
+def _steps(step, state, h, count=20):
+    """float.hex of the states after each of ``count`` steps, or the exception."""
+    out = []
+    try:
+        for _ in range(count):
+            state = step(state, h)
+            out.append(_bits(state))
+    except Exception as exc:  # the oracle compares the class and message
+        out.append((type(exc), str(exc)))
+    return out
+
+
+SPECIAL_FLOATS = [0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, math.inf, -math.inf, math.nan]
+
+
+@st.composite
+def rk4_cases(draw):
+    n = draw(st.integers(1, 12))
+    h = draw(st.sampled_from([2.0 ** -10, 1e-3, 1e-4, 0.5]))
+    z = draw(st.lists(st.floats(0.2, 5.0) | st.floats(-5.0, -0.2), min_size=n, max_size=n))
+    Q = draw(st.lists(st.floats(-1.5, 1.5), min_size=n, max_size=n))
+    state = z + Q
+    for _ in range(draw(st.integers(0, 2))):
+        state[draw(st.integers(0, 2 * n - 1))] = draw(st.sampled_from(SPECIAL_FLOATS))
+    return n, tuple(state), h
+
+
+@settings(max_examples=300, deadline=None)
+@given(rk4_cases())
+def test_rk4_kernel_matches_the_loop_step_bit_for_bit(case):
+    n, state, h = case
+    expected = _steps(lambda s, h: _reference_rk4_step(n, s, h), state, h)
+    assert _steps(_rk4_kernel(n), state, h) == expected
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rk4_kernel_matches_the_loop_step_on_the_chart(rng, n):
+    x = to_phase(random_canonical(n, rng))
+    state = x.z + x.Q
+    for h in (2.0 ** -10, 1e-3, 1e-4, 0.5):
+        assert _steps(_rk4_kernel(n), state, h) == \
+            _steps(lambda s, h: _reference_rk4_step(n, s, h), state, h)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_kernels_reject_a_zero_z_at_every_position(n):
+    for j in range(n):
+        for zero in (0.0, -0.0):
+            z = [1.5] * n
+            z[j] = zero
+            for call in (lambda: _rk4_kernel(n)((*z, *([0.25] * n)), 1e-3),
+                         lambda: _rates_kernel(n)(*z, *([0.25] * n))):
+                with pytest.raises(ZeroBaseError, match=r"^all z_i must be nonzero$"):
+                    call()
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_hamilton_rhs_exact_equals_the_loop_rates(rng, n):
+    for _ in range(3):
+        x = random_point(n, rng)
+        dQ, dz = hamilton_rhs(x)
+        assert (dQ, dz) == _reference_rates(n, x.z, x.Q, Fraction(0))
+        assert all(type(v) is Fraction for v in dQ + dz)
+
+
+def test_hamilton_rhs_float_equals_the_loop_rates_bit_for_bit(rng):
+    for n in range(1, 13):
+        x = to_phase(random_canonical(n, rng))
+        dQ, dz = hamilton_rhs(x)
+        ref_dQ, ref_dz = _reference_rates(n, x.z, x.Q, 0.0)
+        assert _bits(dQ + dz) == _bits(ref_dQ + ref_dz)
