@@ -309,21 +309,3 @@ def _parse_var(var: str, n: int) -> tuple[str, int]:
             return var[0], i - 1
     raise UnknownVariableError(f"unknown variable {var!r} for n={n}")
 
-
-def poly_matrix_product(a: Sequence[Sequence[LaurentPoly]],
-                        b: Sequence[Sequence[LaurentPoly]]) -> list[list[LaurentPoly]]:
-    """Product of two square matrices with LaurentPoly entries."""
-    d = len(a)
-    n = a[0][0].n
-    zero = LaurentPoly.zero(n)
-    out = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            acc = zero
-            for k in range(d):
-                if not a[i][k].is_zero() and not b[k][j].is_zero():
-                    acc = acc + a[i][k] * b[k][j]
-            row.append(acc)
-        out.append(row)
-    return out

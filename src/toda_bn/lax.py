@@ -9,6 +9,10 @@ coordinates (z_1..z_n, Q_1..Q_n):
 * B  = [[1, J], [0, 1]] with J the n x n reversal;
 * C  = [[J N22 J, 0], [P, J N11 J]] with P = Q_n z_n E_{1,n}.
 
+One builder, ``_lax_rows``, writes L in closed form with ring operations
+only, so the same code gives L over Fraction and float (``build_lax``) and
+over LaurentPoly (``lax_symbolic``); C is never inverted numerically.
+
 The phase space is cut out by two varieties: Gamma_1 constrains the
 sparsity of L^{-1}, Gamma_2 ties the four n x n blocks of L and L^{-1}
 together through the reversal J.  Generic members of the intersection
@@ -24,8 +28,9 @@ from math import isfinite
 from typing import Sequence
 
 from .errors import NotInGammaError, ZeroBaseError
-from .laurent import LaurentPoly, poly_matrix_product
-from .linalg import SquareMatrix, coerce_scalar, format_scalar, parse_scalar, scalars_mode
+from .laurent import LaurentPoly
+from .linalg import (SquareMatrix, _check_finite, coerce_scalar, format_scalar, parse_scalar,
+                     scalars_mode)
 
 #: Relative tolerance for the consistency reads of parameter recovery in
 #: float mode (exact mode uses exact equality).
@@ -97,20 +102,29 @@ class GammaReport:
         return self.in_gamma1 and self.in_gamma2
 
 
+#: The units (one, zero) of each scalar mode.
+_UNITS = {"exact": (Fraction(1), Fraction(0)), "float": (1.0, 0.0)}
+
+
+def _qz(x: PhasePoint) -> list:
+    """Q_k z_k at index k - 1; at a float point, one that is not finite
+    raises ValueError naming it."""
+    qz = [q * w for q, w in zip(x.Q, x.z)]
+    if x.mode == "float" and not all(map(isfinite, qz)):
+        k = next(k for k, v in enumerate(qz, 1) if not isfinite(v))
+        raise ValueError(f"Q_{k} z_{k} overflows: {x.Q[k - 1]!r} * {x.z[k - 1]!r}")
+    return qz
+
+
 def build_factors(x: PhasePoint) -> tuple[SquareMatrix, SquareMatrix, SquareMatrix]:
     """The three factors (N, B, C) of the Lax matrix at x.
 
     At a float point, a product Q_k z_k that is not finite raises
     ValueError naming it.
     """
-    n, z, Q = x.n, x.z, x.Q
-    mode = x.mode
-    one = Fraction(1) if mode == "exact" else 1.0
-    zero = Fraction(0) if mode == "exact" else 0.0
-    qz = [q * w for q, w in zip(Q, z)]  # Q_k z_k at index k - 1
-    if mode == "float" and not all(map(isfinite, qz)):
-        k = next(k for k, v in enumerate(qz, 1) if not isfinite(v))
-        raise ValueError(f"Q_{k} z_{k} overflows: {Q[k - 1]!r} * {z[k - 1]!r}")
+    n, z, mode = x.n, x.z, x.mode
+    one, zero = _UNITS[mode]
+    qz = _qz(x)
 
     n11 = [[zero] * n for _ in range(n)]
     n22 = [[zero] * n for _ in range(n)]
@@ -133,8 +147,55 @@ def build_factors(x: PhasePoint) -> tuple[SquareMatrix, SquareMatrix, SquareMatr
     return N, B, C
 
 
+def _lax_rows(n: int, z, zinv, qz, one, zero) -> list[list]:
+    """The 2n rows of L = N B C^{-1} by ring operations only.
+
+    ``z``, ``zinv`` and ``qz`` hold z_k, 1/z_k and Q_k z_k at index k - 1
+    in any ring whose units are ``one`` and ``zero``.  C11^{-1} and
+    C22^{-1} are the index flips of N22^{-1} and N11^{-1}: signed running
+    products of Q z, and of 1/z, along each row.  C21^{-1} is
+    -C22^{-1} P C11^{-1}, and N11 J C22^{-1} = J, so
+
+        L = [[(N11 - J P) C11^{-1}, J], [-L22 P C11^{-1}, L22]],  L22 = N22 C22^{-1},
+
+    where J P is Q_n z_n in the last diagonal place.  A row of the upper
+    left block or of L22 combines two rows of a triangular inverse, and
+    the lower left block is one outer product, as P has one entry.
+    """
+    def flipped_inverse(first, factor):
+        # J U^{-1} J, where U^{-1} has first[i] (-factor[i+1]) ... (-factor[j])
+        # at (i, j), j >= i
+        rows = []
+        for i in range(n):
+            row = [zero] * n
+            v = row[i] = first[i]
+            for j in range(i + 1, n):
+                v = row[j] = -v * factor[j]
+            rows.append(row[::-1])
+        return rows[::-1]
+
+    c11_inv = flipped_inverse([one] * n, qz[::-1])
+    c22_inv = flipped_inverse(zinv, zinv)
+    diag = [*z[:-1], z[-1] - qz[-1]]  # the diagonal of N11 - J P
+    outer = [-qz[-1] * v for v in c11_inv[-1]]
+    top, bottom = [], []
+    for i in range(n):
+        left = [diag[i] * v for v in c11_inv[i]]
+        right = c22_inv[i]
+        if i + 1 < n:
+            left = [a + b for a, b in zip(left, c11_inv[i + 1])]
+            s = qz[n - 2 - i]
+            right = [a + s * b for a, b in zip(right, c22_inv[i + 1])]
+        top.append(left + [one if j == n - 1 - i else zero for j in range(n)])
+        bottom.append([right[0] * v for v in outer] + right)
+    return top + bottom
+
+
 def build_lax(x: PhasePoint) -> SquareMatrix:
-    """L = N B C^{-1}; entries are exact in rational mode.
+    """L = N B C^{-1} by ``_lax_rows``; exact at a rational point.
+
+    At a float point, an overflowing Q_k z_k or a non-finite entry (far
+    outside the |z| window, products of 1/z_i overflow) raises ValueError.
 
     An exact point's matrix is memoized, keyed by the point, in a memo of
     the last 8 points: a Backlund step builds L of one point up to four
@@ -149,8 +210,10 @@ def build_lax(x: PhasePoint) -> SquareMatrix:
 
 
 def _lax_product(x: PhasePoint) -> SquareMatrix:
-    N, B, C = build_factors(x)
-    return N @ B @ C.inverse()
+    rows = _lax_rows(x.n, x.z, [1 / w for w in x.z], _qz(x), *_UNITS[x.mode])
+    if x.mode == "float":
+        _check_finite(rows)
+    return SquareMatrix._trusted(tuple(map(tuple, rows)), x.mode)
 
 
 _build_lax_exact = lru_cache(maxsize=8)(_lax_product)
@@ -160,64 +223,14 @@ _build_lax_exact = lru_cache(maxsize=8)(_lax_product)
 def lax_symbolic(n: int) -> tuple[tuple[LaurentPoly, ...], ...]:
     """The 2n x 2n Lax matrix with entries as exact Laurent polynomials.
 
-    C is block lower triangular with bidiagonal blocks, so C^{-1} has a
-    closed form whose entries are Laurent monomials; no symbolic division
-    is needed.
+    ``build_lax``'s builder, ``_lax_rows``, over the variables: C^{-1}
+    has signed Laurent monomial entries, so no division is needed.
     """
-    d = 2 * n
-    zero = LaurentPoly.zero(n)
-    one = LaurentPoly.one(n)
-
-    def zvar(i, p=1):  # 1-based
-        return LaurentPoly.z_var(n, i, p)
-
-    def qvar(i):
-        return LaurentPoly.q_var(n, i)
-
-    n11 = [[zero] * n for _ in range(n)]
-    n22 = [[zero] * n for _ in range(n)]
-    n11_inv = [[zero] * n for _ in range(n)]
-    n22_inv = [[zero] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        n11[i - 1][i - 1] = zvar(i)
-        n22[i - 1][i - 1] = one
-        if i < n:
-            n11[i - 1][i] = one
-            n22[i - 1][i] = qvar(n - i) * zvar(n - i)
-        for j in range(i, n + 1):
-            mono_z = one
-            for m in range(i, j + 1):
-                mono_z = mono_z * zvar(m, -1)
-            n11_inv[i - 1][j - 1] = (-1) ** (j - i) * mono_z
-            mono_q = one
-            for m in range(i, j):
-                mono_q = mono_q * qvar(n - m) * zvar(n - m)
-            n22_inv[i - 1][j - 1] = (-1) ** (j - i) * mono_q
-
-    def rev(m):
-        return [[m[n - 1 - i][n - 1 - j] for j in range(n)] for i in range(n)]
-
-    # C = [[J N22 J, 0], [P, J N11 J]]  =>  block triangular inverse
-    c11_inv = rev(n22_inv)
-    c22_inv = rev(n11_inv)
-    p_blk = [[zero] * n for _ in range(n)]
-    p_blk[0][n - 1] = qvar(n) * zvar(n)
-    c21_inv = [[-v for v in row] for row in
-               poly_matrix_product(poly_matrix_product(c22_inv, p_blk), c11_inv)]
-
-    c_inv = [[zero] * d for _ in range(d)]
-    nb = [[zero] * d for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            c_inv[i][j] = c11_inv[i][j]
-            c_inv[n + i][j] = c21_inv[i][j]
-            c_inv[n + i][n + j] = c22_inv[i][j]
-            # N @ B = [[N11, N11 J], [0, N22]]
-            nb[i][j] = n11[i][j]
-            nb[i][n + j] = n11[i][n - 1 - j]
-            nb[n + i][n + j] = n22[i][j]
-    lax = poly_matrix_product(nb, c_inv)
-    return tuple(tuple(row) for row in lax)
+    z = [LaurentPoly.z_var(n, i) for i in range(1, n + 1)]
+    zinv = [LaurentPoly.z_var(n, i, -1) for i in range(1, n + 1)]
+    qz = [LaurentPoly.q_var(n, i) * w for i, w in enumerate(z, 1)]
+    rows = _lax_rows(n, z, zinv, qz, LaurentPoly.one(n), LaurentPoly.zero(n))
+    return tuple(map(tuple, rows))
 
 
 def evaluate_matrix(entries: Sequence[Sequence[LaurentPoly]], x: PhasePoint) -> SquareMatrix:

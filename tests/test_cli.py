@@ -191,6 +191,9 @@ BAD_POINTS = [
     ("lax", '{"n": 2, "z": [1e200, 1e200], "Q": [1e200, 1]}'),
     ("conserved", '{"n": 2, "z": [1e200, 1e200], "Q": [1e200, 1]}'),
     ("backlund", '{"n": 2, "z": [1e300, 1], "Q": [1e300, 2]}'),
+    # far outside the |z| window: products of the 1/z_i in L overflow
+    ("lax", '{"n": 3, "z": [1e-200, 1e-200, 3], "Q": [0.5, 0.2, 0.1]}'),
+    ("conserved", '{"n": 3, "z": [1e-200, 1e-200, 3], "Q": [0.5, 0.2, 0.1]}'),
 ]
 
 
@@ -228,6 +231,42 @@ def test_overflowing_product_is_named(capsys, point, message, command):
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+# A float point inside the |z| window whose factor C is badly scaled, and the
+# same point as rationals.  L is built in closed form, so no pivot threshold
+# rejects the float point.
+TINY_Z = '{"n": 2, "z": [1e-12, 3], "Q": [0.5, 0.2]}'
+TINY_Z_EXACT = '{"n": 2, "z": ["1e-12", "3"], "Q": ["0.5", "0.2"]}'
+
+
+def assert_f_near_exact(got, exact):
+    assert len(got) == len(exact)
+    for g, e in zip(got, exact):
+        assert abs(Fraction(g) - Fraction(e)) <= 1e-12 * abs(Fraction(e)), (g, e)
+
+
+def test_conserved_at_a_tiny_z(capsys):
+    code, out, _ = run(capsys, "conserved", "--point", TINY_Z_EXACT)
+    assert code == 0
+    exact = json.loads(out)["F"]
+    code, out, _ = run(capsys, "conserved", "--point", TINY_Z)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["routes_agree"] is True
+    assert_f_near_exact(payload["F"], exact)
+
+
+def test_backlund_map_at_a_tiny_z(capsys):
+    code, out, _ = run(capsys, "conserved", "--point", TINY_Z_EXACT)
+    exact = json.loads(out)["F"]
+    code, out, _ = run(capsys, "backlund", "--route", "map", "--steps", "2",
+                       "--point", TINY_Z)
+    assert code == 0
+    steps = json.loads(out)["steps"]
+    assert len(steps) == 3
+    for entry in steps:  # the map conserves F
+        assert_f_near_exact(entry["map"]["F"], exact)
 
 
 def test_bad_init_exits_2(capsys):
@@ -322,7 +361,7 @@ def test_verify_float_report_golden(capsys):
                        "--n-max", "3", "--trials", "3")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "7a4a685f3bcbf14fb8b552b64a20b57edc93a345a80e4812b6320416288938a8"
+        "33503bbc4619544336aff281eb7589410d8c5acd9363ae159830aeaddb8760b3"
 
 
 # simulate CSVs, drift column included, in the benchmark's argv form:
@@ -339,7 +378,7 @@ SIMULATE_GOLDEN = {
         "6ce26f52ce30fb7a69c7c230bca5abad8f821b4042c58e995b211e199985df24"),
     8: ({"q": [0.44, -0.19, 0.27, -0.63, 0.08, 0.35, -0.41, 0.16],
          "p": [0.22, -0.31, 0.57, 0.09, -0.46, 0.13, -0.05, 0.38]}, 16,
-        "920e3a2078d516e5dd471de90c865d47c672abde20f3e1d828057697bdf36087"),
+        "13f7caacd08441e95fea6c7778ce214571a00ffe2358e77a3c5007c8b6832d55"),
 }
 
 

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toda_bn import (
+    LaurentPoly,
     NotInGammaError,
     PhasePoint,
     SquareMatrix,
@@ -66,6 +69,84 @@ def test_lax_symbolic_matches_numeric(rng):
         for _ in range(5):
             x = random_point(n, rng)
             assert evaluate_matrix(sym, x) == build_lax(x)
+
+
+# -- the builder against its factors: L C = N B needs no inverse ---------------
+
+NONZERO_FRACTIONS = st.fractions(-9, 9, max_denominator=9).filter(lambda v: v != 0)
+RATIONAL_POINTS = st.integers(1, 8).flatmap(lambda n: st.builds(
+    PhasePoint, st.just(n),
+    st.lists(NONZERO_FRACTIONS, min_size=n, max_size=n).map(tuple),
+    st.lists(st.fractions(-9, 9, max_denominator=9), min_size=n, max_size=n).map(tuple)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(RATIONAL_POINTS)
+def test_lax_times_c_is_n_times_b_exact(x):
+    N, B, C = build_factors(x)
+    L = build_lax(x)
+    assert all(type(v) is Fraction for row in L.rows for v in row)
+    assert L @ C == N @ B
+
+
+def symbolic_factors(n):
+    """N B and C over LaurentPoly, entry by entry from their definitions."""
+    d = 2 * n
+    zero, one = LaurentPoly.zero(n), LaurentPoly.one(n)
+    z = [LaurentPoly.z_var(n, k) for k in range(1, n + 1)]
+    qz = [LaurentPoly.q_var(n, k) * z[k - 1] for k in range(1, n + 1)]
+    nb = [[zero] * d for _ in range(d)]
+    c = [[zero] * d for _ in range(d)]
+    for i in range(n):
+        # N B = [[N11, N11 J], [0, N22]]
+        nb[i][i] = nb[i][d - 1 - i] = z[i]
+        nb[n + i][n + i] = one
+        # C = [[J N22 J, 0], [P, J N11 J]]
+        c[i][i] = one
+        c[n + i][n + i] = z[n - 1 - i]
+        if i + 1 < n:
+            nb[i][i + 1] = nb[i][d - 2 - i] = one
+            nb[n + i][n + i + 1] = qz[n - 2 - i]
+            c[i + 1][i] = qz[i]
+            c[n + i + 1][n + i] = one
+    c[n][n - 1] = qz[n - 1]
+    return nb, c
+
+
+def poly_product(a, b):
+    """The product of two square matrices with LaurentPoly entries."""
+    zero = LaurentPoly.zero(a[0][0].n)
+    return [[sum((u * v for u, v in zip(row, col)), zero) for col in zip(*b)] for row in a]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_lax_symbolic_times_c_is_n_times_b(rng, n):
+    nb, c = symbolic_factors(n)
+    assert poly_product(lax_symbolic(n), c) == nb
+    x = random_point(n, rng)  # the factors here are build_factors' at a point
+    N, B, C = build_factors(x)
+    assert evaluate_matrix(nb, x) == N @ B
+    assert evaluate_matrix(c, x) == C
+
+
+#: Relative bound, against max(1, max|L(exact)|), of float build_lax.
+FLOAT_LAX_RTOL = 1e-12
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_float_lax_near_exact(rng, n):
+    # the exact matrix is that of the same binary64 point, so only the
+    # float build rounds
+    for _ in range(4):
+        z = tuple(rng.choice((-1, 1)) * rng.uniform(0.25, 4) for _ in range(n))
+        Q = tuple(rng.uniform(-0.9, 0.9) for _ in range(n))
+        got = build_lax(PhasePoint(n, z, Q))
+        exact = build_lax(PhasePoint(n, tuple(map(Fraction, z)), tuple(map(Fraction, Q))))
+        scale = max(1, max(abs(v) for row in exact.rows for v in row))
+        assert got.mode == "float"
+        for g, e in zip((v for row in got.rows for v in row),
+                        (v for row in exact.rows for v in row)):
+            assert abs(Fraction(g) - e) <= FLOAT_LAX_RTOL * scale, (g, e)
 
 
 def test_upper_right_block_is_reversal(rng):
