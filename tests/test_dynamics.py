@@ -2,7 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toda_bn import (
@@ -27,8 +27,10 @@ from toda_bn import (
     rk4_endpoint,
     to_phase,
 )
-from toda_bn import f_poly
-from toda_bn.dynamics import _rates_kernel, _rk4_kernel, step_count
+from toda_bn import dynamics, f_poly
+from toda_bn.conserved import (MAX_SYMBOLIC_RANK, _chain_sums, conserved_values,
+                               conserved_values_by_path)
+from toda_bn.dynamics import _chain_sums_kernel, _rates_kernel, _rk4_kernel, step_count
 from toda_bn.lax import evaluate_matrix, lax_symbolic
 from toda_bn.verify import random_canonical, random_matrix, random_point
 
@@ -423,7 +425,8 @@ def test_kernels_reject_a_zero_z_at_every_position(n):
             z = [1.5] * n
             z[j] = zero
             for call in (lambda: _rk4_kernel(n)((*z, *([0.25] * n)), 1e-3),
-                         lambda: _rates_kernel(n)(*z, *([0.25] * n))):
+                         lambda: _rates_kernel(n)(*z, *([0.25] * n)),
+                         lambda: _chain_sums_kernel(n)(*z, *([0.25] * n))):
                 with pytest.raises(ZeroBaseError, match=r"^all z_i must be nonzero$"):
                     call()
 
@@ -443,3 +446,68 @@ def test_hamilton_rhs_float_equals_the_loop_rates_bit_for_bit(rng):
         dQ, dz = hamilton_rhs(x)
         ref_dQ, ref_dz = _reference_rates(n, x.z, x.Q, 0.0)
         assert _bits(dQ + dz) == _bits(ref_dQ + ref_dz)
+
+
+# -- the compiled chain-sum pass against the interpreted one --------------------
+#
+# _chain_sums_kernel is traced from conserved._chain_sums, which stays the
+# oracle: the kernel must give its floats bit for bit (NaN compared as NaN),
+# and raise ZeroBaseError where the pass divides by a zero z_i.
+
+
+def _pass_bits(n, state):
+    try:
+        return _bits(_chain_sums(n, state[:n], state[n:], True))
+    except ZeroDivisionError:
+        return (ZeroBaseError, "all z_i must be nonzero")
+
+
+def _kernel_bits(n, state):
+    try:
+        return _bits(_chain_sums_kernel(n)(*state))
+    except ZeroBaseError as exc:
+        return (ZeroBaseError, str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rk4_cases())
+# F_3 is 0.0 here only because the pass adds its -0.0 chain sum to a 0.0 start
+@example((2, (-1e300, 1e300, 0.0, 0.0), 1e-3))
+def test_chain_sums_kernel_matches_the_pass_bit_for_bit(case):
+    n, state, _ = case  # the step size is unused
+    assert _kernel_bits(n, state) == _pass_bits(n, state)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_chain_sums_kernel_matches_the_pass_on_the_chart(rng, n):
+    for _ in range(3):
+        x = to_phase(random_canonical(n, rng))
+        f = _chain_sums_kernel(n)(*x.z, *x.Q)
+        assert len(f) == 2 * n + 1 and all(type(v) is float for v in f)
+        assert _bits(f) == _pass_bits(n, x.z + x.Q)
+
+
+class _FloatOnlyMinuend(float):
+    """A float that fails when a non-float is subtracted from it."""
+
+    def __sub__(self, other):
+        assert type(other) is float, f"F(0) entry {other!r} is a {type(other).__name__}"
+        return float(self) - other
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_integrate_drifts_equal_the_pass_on_the_returned_states(rng, n, monkeypatch):
+    x = to_phase(random_canonical(n, rng))
+    traj = integrate(x, T=8 * 2.0 ** -10, h=2.0 ** -10)
+    # F(0) as the reference route returns it (Fraction entries at n <= 6)
+    f0 = (conserved_values_by_path if n <= MAX_SYMBOLIC_RANK else conserved_values)(x)
+    scales = [max(1.0, abs(f)) for f in f0]
+    expected = [0.0] + [
+        max(abs(a - b) / s for a, b, s in zip(_chain_sums(n, y.z, y.Q, True), f0, scales))
+        for y in traj.states[1:]]
+    assert _bits(traj.drifts) == _bits(expected)
+    # the drift subtracts float F(0) entries, converted once per call
+    kernel = _chain_sums_kernel(n)
+    monkeypatch.setattr(dynamics, "_chain_sums_kernel", lambda n: lambda *state: tuple(
+        map(_FloatOnlyMinuend, kernel(*state))))
+    assert integrate(x, T=8 * 2.0 ** -10, h=2.0 ** -10).drifts == traj.drifts
