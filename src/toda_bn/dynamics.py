@@ -11,15 +11,14 @@ q_0 = -infinity turns the bracket into the standard one and H into the
 type-B relativistic Toda Hamiltonian 2 sum_i cosh(p_i) sqrt(...) sqrt(...).
 
 Numerical integration is fixed-step RK4 in the (z, Q) chart, where the
-right-hand side is rational.  The docstring of hamilton_rhs is the spec of
-the rates; one emitter writes them out as straight-line Python, and the
-rates and the RK4 step are compiled from it once per rank, on first use,
-with the grouping of the formulas kept so float results keep their bits.
-The drift's F(t) comes from conserved._chain_sums, traced once per rank over
-a recording scalar (_Traced) and compiled to straight-line float code with
-the pass's bits.  Tracing and compiling cost about 2 ms at n = 3 and 11 ms
-at n = 8 on first use, which a one-shot integrate earns back after about
-100 and 150 steps.
+right-hand side is rational.  The rates (_rates, the formulas of
+hamilton_rhs's docstring), the RK4 step (_rk4_step) and the drift's F(t)
+(conserved._chain_sums) are each written once, as plain Python over any
+field.  _trace runs each once per rank, on first use, over a recording
+scalar (_Traced) and compiles the tape to straight-line code in the same
+grouping, so float results keep their bits and exact rates stay Fraction.
+For the RK4 step that costs about 2, 5 and 35 ms at n = 3, 8 and 50, and a
+step then takes about 4, 11 and 75 us (2-core Xeon, Python 3.11).
 
 The exact factorization solution
 L(t) = a(t) L0 a(t)^{-1} with exp(L0 t) = a^{-1} b provides an
@@ -28,6 +27,7 @@ independent route for cross-checking trajectories.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from dataclasses import dataclass
@@ -109,140 +109,147 @@ def hamilton_rhs(x: PhasePoint) -> tuple[tuple, tuple]:
         Q_n'/Q_n = (1-Q_n) z_n - (1-Q_{n-1}) z_n^{-1}
         z_n'/z_n = Q_n z_n - Q_{n-1} (z_{n-1} + z_n^{-1})
     """
-    return _rates_kernel(x.n)(*x.z, *x.Q)
+    rates = _rates_kernel(x.n)(*x.z, *x.Q)
+    return rates[x.n:], rates[:x.n]
 
 
-def _rate_lines(n: int, z: Sequence[str], Q: Sequence[str],
-                dz: Sequence[str], dQ: Sequence[str]) -> list[str]:
-    """Source lines that set the names dz[i] and dQ[i] to hamilton_rhs's rates.
+def _rates(n: int, z: Sequence, Q: Sequence) -> tuple:
+    """The rates (dz_1..dz_n, dQ_1..dQ_n) of hamilton_rhs, in the field of z and Q.
 
-    z and Q name the coordinates.  Each shared sum s_i = z_i + 1/z_{i+1} and
-    each 1 - Q_i is formed once, into the temporaries ``s<i>`` and ``p<i>``.
-    Q_0 = 0 is folded in without a float literal, so exact points stay
-    Fraction, and every rate is grouped as hamilton_rhs's formula groups it,
-    so float rates keep their bits.
+    Each shared sum s_i = z_i + 1/z_{i+1} and each 1 - Q_i is formed once.
+    1 - Q_0 is the int 1 and the absent z_0 term is skipped, so exact points
+    stay Fraction, and every rate is grouped as hamilton_rhs's formula
+    groups it, so float rates keep their bits.
     """
-    lines = [f"p{i} = 1 - {Q[i]}" for i in range(n)]
-    lines += [f"s{i} = {z[i]} + 1 / {z[i + 1]}" for i in range(n - 1)]
-    p = ["1"] + [f"p{i}" for i in range(n)]  # 1 - Q_i for i = 0..n
+    p = [1] + [1 - q for q in Q]  # 1 - Q_i for i = 0..n
+    s = [z[i] + 1 / z[i + 1] for i in range(n - 1)]
+    dz = []
+    dQ = []
     for i in range(n):
         if i < n - 1:
-            rate = f"-{p[i]} / {z[i]} + {p[i + 1]} * s{i} - {p[i + 2]} * {z[i + 1]}"
-            right = f"{Q[i]} * s{i}"
+            rate = -p[i] / z[i] + p[i + 1] * s[i] - p[i + 2] * z[i + 1]
+            right = Q[i] * s[i]
         else:
-            rate = f"{p[i + 1]} * {z[i]} - {p[i]} / {z[i]}"
-            right = f"{Q[i]} * {z[i]}"
+            rate = p[i + 1] * z[i] - p[i] / z[i]
+            right = Q[i] * z[i]
         if i:
-            right += f" - {Q[i - 1]} * s{i - 1}"
-        lines.append(f"{dQ[i]} = {Q[i]} * ({rate})")
-        lines.append(f"{dz[i]} = {z[i]} * ({right})")
-    return lines
+            right = right - Q[i - 1] * s[i - 1]
+        dz.append(z[i] * right)
+        dQ.append(Q[i] * rate)
+    return (*dz, *dQ)
 
 
-def _compile(kind: str, n: int, signature: str, body: list[str]):
-    """The function ``def signature: body``, compiled as ``<toda_bn kind n=..>``.
+def _recorders(op: str):
+    """The forward and reflected _Traced methods that record ``a op b``."""
+    def forward(self, other):
+        return _Traced.node(self.tape, (op, self.index, _operand(other)))
 
-    A division by a zero z_i in the body raises ZeroBaseError.
-    """
-    source = [f"def {signature}:", "    try:", *("        " + line for line in body),
-              "    except ZeroDivisionError:",
-              "        raise ZeroBaseError('all z_i must be nonzero') from None"]
-    namespace = {"ZeroBaseError": ZeroBaseError}
-    exec(compile("\n".join(source), f"<toda_bn {kind} n={n}>", "exec"), namespace)
-    return namespace[signature.split("(")[0]]
+    def reflected(self, other):
+        return _Traced.node(self.tape, (op, _operand(other), self.index))
+
+    return forward, reflected
 
 
 class _Traced:
     """A float variable of straight-line code being recorded.
 
     Ring-generic code run over _Traced inputs records each ``+ - * /`` and
-    negation it does with a traced operand as one line ``tK = a op b`` of
-    ``lines``, operands in source order.  Constants stay plain floats
+    negation it does with a traced operand as one node ``(op, a, b)`` of a
+    tape, operands in source order: a node's index or a constant's repr,
+    with ``a`` None for a negation.  Constants stay plain floats
     (``type(x)(1)`` is ``1.0``), so only constant-only subexpressions fold,
     by float arithmetic itself: ``one - one`` is ``0.0``, while ``0.0 + x``
-    is recorded, because it turns -0.0 into 0.0.  Compiled, the lines
-    redo the float run of the code bit for bit.
+    is recorded, because it turns -0.0 into 0.0.  _trace runs the rates, the
+    RK4 step and the chain-sum pass over _Traced inputs and compiles each tape.
     """
 
-    __slots__ = ("name", "lines")
+    __slots__ = ("index", "tape")
 
     def __new__(cls, value):
         return float(value)
 
     @classmethod
-    def variable(cls, name: str, lines: list[str]) -> "_Traced":
+    def node(cls, tape: list, entry: tuple) -> "_Traced":
         self = object.__new__(cls)
-        self.name = name
-        self.lines = lines
+        self.index = len(tape)
+        self.tape = tape
+        tape.append(entry)
         return self
 
-    def _record(self, expression: str) -> "_Traced":
-        name = f"t{len(self.lines)}"
-        self.lines.append(f"{name} = {expression}")
-        return _Traced.variable(name, self.lines)
-
-    def _binary(self, a, op: str, b) -> "_Traced":
-        return self._record(f"{_operand(a)} {op} {_operand(b)}")
-
-    def __add__(self, other):
-        return self._binary(self, "+", other)
-
-    def __radd__(self, other):
-        return self._binary(other, "+", self)
-
-    def __sub__(self, other):
-        return self._binary(self, "-", other)
-
-    def __rsub__(self, other):
-        return self._binary(other, "-", self)
-
-    def __mul__(self, other):
-        return self._binary(self, "*", other)
-
-    def __rmul__(self, other):
-        return self._binary(other, "*", self)
-
-    def __truediv__(self, other):
-        return self._binary(self, "/", other)
-
-    def __rtruediv__(self, other):
-        return self._binary(other, "/", self)
+    __add__, __radd__ = _recorders("+")
+    __sub__, __rsub__ = _recorders("-")
+    __mul__, __rmul__ = _recorders("*")
+    __truediv__, __rtruediv__ = _recorders("/")
 
     def __neg__(self):
-        return self._record(f"-{self.name}")
+        return _Traced.node(self.tape, ("-", None, self.index))
 
 
-def _operand(v) -> str:
-    """Source text of an operand: a traced name, or a constant's repr."""
-    return v.name if isinstance(v, _Traced) else repr(v)
+def _operand(v):
+    """A tape operand: a traced value's node index, or a constant's repr."""
+    return v.index if isinstance(v, _Traced) else repr(v)
+
+
+#: Inlined expressions nest at most this deep; the parser allows 200 parentheses.
+_MAX_DEPTH = 16
+
+
+def _trace(kind: str, n: int, fn, *extra: str):
+    """fn's run as straight-line code ``kind(z0.., q0.., *extra)``, for rank n.
+
+    fn runs once over one _Traced input per name and returns a tuple.  A
+    node used exactly once, the return counting as a use, is written inline
+    into its user, in parentheses, up to _MAX_DEPTH levels deep.  Every
+    other node, unused ones too (a division may raise), gets its own line
+    ``tK = a op b``.  The parentheses restate the tape's grouping, so the
+    kernel redoes fn's float run bit for bit.  A division by a zero z_i in
+    the kernel raises ZeroBaseError.
+    """
+    names = [f"z{i}" for i in range(n)] + [f"q{i}" for i in range(n)] + list(extra)
+    tape: list[tuple] = []
+    inputs = [_Traced.node(tape, (None, name, None)) for name in names]
+    out = [_operand(v) for v in fn(*inputs)]
+    operands = [v for _, a, b in tape for v in (a, b)] + out
+    uses = collections.Counter(v for v in operands if type(v) is int)
+    text = {}  # node k as its users write it: a name, or "(expr)" if inlined
+    depth = {}
+    body = []
+    for k, (op, a, b) in enumerate(tape):
+        if op is None:
+            text[k] = a
+            continue
+        b_text = text.get(b, b)
+        expr = f"{op}{b_text}" if a is None else f"{text.get(a, a)} {op} {b_text}"
+        d = 1 + max(depth.get(a, 0), depth.get(b, 0))
+        if uses[k] == 1 and d < _MAX_DEPTH:
+            text[k], depth[k] = f"({expr})", d
+        else:
+            text[k] = f"t{k}"
+            body.append(f"t{k} = {expr}")
+    source = [f"def {kind}({', '.join(names)}):", "    try:",
+              *("        " + line for line in body),
+              f"        return ({''.join(text.get(v, v) + ', ' for v in out)})",
+              "    except ZeroDivisionError:",
+              "        raise ZeroBaseError('all z_i must be nonzero') from None"]
+    namespace = {"ZeroBaseError": ZeroBaseError}
+    exec(compile("\n".join(source), f"<toda_bn {kind} n={n}>", "exec"), namespace)
+    return namespace[kind]
 
 
 @functools.lru_cache(maxsize=None)
 def _chain_sums_kernel(n: int):
     """chain_sums(z_1..z_n, Q_1..Q_n) -> F_0..F_2n, the improved float pass.
 
-    Traced once from conserved._chain_sums over _Traced inputs and compiled
-    for rank n, so its floats are the pass's, bit for bit.
+    Traced once from conserved._chain_sums, so its floats are the pass's,
+    bit for bit.
     """
-    lines: list[str] = []
-    z = [_Traced.variable(f"z{i}", lines) for i in range(n)]
-    Q = [_Traced.variable(f"q{i}", lines) for i in range(n)]
-    f = _chain_sums(n, z, Q, True)
-    args = ", ".join(v.name for v in z + Q)
-    body = lines + [f"return ({' '.join(_operand(v) + ',' for v in f)})"]
-    return _compile("chain_sums", n, f"chain_sums({args})", body)
+    return _trace("chain_sums", n, lambda *s: _chain_sums(n, s[:n], s[n:], True))
 
 
 @functools.lru_cache(maxsize=None)
 def _rates_kernel(n: int):
-    """rates(z_1..z_n, Q_1..Q_n) -> (dQ, dz), hamilton_rhs compiled for rank n."""
-    z = [f"z{i}" for i in range(n)]
-    Q = [f"q{i}" for i in range(n)]
-    dz = [f"dz{i}" for i in range(n)]
-    dQ = [f"dq{i}" for i in range(n)]
-    body = _rate_lines(n, z, Q, dz, dQ)
-    body.append(f"return ({', '.join(dQ)},), ({', '.join(dz)},)")
-    return _compile("rates", n, f"rates({', '.join(z + Q)})", body)
+    """rates(z_1..z_n, Q_1..Q_n) -> _rates, compiled for rank n."""
+    return _trace("rates", n, lambda *s: _rates(n, s[:n], s[n:]))
 
 
 def poisson_structure(x: PhasePoint) -> SquareMatrix:
@@ -354,27 +361,29 @@ def chart_brackets(c: CanonicalPoint):
 # -- numerical flow -----------------------------------------------------------
 
 
+def _rk4_step(n: int, state: Sequence, h) -> tuple:
+    """One classical RK4 step of the rates from state = (z_1..z_n, Q_1..Q_n).
+
+    The stage points are s + h/2 k and s + h k, and the step is
+    s + h/6 (a + 2 b + 2 c + d), in the order and grouping of the textbook.
+    """
+    def rates(point):
+        return _rates(n, point[:n], point[n:])
+
+    half = 0.5 * h
+    a = rates(state)
+    b = rates([v + half * k for v, k in zip(state, a)])
+    c = rates([v + half * k for v, k in zip(state, b)])
+    d = rates([v + h * k for v, k in zip(state, c)])
+    sixth = h / 6.0
+    return tuple(v + sixth * (ka + 2 * kb + 2 * kc + kd)
+                 for v, ka, kb, kc, kd in zip(state, a, b, c, d))
+
+
 @functools.lru_cache(maxsize=None)
 def _rk4_kernel(n: int):
-    """step(state, h): one classical RK4 step of the rates, compiled for rank n.
-
-    A state is the raw float tuple (z_1..z_n, Q_1..Q_n).  The four stages run
-    on local variables, in the order and grouping of the textbook step:
-    stage points s + h/2 k and s + h k, then s + h/6 (a + 2 b + 2 c + d).
-    """
-    names = [f"z{i}" for i in range(n)] + [f"q{i}" for i in range(n)]
-    body = [f"{', '.join(names)}, = state", "half = 0.5 * h"]
-    point = names
-    for stage, scale in zip("abcd", ("half", "half", "h", None)):
-        rates = [stage + v for v in names]
-        body += _rate_lines(n, point[:n], point[n:], rates[:n], rates[n:])
-        if scale:
-            point = ["t" + v for v in names]
-            body += [f"{t} = {v} + {scale} * {k}" for t, v, k in zip(point, names, rates)]
-    body.append("sixth = h / 6.0")
-    body.append("return (" + " ".join(
-        f"{v} + sixth * (a{v} + 2 * b{v} + 2 * c{v} + d{v})," for v in names) + ")")
-    return _compile("rk4", n, "step(state, h)", body)
+    """rk4(z_1..z_n, Q_1..Q_n, h) -> the state after one _rk4_step, compiled for rank n."""
+    return _trace("rk4", n, lambda *s: _rk4_step(n, s[:-1], s[-1]), "h")
 
 
 def _check_window(n: int, state: tuple, t: float):
@@ -419,7 +428,7 @@ def _rk4_states(x0: PhasePoint, T: float, h: float):
     yield 0.0, state
     rk4_step = _rk4_kernel(n)
     for k in range(1, steps + 1):
-        state = rk4_step(state, h)
+        state = rk4_step(*state, h)
         _check_window(n, state, k * h)
         yield k * h, state
 

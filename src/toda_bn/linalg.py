@@ -35,7 +35,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite, ldexp
-from operator import mul
+from functools import reduce
+from operator import add, mul
 from typing import Iterable, Sequence, Union
 
 from .errors import DegeneratePointError, ModeError, SingularMatrixError
@@ -269,8 +270,11 @@ class SquareMatrix:
         if self._mode == "exact":
             return SquareMatrix._trusted(_exact_matmul(self._rows, other._rows), "exact")
         cols = list(zip(*other._rows))
+        # reduce, not sum(): sum() compensates float sums from Python 3.12 on,
+        # and in-order sums give the same bits on every version
         return SquareMatrix._trusted(
-            tuple(tuple([sum(map(mul, ra, col)) for col in cols]) for ra in self._rows),
+            tuple(tuple([reduce(add, map(mul, ra, col), 0) for col in cols])
+                  for ra in self._rows),
             self._mode)
 
     def __mul__(self, scalar):

@@ -352,11 +352,8 @@ def test_verify_report_golden(capsys):
         "225d156403546935751f088b6e303aff4112eb785aa5ff7b8cd4206e8f946a96"
 
 
-@pytest.mark.skipif(sys.version_info >= (3, 12), reason=(
-    "float matrix products use sum(), which sums with compensation from "
-    "Python 3.12 on, so the float gaps differ in their last bits there"))
 def test_verify_float_report_golden(capsys):
-    # pins the float report, RK4 flows included, on Python 3.7-3.11
+    # pins the float report, RK4 flows included, on every Python version
     code, out, _ = run(capsys, "verify", "--mode", "float", "--seed", "7",
                        "--n-max", "3", "--trials", "3")
     assert code == 0

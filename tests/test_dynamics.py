@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -406,15 +408,15 @@ def rk4_cases(draw):
 def test_rk4_kernel_matches_the_loop_step_bit_for_bit(case):
     n, state, h = case
     expected = _steps(lambda s, h: _reference_rk4_step(n, s, h), state, h)
-    assert _steps(_rk4_kernel(n), state, h) == expected
+    assert _steps(lambda s, h: _rk4_kernel(n)(*s, h), state, h) == expected
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", [*range(1, 13), 40])
 def test_rk4_kernel_matches_the_loop_step_on_the_chart(rng, n):
     x = to_phase(random_canonical(n, rng))
     state = x.z + x.Q
     for h in (2.0 ** -10, 1e-3, 1e-4, 0.5):
-        assert _steps(_rk4_kernel(n), state, h) == \
+        assert _steps(lambda s, h: _rk4_kernel(n)(*s, h), state, h) == \
             _steps(lambda s, h: _reference_rk4_step(n, s, h), state, h)
 
 
@@ -424,7 +426,7 @@ def test_kernels_reject_a_zero_z_at_every_position(n):
         for zero in (0.0, -0.0):
             z = [1.5] * n
             z[j] = zero
-            for call in (lambda: _rk4_kernel(n)((*z, *([0.25] * n)), 1e-3),
+            for call in (lambda: _rk4_kernel(n)(*z, *([0.25] * n), 1e-3),
                          lambda: _rates_kernel(n)(*z, *([0.25] * n)),
                          lambda: _chain_sums_kernel(n)(*z, *([0.25] * n))):
                 with pytest.raises(ZeroBaseError, match=r"^all z_i must be nonzero$"):
@@ -478,13 +480,31 @@ def test_chain_sums_kernel_matches_the_pass_bit_for_bit(case):
     assert _kernel_bits(n, state) == _pass_bits(n, state)
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", [*range(1, 13), 40])
 def test_chain_sums_kernel_matches_the_pass_on_the_chart(rng, n):
     for _ in range(3):
         x = to_phase(random_canonical(n, rng))
         f = _chain_sums_kernel(n)(*x.z, *x.Q)
         assert len(f) == 2 * n + 1 and all(type(v) is float for v in f)
         assert _bits(f) == _pass_bits(n, x.z + x.Q)
+
+
+def test_trace_caps_the_inline_depth_below_the_parser_limit(rng):
+    # a left fold of 300 inputs is one chain of single-use nodes; inlined
+    # whole it would nest 300 parentheses deep, and the parser allows 200
+    n = 150
+    fold = dynamics._trace("fold", n, lambda *s: (functools.reduce(operator.add, s),))
+    values = [rng.uniform(-1.0, 1.0) for _ in range(2 * n)]
+    assert _bits(fold(*values)) == _bits((functools.reduce(operator.add, values),))
+
+
+def test_trace_keeps_an_unused_division():
+    # the kernels use every node they record, so only a traced function that
+    # drops a quotient shows that the quotient is still computed
+    kernel = dynamics._trace("drop", 1, lambda z, q: (1 / z, q)[1:])
+    assert kernel(2.0, 0.5) == (0.5,)
+    with pytest.raises(ZeroBaseError, match=r"^all z_i must be nonzero$"):
+        kernel(0.0, 0.5)
 
 
 class _FloatOnlyMinuend(float):
