@@ -20,6 +20,13 @@ z_{n+1} = 1.  Both routes are implemented; they agree exactly wherever
 both are defined, and they preserve every conserved quantity (L+ is a
 conjugate of L).
 
+The conjugation route takes no dense inverse: kr_factors checks the
+factorization as C R = K, and backlund_conjugate solves K L+ = L K for
+L+.  K is tridiagonal (its only entry outside the two diagonal blocks,
+M_{n-1} a_n b_n, sits on the subdiagonal) with det K = (z_1 .. z_n)^2, so
+wherever kr_factors succeeds the solve is one elimination over K's band,
+and parameters_from_lax reads x+ off L+.
+
 The closed-form K/R display is ambiguous at n = 1 (the single diagonal
 entry is both "first row" and "last row" of the pattern), so kr_factors
 rejects n = 1; the closed-form map backlund_map handles n = 1 fine.
@@ -30,12 +37,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DegeneratePointError
+from .errors import DegeneratePointError, SingularMatrixError
 from .lax import PhasePoint, build_factors, build_lax, parameters_from_lax
 from .linalg import SquareMatrix
 from .dynamics import rk4_endpoint
 
-#: Relative tolerance for the float-mode C = K R^{-1} self-check.
+#: Relative tolerance, against max(1, max|K|), of the float-mode C R = K
+#: self-check.
 KR_CHECK_RTOL = 1e-9
 
 
@@ -69,8 +77,9 @@ def _aux(x: PhasePoint):
 def kr_factors(x: PhasePoint) -> KRFactors:
     """Build K in G_minus and R in G_plus with C = K @ R^{-1}, entrywise.
 
-    Requires n >= 2 and M_i != 0 for 1 <= i <= n-1; the product identity
-    C = K @ R^{-1} is re-checked on every call.
+    Requires n >= 2 and M_i != 0 for 1 <= i <= n-1.  Every call re-checks
+    the factorization as the product C R = K, which needs no inverse:
+    exactly at a rational point, and within KR_CHECK_RTOL at a float point.
     """
     n = x.n
     if n < 2:
@@ -114,15 +123,15 @@ def kr_factors(x: PhasePoint) -> KRFactors:
                                   [SquareMatrix.zero(n, mode), SquareMatrix(r22, mode)]])
 
     _, _, C = build_factors(x)
-    rebuilt = K @ R.inverse()
+    rebuilt = C @ R
     if mode == "exact":
-        if rebuilt != C:
-            raise RuntimeError("internal error: K R^{-1} does not rebuild C")
+        if rebuilt != K:
+            raise RuntimeError("internal error: C R does not rebuild K")
     else:
-        scale = max(C.max_abs(), 1.0)
-        if any(abs(rebuilt[i, j] - C[i, j]) > KR_CHECK_RTOL * scale
+        scale = max(K.max_abs(), 1.0)
+        if any(abs(rebuilt[i, j] - K[i, j]) > KR_CHECK_RTOL * scale
                for i in range(2 * n) for j in range(2 * n)):
-            raise DegeneratePointError("K R^{-1} check failed beyond float tolerance")
+            raise DegeneratePointError("C R = K check failed beyond float tolerance")
     return KRFactors(K, R, a, b, M, N)
 
 
@@ -148,12 +157,52 @@ def backlund_map(x: PhasePoint) -> PhasePoint:
     return PhasePoint(n, tuple(zp), tuple(Qp))
 
 
+def _band_solve(A: SquareMatrix, B: SquareMatrix) -> SquareMatrix:
+    """X with A X = B for a tridiagonal A; A's entries off its band are not read.
+
+    Gaussian elimination over the band with a two-row interchange, as
+    LAPACK's gtsv (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 9.5): the pivot of column c is row c as reduced so far or
+    row c+1, the first nonzero in exact mode and the larger |.| in float
+    mode, and an interchange fills one entry of a second superdiagonal.
+    Ring operations only, so exact mode is exact.  A zero pivot raises
+    SingularMatrixError("singular at column c").
+    """
+    d, a, b, exact = A.dim, A.rows, B.rows, A.mode == "exact"
+    zero = Fraction(0) if exact else 0.0
+
+    def entry(r, c):
+        return a[r][c] if c < d else zero
+
+    top, rtop = [a[0][0], entry(0, 1), zero], b[0]
+    U, Y = [], []  # row c of U holds its entries at columns c, c+1, c+2
+    for c in range(d):
+        if c + 1 < d:
+            bot, rbot = [a[c + 1][c], a[c + 1][c + 1], entry(c + 1, c + 2)], b[c + 1]
+            if (top[0] == 0) if exact else (abs(bot[0]) > abs(top[0])):
+                top, bot, rtop, rbot = bot, top, rbot, rtop
+        if top[0] == 0:
+            raise SingularMatrixError(f"singular at column {c}")
+        U.append(top)
+        Y.append(rtop)
+        if c + 1 < d:
+            m = bot[0] / top[0]
+            top = [bot[1] - m * top[1], bot[2] - m * top[2], zero]
+            rtop = [v - m * w for v, w in zip(rbot, rtop)]
+    X = [None] * d
+    for c in reversed(range(d)):
+        u, row = U[c], Y[c]
+        for k in (1, 2):
+            if c + k < d and u[k] != 0:
+                row = [v - u[k] * w for v, w in zip(row, X[c + k])]
+        X[c] = tuple(v / u[0] for v in row)
+    return SquareMatrix._trusted(tuple(X), A.mode)
+
+
 def backlund_conjugate(x: PhasePoint) -> PhasePoint:
-    """x -> x+ through L+ = K^{-1} L K and parameter recovery."""
-    fac = kr_factors(x)
-    L = build_lax(x)
-    Lp = fac.K.inverse() @ L @ fac.K
-    return parameters_from_lax(Lp)
+    """x -> x+ through K L+ = L K, solved on K's band, and parameter recovery."""
+    K = kr_factors(x).K
+    return parameters_from_lax(_band_solve(K, build_lax(x) @ K))
 
 
 def iterate(x: PhasePoint, steps: int) -> list[PhasePoint]:

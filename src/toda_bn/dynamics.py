@@ -30,6 +30,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -273,8 +274,11 @@ def hamiltonian(x: PhasePoint):
     """H = F_1 = tr L = sum_i (1-Q_i) z_i + sum_i (1-Q_{i-1}) z_i^{-1}."""
     zero = Fraction(0) if x.mode == "exact" else 0.0
     Qb = (zero,) + x.Q
-    return (sum(((1 - x.Q[i]) * x.z[i]) for i in range(x.n))
-            + sum((1 - Qb[i]) / x.z[i] for i in range(x.n)))
+    # reduce, not sum(): sum() compensates float sums from Python 3.12 on,
+    # and in-order sums give the same bits on every version
+    up = ((1 - x.Q[i]) * x.z[i] for i in range(x.n))
+    down = ((1 - Qb[i]) / x.z[i] for i in range(x.n))
+    return functools.reduce(operator.add, up, 0) + functools.reduce(operator.add, down, 0)
 
 
 # -- canonical chart ---------------------------------------------------------
@@ -323,8 +327,10 @@ def from_phase(x: PhasePoint) -> CanonicalPoint:
 def hamiltonian_canonical(c: CanonicalPoint) -> float:
     """H = 2 sum_i cosh(p_i) sqrt(1+E_{i-1}) sqrt(1+E_i) on the chart."""
     E = _chart_exponentials(c.q)
-    return 2 * sum(math.cosh(c.p[i - 1]) * math.sqrt(1 + E[i - 1]) * math.sqrt(1 + E[i])
-                   for i in range(1, c.n + 1))
+    terms = (math.cosh(c.p[i - 1]) * math.sqrt(1 + E[i - 1]) * math.sqrt(1 + E[i])
+             for i in range(1, c.n + 1))
+    # in-order, as hamiltonian adds
+    return 2 * functools.reduce(operator.add, terms, 0)
 
 
 def chart_brackets(c: CanonicalPoint):

@@ -312,36 +312,34 @@ def gamma_membership(L: SquareMatrix) -> GammaReport:
 
 
 def parameters_from_lax(L: SquareMatrix) -> PhasePoint:
-    """Recover (z, Q) from a generic Lax matrix.
+    """Recover (z, Q) from a Lax matrix by reading them off its entries.
 
-    Reads the coordinates off the unpivoted LU factorization of L^{-1}:
-    z_i = 1/upper[i,i] and Q_i = lower[i+1,i]*upper[i,i] for i = 1..n.
-    The bottom half of the factors repeats the z_i; those redundant reads
-    and a final rebuild of L are checked, and a mismatch raises
-    NotInGammaError (the matrix is outside the coordinate chart).
+    The last row of L ends in (-1)^k / (z_1 .. z_{k+1}) at column 2n-1-k,
+    and the upper left block's diagonal holds z_i (1 - Q_i), so
+
+        z_1 = 1 / L[2n-1, 2n-1],   z_{k+1} = -L[2n-1, 2n-k] / L[2n-1, 2n-1-k],
+        Q_i = 1 - L[i-1, i-1] / z_i.
+
+    No inverse is taken.  A zero among the last-row entries read raises
+    NotInGammaError, and so does a rebuild of L from (z, Q) that differs
+    from L at some entry (exactly, or beyond RECOVERY_RTOL in float mode):
+    the matrix is outside the coordinate chart.
     """
     d = L.dim
     if d % 2:
         raise ValueError("parameter recovery needs even dimension")
     n = d // 2
     mode = L.mode
-    lower, upper = L.inverse().lu_unit_lower()
-    scale = max(L.max_abs(), 1.0) if mode == "float" else 0.0
-
-    z = tuple(1 / upper[i, i] for i in range(n))
-    Q = tuple(lower[i + 1, i] * upper[i, i] for i in range(n))
+    reads = L.rows[-1][:n - 1:-1]  # L[2n-1, 2n-1-k] for k = 0..n-1
+    if 0 in reads:
+        raise NotInGammaError(f"zero entry at ({d - 1}, {d - 1 - reads.index(0)})")
+    z = (1 / reads[0], *(-reads[k - 1] / reads[k] for k in range(1, n)))
+    Q = tuple(1 - L[i, i] / z[i] for i in range(n))
 
     def close(a, b):
         if mode == "exact":
             return a == b
         return abs(a - b) <= RECOVERY_RTOL * max(abs(a), abs(b), 1.0)
-
-    for i in range(n):  # upper[n+i, n+i] repeats z in reverse order
-        if not close(upper[n + i, n + i], z[n - 1 - i]):
-            raise NotInGammaError(f"inconsistent diagonal read at {n + i}")
-    for k in range(n - 1):  # subdiagonal of the bottom half repeats 1/z
-        if not close(lower[n + k + 1, n + k], 1 / z[n - 1 - k]):
-            raise NotInGammaError(f"inconsistent subdiagonal read at {n + k + 1}")
 
     x = PhasePoint(n, z, Q)
     rebuilt = build_lax(x)

@@ -351,19 +351,33 @@ def check_path_weight_factorization(cfg: VerifySuiteConfig, rng: random.Random) 
     return IdentityResult(name, mode, True, trials * min(cfg.n_max, 3), resamples)
 
 
+def lu_read(L: SquareMatrix) -> lx.PhasePoint:
+    """The paper's read of (z, Q) off the unpivoted LU factors of L^{-1}:
+    z_i = 1/upper[i,i] and Q_i = lower[i+1,i] upper[i,i] for i = 1..n."""
+    n = L.dim // 2
+    lower, upper = L.inverse().lu_unit_lower()
+    return lx.PhasePoint(n, tuple(1 / upper[i, i] for i in range(n)),
+                         tuple(lower[i + 1, i] * upper[i, i] for i in range(n)))
+
+
 def check_parameter_roundtrip(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
-    """parameters_from_lax(build_lax(x)) == x, exactly."""
+    """Both routes back from build_lax(x) return x, exactly: the read-off
+    of parameters_from_lax and the LU read of L^{-1} (lu_read)."""
     name, mode = "parameter-roundtrip", "rational"
     resamples = 0
+
+    def both_routes(x):
+        L = lx.build_lax(x)
+        return lu_read(L), lx.parameters_from_lax(L)
+
     for n in range(1, cfg.n_max + 1):
         ones = lx.PhasePoint(n, (Fraction(1),) * n, (Fraction(0),) * n)
-        if lx.parameters_from_lax(lx.build_lax(ones)) != ones:
+        if both_routes(ones) != (ones, ones):
             return _fail(name, mode, {"n": n, "which": "unit point"})
         for t in range(cfg.trials):
-            x, back, rs = sample_generic(
-                lambda: random_point(n, rng), lambda p: lx.parameters_from_lax(lx.build_lax(p)))
+            x, back, rs = sample_generic(lambda: random_point(n, rng), both_routes)
             resamples += rs
-            if back != x:
+            if back != (x, x):
                 return _fail(name, mode, {"n": n, "point": x.to_json_obj()},
                              t, resamples)
     return IdentityResult(name, mode, True, cfg.trials * cfg.n_max, resamples)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,9 +6,12 @@ import pytest
 from toda_bn import (
     DegeneratePointError,
     PhasePoint,
+    SingularMatrixError,
+    SquareMatrix,
     backlund_conjugate,
     backlund_map,
     build_factors,
+    build_lax,
     conserved_values,
     flow_commutation_check,
     hamiltonian,
@@ -16,9 +20,11 @@ from toda_bn import (
     membership,
     to_phase,
 )
+from toda_bn.backlund import KR_CHECK_RTOL, _band_solve
 from toda_bn.conserved import _conserved_values_exact
 from toda_bn.lax import _build_lax_exact
-from toda_bn.verify import printed_backlund_n2, random_canonical, random_point, random_rational
+from toda_bn.verify import (printed_backlund_n2, random_canonical, random_matrix, random_point,
+                            random_rational)
 
 
 def test_kr_worked_point(worked_point):
@@ -57,6 +63,68 @@ def test_kr_random_points(rng):
 def test_kr_rejects_n1():
     with pytest.raises(DegeneratePointError):
         kr_factors(PhasePoint(1, (Fraction(2),), (Fraction(1, 3),)))
+
+
+def _k_factors(rng, n, count, mode="exact"):
+    """K of kr_factors at `count` random points of rank n where it exists,
+    with each point's L."""
+    out = []
+    while len(out) < count:
+        x = random_point(n, rng)
+        x = x.to_float() if mode == "float" else x
+        try:
+            out.append((kr_factors(x).K, build_lax(x), x))
+        except DegeneratePointError:
+            continue
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_band_solve_equals_the_dense_inverse(rng, n):
+    for K, L, x in _k_factors(rng, n, 3):
+        assert K.det() == math.prod(x.z) ** 2  # so K is invertible wherever it exists
+        for B in (L @ K, random_matrix(2 * n, rng)):
+            assert _band_solve(K, B) == K.inverse() @ B
+
+
+def test_band_solve_interchanges_past_a_zero_pivot(rng):
+    # in both modes, at columns 0 and 2
+    rows = [[0, 2, 0, 0], [3, 1, 4, 0], [0, 5, 0, 6], [0, 0, 7, 1]]
+    A, B = SquareMatrix(rows), random_matrix(4, rng)
+    X = A.inverse() @ B
+    assert _band_solve(A, B) == X
+    got = _band_solve(SquareMatrix(rows, "float"), SquareMatrix(B.rows, "float"))
+    assert all(abs(got[i, j] - X[i, j]) <= 1e-14 * max(1, abs(X[i, j]))
+               for i in range(4) for j in range(4))
+
+
+def test_float_band_solve_pivots_on_the_larger_entry():
+    # eliminating with the tiny pivot 1e-20 would leave x_1 = 0
+    A = SquareMatrix([[1e-20, 1.0], [1.0, 1.0]])
+    X = _band_solve(A, SquareMatrix([[1.0, 0.0], [2.0, 0.0]]))
+    assert abs(X[0, 0] - 1.0) <= 1e-15 and abs(X[1, 0] - 1.0) <= 1e-15
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("rows, column", [
+    ([[0, 0], [0, 1]], 0),
+    ([[1, 2], [2, 4]], 1),
+    ([[1, 1, 0, 0], [1, 1, 1, 0], [0, 0, 1, 1], [0, 0, 1, 1]], 1),
+])
+def test_band_solve_rejects_a_singular_band(mode, rows, column):
+    A = SquareMatrix(rows, mode)
+    with pytest.raises(SingularMatrixError, match=f"singular at column {column}$"):
+        _band_solve(A, SquareMatrix.identity(A.dim, mode))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_float_band_solve_agrees_with_the_dense_route(rng, n):
+    for K, L, _ in _k_factors(rng, n, 3, "float"):
+        B = L @ K
+        got, dense = _band_solve(K, B), K.inverse() @ B
+        scale = max(dense.max_abs(), 1.0)
+        assert all(abs(got[i, j] - dense[i, j]) <= KR_CHECK_RTOL * scale
+                   for i in range(2 * n) for j in range(2 * n))
 
 
 def test_backlund_worked_point(worked_point):

@@ -358,7 +358,7 @@ def test_verify_float_report_golden(capsys):
                        "--n-max", "3", "--trials", "3")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "33503bbc4619544336aff281eb7589410d8c5acd9363ae159830aeaddb8760b3"
+        "c2d1f36c2786e912e5507e46db1fb6c1a49b3339b8f3d00bf726be5dfe947107"
 
 
 # simulate CSVs, drift column included, in the benchmark's argv form:

@@ -173,6 +173,35 @@ def test_canonical_hamiltonian_matches_pullback(rng):
         assert abs(hamiltonian_canonical(c) - hamiltonian(to_phase(c))) < 1e-12
 
 
+def _in_order(values):
+    acc = 0
+    for v in values:
+        acc += v
+    return acc
+
+
+# canonical points where an in-order float sum and a compensated one (as
+# sum() adds floats from Python 3.12 on) round differently
+@pytest.mark.parametrize("q, p", [
+    ((0.31, -0.52, 0.17), (0.12, -0.43, 0.64)),
+    ((0.44, -0.19, 0.27, -0.63, 0.08, 0.35, -0.41, 0.16),
+     (0.22, -0.31, 0.57, 0.09, -0.46, 0.13, -0.05, 0.38)),
+])
+def test_hamiltonians_add_in_order_on_every_version(q, p):
+    c = CanonicalPoint(q, p)
+    x = to_phase(c)
+    E = dynamics._chart_exponentials(c.q)
+    terms = [math.cosh(c.p[i - 1]) * math.sqrt(1 + E[i - 1]) * math.sqrt(1 + E[i])
+             for i in range(1, c.n + 1)]
+    Qb = (0.0,) + x.Q
+    up = [(1 - x.Q[i]) * x.z[i] for i in range(x.n)]
+    down = [(1 - Qb[i]) / x.z[i] for i in range(x.n)]
+    in_order = (2 * _in_order(terms), _in_order(up) + _in_order(down))
+    assert (hamiltonian_canonical(c).hex(), hamiltonian(x).hex()) == \
+        tuple(v.hex() for v in in_order)
+    assert in_order != (2 * math.fsum(terms), math.fsum(up) + math.fsum(down))
+
+
 def test_chart_brackets_match_structure_table(rng):
     c = random_canonical(3, rng)
     x = to_phase(c)

@@ -17,7 +17,7 @@ from toda_bn import (
 )
 from toda_bn.conserved import _conserved_values_exact, conserved_values
 from toda_bn.lax import _build_lax_exact, evaluate_matrix
-from toda_bn.verify import printed_lax_n2, random_point
+from toda_bn.verify import lu_read, printed_lax_n2, random_point
 
 
 def test_factors_n1():
@@ -199,6 +199,23 @@ def test_parameter_roundtrip_degenerate_corner():
 
 def test_parameter_roundtrip_worked_point(worked_point):
     assert parameters_from_lax(build_lax(worked_point)) == worked_point
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_read_off_equals_the_lu_route(rng, n):
+    ones = PhasePoint(n, (Fraction(1),) * n, (Fraction(0),) * n)
+    for x in [ones] + [random_point(n, rng) for _ in range(6)]:
+        L = build_lax(x)
+        assert parameters_from_lax(L) == lu_read(L) == x
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_zero_in_the_last_row_is_not_in_gamma(worked_point, mode):
+    x = worked_point if mode == "exact" else worked_point.to_float()
+    L = build_lax(x)
+    for j in (2, 3):  # the last-row entries the read-off divides by
+        with pytest.raises(NotInGammaError, match=rf"zero entry at \(3, {j}\)"):
+            parameters_from_lax(L.with_entry(3, j, 0))
 
 
 def test_not_in_gamma_detected(worked_point):
