@@ -35,11 +35,10 @@ rejects n = 1; the closed-form map backlund_map handles n = 1 fine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import DegeneratePointError, SingularMatrixError
 from .lax import PhasePoint, build_factors, build_lax, parameters_from_lax
-from .linalg import SquareMatrix
+from .linalg import _UNITS, SquareMatrix
 from .dynamics import rk4_endpoint
 
 #: Relative tolerance, against max(1, max|K|), of the float-mode C R = K
@@ -65,7 +64,7 @@ class KRFactors:
 
 def _aux(x: PhasePoint):
     n, z, Q = x.n, x.z, x.Q
-    one = Fraction(1) if x.mode == "exact" else 1.0
+    one = _UNITS[x.mode][0]
     a = tuple(Q[i] * z[i] for i in range(n))
     b = tuple(z)
     M = [one] * (n + 2)
@@ -87,8 +86,7 @@ def kr_factors(x: PhasePoint) -> KRFactors:
             "closed-form K/R factors are defined for n >= 2 only")
     a, b, M = _aux(x)
     mode = x.mode
-    one = Fraction(1) if mode == "exact" else 1.0
-    zero = Fraction(0) if mode == "exact" else 0.0
+    one, zero = _UNITS[mode]
     if any(M[i] == 0 for i in range(1, n)):
         raise DegeneratePointError("some M_i vanishes; K/R factors undefined")
     N = tuple(1 - a[i - 1] * a[i] / (b[i] * b[i + 1]) for i in range(1, n - 1))
@@ -139,7 +137,7 @@ def backlund_map(x: PhasePoint) -> PhasePoint:
     """The closed-form birational map x -> x+."""
     n = x.n
     _, _, M = _aux(x)
-    one = Fraction(1) if x.mode == "exact" else 1.0
+    one, zero = _UNITS[x.mode]
     if any(M[i] == 0 for i in range(1, n)):
         raise DegeneratePointError("some M_i vanishes; map undefined")
     zext = tuple(x.z) + (one,)  # z_{n+1} = 1
@@ -148,7 +146,7 @@ def backlund_map(x: PhasePoint) -> PhasePoint:
         Qp.append((M[i - 1] * M[i + 1] / M[i] ** 2)
                   * (zext[i - 1] ** 2 / zext[i] ** 2) * x.Q[i - 1])
     zp = []
-    prev_qp = Fraction(0) if x.mode == "exact" else 0.0  # Q_0+ = 0
+    prev_qp = zero  # Q_0+ = 0
     for i in range(1, n + 1):
         if 1 - Qp[i - 1] == 0:
             raise DegeneratePointError(f"1 - Q_{i}+ vanishes; map undefined")
@@ -169,7 +167,7 @@ def _band_solve(A: SquareMatrix, B: SquareMatrix) -> SquareMatrix:
     SingularMatrixError("singular at column c").
     """
     d, a, b, exact = A.dim, A.rows, B.rows, A.mode == "exact"
-    zero = Fraction(0) if exact else 0.0
+    zero = _UNITS[A.mode][1]
 
     def entry(r, c):
         return a[r][c] if c < d else zero

@@ -128,17 +128,9 @@ def cmd_conserved(args) -> int:
     return 0
 
 
-def _float_range(fn):
-    """fn(), with an OverflowError from a point past the float range as CliError."""
-    try:
-        return fn()
-    except OverflowError as e:
-        raise CliError(f"point is out of the float range: {e}") from e
-
-
 def cmd_simulate(args) -> int:
     x, _ = _parse_point(args.init, args.n)
-    x0 = _float_range(x.to_float)
+    x0 = x.to_float()
     try:
         dy.step_count(args.T, args.h, names=("--T", "--h"))
     except ValueError as e:
@@ -159,8 +151,7 @@ def cmd_backlund(args) -> int:
     x, _ = _parse_point(args.point, args.n)
     if args.steps < 0:
         raise CliError("--steps must be >= 0")
-    payload = _float_range(lambda: _backlund_payload(x, args.steps, args.route))
-    _emit(_json_dumps(payload), args.out)
+    _emit(_json_dumps(_backlund_payload(x, args.steps, args.route)), args.out)
     return 0
 
 
@@ -197,8 +188,7 @@ def _canonical_payload(x, c) -> dict:
 
 def cmd_canonical(args) -> int:
     x, c = _parse_point(args.point, args.n)
-    payload = _float_range(lambda: _canonical_payload(x, c))
-    _emit(_json_dumps(payload), args.out)
+    _emit(_json_dumps(_canonical_payload(x, c)), args.out)
     return 0
 
 
@@ -285,6 +275,10 @@ def main(argv=None) -> int:
         return 2
     except TodaError as e:
         print(f"error: {type(e).__name__}: {e}", file=sys.stderr)
+        return 2
+    except ArithmeticError as e:
+        # a float point past the range: an overflow, or a division by an underflowed 0.0
+        print(f"error: point is out of the float range: {e}", file=sys.stderr)
         return 2
 
 

@@ -309,33 +309,29 @@ def path_weight_oracle(x: PhasePoint) -> PathWeightReport:
     a = [qprod[i] * zprod[i] for i in range(n)]            # a_i = bQ_{i-1} bz_{i-1}
     b = [qprod[n] * zprod[n - i] for i in range(1, n + 1)]  # b_i = bQ_n bz_{n-i}
 
-    D = SquareMatrix.zero(d)
-    Z = SquareMatrix.identity(d)
-    Lam = SquareMatrix.identity(d)
-    for i in range(n):
-        D = D.with_entry(i, i, a[i]).with_entry(n + i, n + i, b[i])
-        Z = Z.with_entry(n + i, n + i, z[n - 1 - i])
+    def diag(values) -> list[list]:
+        return [[v if i == j else Fraction(0) for j in range(d)] for i, v in enumerate(values)]
+
+    ones = [Fraction(1)] * d
+    Lam, bidiag, corner = diag(ones), diag(ones), diag(ones)
     for k in range(d - 1):
-        Lam = Lam.with_entry(k + 1, k, Fraction(1))
+        Lam[k + 1][k] = Fraction(1)
+    for k in range(1, n):
+        bidiag[k - 1][k] = Q[k - 1]
+        bidiag[n + k - 1][n + k] = Q[n - k - 1]
+    tail = Fraction(1)
+    for k in range(n, 0, -1):
+        tail *= Q[k - 1]  # Q_k .. Q_n
+        corner[k - 1][d - k] = tail
+    D, Z, zdiag, Lam, bidiag, corner = (
+        SquareMatrix(rows, "exact")
+        for rows in (diag(a + b), diag([*ones[:n], *z[::-1]]),
+                     diag([*z, *(1 / v for v in z[::-1])]), Lam, bidiag, corner))
 
     N, B, C = build_factors(x)
     c_ok = (C == Z @ (D @ Lam @ D.inverse()))
 
     M = D.inverse() @ Z.inverse() @ N @ B @ D
-
-    zdiag = SquareMatrix.zero(d)
-    bidiag = SquareMatrix.identity(d)
-    corner = SquareMatrix.identity(d)
-    for i in range(n):
-        zdiag = zdiag.with_entry(i, i, z[i]).with_entry(n + i, n + i, 1 / z[n - 1 - i])
-    for k in range(1, n):
-        bidiag = bidiag.with_entry(k - 1, k, Q[k - 1])
-        bidiag = bidiag.with_entry(n + k - 1, n + k, Q[n - k - 1])
-    for k in range(1, n + 1):
-        tail = Fraction(1)
-        for m in range(k, n + 1):
-            tail *= Q[m - 1]
-        corner = corner.with_entry(k - 1, d - k, tail)
     three_ok = (M == zdiag @ bidiag @ corner)
 
     entry_ok = True

@@ -32,14 +32,13 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Sequence
 
 from .conserved import (MAX_SYMBOLIC_RANK, _chain_sums, conserved_values,
                         conserved_values_by_path)
 from .errors import ModeError, OutOfChartError, StepBlowupError, ZeroBaseError
 from .lax import PhasePoint, build_lax, parameters_from_lax
-from .linalg import SquareMatrix, mat_exp
+from .linalg import _UNITS, SquareMatrix, mat_exp
 from .splitting import factor_minus_plus, project
 
 #: Trajectories must keep every |z_i| inside this window.
@@ -253,27 +252,34 @@ def _rates_kernel(n: int):
     return _trace("rates", n, lambda *s: _rates(n, s[:n], s[n:]))
 
 
+def _poisson_rows(n: int, z: Sequence, Q: Sequence, zero) -> list[list]:
+    """The rows of Pi over u = (Q_1..Q_n, z_1..z_n), in the ring of z and Q.
+
+    {Q_i, z_i} = Q_i z_i and {Q_i, z_{i+1}} = -Q_i z_{i+1} are the only
+    brackets that are not zero (``zero``), up to antisymmetry.
+    """
+    rows = [[zero] * (2 * n) for _ in range(2 * n)]
+    for i in range(n):
+        rows[i][n + i] = Q[i] * z[i]
+        rows[n + i][i] = -rows[i][n + i]
+        if i + 1 < n:
+            rows[i][n + i + 1] = -Q[i] * z[i + 1]
+            rows[n + i + 1][i] = -rows[i][n + i + 1]
+    return rows
+
+
 def poisson_structure(x: PhasePoint) -> SquareMatrix:
     """Structure matrix Pi over u = (Q_1..Q_n, z_1..z_n) at x.
 
     Pi[a, b] = {u_a, u_b}; the bracket of two functions is grad(f) . Pi . grad(g).
     """
-    n = x.n
-    zero = Fraction(0) if x.mode == "exact" else 0.0
-    rows = [[zero] * (2 * n) for _ in range(2 * n)]
-    for i in range(n):
-        rows[i][n + i] = x.Q[i] * x.z[i]
-        rows[n + i][i] = -rows[i][n + i]
-        if i + 1 < n:
-            rows[i][n + i + 1] = -x.Q[i] * x.z[i + 1]
-            rows[n + i + 1][i] = -rows[i][n + i + 1]
-    return SquareMatrix(rows, x.mode)
+    rows = _poisson_rows(x.n, x.z, x.Q, _UNITS[x.mode][1])
+    return SquareMatrix._trusted(tuple(map(tuple, rows)), x.mode)
 
 
 def hamiltonian(x: PhasePoint):
     """H = F_1 = tr L = sum_i (1-Q_i) z_i + sum_i (1-Q_{i-1}) z_i^{-1}."""
-    zero = Fraction(0) if x.mode == "exact" else 0.0
-    Qb = (zero,) + x.Q
+    Qb = (_UNITS[x.mode][1],) + x.Q
     # reduce, not sum(): sum() compensates float sums from Python 3.12 on,
     # and in-order sums give the same bits on every version
     up = ((1 - x.Q[i]) * x.z[i] for i in range(x.n))

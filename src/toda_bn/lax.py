@@ -22,15 +22,14 @@ are parametrized by (z, Q); ``parameters_from_lax`` inverts the chart.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isfinite
 from typing import Sequence
 
 from .errors import NotInGammaError, ZeroBaseError
 from .laurent import LaurentPoly
-from .linalg import (SquareMatrix, _check_finite, coerce_scalar, format_scalar, parse_scalar,
-                     scalars_mode)
+from .linalg import (_UNITS, SquareMatrix, _check_finite, coerce_scalar, format_scalar,
+                     parse_scalar, scalars_mode)
 
 #: Relative tolerance for the consistency reads of parameter recovery in
 #: float mode (exact mode uses exact equality).
@@ -100,10 +99,6 @@ class GammaReport:
     @property
     def in_gamma(self) -> bool:
         return self.in_gamma1 and self.in_gamma2
-
-
-#: The units (one, zero) of each scalar mode.
-_UNITS = {"exact": (Fraction(1), Fraction(0)), "float": (1.0, 0.0)}
 
 
 def _qz(x: PhasePoint) -> list:
@@ -244,20 +239,18 @@ def _is_zero(v, mode, scale) -> bool:
     return abs(v) <= RECOVERY_RTOL * max(scale, 1.0)
 
 
-def _is_one(v, mode, scale) -> bool:
-    return _is_zero(v - 1, mode, scale)
-
-
 def gamma_membership(L: SquareMatrix) -> GammaReport:
     """Test membership of L in the two defining varieties.
 
-    Gamma_1 constrains L^{-1}: the upper-left block is lower Hessenberg,
-    row n+1 of the left half vanishes except in column n, the remaining
-    bottom rows vanish in the left half, and in the right half they are
-    zero below the full matrix's subdiagonal, which itself is 1.
+    Gamma_1 requires L^{-1} to be upper Hessenberg with its subdiagonal 1
+    in the last n - 1 rows: with 0-based indices, L^{-1}[i, j] = 0 for
+    j < i - 1, and L^{-1}[i, i - 1] = 1 for i > n.
 
     Gamma_2 requires L = [[U, J], [*, W]] with
     L^{-1} = [[J W J, -J], [*, J U J]].
+
+    ``first_violation`` is the first failed entry, Gamma_1's in row-major
+    order before Gamma_2's block by block.
     """
     d = L.dim
     if d % 2:
@@ -267,48 +260,22 @@ def gamma_membership(L: SquareMatrix) -> GammaReport:
     mode = L.mode
     scale = max(L.max_abs(), A.max_abs()) if mode == "float" else 0.0
 
-    violation = None
+    def is_zero(v):
+        return _is_zero(v, mode, scale)
 
-    def viol(which, i, j):
-        nonlocal violation
-        if violation is None:
-            violation = (which, i, j)
-
-    in_g1 = True
-    for i in range(d):
-        for j in range(d):
-            v = A[i, j]
-            ok = True
-            if i < n and j < n:
-                ok = (i <= j + 1) or _is_zero(v, mode, scale)
-            elif i == n and j < n - 1:
-                ok = _is_zero(v, mode, scale)
-            elif i > n and j < n:
-                ok = _is_zero(v, mode, scale)
-            elif i > n and n <= j < i - 1:
-                ok = _is_zero(v, mode, scale)
-            elif i > n and j == i - 1:
-                ok = _is_one(v, mode, scale)
-            if not ok:
-                in_g1 = False
-                viol("gamma1", i, j)
-
+    g1 = [("gamma1", i, j) for i, row in enumerate(A.rows) for j in range(i)
+          if not (is_zero(row[j]) if j < i - 1 else i <= n or is_zero(row[j] - 1))]
     J = SquareMatrix.reversal(n, mode)
-    in_g2 = True
     blocks = [
         ("gamma2:upper-right-of-L", L.block(0, n, n), J),
         ("gamma2:upper-right-of-inverse", A.block(0, n, n), -J),
         ("gamma2:upper-left-of-inverse", A.block(0, 0, n), L.block(n, n, n).flip()),
         ("gamma2:lower-right-of-inverse", A.block(n, n, n), L.block(0, 0, n).flip()),
     ]
-    for name, got, expect in blocks:
-        diff = got - expect
-        for i in range(n):
-            for j in range(n):
-                if not _is_zero(diff[i, j], mode, scale):
-                    in_g2 = False
-                    viol(name, i, j)
-    return GammaReport(in_g1, in_g2, violation)
+    g2 = [(name, i, j) for name, got, expect in blocks
+          for i, row in enumerate((got - expect).rows) for j, v in enumerate(row)
+          if not is_zero(v)]
+    return GammaReport(not g1, not g2, (g1 + g2)[0] if g1 or g2 else None)
 
 
 def parameters_from_lax(L: SquareMatrix) -> PhasePoint:

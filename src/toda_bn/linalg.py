@@ -47,6 +47,9 @@ Scalar = Union[Fraction, float]
 #: singularity / degeneracy.  Single documented constant for the package.
 SINGULARITY_RTOL = 1e-12
 
+#: The units (one, zero) of each scalar mode.
+_UNITS = {"exact": (Fraction(1), Fraction(0)), "float": (1.0, 0.0)}
+
 
 def classify_scalar(value) -> str:
     """Return the mode ("exact" or "float") a raw scalar belongs to."""
@@ -160,20 +163,17 @@ class SquareMatrix:
 
     @classmethod
     def identity(cls, d: int, mode: str = "exact") -> "SquareMatrix":
-        one = Fraction(1) if mode == "exact" else 1.0
-        zero = Fraction(0) if mode == "exact" else 0.0
+        one, zero = _UNITS[mode]
         return cls([[one if i == j else zero for j in range(d)] for i in range(d)], mode)
 
     @classmethod
     def zero(cls, d: int, mode: str = "exact") -> "SquareMatrix":
-        zero = Fraction(0) if mode == "exact" else 0.0
-        return cls([[zero] * d for _ in range(d)], mode)
+        return cls([[_UNITS[mode][1]] * d for _ in range(d)], mode)
 
     @classmethod
     def reversal(cls, d: int, mode: str = "exact") -> "SquareMatrix":
         """The anti-diagonal permutation J = sum_i E_{i, d+1-i}."""
-        one = Fraction(1) if mode == "exact" else 1.0
-        zero = Fraction(0) if mode == "exact" else 0.0
+        one, zero = _UNITS[mode]
         return cls([[one if j == d - 1 - i else zero for j in range(d)] for i in range(d)], mode)
 
     @classmethod

@@ -2,8 +2,8 @@
 
 With matrices written in n x n blocks and J the n x n reversal:
 
-* the "plus" subalgebra consists of [[X, Y], [0, Z]] with X upper
-  triangular and Z strictly upper triangular (zero diagonal);
+* the "plus" subalgebra consists of the upper triangular 2n x 2n
+  matrices [[X, Y], [0, Z]] whose block Z has a zero diagonal;
 * the "minus" subalgebra consists of [[U, 0], [V, W]] with
   W = J U J = ``U.flip()``, an index flip rather than two products.
 
@@ -11,8 +11,8 @@ The two patterns intersect trivially and sum to everything, so they
 define linear projections pi_plus / pi_minus computed here by an explicit
 entrywise rule.  The corresponding groups are
 
-* G_plus: block upper triangular with invertible upper-triangular X block
-  and unit upper-triangular Z block;
+* G_plus: upper triangular with invertible X block and unit diagonal
+  Z block;
 * G_minus: block lower triangular with W = J U J.
 
 A generic invertible matrix factors uniquely as X = K R with K in G_minus
@@ -77,6 +77,9 @@ def _close(a, b, mode, scale) -> bool:
 def membership(X: SquareMatrix, which: str) -> bool:
     """Pattern predicate for the two subalgebras and the two subgroups.
 
+    g_plus and G_plus are the upper triangular matrices whose lower right
+    block has diagonal 0 (g_plus), or diagonal 1 with no zero on the upper
+    left block's diagonal (G_plus).
     Group membership requires an invertible matrix and raises
     SingularMatrixError otherwise.
     """
@@ -96,14 +99,8 @@ def membership(X: SquareMatrix, which: str) -> bool:
         return _close(v, 1, mode, scale)
 
     if which in ("g_plus", "G_plus"):
-        for i in range(n):
-            for j in range(n):
-                if not zero(X[n + i, j]):
-                    return False
-        for i in range(n):
-            for j in range(i):
-                if not zero(X[i, j]) or not zero(X[n + i, n + j]):
-                    return False
+        if not all(zero(v) for i, row in enumerate(X.rows) for v in row[:i]):
+            return False  # not upper triangular
         if which == "g_plus":
             return all(zero(X[n + i, n + i]) for i in range(n))
         return (all(not zero(X[i, i]) for i in range(n))

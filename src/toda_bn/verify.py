@@ -476,25 +476,14 @@ def check_lax_hamilton(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityRe
     return IdentityResult(name, mode, True, cfg.trials * cfg.n_max)
 
 
-def _poisson_symbolic(n: int) -> list[list[LaurentPoly]]:
-    zero = LaurentPoly.zero(n)
-    rows = [[zero] * (2 * n) for _ in range(2 * n)]
-    for i in range(1, n + 1):
-        qz = LaurentPoly.q_var(n, i) * LaurentPoly.z_var(n, i)
-        rows[i - 1][n + i - 1] = qz
-        rows[n + i - 1][i - 1] = -qz
-        if i < n:
-            qz2 = LaurentPoly.q_var(n, i) * LaurentPoly.z_var(n, i + 1)
-            rows[i - 1][n + i] = -qz2
-            rows[n + i][i - 1] = qz2
-    return rows
-
-
 def check_poisson(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
-    """Antisymmetry, the coordinate Jacobi identity, and u' = {u, H}."""
+    """Antisymmetry and the coordinate Jacobi identity of dynamics' Pi
+    builder over the Laurent variables, and u' = {u, H} at points."""
     name, mode = "poisson-structure-exact", "rational"
     for n in range(1, min(cfg.n_max, 3) + 1):
-        pi = _poisson_symbolic(n)
+        pi = dy._poisson_rows(n, [LaurentPoly.z_var(n, i) for i in range(1, n + 1)],
+                              [LaurentPoly.q_var(n, i) for i in range(1, n + 1)],
+                              LaurentPoly.zero(n))
         names = [f"Q{i}" for i in range(1, n + 1)] + [f"z{i}" for i in range(1, n + 1)]
         d = 2 * n
         for a in range(d):

@@ -1,5 +1,8 @@
+import contextlib
 import hashlib
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,10 +10,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import toda_bn
 from toda_bn import conserved as cv
 from toda_bn.cli import main
+from toda_bn.dynamics import Z_WINDOW
 
 WORKED = '{"n": 2, "z": ["2", "3"], "Q": ["1/2", "1/5"]}'
 
@@ -417,3 +423,66 @@ def test_package_runs_without_numpy_and_scipy():
     done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+# -- arbitrary points -------------------------------------------------------------
+#
+# Every command at any point either works or exits 2 with one line: floats
+# log-uniform in magnitude over the whole float range, mixed with the edges,
+# and small rationals.
+
+
+def run_quietly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+LOG_UNIFORM = st.builds(lambda sign, e: sign * 10.0 ** e,
+                        st.sampled_from([1.0, -1.0]), st.floats(-300, 308))
+EDGES = st.sampled_from([0.0, -0.0, 1.0, -1.0, *Z_WINDOW, *(-v for v in Z_WINDOW)])
+SMALL_RATIONALS = st.builds(lambda p, q: f"{p}/{q}", st.integers(-9, 9), st.integers(1, 9))
+
+
+@st.composite
+def any_points(draw):
+    n = draw(st.integers(1, 8))
+    scalar = draw(st.sampled_from([LOG_UNIFORM | EDGES, SMALL_RATIONALS]))
+    z, Q = (draw(st.lists(scalar, min_size=n, max_size=n)) for _ in "zQ")
+    return json.dumps({"n": n, "z": z, "Q": Q})
+
+
+@settings(max_examples=40, deadline=None)
+@given(any_points(), st.integers(0, 3))
+# an overflow in the drift's F(0)
+@example('{"n":3,"z":[1e-12,950.0001090156331,-1.0],"Q":[2.0,-1e+308,-1.337018070991546]}', 1)
+# a z read off L+ underflows to 0.0
+@example('{"n":3,"z":[1e-300,-0.875,1e12],"Q":[0.0,-1.2387329333021655,2.605562931980854]}', 2)
+# a z_i ** 2 of the map underflows to 0.0
+@example('{"n":8,"z":[-6900969.7564409245,-1.0401722287739625,-0.3645876930233589,1e-300,'
+         '-1e+150,-1e-12,2157.09514056933,1.408404730007256],"Q":[-287.02590252045593,'
+         '0.5522197520706897,0.0,0.8839691432957539,4964717.404354432,-1e-12,'
+         '-0.00017466560688266422,-1e-13]}', 3)
+def test_every_command_works_or_exits_2_at_any_point(point, steps):
+    argvs = [["lax", "--point", point], ["conserved", "--point", point],
+             *(["backlund", "--route", route, "--steps", str(steps), "--point", point]
+               for route in ("map", "conjugate", "both")),
+             ["canonical", "--point", point],
+             ["simulate", "--T", "0.004", "--h", "0.001", "--init", point]]
+    for argv in argvs:
+        code, out, err = run_quietly(argv)
+        assert code in (0, 2), (argv, code, err)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        elif argv[0] == "simulate":
+            header, *rows = [line.split(",") for line in out.splitlines()]
+            assert len(rows) == 5
+            assert all(len(row) == len(header) for row in rows)
+            assert all(math.isfinite(float(v)) for row in rows for v in row), (argv, out)
+        else:
+            json.loads(out, parse_constant=reject_constant)

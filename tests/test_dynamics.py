@@ -115,8 +115,16 @@ def test_bracket_with_hamiltonian_reproduces_rhs(rng):
         assert tuple(udot[n:]) == dz
 
 
+def _poisson_symbolic(n):
+    """dynamics' Pi builder over the Laurent variables of rank n."""
+    from toda_bn.laurent import LaurentPoly
+
+    return dynamics._poisson_rows(n, [LaurentPoly.z_var(n, i) for i in range(1, n + 1)],
+                                  [LaurentPoly.q_var(n, i) for i in range(1, n + 1)],
+                                  LaurentPoly.zero(n))
+
+
 def test_jacobi_identity_symbolic():
-    from toda_bn.verify import _poisson_symbolic
     from toda_bn.laurent import LaurentPoly
 
     for n in (1, 2):
@@ -131,6 +139,18 @@ def test_jacobi_identity_symbolic():
                         for e in range(d):
                             acc = acc + pi[u][e] * pi[v][w].partial_derivative(names[e])
                     assert acc.is_zero()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_symbolic_poisson_rows_evaluate_to_poisson_structure(rng, n):
+    pi = _poisson_symbolic(n)
+    for _ in range(10):
+        x = random_point(n, rng)
+        assert SquareMatrix([[p.evaluate(x.z, x.Q) for p in row] for row in pi]) \
+            == poisson_structure(x)
+        xf = x.to_float()
+        assert poisson_structure(xf).rows == tuple(
+            tuple(p.evaluate(xf.z, xf.Q) for p in row) for row in pi)
 
 
 def test_canonical_chart_spot_values():

@@ -16,8 +16,8 @@ from toda_bn import (
     parameters_from_lax,
 )
 from toda_bn.conserved import _conserved_values_exact, conserved_values
-from toda_bn.lax import _build_lax_exact, evaluate_matrix
-from toda_bn.verify import lu_read, printed_lax_n2, random_point
+from toda_bn.lax import _build_lax_exact, _is_zero, evaluate_matrix
+from toda_bn.verify import lu_read, printed_lax_n2, random_point, random_rational
 
 
 def test_factors_n1():
@@ -183,6 +183,118 @@ def test_gamma1_violation_reported(rng):
     rep = gamma_membership(tampered.inverse())
     assert not rep.in_gamma1
     assert rep.first_violation == ("gamma1", 3, 0)
+
+
+# -- Gamma_1 as a shape against the entry scan it replaced -----------------------
+
+
+def old_gamma_membership(L):
+    """The five-branch scan of every entry of L^{-1}, and the Gamma_2 blocks."""
+    d = L.dim
+    n = d // 2
+    A = L.inverse()
+    mode = L.mode
+    scale = max(L.max_abs(), A.max_abs()) if mode == "float" else 0.0
+    violation = None
+
+    def viol(which, i, j):
+        nonlocal violation
+        if violation is None:
+            violation = (which, i, j)
+
+    def is_zero(v):
+        return _is_zero(v, mode, scale)
+
+    in_g1 = True
+    for i in range(d):
+        for j in range(d):
+            v = A[i, j]
+            ok = True
+            if i < n and j < n:
+                ok = (i <= j + 1) or is_zero(v)
+            elif i == n and j < n - 1:
+                ok = is_zero(v)
+            elif i > n and j < n:
+                ok = is_zero(v)
+            elif i > n and n <= j < i - 1:
+                ok = is_zero(v)
+            elif i > n and j == i - 1:
+                ok = is_zero(v - 1)
+            if not ok:
+                in_g1 = False
+                viol("gamma1", i, j)
+    J = SquareMatrix.reversal(n, mode)
+    in_g2 = True
+    blocks = [
+        ("gamma2:upper-right-of-L", L.block(0, n, n), J),
+        ("gamma2:upper-right-of-inverse", A.block(0, n, n), -J),
+        ("gamma2:upper-left-of-inverse", A.block(0, 0, n), L.block(n, n, n).flip()),
+        ("gamma2:lower-right-of-inverse", A.block(n, n, n), L.block(0, 0, n).flip()),
+    ]
+    for name, got, expect in blocks:
+        diff = got - expect
+        for i in range(n):
+            for j in range(n):
+                if not is_zero(diff[i, j]):
+                    in_g2 = False
+                    viol(name, i, j)
+    return in_g1, in_g2, violation
+
+
+def report_tuple(rep):
+    return rep.in_gamma1, rep.in_gamma2, rep.first_violation
+
+
+def sparse_hessenberg_inverse(n, rng):
+    """A random exact 2n x 2n matrix, mostly zero below its subdiagonal and
+    mostly 1 on it, so it is in or near the Gamma_1 shape."""
+    d = 2 * n
+
+    def entry(i, j):
+        if j < i - 1:
+            return random_rational(rng) if rng.random() < 0.07 else Fraction(0)
+        if j == i - 1:
+            return Fraction(1) if rng.random() < 0.8 else rng.choice([Fraction(0),
+                                                                      random_rational(rng)])
+        return random_rational(rng) if rng.random() < 0.7 else Fraction(0)
+
+    return SquareMatrix([[entry(i, j) for j in range(d)] for i in range(d)], "exact")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gamma1_shape_equals_the_entry_scan_on_sparse_inverses(rng, n, mode):
+    members = 0
+    for _ in range(150):
+        A = sparse_hessenberg_inverse(n, rng)
+        if A.det() == 0:
+            continue
+        if mode == "float":
+            A = SquareMatrix([[float(v) for v in r] for r in A.rows], "float")
+        rep = gamma_membership(A.inverse())
+        assert report_tuple(rep) == old_gamma_membership(A.inverse())
+        members += rep.in_gamma1
+    assert 0 < members < 150  # both outcomes occur
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_gamma_membership_equals_the_entry_scan_on_tampered_lax(rng, n, mode):
+    d = 2 * n
+    for _ in range(4):
+        x = random_point(n, rng)
+        L = build_lax(x if mode == "exact" else x.to_float())
+        assert report_tuple(gamma_membership(L)) == old_gamma_membership(L) == (True, True, None)
+        A = L.inverse()
+        for i in range(d):
+            for j in range(d):
+                for M, inverted in ((L, False), (A, True)):
+                    bad = M.with_entry(i, j, M[i, j] + 1)
+                    if bad.det() == 0:
+                        continue
+                    if inverted:
+                        bad = bad.inverse()
+                    assert report_tuple(gamma_membership(bad)) == old_gamma_membership(bad)
 
 
 def test_parameter_roundtrip(rng):

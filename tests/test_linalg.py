@@ -406,8 +406,18 @@ def test_float_char_poly_structured_cases(name):
 
 
 def dense_product(a, b):
+    """a @ b by the triple loop, each entry added in order from the int 0.
+
+    Not sum(): it compensates float sums from Python 3.12 on, and the
+    float product adds in order on every version.
+    """
     d = a.dim
-    return [[sum(a[i, k] * b[k, j] for k in range(d)) for j in range(d)] for i in range(d)]
+    out = [[0] * d for _ in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                out[i][j] = out[i][j] + a[i, k] * b[k, j]
+    return out
 
 
 FLOAT_ENTRIES = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-10, 10),

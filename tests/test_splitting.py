@@ -18,13 +18,14 @@ from toda_bn import (
     pattern_dimension,
     project,
 )
-from toda_bn.splitting import _lower_unitupper, _unitupper_lower
+from toda_bn.splitting import _close, _lower_unitupper, _unitupper_lower
 from toda_bn.verify import (
     random_alg_minus,
     random_alg_plus,
     random_g_minus,
     random_matrix,
     random_point,
+    random_rational,
 )
 
 
@@ -131,6 +132,72 @@ def test_factor_plus_minus_on_lax(rng):
         assert membership(mp, "G_plus") and membership(kinv, "G_minus")
         # the G_minus factor inverts to the closed-form K
         assert kinv.inverse() == kr_factors(x).K
+
+
+# -- g_plus as a shape against the three loops it replaced ----------------------
+
+
+def old_plus_membership(X, which):
+    """The plus patterns as the lower-left block, then the strict lower
+    triangles of the two diagonal blocks, then the diagonals."""
+    n = X.dim // 2
+    mode = X.mode
+    scale = X.max_abs() if mode == "float" else 0.0
+    if which == "G_plus" and X.det() == 0:
+        raise SingularMatrixError("group membership needs a nonsingular matrix")
+
+    def zero(v):
+        return _close(v, 0, mode, scale)
+
+    for i in range(n):
+        for j in range(n):
+            if not zero(X[n + i, j]):
+                return False
+    for i in range(n):
+        for j in range(i):
+            if not zero(X[i, j]) or not zero(X[n + i, n + j]):
+                return False
+    if which == "g_plus":
+        return all(zero(X[n + i, n + i]) for i in range(n))
+    return (all(not zero(X[i, i]) for i in range(n))
+            and all(_close(X[n + i, n + i], 1, mode, scale) for i in range(n)))
+
+
+def sparse_upper(n, rng):
+    """A random exact 2n x 2n matrix, mostly zero below its diagonal; its
+    lower right diagonal is mostly 0 or mostly 1."""
+    lower_diagonal = rng.choice([Fraction(0), Fraction(1)])
+
+    def entry(i, j):
+        if j < i:
+            return random_rational(rng) if rng.random() < 0.05 else Fraction(0)
+        if j == i >= n:
+            return lower_diagonal if rng.random() < 0.9 else random_rational(rng)
+        if j == i:
+            return random_rational(rng) if rng.random() < 0.9 else Fraction(0)
+        return random_rational(rng) if rng.random() < 0.7 else Fraction(0)
+
+    return SquareMatrix([[entry(i, j) for j in range(2 * n)] for i in range(2 * n)], "exact")
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_plus_shape_equals_the_three_loops(rng, n, mode):
+    seen = set()
+    for _ in range(300):
+        X = sparse_upper(n, rng)
+        if mode == "float":
+            X = SquareMatrix([[float(v) for v in r] for r in X.rows], "float")
+        for which in ("g_plus", "G_plus"):
+            try:
+                want = old_plus_membership(X, which)
+            except SingularMatrixError:
+                with pytest.raises(SingularMatrixError):
+                    membership(X, which)
+                continue
+            assert membership(X, which) == want
+            seen.add((which, want))
+    assert len(seen) == 4  # both outcomes of both kinds occur
 
 
 # -- the index flip against the product-based code it replaced ------------------
