@@ -141,8 +141,7 @@ def cmd_simulate(args) -> int:
         [f"Q_{i + 1}" for i in range(n)] + ["drift"]
     lines = [",".join(header)]
     for t, s, drift in zip(traj.times, traj.states, traj.drifts):
-        row = [repr(t)] + [repr(v) for v in s.z] + [repr(v) for v in s.Q] + [repr(drift)]
-        lines.append(",".join(row))
+        lines.append(",".join(map(repr, (t, *s.z, *s.Q, drift))))
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 

@@ -41,8 +41,8 @@ from typing import Sequence
 
 from .errors import DegeneratePointError, ModeError
 from .laurent import LaurentPoly
-from .lax import PhasePoint, build_factors, build_lax
-from .linalg import SquareMatrix
+from .lax import PhasePoint, _lax_inverse_rows, _qz, build_factors, build_lax
+from .linalg import _UNITS, SquareMatrix
 
 #: Symbolic expansion guard: chain enumeration grows quickly with n, so the
 #: path-formula route stays a desk-scale verification tool.
@@ -215,9 +215,12 @@ def _chain_sums(n: int, z: Sequence, Q: Sequence, improved: bool) -> tuple:
 def conserved_values(x: PhasePoint) -> tuple:
     """F_0..F_2n at x through the characteristic-polynomial route.
 
-    Like ``build_lax``, an exact point's values are memoized for the last
-    8 points (both routes of a Backlund step reach the same point); float
-    points are never memoized, since -0.0 and 0.0 are equal keys.
+    At an exact point the F_i are read off the characteristic polynomial
+    of L^{-1}, and at a float point off that of L (see
+    ``_char_poly_values``).  Like ``build_lax``, an exact point's values
+    are memoized for the last 8 points (both routes of a Backlund step
+    reach the same point); float points are never memoized, since -0.0
+    and 0.0 are equal keys.
     """
     if x.mode == "exact":
         return _conserved_values_exact(x)
@@ -225,7 +228,29 @@ def conserved_values(x: PhasePoint) -> tuple:
 
 
 def _char_poly_values(x: PhasePoint) -> tuple:
-    coeffs = build_lax(x).char_poly().coeffs
+    """F_i = (-1)^i p_i, where p_0..p_2n are the coefficients of
+    p_L(lambda) = det(lambda*E - L), highest degree first.
+
+    At an exact point p_L comes from p_{L^{-1}}, whose monic coefficients
+    c_0..c_d (d = 2n) are those of ``char_poly`` of the closed-form L^{-1}
+    (``lax._lax_inverse_rows``).  That matrix is already upper Hessenberg,
+    so the exact Hessenberg reduction has nothing to do, and the entries
+    do not swell as they do when the dense L is reduced.  For every
+    invertible L, p_L(lambda) = (-1)^d det L lambda^d p_{L^{-1}}(1/lambda),
+    so p_L's coefficients, highest first, are c_d, .., c_0 divided by c_d:
+    exact, with F_0 and F_2n computed, not assumed to be 1.
+
+    A float point keeps ``char_poly`` of ``build_lax(x)``: float reduction
+    does not swell; this route gives the float drift values their pinned
+    bits (``SIMULATE_GOLDEN`` at n = 8); and it is the call through which
+    a traced flow run reaches the lax and linalg layers.
+    """
+    if x.mode == "float":
+        coeffs = build_lax(x).char_poly().coeffs
+    else:
+        rows = _lax_inverse_rows(x.n, x.z, [1 / w for w in x.z], _qz(x), *_UNITS["exact"])
+        c = SquareMatrix._trusted(tuple(map(tuple, rows)), "exact").char_poly().coeffs
+        coeffs = [v / c[-1] for v in reversed(c)]
     return tuple((-1) ** i * c for i, c in enumerate(coeffs))
 
 

@@ -12,6 +12,8 @@ coordinates (z_1..z_n, Q_1..Q_n):
 One builder, ``_lax_rows``, writes L in closed form with ring operations
 only, so the same code gives L over Fraction and float (``build_lax``) and
 over LaurentPoly (``lax_symbolic``); C is never inverted numerically.
+``_lax_inverse_rows`` writes L^{-1} = C B^{-1} N^{-1} the same way, from
+the same bidiagonal inverses.
 
 The phase space is cut out by two varieties: Gamma_1 constrains the
 sparsity of L^{-1}, Gamma_2 ties the four n x n blocks of L and L^{-1}
@@ -142,6 +144,28 @@ def build_factors(x: PhasePoint) -> tuple[SquareMatrix, SquareMatrix, SquareMatr
     return N, B, C
 
 
+def _bidiagonal_inverse(n: int, first, factor, zero) -> list[list]:
+    """The rows of U^{-1} for an n x n upper-bidiagonal U, by ring operations.
+
+    U^{-1} has first[i] (-factor[i+1]) ... (-factor[j]) at (i, j), j >= i:
+    a signed running product along each row, where first[i] = 1/U[i, i]
+    and factor[j] = U[j-1, j] / U[j, j].  No entry is divided by.
+    """
+    rows = []
+    for i in range(n):
+        row = [zero] * n
+        v = row[i] = first[i]
+        for j in range(i + 1, n):
+            v = row[j] = -v * factor[j]
+        rows.append(row)
+    return rows
+
+
+def _flip(rows: list[list]) -> list[list]:
+    """J A J: the rows of A reversed in both directions."""
+    return [row[::-1] for row in rows[::-1]]
+
+
 def _lax_rows(n: int, z, zinv, qz, one, zero) -> list[list]:
     """The 2n rows of L = N B C^{-1} by ring operations only.
 
@@ -157,20 +181,8 @@ def _lax_rows(n: int, z, zinv, qz, one, zero) -> list[list]:
     left block or of L22 combines two rows of a triangular inverse, and
     the lower left block is one outer product, as P has one entry.
     """
-    def flipped_inverse(first, factor):
-        # J U^{-1} J, where U^{-1} has first[i] (-factor[i+1]) ... (-factor[j])
-        # at (i, j), j >= i
-        rows = []
-        for i in range(n):
-            row = [zero] * n
-            v = row[i] = first[i]
-            for j in range(i + 1, n):
-                v = row[j] = -v * factor[j]
-            rows.append(row[::-1])
-        return rows[::-1]
-
-    c11_inv = flipped_inverse([one] * n, qz[::-1])
-    c22_inv = flipped_inverse(zinv, zinv)
+    c11_inv = _flip(_bidiagonal_inverse(n, [one] * n, qz[::-1], zero))
+    c22_inv = _flip(_bidiagonal_inverse(n, zinv, zinv, zero))
     diag = [*z[:-1], z[-1] - qz[-1]]  # the diagonal of N11 - J P
     outer = [-qz[-1] * v for v in c11_inv[-1]]
     top, bottom = [], []
@@ -186,6 +198,35 @@ def _lax_rows(n: int, z, zinv, qz, one, zero) -> list[list]:
     return top + bottom
 
 
+def _lax_inverse_rows(n: int, z, zinv, qz, one, zero) -> list[list]:
+    """The 2n rows of L^{-1} = C B^{-1} N^{-1}, by ring operations only.
+
+    The arguments are those of ``_lax_rows``.  With 0-based indices,
+
+        L^{-1} = [[(J N22 J) N11^{-1}, -J], [Q_n E_{0,n-1}, (J N11 J - Q_n z_n E_00) N22^{-1}]],
+
+    where J N22 J is unit lower bidiagonal with Q_i z_i at (i, i - 1) and
+    J N11 J is lower bidiagonal with z_{n-i} at (i, i) and 1 below it.  A
+    row of either diagonal block combines two rows of a triangular
+    inverse, so L^{-1} is upper Hessenberg, as Gamma_1 requires.
+    """
+    n11_inv = _bidiagonal_inverse(n, zinv, zinv, zero)
+    n22_inv = _bidiagonal_inverse(n, [one] * n, qz[::-1], zero)
+    diag = [z[-1] - qz[-1], *z[-2::-1]]  # the diagonal of J N11 J - Q_n z_n E_00
+    top, bottom = [], []
+    for i in range(n):
+        left = n11_inv[i]
+        right = [diag[i] * v for v in n22_inv[i]]
+        if i:
+            s = qz[i - 1]
+            left = [a + s * b for a, b in zip(left, n11_inv[i - 1])]
+            right = [a + b for a, b in zip(right, n22_inv[i - 1])]
+        top.append(left + [-one if j == n - 1 - i else zero for j in range(n)])
+        bottom.append([zero] * n + right)
+    bottom[0][n - 1] = qz[-1] * zinv[-1]  # Q_n
+    return top + bottom
+
+
 def build_lax(x: PhasePoint) -> SquareMatrix:
     """L = N B C^{-1} by ``_lax_rows``; exact at a rational point.
 
@@ -193,11 +234,14 @@ def build_lax(x: PhasePoint) -> SquareMatrix:
     outside the |z| window, products of 1/z_i overflow) raises ValueError.
 
     An exact point's matrix is memoized, keyed by the point, in a memo of
-    the last 8 points: a Backlund step builds L of one point up to four
-    times.  The memo is exact only, because -0.0 == 0.0 with equal
-    hashes, so a float memo could return zeros of the other sign; and it
-    is bounded, because orbit entries grow by about 80 bits a step.  The
-    matrix is immutable, so a hit is the value a fresh build returns.
+    the last 8 points: a Backlund step builds L of one point up to twice,
+    as the rebuild check of ``parameters_from_lax`` on the conjugation
+    route and again when the next step conjugates it (exact
+    ``conserved_values`` builds L^{-1}, not L).  The memo is exact only,
+    because -0.0 == 0.0 with equal hashes, so a float memo could return
+    zeros of the other sign; and it is bounded, because orbit entries grow
+    by about 80 bits a step.  The matrix is immutable, so a hit is the
+    value a fresh build returns.
     """
     if x.mode == "exact":
         return _build_lax_exact(x)

@@ -51,6 +51,14 @@ SINGULARITY_RTOL = 1e-12
 _UNITS = {"exact": (Fraction(1), Fraction(0)), "float": (1.0, 0.0)}
 
 
+def _units(mode: str) -> tuple:
+    """The units (one, zero) of ``mode``; an unknown mode raises ValueError."""
+    try:
+        return _UNITS[mode]
+    except KeyError:
+        raise ValueError(f"unknown mode {mode!r}") from None
+
+
 def classify_scalar(value) -> str:
     """Return the mode ("exact" or "float") a raw scalar belongs to."""
     if isinstance(value, bool):
@@ -137,8 +145,8 @@ class SquareMatrix:
             raise ValueError("rows must form a nonempty square array")
         if mode is None:
             mode = scalars_mode(v for r in rows for v in r)
-        elif mode not in ("exact", "float"):
-            raise ValueError(f"unknown mode {mode!r}")
+        else:
+            _units(mode)
         self._rows = tuple(tuple(coerce_scalar(v, mode) for v in r) for r in rows)
         self._dim = d
         self._mode = mode
@@ -163,17 +171,18 @@ class SquareMatrix:
 
     @classmethod
     def identity(cls, d: int, mode: str = "exact") -> "SquareMatrix":
-        one, zero = _UNITS[mode]
+        one, zero = _units(mode)
         return cls([[one if i == j else zero for j in range(d)] for i in range(d)], mode)
 
     @classmethod
     def zero(cls, d: int, mode: str = "exact") -> "SquareMatrix":
-        return cls([[_UNITS[mode][1]] * d for _ in range(d)], mode)
+        zero = _units(mode)[1]
+        return cls([[zero] * d for _ in range(d)], mode)
 
     @classmethod
     def reversal(cls, d: int, mode: str = "exact") -> "SquareMatrix":
         """The anti-diagonal permutation J = sum_i E_{i, d+1-i}."""
-        one, zero = _UNITS[mode]
+        one, zero = _units(mode)
         return cls([[one if j == d - 1 - i else zero for j in range(d)] for i in range(d)], mode)
 
     @classmethod

@@ -11,6 +11,9 @@ from toda_bn import (
     LaurentPoly,
     ModeError,
     PhasePoint,
+    SquareMatrix,
+    build_lax,
+    iterate,
     path_weight_oracle,
     conserved_values,
     conserved_values_by_path,
@@ -21,6 +24,7 @@ from toda_bn import (
     interval_weight,
 )
 from toda_bn.conserved import _chain_sums
+from toda_bn.lax import _lax_inverse_rows
 from toda_bn.verify import printed_f1, printed_f2_n2, random_point, random_rational
 
 
@@ -281,6 +285,58 @@ def test_chain_sums_equal_char_poly_exactly(x, improved):
     f = _chain_sums(x.n, x.z, x.Q, improved)
     assert f == conserved_values(x)
     assert all(type(v) is Fraction for v in f)
+
+
+def lax_inverse(x):
+    """The closed-form L^{-1} at an exact point."""
+    rows = _lax_inverse_rows(x.n, x.z, [1 / w for w in x.z], [q * w for q, w in zip(x.Q, x.z)],
+                             Fraction(1), Fraction(0))
+    return SquareMatrix(rows, "exact")
+
+
+def char_poly_of_lax(x):
+    """F_0..F_2n off det(lambda*E - L) of the dense L: the route before the
+    closed-form L^{-1}, kept as the oracle."""
+    return tuple((-1) ** i * c for i, c in enumerate(build_lax(x).char_poly().coeffs))
+
+
+@settings(max_examples=40, deadline=None)
+@given(RATIONAL_POINTS)
+def test_closed_form_inverse_times_lax_is_identity(x):
+    L, A = build_lax(x), lax_inverse(x)
+    assert L @ A == SquareMatrix.identity(2 * x.n)
+    assert A @ L == SquareMatrix.identity(2 * x.n)
+
+
+@settings(max_examples=40, deadline=None)
+@given(RATIONAL_POINTS)
+def test_conserved_values_equal_char_poly_of_lax(x):
+    assert conserved_values(x) == char_poly_of_lax(x)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_conserved_values_equal_char_poly_of_lax_at_q_zero(rng, n):
+    for _ in range(3):
+        z = tuple(random_rational(rng) for _ in range(n))
+        Q = [random_rational(rng) for _ in range(n)]
+        Q[rng.randrange(n)] = Fraction(0)
+        for x in (PhasePoint(n, z, tuple(Q)), PhasePoint(n, z, (Fraction(0),) * n)):
+            assert conserved_values(x) == char_poly_of_lax(x)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_conserved_values_equal_char_poly_of_lax_on_orbits(rng, n):
+    # entries of a 12-step orbit grow to hundreds of bits, where the dense
+    # Hessenberg reduction of L swells most
+    while True:
+        try:
+            orbit = iterate(random_point(n, rng), 12)
+            break
+        except DegeneratePointError:
+            continue
+    for x in orbit:
+        assert conserved_values(x) == char_poly_of_lax(x)
+        assert conserved_values(x) == conserved_values(orbit[0])
 
 
 #: Relative bound, against max(1, |exact|), of the float chain-sum pass.

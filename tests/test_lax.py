@@ -16,7 +16,7 @@ from toda_bn import (
     parameters_from_lax,
 )
 from toda_bn.conserved import _conserved_values_exact, conserved_values
-from toda_bn.lax import _build_lax_exact, _is_zero, evaluate_matrix
+from toda_bn.lax import _build_lax_exact, _is_zero, _lax_inverse_rows, evaluate_matrix
 from toda_bn.verify import lu_read, printed_lax_n2, random_point, random_rational
 
 
@@ -127,6 +127,37 @@ def test_lax_symbolic_times_c_is_n_times_b(rng, n):
     N, B, C = build_factors(x)
     assert evaluate_matrix(nb, x) == N @ B
     assert evaluate_matrix(c, x) == C
+
+
+def symbolic_lax_inverse(n):
+    """``_lax_inverse_rows`` over the LaurentPoly variables."""
+    z = [LaurentPoly.z_var(n, k) for k in range(1, n + 1)]
+    zinv = [LaurentPoly.z_var(n, k, -1) for k in range(1, n + 1)]
+    qz = [LaurentPoly.q_var(n, k) * w for k, w in enumerate(z, 1)]
+    return _lax_inverse_rows(n, z, zinv, qz, LaurentPoly.one(n), LaurentPoly.zero(n))
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_symbolic_lax_inverse_times_lax_is_identity(n):
+    zero, one = LaurentPoly.zero(n), LaurentPoly.one(n)
+    identity = [[one if i == j else zero for j in range(2 * n)] for i in range(2 * n)]
+    assert poly_product(lax_symbolic(n), symbolic_lax_inverse(n)) == identity
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_closed_form_lax_inverse_has_the_gamma1_shape(rng, n):
+    # upper Hessenberg, with 1 on the subdiagonal of the last n - 1 rows
+    # (0-based rows i > n), as gamma_membership requires of L^{-1}
+    for q_zero in (False, True):
+        x = random_point(n, rng)
+        if q_zero:
+            x = PhasePoint(n, x.z, (Fraction(0),) * n)
+        A = _lax_inverse_rows(n, x.z, [1 / w for w in x.z],
+                              [q * w for q, w in zip(x.Q, x.z)], Fraction(1), Fraction(0))
+        assert all(A[i][j] == 0 for i in range(2 * n) for j in range(i - 1))
+        assert all(A[i][i - 1] == 1 for i in range(n + 1, 2 * n))
+        assert A == [list(row) for row in build_lax(x).inverse().rows]
+        assert gamma_membership(SquareMatrix(A).inverse()).in_gamma
 
 
 #: Relative bound, against max(1, max|L(exact)|), of float build_lax.

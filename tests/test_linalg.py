@@ -453,6 +453,17 @@ def test_constructor_rejects_non_scalars_in_every_mode(value, mode):
         SquareMatrix.identity(2, mode or "exact").with_entry(0, 1, value)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: SquareMatrix([[1]], "bogus"),
+    lambda: SquareMatrix.identity(2, "bogus"),
+    lambda: SquareMatrix.zero(2, "bogus"),
+    lambda: SquareMatrix.reversal(2, "bogus"),
+], ids=["init", "identity", "zero", "reversal"])
+def test_every_constructor_rejects_an_unknown_mode_alike(build):
+    with pytest.raises(ValueError, match=r"^unknown mode 'bogus'$"):
+        build()
+
+
 def test_constructor_absorbs_ints_in_an_explicit_mode():
     assert SquareMatrix([[1, 2], [3, 4]], "float").rows == ((1.0, 2.0), (3.0, 4.0))
     exact = SquareMatrix([[1, Fraction(1, 2)], [0, 4]], "exact")
