@@ -20,12 +20,14 @@ z_{n+1} = 1.  Both routes are implemented; they agree exactly wherever
 both are defined, and they preserve every conserved quantity (L+ is a
 conjugate of L).
 
-The conjugation route takes no dense inverse: kr_factors checks the
-factorization as C R = K, and backlund_conjugate solves K L+ = L K for
-L+.  K is tridiagonal (its only entry outside the two diagonal blocks,
-M_{n-1} a_n b_n, sits on the subdiagonal) with det K = (z_1 .. z_n)^2, so
-wherever kr_factors succeeds the solve is one elimination over K's band,
-and parameters_from_lax reads x+ off L+.
+The conjugation route takes no dense inverse: kr_factors writes K, R
+and C row by row and checks the factorization as C R = K, and
+backlund_conjugate takes L+ from linalg.band_conjugate, which solves
+K L+ = L K.  K is tridiagonal (its only entry outside the two diagonal
+blocks, M_{n-1} a_n b_n, sits on the subdiagonal) with det K =
+(z_1 .. z_n)^2, so wherever kr_factors succeeds the solve is one
+elimination over K's band; at a rational point it runs on int pairs, and
+L K reaches it as pairs.  parameters_from_lax reads x+ off L+.
 
 The closed-form K/R display is ambiguous at n = 1 (the single diagonal
 entry is both "first row" and "last row" of the pattern), so kr_factors
@@ -36,9 +38,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegeneratePointError, SingularMatrixError
-from .lax import PhasePoint, build_factors, build_lax, parameters_from_lax
-from .linalg import _UNITS, SquareMatrix
+from .errors import DegeneratePointError
+from .lax import PhasePoint, _qz, build_lax, parameters_from_lax
+from .linalg import _UNITS, SquareMatrix, band_conjugate
 from .dynamics import rk4_endpoint
 
 #: Relative tolerance, against max(1, max|K|), of the float-mode C R = K
@@ -91,36 +93,41 @@ def kr_factors(x: PhasePoint) -> KRFactors:
         raise DegeneratePointError("some M_i vanishes; K/R factors undefined")
     N = tuple(1 - a[i - 1] * a[i] / (b[i] * b[i + 1]) for i in range(1, n - 1))
 
-    k11 = [[zero] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        if i == 1:
-            k11[0][0] = b[0] / M[1]
-        elif i < n:
-            k11[i - 1][i - 1] = N[i - 2] * b[i - 1] / M[i]
+    # K = [[K11, 0], [K12, J K11 J]] and R = [[R11, 0], [0, R22]], 0-based
+    d = 2 * n
+    K = [[zero] * d for _ in range(d)]
+    R = [[zero] * d for _ in range(d)]
+    for i in range(n):
+        if i == 0:
+            k = b[0] / M[1]
+        elif i < n - 1:
+            k = N[i - 1] * b[i] / M[i + 1]
         else:
-            k11[n - 1][n - 1] = b[n - 1]
-        if i < n:
-            k11[i - 1][i] = one
-        if i >= 2:
-            k11[i - 1][i - 2] = M[i - 2] * a[i - 2] * b[i - 2] / M[i - 1]
-    K11 = SquareMatrix(k11, mode)
-    K12 = SquareMatrix.zero(n, mode).with_entry(0, n - 1, M[n - 1] * a[n - 1] * b[n - 1])
-    K = SquareMatrix.from_blocks([[K11, SquareMatrix.zero(n, mode)],
-                                  [K12, K11.flip()]])
+            k = b[n - 1]
+        K[i][i] = K[d - 1 - i][d - 1 - i] = k
+        if i + 1 < n:
+            K[i][i + 1] = K[d - 1 - i][d - 2 - i] = one
+        if i:
+            K[i][i - 1] = K[d - 1 - i][d - i] = M[i - 1] * a[i - 1] * b[i - 1] / M[i]
+        R[i][i] = M[i] * b[i] / M[i + 1]
+        R[n + i][n + i] = one
+        if i + 1 < n:
+            R[i][i + 1] = one
+            j = n - 1 - i  # R22's superdiagonal entries appear in reversed order
+            R[n + i][n + i + 1] = M[j - 1] * a[j - 1] * b[j - 1] / (M[j] * b[j])
+    K[n][n - 1] = M[n - 1] * a[n - 1] * b[n - 1]  # K12
 
-    r11 = [[zero] * n for _ in range(n)]
-    for i in range(1, n + 1):
-        r11[i - 1][i - 1] = M[i - 1] * b[i - 1] / M[i]
-        if i < n:
-            r11[i - 1][i] = one
-    r22 = [[one if i == j else zero for j in range(n)] for i in range(n)]
-    for i in range(1, n):
-        j = n - i  # superdiagonal entries appear in reversed order
-        r22[i - 1][i] = M[j - 1] * a[j - 1] * b[j - 1] / (M[j] * b[j])
-    R = SquareMatrix.from_blocks([[SquareMatrix(r11, mode), SquareMatrix.zero(n, mode)],
-                                  [SquareMatrix.zero(n, mode), SquareMatrix(r22, mode)]])
-
-    _, _, C = build_factors(x)
+    # C = [[J N22 J, 0], [Q_n z_n E_{0,n-1}, J N11 J]] of lax.build_factors
+    qz = _qz(x)
+    C = [[zero] * d for _ in range(d)]
+    for i in range(n):
+        C[i][i] = one
+        C[n + i][n + i] = x.z[n - 1 - i]
+        if i:
+            C[i][i - 1] = qz[i - 1]
+            C[n + i][n + i - 1] = one
+    C[n][n - 1] = qz[n - 1]
+    K, R, C = (SquareMatrix._trusted(tuple(map(tuple, m)), mode) for m in (K, R, C))
     rebuilt = C @ R
     if mode == "exact":
         if rebuilt != K:
@@ -155,52 +162,10 @@ def backlund_map(x: PhasePoint) -> PhasePoint:
     return PhasePoint(n, tuple(zp), tuple(Qp))
 
 
-def _band_solve(A: SquareMatrix, B: SquareMatrix) -> SquareMatrix:
-    """X with A X = B for a tridiagonal A; A's entries off its band are not read.
-
-    Gaussian elimination over the band with a two-row interchange, as
-    LAPACK's gtsv (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 9.5): the pivot of column c is row c as reduced so far or
-    row c+1, the first nonzero in exact mode and the larger |.| in float
-    mode, and an interchange fills one entry of a second superdiagonal.
-    Ring operations only, so exact mode is exact.  A zero pivot raises
-    SingularMatrixError("singular at column c").
-    """
-    d, a, b, exact = A.dim, A.rows, B.rows, A.mode == "exact"
-    zero = _UNITS[A.mode][1]
-
-    def entry(r, c):
-        return a[r][c] if c < d else zero
-
-    top, rtop = [a[0][0], entry(0, 1), zero], b[0]
-    U, Y = [], []  # row c of U holds its entries at columns c, c+1, c+2
-    for c in range(d):
-        if c + 1 < d:
-            bot, rbot = [a[c + 1][c], a[c + 1][c + 1], entry(c + 1, c + 2)], b[c + 1]
-            if (top[0] == 0) if exact else (abs(bot[0]) > abs(top[0])):
-                top, bot, rtop, rbot = bot, top, rbot, rtop
-        if top[0] == 0:
-            raise SingularMatrixError(f"singular at column {c}")
-        U.append(top)
-        Y.append(rtop)
-        if c + 1 < d:
-            m = bot[0] / top[0]
-            top = [bot[1] - m * top[1], bot[2] - m * top[2], zero]
-            rtop = [v - m * w for v, w in zip(rbot, rtop)]
-    X = [None] * d
-    for c in reversed(range(d)):
-        u, row = U[c], Y[c]
-        for k in (1, 2):
-            if c + k < d and u[k] != 0:
-                row = [v - u[k] * w for v, w in zip(row, X[c + k])]
-        X[c] = tuple(v / u[0] for v in row)
-    return SquareMatrix._trusted(tuple(X), A.mode)
-
-
 def backlund_conjugate(x: PhasePoint) -> PhasePoint:
-    """x -> x+ through K L+ = L K, solved on K's band, and parameter recovery."""
-    K = kr_factors(x).K
-    return parameters_from_lax(_band_solve(K, build_lax(x) @ K))
+    """x -> x+ through L+ = K^{-1} L K, one elimination on K's band, and
+    parameter recovery."""
+    return parameters_from_lax(band_conjugate(kr_factors(x).K, build_lax(x)))
 
 
 def iterate(x: PhasePoint, steps: int) -> list[PhasePoint]:

@@ -251,7 +251,7 @@ def _char_poly_values(x: PhasePoint) -> tuple:
         rows = _lax_inverse_rows(x.n, x.z, [1 / w for w in x.z], _qz(x), *_UNITS["exact"])
         c = SquareMatrix._trusted(tuple(map(tuple, rows)), "exact").char_poly().coeffs
         coeffs = [v / c[-1] for v in reversed(c)]
-    return tuple((-1) ** i * c for i, c in enumerate(coeffs))
+    return tuple(-c if i % 2 else c for i, c in enumerate(coeffs))
 
 
 _conserved_values_exact = lru_cache(maxsize=8)(_char_poly_values)

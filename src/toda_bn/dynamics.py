@@ -193,16 +193,24 @@ def _operand(v):
 #: Inlined expressions nest at most this deep; the parser allows 200 parentheses.
 _MAX_DEPTH = 16
 
+#: The precedence of each recorded operation; a negation binds tighter
+#: than every binary one, and a name or constant tighter still.
+_PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
+_ATOM = 4
+
 
 def _trace(kind: str, n: int, fn, *extra: str):
     """fn's run as straight-line code ``kind(z0.., q0.., *extra)``, for rank n.
 
     fn runs once over one _Traced input per name and returns a tuple.  A
     node used exactly once, the return counting as a use, is written inline
-    into its user, in parentheses, up to _MAX_DEPTH levels deep.  Every
-    other node, unused ones too (a division may raise), gets its own line
-    ``tK = a op b``.  The parentheses restate the tape's grouping, so the
-    kernel redoes fn's float run bit for bit.  A division by a zero z_i in
+    into its user, up to _MAX_DEPTH levels deep.  Every other node, unused
+    ones too (a division may raise), gets its own line ``tK = a op b``.  An
+    inlined operand is parenthesised where precedence needs it: a left
+    operand of lower precedence than its operation, a right operand of
+    lower or equal precedence (every operation groups to the left), and a
+    negation's compound operand.  So the kernel's grouping is the tape's,
+    and it redoes fn's float run bit for bit.  A division by a zero z_i in
     the kernel raises ZeroBaseError.
     """
     names = [f"z{i}" for i in range(n)] + [f"q{i}" for i in range(n)] + list(extra)
@@ -211,18 +219,29 @@ def _trace(kind: str, n: int, fn, *extra: str):
     out = [_operand(v) for v in fn(*inputs)]
     operands = [v for _, a, b in tape for v in (a, b)] + out
     uses = collections.Counter(v for v in operands if type(v) is int)
-    text = {}  # node k as its users write it: a name, or "(expr)" if inlined
+    text = {}  # node k as its users write it: a name, or its expression if inlined
+    precedence = {}  # an inlined node's precedence; every other operand is an atom
     depth = {}
     body = []
+
+    def operand(v, tightest: int) -> str:
+        """v's text, in parentheses if it binds less tightly than ``tightest``."""
+        t = text.get(v, v)
+        return f"({t})" if precedence.get(v, _ATOM) < tightest else t
+
     for k, (op, a, b) in enumerate(tape):
         if op is None:
             text[k] = a
             continue
-        b_text = text.get(b, b)
-        expr = f"{op}{b_text}" if a is None else f"{text.get(a, a)} {op} {b_text}"
+        if a is None:
+            prec = _PRECEDENCE["neg"]
+            expr = f"-{operand(b, prec)}"
+        else:
+            prec = _PRECEDENCE[op]
+            expr = f"{operand(a, prec)} {op} {operand(b, prec + 1)}"
         d = 1 + max(depth.get(a, 0), depth.get(b, 0))
         if uses[k] == 1 and d < _MAX_DEPTH:
-            text[k], depth[k] = f"({expr})", d
+            text[k], precedence[k], depth[k] = expr, prec, d
         else:
             text[k] = f"t{k}"
             body.append(f"t{k} = {expr}")

@@ -46,6 +46,15 @@ class PhasePoint:
     z: tuple
     Q: tuple
 
+    def __hash__(self):
+        # the dataclass's own hash, computed once: memo lookups rehash points
+        try:
+            return self._hash
+        except AttributeError:
+            h = hash((self.n, self.z, self.Q))
+            object.__setattr__(self, "_hash", h)
+            return h
+
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("rank n must be >= 1")
@@ -334,7 +343,8 @@ def parameters_from_lax(L: SquareMatrix) -> PhasePoint:
     No inverse is taken.  A zero among the last-row entries read raises
     NotInGammaError, and so does a rebuild of L from (z, Q) that differs
     from L at some entry (exactly, or beyond RECOVERY_RTOL in float mode):
-    the matrix is outside the coordinate chart.
+    the matrix is outside the coordinate chart.  In exact mode the rows are
+    compared at once, and only a mismatch is scanned for its first entry.
     """
     d = L.dim
     if d % 2:
@@ -354,6 +364,8 @@ def parameters_from_lax(L: SquareMatrix) -> PhasePoint:
 
     x = PhasePoint(n, z, Q)
     rebuilt = build_lax(x)
+    if mode == "exact" and rebuilt.rows == L.rows:
+        return x
     for i in range(d):
         for j in range(d):
             if not close(rebuilt[i, j], L[i, j]):

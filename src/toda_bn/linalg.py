@@ -9,13 +9,14 @@ Two scalar modes are supported and never mixed inside one matrix:
   exponentials.
 
 Every exact-mode kernel (``@``, ``inverse``, ``det``, ``lu_unit_lower``,
-``char_poly``) runs on reduced (numerator, denominator) int pairs: it
-splits its Fraction operands into int lists once, updates rows in place
-with one multiply-add over the pivot row's nonzero entries, which reduces
-each product and sum as Fraction's own arithmetic does (Knuth, TAOCP
-vol. 2, 4.5.1), and builds one Fraction per output entry.  Its pivot is
-the first nonzero entry at or below the diagonal; exact results are
-unique, so neither the pivot rule nor the int pairs can change them.
+``char_poly``, and the tridiagonal ``band_solve`` and ``band_conjugate``)
+runs on reduced (numerator, denominator) int pairs: it splits its
+Fraction operands into int lists once, updates rows in place with one
+multiply-add over the pivot row's nonzero entries, which reduces each
+product and sum as Fraction's own arithmetic does (Knuth, TAOCP vol. 2,
+4.5.1), and builds one Fraction per output entry.  Its pivot is the first
+nonzero entry at or below the diagonal; exact results are unique, so
+neither the pivot rule nor the int pairs can change them.
 
 Float mode keeps max-|.| pivots and dense row updates (skipping v - f*0.0
 can flip the sign of a zero), and its eliminations reject a non-finite
@@ -49,6 +50,7 @@ SINGULARITY_RTOL = 1e-12
 
 #: The units (one, zero) of each scalar mode.
 _UNITS = {"exact": (Fraction(1), Fraction(0)), "float": (1.0, 0.0)}
+_ZERO = _UNITS["exact"][1]
 
 
 def _units(mode: str) -> tuple:
@@ -432,7 +434,10 @@ def _nonzeros(nums: list, dens: list) -> list:
 
 
 def _fraction_rows(num_rows, den_rows) -> tuple:
-    return tuple(tuple(map(Fraction, nums, dens)) for nums, dens in zip(num_rows, den_rows))
+    """Fraction rows of reduced pair rows; every zero entry is one shared
+    Fraction(0), which is not normalised again."""
+    return tuple(tuple([Fraction(n, d) if n else _ZERO for n, d in zip(nums, dens)])
+                 for nums, dens in zip(num_rows, den_rows))
 
 
 def _addmul(nums: list, dens: list, fn: int, fd: int, pivot: list) -> None:
@@ -503,8 +508,9 @@ def _first_pivot(nums: list, c: int, start: int):
     return next((r for r in range(start, len(nums)) if nums[r][c]), None)
 
 
-def _exact_matmul(a_rows, b_rows) -> tuple:
-    """a @ b over the nonzero entries of each, as Fraction rows."""
+def _exact_matmul_pairs(a_rows, b_rows) -> tuple[list, list]:
+    """a @ b of Fraction rows over the nonzero entries of each, as the
+    numerator rows and the denominator rows."""
     d = len(a_rows)
     b_nz = [[(j, v.numerator, v.denominator) for j, v in enumerate(r) if v] for r in b_rows]
     out_n, out_d = [], []
@@ -515,7 +521,12 @@ def _exact_matmul(a_rows, b_rows) -> tuple:
                 _addmul(nums, dens, v.numerator, v.denominator, b_nz[k])
         out_n.append(nums)
         out_d.append(dens)
-    return _fraction_rows(out_n, out_d)
+    return out_n, out_d
+
+
+def _exact_matmul(a_rows, b_rows) -> tuple:
+    """a @ b over the nonzero entries of each, as Fraction rows."""
+    return _fraction_rows(*_exact_matmul_pairs(a_rows, b_rows))
 
 
 def _exact_inverse(rows) -> tuple:
@@ -700,6 +711,118 @@ def _float_hessenberg_char_poly(rows) -> tuple:
                     p[k] -= f * a
         polys.append(p)
     return tuple(reversed(polys[d]))
+
+
+def band_solve(A: SquareMatrix, B: SquareMatrix) -> SquareMatrix:
+    """X with A X = B for a tridiagonal A; A's entries off its band are not read.
+
+    Gaussian elimination over the band with a two-row interchange, as
+    LAPACK's gtsv (Higham, *Accuracy and Stability of Numerical
+    Algorithms*, 9.5): the pivot of column c is row c as reduced so far or
+    row c+1, the first nonzero in exact mode and the larger |.| in float
+    mode, and an interchange fills one entry of a second superdiagonal.
+    Exact mode runs on int pairs, so it is exact; float mode keeps dense
+    row updates.  A zero pivot raises SingularMatrixError("singular at
+    column c").
+    """
+    A._check_compatible(B)
+    if A.mode == "exact":
+        return SquareMatrix._trusted(_exact_band_solve(A.rows, *_split(B.rows)), "exact")
+    return SquareMatrix._trusted(_float_band_solve(A.rows, B.rows), "float")
+
+
+def band_conjugate(K: SquareMatrix, L: SquareMatrix) -> SquareMatrix:
+    """K^{-1} L K for a tridiagonal K: the X with K X = L K, by band_solve.
+
+    In exact mode the product L K enters the elimination as int pairs, so
+    no Fraction of it is built.
+    """
+    K._check_compatible(L)
+    if K.mode == "exact":
+        return SquareMatrix._trusted(
+            _exact_band_solve(K.rows, *_exact_matmul_pairs(L.rows, K.rows)), "exact")
+    return band_solve(K, L @ K)
+
+
+def _exact_band_solve(a, b_nums: list, b_dens: list) -> tuple:
+    """:func:`band_solve` of Fraction rows ``a`` and pair rows of B, as
+    Fraction rows.
+
+    Row c of the elimination is one pair row: its entries at columns c,
+    c+1 and c+2 of A, then its row of the right-hand side.  The pivot is
+    the first nonzero of rows c and c+1.
+    """
+    d = len(a)
+
+    def pair_row(band, r):
+        return ([v.numerator for v in band] + b_nums[r],
+                [v.denominator for v in band] + b_dens[r])
+
+    tn, td = pair_row([a[0][0], a[0][1] if d > 1 else _ZERO, _ZERO], 0)
+    U = []
+    for c in range(d):
+        if c + 1 < d:
+            bn, bd = pair_row([a[c + 1][c], a[c + 1][c + 1],
+                               a[c + 1][c + 2] if c + 2 < d else _ZERO], c + 1)
+            if not tn[0]:
+                tn, td, bn, bd = bn, bd, tn, td
+        if not tn[0]:
+            raise SingularMatrixError(f"singular at column {c}")
+        U.append((tn, td))
+        if c + 1 < d:
+            if bn[0]:
+                fn, fd = _div(bn[0], bd[0], tn[0], td[0])
+                _addmul(bn, bd, -fn, fd, _nonzeros(tn, td)[1:])
+            # the reduced row c+1 starts at column c+1
+            tn = bn[1:3] + [0] + bn[3:]
+            td = bd[1:3] + [1] + bd[3:]
+    x_nums, x_dens, x_nz = [None] * d, [None] * d, [None] * d
+    for c in reversed(range(d)):
+        un, ud = U[c]
+        rn, rd = un[3:], ud[3:]
+        for k in (1, 2):
+            if c + k < d and un[k]:
+                _addmul(rn, rd, -un[k], ud[k], x_nz[c + k])
+        pn, pd = un[0], ud[0]
+        for j, v in enumerate(rn):
+            if v:
+                rn[j], rd[j] = _div(v, rd[j], pn, pd)
+        x_nums[c], x_dens[c] = rn, rd
+        x_nz[c] = _nonzeros(rn, rd)
+    return _fraction_rows(x_nums, x_dens)
+
+
+def _float_band_solve(a, b) -> tuple:
+    """:func:`band_solve` of float rows: the pivot of column c is the
+    larger |.| of rows c and c+1."""
+    d, zero = len(a), 0.0
+
+    def entry(r, c):
+        return a[r][c] if c < d else zero
+
+    top, rtop = [a[0][0], entry(0, 1), zero], b[0]
+    U, Y = [], []  # row c of U holds its entries at columns c, c+1, c+2
+    for c in range(d):
+        if c + 1 < d:
+            bot, rbot = [a[c + 1][c], a[c + 1][c + 1], entry(c + 1, c + 2)], b[c + 1]
+            if abs(bot[0]) > abs(top[0]):
+                top, bot, rtop, rbot = bot, top, rbot, rtop
+        if top[0] == 0:
+            raise SingularMatrixError(f"singular at column {c}")
+        U.append(top)
+        Y.append(rtop)
+        if c + 1 < d:
+            m = bot[0] / top[0]
+            top = [bot[1] - m * top[1], bot[2] - m * top[2], zero]
+            rtop = [v - m * w for v, w in zip(rbot, rtop)]
+    X = [None] * d
+    for c in reversed(range(d)):
+        u, row = U[c], Y[c]
+        for k in (1, 2):
+            if c + k < d and u[k] != 0:
+                row = [v - u[k] * w for v, w in zip(row, X[c + k])]
+        X[c] = tuple(v / u[0] for v in row)
+    return tuple(X)
 
 
 @dataclass(frozen=True)

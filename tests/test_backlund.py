@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -20,9 +22,11 @@ from toda_bn import (
     membership,
     to_phase,
 )
-from toda_bn.backlund import KR_CHECK_RTOL, _band_solve
+from toda_bn.backlund import KR_CHECK_RTOL
 from toda_bn.conserved import _conserved_values_exact
+from toda_bn.errors import TodaError
 from toda_bn.lax import _build_lax_exact
+from toda_bn.linalg import band_conjugate, band_solve
 from toda_bn.verify import (printed_backlund_n2, random_canonical, random_matrix, random_point,
                             random_rational)
 
@@ -84,7 +88,7 @@ def test_band_solve_equals_the_dense_inverse(rng, n):
     for K, L, x in _k_factors(rng, n, 3):
         assert K.det() == math.prod(x.z) ** 2  # so K is invertible wherever it exists
         for B in (L @ K, random_matrix(2 * n, rng)):
-            assert _band_solve(K, B) == K.inverse() @ B
+            assert band_solve(K, B) == K.inverse() @ B
 
 
 def test_band_solve_interchanges_past_a_zero_pivot(rng):
@@ -92,8 +96,8 @@ def test_band_solve_interchanges_past_a_zero_pivot(rng):
     rows = [[0, 2, 0, 0], [3, 1, 4, 0], [0, 5, 0, 6], [0, 0, 7, 1]]
     A, B = SquareMatrix(rows), random_matrix(4, rng)
     X = A.inverse() @ B
-    assert _band_solve(A, B) == X
-    got = _band_solve(SquareMatrix(rows, "float"), SquareMatrix(B.rows, "float"))
+    assert band_solve(A, B) == X
+    got = band_solve(SquareMatrix(rows, "float"), SquareMatrix(B.rows, "float"))
     assert all(abs(got[i, j] - X[i, j]) <= 1e-14 * max(1, abs(X[i, j]))
                for i in range(4) for j in range(4))
 
@@ -101,7 +105,7 @@ def test_band_solve_interchanges_past_a_zero_pivot(rng):
 def test_float_band_solve_pivots_on_the_larger_entry():
     # eliminating with the tiny pivot 1e-20 would leave x_1 = 0
     A = SquareMatrix([[1e-20, 1.0], [1.0, 1.0]])
-    X = _band_solve(A, SquareMatrix([[1.0, 0.0], [2.0, 0.0]]))
+    X = band_solve(A, SquareMatrix([[1.0, 0.0], [2.0, 0.0]]))
     assert abs(X[0, 0] - 1.0) <= 1e-15 and abs(X[1, 0] - 1.0) <= 1e-15
 
 
@@ -114,14 +118,68 @@ def test_float_band_solve_pivots_on_the_larger_entry():
 def test_band_solve_rejects_a_singular_band(mode, rows, column):
     A = SquareMatrix(rows, mode)
     with pytest.raises(SingularMatrixError, match=f"singular at column {column}$"):
-        _band_solve(A, SquareMatrix.identity(A.dim, mode))
+        band_solve(A, SquareMatrix.identity(A.dim, mode))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_band_conjugate_equals_the_dense_route(rng, n):
+    # at random points, then along a 12-step orbit from one of them
+    points = _k_factors(rng, n, 3)
+    x = points[-1][2]
+    for _ in range(12):
+        try:
+            x = backlund_map(x)
+            points.append((kr_factors(x).K, build_lax(x), x))
+        except DegeneratePointError:
+            break
+    assert len(points) > 3
+    for K, L, _ in points:
+        assert band_conjugate(K, L) == K.inverse() @ L @ K
+
+
+def test_kr_factors_are_canonical(rng):
+    for mode in ("exact", "float"):
+        for n in (2, 3, 5):
+            fac = kr_factors(_k_factors(rng, n, 1, mode)[0][2])
+            for m in (fac.K, fac.R):
+                assert m.mode == mode and m == SquareMatrix(m.rows, mode)
+                assert all(type(v) is (Fraction if mode == "exact" else float)
+                           for row in m.rows for v in row)
+
+
+def test_kr_factors_keeps_the_overflow_error():
+    # Q_1 z_1 overflows; every other entry is inf, nan or finite, so the
+    # check of Q_k z_k is what stops the factorization
+    x = PhasePoint(2, (1e300, 2.0), (1e10, 0.5))
+    with pytest.raises(ValueError, match=r"^Q_1 z_1 overflows: 10000000000\.0 \* 1e\+300$"):
+        kr_factors(x)
+
+
+def test_float_backlund_conjugate_keeps_its_bits():
+    # the digest of these steps' coordinates (and of the two TodaErrors on
+    # the way) as the band solve gave them before it moved into linalg
+    rng = random.Random(2027)
+    out = []
+    for n in range(2, 9):
+        for _ in range(6):
+            x = random_point(n, rng).to_float()
+            for _ in range(3):
+                try:
+                    x = backlund_conjugate(x)
+                    out.append((x.z, x.Q))
+                except TodaError as e:
+                    out.append(type(e).__name__)
+                    break
+    assert len(out) == 122
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == (
+        "ed2ee4fb43c00f59d809580d768a31adb868c5a4474a8dd942efafef110e96ff")
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_float_band_solve_agrees_with_the_dense_route(rng, n):
     for K, L, _ in _k_factors(rng, n, 3, "float"):
         B = L @ K
-        got, dense = _band_solve(K, B), K.inverse() @ B
+        got, dense = band_solve(K, B), K.inverse() @ B
         scale = max(dense.max_abs(), 1.0)
         assert all(abs(got[i, j] - dense[i, j]) <= KR_CHECK_RTOL * scale
                    for i in range(2 * n) for j in range(2 * n))

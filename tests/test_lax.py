@@ -396,6 +396,15 @@ def test_float_points_bypass_the_memos(rng):
     assert (_build_lax_exact.cache_info(), _conserved_values_exact.cache_info()) == before
 
 
+def test_phase_point_hash_is_the_value_hash(rng):
+    # the cached hash is the dataclass's hash of (n, z, Q), for points made
+    # by the constructor or by _trusted, and equal points share it
+    for x in (random_point(3, rng), random_point(2, rng).to_float()):
+        y = PhasePoint._trusted(x.n, x.z, x.Q)
+        assert hash(x) == hash(x) == hash(y) == hash((x.n, x.z, x.Q))
+        assert {x: 1}[y] == 1
+
+
 def test_phase_point_json(worked_point):
     obj = worked_point.to_json_obj()
     assert obj == {"n": 2, "z": ["2", "3"], "Q": ["1/2", "1/5"]}

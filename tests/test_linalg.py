@@ -18,7 +18,7 @@ from toda_bn import (
     to_phase,
 )
 from toda_bn.conserved import conserved_values
-from toda_bn.linalg import _addmul, _div
+from toda_bn.linalg import _addmul, _div, band_conjugate, band_solve
 from toda_bn.verify import random_canonical, random_matrix
 
 
@@ -526,6 +526,11 @@ def test_kernel_outputs_are_canonical(ab, data):
         outputs.extend(a.lu_unit_lower())
     except DegeneratePointError:
         pass
+    for band_kernel in (band_solve, band_conjugate):
+        try:
+            outputs.append(band_kernel(a, b))
+        except SingularMatrixError:
+            pass
     for out in outputs:
         assert out.mode == a.mode
         assert_canonical(out)
@@ -656,6 +661,38 @@ def reference_char_poly(rows):
     return tuple(reversed(polys[d]))
 
 
+def reference_band_solve(a, b):
+    """The Fraction elimination of the band solve before it ran on pairs."""
+    d = len(a)
+
+    def entry(r, c):
+        return a[r][c] if c < d else Fraction(0)
+
+    top, rtop = [a[0][0], entry(0, 1), Fraction(0)], b[0]
+    U, Y = [], []
+    for c in range(d):
+        if c + 1 < d:
+            bot, rbot = [a[c + 1][c], a[c + 1][c + 1], entry(c + 1, c + 2)], b[c + 1]
+            if top[0] == 0:
+                top, bot, rtop, rbot = bot, top, rbot, rtop
+        if top[0] == 0:
+            raise SingularMatrixError(f"singular at column {c}")
+        U.append(top)
+        Y.append(rtop)
+        if c + 1 < d:
+            m = bot[0] / top[0]
+            top = [bot[1] - m * top[1], bot[2] - m * top[2], Fraction(0)]
+            rtop = [v - m * w for v, w in zip(rbot, rtop)]
+    X = [None] * d
+    for c in reversed(range(d)):
+        u, row = U[c], Y[c]
+        for k in (1, 2):
+            if c + k < d and u[k] != 0:
+                row = [v - u[k] * w for v, w in zip(row, X[c + k])]
+        X[c] = tuple(v / u[0] for v in row)
+    return tuple(X)
+
+
 def outcome(call):
     """("ok", value) or (error class, message): what a caller can see."""
     try:
@@ -719,6 +756,54 @@ def test_singular_column_is_the_first_in_the_span_of_the_earlier(rows, column):
         with pytest.raises(SingularMatrixError, match=f"^singular at column {column}$"):
             call()
     assert m.det() == 0
+
+
+@st.composite
+def tridiagonal_matrices(draw):
+    """Tridiagonal rational matrices, with a zero on the diagonal or a
+    zero column of the band now and then, so that the band solve
+    interchanges rows and meets singular bands.  Entries off the band are
+    random, since the band solve must not read them."""
+    d = draw(st.integers(1, 8))
+    band = st.one_of(st.just(Fraction(0)), ENTRIES, BIG_ENTRIES)
+    rows = [[draw(band) if abs(i - j) <= 1 else draw(ENTRIES) for j in range(d)]
+            for i in range(d)]
+    return SquareMatrix(rows)
+
+
+@settings(max_examples=80, deadline=None)
+@given(tridiagonal_matrices(), st.data())
+def test_band_kernels_match_the_fraction_band_solve(a, data):
+    b = data.draw(rational_matrices(dims=st.just(a.dim)))
+    assert (outcome(lambda: band_solve(a, b).rows)
+            == outcome(lambda: reference_band_solve(a.rows, b.rows)))
+    product = (b @ a).rows
+    assert (outcome(lambda: band_conjugate(a, b).rows)
+            == outcome(lambda: reference_band_solve(a.rows, product)))
+
+
+def test_band_conjugate_interchanges_past_a_zero_leading_pivot():
+    a = SquareMatrix([[0, 2, 0, 0], [3, 1, 4, 0], [0, 5, 0, 6], [0, 0, 7, 1]])
+    b = SquareMatrix([[Fraction(i - j, 1 + i * j) for j in range(4)] for i in range(4)])
+    assert band_conjugate(a, b) == a.inverse() @ b @ a
+    assert band_solve(a, b) == a.inverse() @ b
+
+
+@pytest.mark.parametrize("rows,column", [
+    ([[0, 0], [0, 1]], 0),
+    ([[1, 2], [2, 4]], 1),
+    ([[1, 1, 0, 0], [1, 1, 1, 0], [0, 0, 1, 1], [0, 0, 1, 1]], 1),
+    ([[2, 1, 0], [4, 2, 0], [0, 0, 0]], 1),
+    ([[1, 1, 0], [0, 0, 0], [0, 1, 0]], 2),
+])
+def test_band_kernels_name_the_singular_column_as_before(rows, column):
+    a = SquareMatrix(rows)
+    b = SquareMatrix.identity(a.dim)
+    match = f"^singular at column {column}$"
+    for call in (lambda: reference_band_solve(a.rows, b.rows), lambda: band_solve(a, b),
+                 lambda: band_conjugate(a, b)):
+        with pytest.raises(SingularMatrixError, match=match):
+            call()
 
 
 PAIR_ENTRIES = st.one_of(ENTRIES, BIG_ENTRIES)
