@@ -308,7 +308,7 @@ class SquareMatrix:
         return SquareMatrix._trusted(tuple(zip(*self._rows)), self._mode)
 
     def trace(self) -> Scalar:
-        return sum(self._rows[i][i] for i in range(self._dim))
+        return reduce(add, (self._rows[i][i] for i in range(self._dim)), 0)
 
     def max_abs(self) -> float:
         return max(abs(v) for r in self._rows for v in r)
@@ -855,7 +855,7 @@ def mat_exp(m: SquareMatrix, t: float = 1.0) -> SquareMatrix:
         raise ModeError("mat_exp requires a float-mode matrix")
     a = m * t
     _check_finite(a.rows)
-    norm = max(sum(map(abs, r)) for r in a.rows)
+    norm = max(reduce(add, map(abs, r), 0) for r in a.rows)
     s = 0
     while norm > ldexp(0.5, s):
         s += 1

@@ -16,8 +16,9 @@ entrywise rule.  The corresponding groups are
 * G_minus: block lower triangular with W = J U J.
 
 A generic invertible matrix factors uniquely as X = K R with K in G_minus
-and R in G_plus; ``factor_minus_plus`` builds the factors from two Gauss
-decompositions and ``factor_plus_minus`` gives the opposite order.
+and R in G_plus; ``factor_minus_plus`` builds the factors from the n x n
+blocks of X through its Schur complement, and ``factor_plus_minus`` gives
+the opposite order.
 """
 
 from __future__ import annotations
@@ -128,48 +129,43 @@ def pattern_dimension(n: int, which: str) -> int:
     return 2 * n * n  # U and V blocks free, W determined
 
 
-def _lower_unitupper(X: SquareMatrix) -> tuple[SquareMatrix, SquareMatrix]:
-    """X = Lo @ Ru with Lo lower triangular and Ru unit upper triangular."""
-    lu, uu = X.transpose().lu_unit_lower()
-    return uu.transpose(), lu.transpose()
-
-
-def _unitupper_lower(X: SquareMatrix) -> tuple[SquareMatrix, SquareMatrix]:
-    """X = Ru @ Lo with Ru unit upper triangular and Lo lower triangular."""
-    lo, up = X.flip().lu_unit_lower()
-    return lo.flip(), up.flip()
-
-
 def factor_minus_plus(X: SquareMatrix) -> tuple[SquareMatrix, SquareMatrix]:
     """Unique factorization X = K @ R with K in G_minus, R in G_plus.
 
-    Steps: Gauss X = Lo * Ru with Ru unit upper (hence in G_plus); then on
-    the blocks Lo = [[A, 0], [B, C]] take the Gauss decomposition
-    C^{-1} J A J = R2 U2 and assemble
+    Block LU (Golub & Van Loan, *Matrix Computations*, 4th ed., 3.2) on
+    K = [[U, 0], [V, J U J]] and R = [[P, Y], [0, Z]]: X11 = U P,
+    X21 = V P, X12 = U Y, and the Schur complement
+    S = X22 - X21 X11^{-1} X12 equals J U J Z.  So X11^{-1} J S J =
+    P^{-1} (J Z J) is upper times unit lower, and the Doolittle LU of the
+    transpose of its flip is Z^T (J P^{-1} J)^T.  Then U = X11 P^{-1},
+    V = X21 P^{-1} and Y = P X11^{-1} X12.
 
-        K = [[A J U2^{-1} J, 0], [B J U2^{-1} J, C R2]],
-        R = diag(J U2 J, R2^{-1}) @ Ru.
-
-    Raises DegeneratePointError when either Gauss step fails.
+    Raises DegeneratePointError on a singular X11 or a vanishing minor in
+    that LU.  In exact mode this happens exactly when no factorization
+    exists: a factorization makes X11 = U P invertible and gives that LU,
+    and conversely the LU's factors build K and R as above.  In float mode
+    a singular X, by ``det``'s SINGULARITY_RTOL, raises first.
     """
     n = _half(X)
-    mode = X.mode
-    Lo, Ru = _lower_unitupper(X)
-    A = Lo.block(0, 0, n)
-    B = Lo.block(n, 0, n)
-    C = Lo.block(n, n, n)
-    J = SquareMatrix.reversal(n, mode)
+    # the float LU below measures its pivots against X11^{-1} J S J alone, so
+    # a Schur complement that is all rounding noise would pass it
+    if X.mode == "float" and X.det() == 0:
+        raise DegeneratePointError("singular matrix")
+    X11, X21 = X.block(0, 0, n), X.block(n, 0, n)
     try:
-        Cinv = C.inverse()
+        X11inv = X11.inverse()
     except SingularMatrixError as e:
-        raise DegeneratePointError(f"singular lower-right Gauss block: {e}") from e
-    # Not a conjugation: in float mode Cinv @ A.flip() would add its terms in reverse order.
-    R2, U2 = _unitupper_lower(Cinv @ J @ A @ J)
-    JU2invJ = U2.inverse().flip()
-    Z0 = SquareMatrix.zero(n, mode)
-    K = SquareMatrix.from_blocks([[A @ JU2invJ, Z0], [B @ JU2invJ, C @ R2]])
-    G = SquareMatrix.from_blocks([[U2.flip(), Z0], [Z0, R2.inverse()]])
-    return K, G @ Ru
+        raise DegeneratePointError(f"singular upper-left block: {e}") from e
+    W = X11inv @ X.block(0, n, n)
+    S = X.block(n, n, n) - X21 @ W
+    lo, up = (X11inv @ S.flip()).flip().transpose().lu_unit_lower()
+    Pinv = up.transpose().flip()
+    P = Pinv.inverse()
+    Z0 = SquareMatrix.zero(n, X.mode)
+    U = X11 @ Pinv
+    K = SquareMatrix.from_blocks([[U, Z0], [X21 @ Pinv, U.flip()]])
+    R = SquareMatrix.from_blocks([[P, P @ W], [Z0, lo.transpose()]])
+    return K, R
 
 
 def factor_plus_minus(X: SquareMatrix) -> tuple[SquareMatrix, SquareMatrix]:

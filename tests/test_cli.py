@@ -342,11 +342,15 @@ def test_every_point_flag_reads_every_form(capsys, tmp_path):
 
 
 def test_verify_g_minus_redraw_seed(capsys):
-    # "G_minus fixed" draws a G_minus element whose unpivoted LU fails here
+    # "G_minus fixed" draws a G_minus element here whose upper-left block has
+    # a vanishing leading minor; it factors without a redraw
     code, out, _ = run(capsys, "verify", "--mode", "rational", "--seed", "430260648",
                        "--trials", "5")
     assert code == 0
-    assert json.loads(out.strip().splitlines()[-1])["overall"] == "pass"
+    lines = [json.loads(line) for line in out.strip().splitlines()]
+    assert lines[-1]["overall"] == "pass"
+    split = next(r for r in lines if r.get("identity") == "projection-splitting-factorization")
+    assert split["resamples"] == 0
 
 
 def test_verify_report_golden(capsys):
@@ -364,7 +368,7 @@ def test_verify_float_report_golden(capsys):
                        "--n-max", "3", "--trials", "3")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "c2d1f36c2786e912e5507e46db1fb6c1a49b3339b8f3d00bf726be5dfe947107"
+        "1bebd142cbbf9c8af01dbe268f7fb1c5807179c149c9da6f42ac847fac1d3ffd"
 
 
 # simulate CSVs, drift column included, in the benchmark's argv form:

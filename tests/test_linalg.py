@@ -128,6 +128,12 @@ def test_mode_mixing_rejected():
     assert SquareMatrix([[0.5, 1], [0, 1]]).mode == "float"  # ints absorb
 
 
+def test_float_trace_adds_in_order():
+    # sum() would compensate from Python 3.12 on and read 1.0
+    m = SquareMatrix([[1e16, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, -1e16]])
+    assert m.trace() == 0.0
+
+
 def test_mat_exp_zero():
     m = SquareMatrix([[1.0, 2.0], [3.0, 4.0]])
     assert mat_exp(m, 0.0) == SquareMatrix.identity(2, "float")

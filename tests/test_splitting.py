@@ -1,8 +1,7 @@
-import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from toda_bn import (
@@ -18,7 +17,7 @@ from toda_bn import (
     pattern_dimension,
     project,
 )
-from toda_bn.splitting import _close, _lower_unitupper, _unitupper_lower
+from toda_bn.splitting import _close
 from toda_bn.verify import (
     random_alg_minus,
     random_alg_plus,
@@ -200,7 +199,7 @@ def test_plus_shape_equals_the_three_loops(rng, n, mode):
     assert len(seen) == 4  # both outcomes of both kinds occur
 
 
-# -- the index flip against the product-based code it replaced ------------------
+# -- the Schur-complement route against the two Gauss steps it replaced --------
 
 
 def old_unitupper_lower(X):
@@ -210,9 +209,12 @@ def old_unitupper_lower(X):
 
 
 def old_factor_minus_plus(X):
+    """Gauss X = Lo Ru of the whole matrix, then a second Gauss step on the
+    blocks of Lo = [[A, 0], [B, C]]."""
     n = X.dim // 2
     mode = X.mode
-    Lo, Ru = _lower_unitupper(X)
+    lu, uu = X.transpose().lu_unit_lower()
+    Lo, Ru = uu.transpose(), lu.transpose()
     A = Lo.block(0, 0, n)
     B = Lo.block(n, 0, n)
     C = Lo.block(n, n, n)
@@ -229,12 +231,17 @@ def old_factor_minus_plus(X):
     return K, G @ Ru
 
 
-# Exact entries, and floats k/8 that keep the float eliminations away from
-# underflow, so that the old code's products and the flip see equal bits.
+# Exact entries, 0 about half the time, and floats k/8.
 SPLIT_ENTRIES = {
     "exact": st.one_of(st.just(Fraction(0)), st.fractions(-9, 9, max_denominator=6)),
     "float": st.integers(-72, 72).map(lambda k: k / 8),
 }
+
+#: Float K R against X, entrywise, within it times max(max|K| max|R|, 1):
+#: the backward error of an unpivoted LU scales with its factors, not with
+#: X.  Worst measured 6.1e-15 over 12000 random k/8 matrices (d = 2..8, up
+#: to 60% zeros) and 320 float Lax matrices and their inverses (n = 1..8).
+FLOAT_FACTOR_RTOL = 1e-12
 
 
 @st.composite
@@ -246,32 +253,39 @@ def mode_matrices(draw, dims):
     return SquareMatrix(rows, mode)
 
 
-def same_outcome(new, old, X):
-    """new(X) and old(X) give equal factors, by repr in float mode, or raise
-    the same error."""
-    try:
-        want = old(X)
-    except (DegeneratePointError, SingularMatrixError) as e:
-        with pytest.raises(type(e), match=f"^{re.escape(str(e))}$"):
-            new(X)
-        return
-    got = new(X)
+def assert_factors(X, K, R):
+    """K R = X with K in G_minus and R in G_plus; exactly in exact mode."""
+    assert membership(K, "G_minus") and membership(R, "G_plus")
     if X.mode == "exact":
-        assert got == want
-    else:
-        assert repr(got) == repr(want)
+        assert K @ R == X
+        return
+    gap = max(abs(a - b) for ra, rb in zip((K @ R).rows, X.rows) for a, b in zip(ra, rb))
+    assert gap <= FLOAT_FACTOR_RTOL * max(K.max_abs() * R.max_abs(), 1.0)
 
 
-@settings(max_examples=60, deadline=None)
-@given(mode_matrices(st.integers(1, 8)))
-def test_unitupper_lower_matches_the_product_code(X):
-    same_outcome(_unitupper_lower, old_unitupper_lower, X)
+def same_outcome(X):
+    """In exact mode factor_minus_plus(X) equals the old route's factors
+    wherever that succeeds; it returns valid factors or raises
+    DegeneratePointError wherever that raises, and in float mode."""
+    if X.mode == "exact":
+        try:
+            want = old_factor_minus_plus(X)
+        except (DegeneratePointError, SingularMatrixError):
+            pass
+        else:
+            assert factor_minus_plus(X) == want
+            return
+    try:
+        K, R = factor_minus_plus(X)
+    except DegeneratePointError:
+        return
+    assert_factors(X, K, R)
 
 
 @settings(max_examples=60, deadline=None)
 @given(mode_matrices(st.sampled_from([2, 4, 6, 8])))
 def test_factor_minus_plus_matches_the_product_code(X):
-    same_outcome(factor_minus_plus, old_factor_minus_plus, X)
+    same_outcome(X)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -279,5 +293,56 @@ def test_factor_minus_plus_matches_the_product_code_on_lax(rng, mode):
     for n in (1, 2, 3, 4):
         x = random_point(n, rng)
         L = build_lax(x if mode == "exact" else x.to_float())
-        same_outcome(factor_minus_plus, old_factor_minus_plus, L)
-        same_outcome(factor_minus_plus, old_factor_minus_plus, L.inverse())
+        same_outcome(L)
+        same_outcome(L.inverse())
+
+
+@st.composite
+def g_minus_g_plus(draw):
+    """Exact K in G_minus with any invertible U (its leading minors may
+    vanish) and R in G_plus."""
+    n = draw(st.integers(1, 4))
+    entry = SPLIT_ENTRIES["exact"]
+    nonzero = st.fractions(-9, 9, max_denominator=6).filter(bool)
+
+    def block(draw_entry):
+        return SquareMatrix([[draw_entry(i, j) for j in range(n)] for i in range(n)])
+
+    U = block(lambda i, j: draw(entry))
+    assume(U.det() != 0)
+    V = block(lambda i, j: draw(entry))
+    P = block(lambda i, j: draw(nonzero) if i == j else draw(entry) if i < j else 0)
+    Y = block(lambda i, j: draw(entry))
+    Z = block(lambda i, j: 1 if i == j else draw(entry) if i < j else 0)
+    Z0 = SquareMatrix.zero(n)
+    return (SquareMatrix.from_blocks([[U, Z0], [V, U.flip()]]),
+            SquareMatrix.from_blocks([[P, Y], [Z0, Z]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(g_minus_g_plus())
+def test_factor_minus_plus_recovers_any_factors(KR):
+    K, R = KR
+    assert factor_minus_plus(K @ R) == (K, R)
+
+
+def test_factor_minus_plus_swap_block():
+    """U = [[0, 1], [1, 0]] has a vanishing leading minor, which the whole
+    matrix's Gauss step tripped on; K is still its own factorization."""
+    U = SquareMatrix([[0, 1], [1, 0]])
+    V = SquareMatrix([[2, Fraction(-1, 3)], [5, 7]])
+    K = SquareMatrix.from_blocks([[U, SquareMatrix.zero(2)], [V, U.flip()]])
+    assert factor_minus_plus(K) == (K, SquareMatrix.identity(4))
+
+
+def test_factor_minus_plus_singular_upper_left_block():
+    X = SquareMatrix([[1, 2, 3, 4], [2, 4, 5, 6], [7, 8, 9, 1], [2, 3, 5, 7]])
+    with pytest.raises(DegeneratePointError, match="^singular upper-left block: "):
+        factor_minus_plus(X)
+
+
+def test_factor_minus_plus_float_singular_matrix():
+    # X11 = 0.375 is fine, but the Schur complement is rounding noise
+    X = SquareMatrix([[0.375, 0.875], [0.375, 0.875]], "float")
+    with pytest.raises(DegeneratePointError, match="^singular matrix$"):
+        factor_minus_plus(X)
