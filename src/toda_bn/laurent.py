@@ -14,6 +14,8 @@ highest first.
 
 from __future__ import annotations
 
+import math
+import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -181,9 +183,13 @@ class LaurentPoly:
         """Value at z = (z_1..z_n), Q = (Q_1..Q_n).
 
         Each term is its coefficient times the powers z_i ** e and Q_i ** e
-        in variable order, and the terms are added in storage order.  The
-        value is exact at a rational point; at a float point it rounds
-        exactly as that term-by-term evaluation does.
+        in variable order, and the terms are added in storage order.  At a
+        point of ints and Fractions that value is computed in integers over
+        one common denominator (``_EvalPlan.rational``), one Fraction in
+        all; at a float or mixed point it rounds exactly as that
+        term-by-term evaluation does.  An int z_i with a negative exponent
+        makes ``int ** e`` a float, so such a point keeps the term-by-term
+        route and its float value.
 
         Also accepts a single object with ``.z`` and ``.Q`` attributes.
         Raises ZeroBaseError when some z_i vanishes.
@@ -200,6 +206,10 @@ class LaurentPoly:
         if plan is None:
             plan = self._plan = _EvalPlan(self._terms)
         point = (*z, *Q)
+        if all(isinstance(v, (int, Fraction)) for v in point):
+            value = plan.rational(point)
+            if value is not None:
+                return value
         powers = [point[v] ** e for v, e in plan.powers]
         if all(type(v) is float for v in point):
             coeffs = plan.float_coeffs()
@@ -279,9 +289,22 @@ class _EvalPlan:
     coefficient.  ``Fraction * float`` computes ``float(c) * x``, so at a
     float point the coefficients of terms with a factor are converted once
     up front; a constant term keeps its Fraction.
+
+    At a point of ints and Fractions, ``rational`` adds the terms as ints.
+    Its first call makes, and keeps, the coefficients as integers over
+    their common denominator D, and for each variable v that occurs the
+    range lo_v <= e <= hi_v of its exponents, widened to take in 0.  Per
+    call, with x_v = p/q in lowest terms, each such variable gets a table
+    of the ints p^(e-lo) q^(hi-e) for e in its range, since
+
+        x_v ** e = p^(e-lo) q^(hi-e) / (p^-lo q^hi),
+
+    so a term is its integer coefficient times one table entry per
+    variable, all terms share the denominator D prod_v p^-lo q^hi, and the
+    value is one Fraction: the sum of the terms over that denominator.
     """
 
-    __slots__ = ("powers", "factors", "coeffs", "_floats")
+    __slots__ = ("powers", "factors", "coeffs", "_floats", "_ints")
 
     def __init__(self, terms: Mapping[ExpKey, Fraction]):
         table: dict[tuple[int, int], int] = {}
@@ -291,12 +314,55 @@ class _EvalPlan:
         self.powers = tuple(table)
         self.coeffs = list(terms.values())
         self._floats = None
+        self._ints = None
 
     def float_coeffs(self) -> list:
         if self._floats is None:
             self._floats = [float(c) if f else c
                             for c, f in zip(self.coeffs, self.factors)]
         return self._floats
+
+    def _integer_terms(self) -> tuple:
+        """(D, the coefficients times D, (v, lo_v, hi_v) per occurring
+        variable, and per term its index into the concatenated tables)."""
+        den = math.lcm(*(c.denominator for c in self.coeffs))
+        nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
+        spans, starts, size = [], {}, 0
+        for v in sorted({v for v, _ in self.powers}):
+            exps = [e for u, e in self.powers if u == v]
+            lo, hi = min(0, *exps), max(0, *exps)
+            spans.append((v, lo, hi))
+            starts[v] = size - lo
+            size += hi - lo + 1
+        index = []
+        for factors in self.factors:
+            term = dict(self.powers[j] for j in factors)  # variable -> exponent
+            index.append(tuple(starts[v] + term.get(v, 0) for v, _, _ in spans))
+        return den, nums, spans, index
+
+    def rational(self, point) -> Fraction | None:
+        """The value at a point of ints and Fractions, computed in integers.
+
+        Returns None when an int coordinate has a negative exponent in
+        some term: there the term-by-term value is a float.
+        """
+        if self._ints is None:
+            self._ints = self._integer_terms()
+        den, nums, spans, index = self._ints
+        table = []
+        for v, lo, hi in spans:
+            x = point[v]
+            if lo < 0 and type(x) is not Fraction:
+                return None
+            p, q = x.numerator, x.denominator
+            p_pows, q_pows = [1], [1]
+            for _ in range(hi - lo):
+                p_pows.append(p_pows[-1] * p)
+                q_pows.append(q_pows[-1] * q)
+            table += map(operator.mul, p_pows, reversed(q_pows))
+            den *= p_pows[-lo] * q_pows[hi]
+        entry = table.__getitem__
+        return Fraction(sum(c * math.prod(map(entry, i)) for c, i in zip(nums, index)), den)
 
 
 def _parse_var(var: str, n: int) -> tuple[str, int]:

@@ -362,6 +362,16 @@ def test_verify_report_golden(capsys):
         "225d156403546935751f088b6e303aff4112eb785aa5ff7b8cd4206e8f946a96"
 
 
+def test_verify_report_golden_at_n4(capsys):
+    # n = 4 is where the exact Laurent evaluation and the dual pass of
+    # lax-hamilton-equivalence do most of their work
+    code, out, _ = run(capsys, "verify", "--mode", "rational", "--seed", "7",
+                       "--n-max", "4", "--trials", "5")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "69c88c7842a53309852a9a96e190081776bf9dd78651b3f63f97d61cd58396f6"
+
+
 def test_verify_float_report_golden(capsys):
     # pins the float report, RK4 flows included, on every Python version
     code, out, _ = run(capsys, "verify", "--mode", "float", "--seed", "7",

@@ -32,9 +32,11 @@ from toda_bn import (
 from toda_bn import dynamics, f_poly
 from toda_bn.conserved import (MAX_SYMBOLIC_RANK, _chain_sums, conserved_values,
                                conserved_values_by_path)
-from toda_bn.dynamics import _chain_sums_kernel, _rates_kernel, _rk4_kernel, step_count
+from toda_bn.dynamics import (_chain_sums_kernel, _rates_kernel, _rk4_kernel,
+                               lax_along_flow, step_count)
 from toda_bn.lax import evaluate_matrix, lax_symbolic
-from toda_bn.verify import random_canonical, random_matrix, random_point
+from toda_bn.verify import (VerifySuiteConfig, check_lax_hamilton, identity_rng,
+                            random_canonical, random_matrix, random_point)
 
 
 def test_lax_rhs_traceless(rng):
@@ -66,20 +68,74 @@ def test_hamilton_rhs_q_zero_is_fixed(rng):
     assert dQ == (0,) * n and dz == (0,) * n
 
 
+def symbolic_lax_velocity(x):
+    """dL/dt by the chain rule through the symbolic partials of L."""
+    n = x.n
+    names = [f"Q{i}" for i in range(1, n + 1)] + [f"z{i}" for i in range(1, n + 1)]
+    dQ, dz = hamilton_rhs(x)
+    total = SquareMatrix.zero(2 * n)
+    for v, rate in zip(names, list(dQ) + list(dz)):
+        partial = [[e.partial_derivative(v) for e in row] for row in lax_symbolic(n)]
+        total = total + rate * evaluate_matrix(partial, x)
+    return total
+
+
 def test_exact_lax_hamilton_equivalence(rng):
     for n in (1, 2, 3):
-        sym = lax_symbolic(n)
-        names = [f"Q{i}" for i in range(1, n + 1)] + [f"z{i}" for i in range(1, n + 1)]
-        partials = {v: [[e.partial_derivative(v) for e in row] for row in sym]
-                    for v in names}
         for _ in range(8):
             x = random_point(n, rng)
-            dQ, dz = hamilton_rhs(x)
-            rates = dict(zip(names, list(dQ) + list(dz)))
-            total = SquareMatrix.zero(2 * n)
-            for v in names:
-                total = total + rates[v] * evaluate_matrix(partials[v], x)
-            assert total == lax_rhs(build_lax(x))
+            assert symbolic_lax_velocity(x) == lax_rhs(build_lax(x))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_dual_pass_equals_the_symbolic_chain_rule(rng, n):
+    for _ in range(3):
+        x = random_point(n, rng)
+        L, dL = lax_along_flow(x)
+        assert L == build_lax(x)
+        assert dL == symbolic_lax_velocity(x)
+        assert all(type(v) is Fraction for row in (*L.rows, *dL.rows) for v in row)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_dual_pass_solves_the_lax_equation_at_higher_ranks(rng, n):
+    # beyond the ranks where the tests expand L's partials symbolically
+    for _ in range(2):
+        x = random_point(n, rng)
+        L, dL = lax_along_flow(x)
+        assert L == build_lax(x)
+        assert dL == lax_rhs(L)
+
+
+@pytest.mark.parametrize("which", ["dQ", "dz"])
+def test_lax_hamilton_check_fails_with_one_rate_doubled(monkeypatch, which):
+    rates = hamilton_rhs
+
+    def doubled(x):
+        dQ, dz = rates(x)
+        if which == "dQ":
+            return (2 * dQ[0], *dQ[1:]), dz
+        return dQ, (*dz[:-1], 2 * dz[-1])
+
+    cfg = VerifySuiteConfig(n_max=3, trials=2, mode="rational")
+    assert check_lax_hamilton(cfg, identity_rng(7, 0)).passed
+    monkeypatch.setattr(dynamics, "hamilton_rhs", doubled)
+    result = check_lax_hamilton(cfg, identity_rng(7, 0))
+    assert not result.passed
+    assert result.counterexample["n"] == 1 and "point" in result.counterexample
+
+
+def test_dual_follows_each_rule():
+    # f(x) = (x^2 - 3) / (2 - x) + 1/x - x, so
+    # f'(x) = (2x (2 - x) + x^2 - 3) / (2 - x)^2 - 1/x^2 - 1
+    x0 = Fraction(5, 3)
+    x = dynamics._Dual(x0, Fraction(1))
+    f = (x * x - 3) / (2 - x) + 1 / x - x
+    assert f.value == (x0 * x0 - 3) / (2 - x0) + 1 / x0 - x0
+    assert f.tangent == ((2 * x0 * (2 - x0) + x0 * x0 - 3) / (2 - x0) ** 2
+                         - 1 / x0 ** 2 - 1)
+    g = -(x / x) + 3 * x - x * 2
+    assert (g.value, g.tangent) == (x0 - 1, Fraction(1))
 
 
 def test_conserved_directional_derivative_is_zero(rng):

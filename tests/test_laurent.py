@@ -13,6 +13,7 @@ from toda_bn import (
     f_poly,
     to_phase,
 )
+from toda_bn.laurent import _EvalPlan
 from toda_bn.lax import lax_symbolic
 from toda_bn.verify import random_point, random_rational
 
@@ -306,3 +307,94 @@ def test_ring_results_have_valid_terms(abk):
     for p in (a + b, a - b, a * b, -a, a + 2, 3 * a, a - a, a.partial_derivative(f"z{k}"),
               a.partial_derivative(f"Q{k}"), a.substitute_q_zero()):
         assert_valid_terms(p)
+
+
+# -- the integer kernel of exact evaluation against Fraction terms --------------
+
+
+def evaluate_parent_route(p, z, Q):
+    """LaurentPoly.evaluate as it was before exact points were evaluated in
+    integers: the plan's powers, then one term at a time, in Fractions at an
+    exact point and with float coefficients at a float point."""
+    if len(z) != p.n or len(Q) != p.n:
+        raise IndexMismatchError("point size does not match variable count")
+    if any(v == 0 for v in z):
+        raise ZeroBaseError("evaluation requires all z_i != 0")
+    if not p.terms:
+        return Fraction(0) if all(isinstance(v, (int, Fraction)) for v in z) else 0.0
+    plan = _EvalPlan(p.terms)
+    point = (*z, *Q)
+    powers = [point[v] ** e for v, e in plan.powers]
+    if all(type(v) is float for v in point):
+        coeffs = plan.float_coeffs()
+    else:
+        coeffs = plan.coeffs
+    acc = None
+    for term, factors in zip(coeffs, plan.factors):
+        for j in factors:
+            term = term * powers[j]
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def wide_polys(n):
+    """Polynomials with z exponents in [-4, 4], Q exponents up to 3 and
+    coefficients with denominators, empty ones included."""
+    keys = st.tuples(st.tuples(*[st.integers(-4, 4)] * n), st.tuples(*[st.integers(0, 3)] * n))
+    coeffs = st.one_of(st.integers(-5, 5), st.fractions(-7, 7, max_denominator=12))
+    return st.dictionaries(keys, coeffs, max_size=8).map(lambda t: LaurentPoly(n, t))
+
+
+# Fractions of 300 to 400 bits, as on Backlund orbits, small ones and plain ints
+BIG_FRACTIONS = st.builds(Fraction, st.integers(-2 ** 400, 2 ** 400).filter(bool),
+                          st.integers(2 ** 300, 2 ** 400))
+EXACT_Z = st.one_of(NONZERO_FRACTIONS, BIG_FRACTIONS, st.integers(-5, 5).filter(bool))
+EXACT_Q = st.one_of(st.just(0), st.just(Fraction(0)), NONZERO_FRACTIONS, BIG_FRACTIONS,
+                    st.integers(-5, 5))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(wide_polys(n), st.lists(EXACT_Z, min_size=n, max_size=n),
+                        st.lists(EXACT_Q, min_size=n, max_size=n))))
+def test_integer_kernel_equals_fraction_terms(pzq):
+    p, z, Q = pzq
+    exact = evaluate_term_by_term(p, tuple(map(Fraction, z)), tuple(map(Fraction, Q)))
+    got = _EvalPlan(p.terms).rational((*z, *Q)) if p.terms else exact
+    if got is None:
+        # an int z_i with a negative exponent: int ** e is a float, as before,
+        # and a float that overflows raises
+        assert any(type(v) is int and e < 0 for (ez, _) in p.terms for v, e in zip(z, ez))
+        kind = outcome(p.evaluate, z, Q)
+        assert kind is OverflowError or kind[0] is float
+    else:
+        assert type(got) is Fraction and got == exact
+        assert outcome(p.evaluate, z, Q) == (Fraction, repr(exact))
+    assert outcome(p.evaluate, z, Q) == outcome(evaluate_parent_route, p, z, Q)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda n: st.tuples(wide_polys(n), st.lists(MIXED, min_size=n, max_size=n),
+                        st.lists(st.one_of(MIXED, st.just(0.0)), min_size=n, max_size=n))))
+def test_evaluate_float_and_mixed_points_keep_the_parent_bits(pzq):
+    p, z, Q = pzq
+    assert outcome(p.evaluate, z, Q) == outcome(evaluate_parent_route, p, z, Q)
+    floats = (tuple(map(float, z)), tuple(map(float, Q)))
+    assert outcome(p.evaluate, *floats) == outcome(evaluate_parent_route, p, *floats)
+
+
+def test_integer_kernel_edge_cases():
+    big = Fraction(3 ** 200 + 1, 2 ** 320)
+    n = 4
+    for i in range(2 * n + 1):
+        p = f_poly(n, i)
+        for z, Q in [((big, -big, Fraction(-7, 3), 5), (0, Fraction(0), big, -2)),
+                     ((2, 3, -1, 4), (1, -1, 0, 2))]:
+            assert outcome(p.evaluate, z, Q) == outcome(evaluate_parent_route, p, z, Q)
+            with pytest.raises(ZeroBaseError):
+                p.evaluate((big, Fraction(0), 1, 2), Q)
+    empty = LaurentPoly.zero(2)
+    for z, Q in [((big, 3), (0, big)), ((Fraction(1, 2), -1), (Fraction(0), 2))]:
+        got = empty.evaluate(z, Q)
+        assert type(got) is Fraction and got == 0
