@@ -20,14 +20,15 @@ z_{n+1} = 1.  Both routes are implemented; they agree exactly wherever
 both are defined, and they preserve every conserved quantity (L+ is a
 conjugate of L).
 
-The conjugation route takes no dense inverse: kr_factors writes K, R
-and C row by row and checks the factorization as C R = K, and
-backlund_conjugate takes L+ from linalg.band_conjugate, which solves
-K L+ = L K.  K is tridiagonal (its only entry outside the two diagonal
-blocks, M_{n-1} a_n b_n, sits on the subdiagonal) with det K =
-(z_1 .. z_n)^2, so wherever kr_factors succeeds the solve is one
-elimination over K's band; at a rational point it runs on int pairs, and
-L K reaches it as pairs.  parameters_from_lax reads x+ off L+.
+The conjugation route takes no dense inverse: kr_factors writes K and R
+row by row, takes C from lax._c_rows, the writer build_factors uses, and
+checks the factorization as C R = K, and backlund_conjugate takes L+
+from linalg.band_conjugate, which solves K L+ = L K.  K is tridiagonal
+(its only entry outside the two diagonal blocks, M_{n-1} a_n b_n, sits
+on the subdiagonal) with det K = (z_1 .. z_n)^2, so wherever kr_factors
+succeeds the solve is one elimination over K's band; at a rational
+point it runs on int pairs, and L K reaches it as pairs.
+parameters_from_lax reads x+ off L+.
 
 The closed-form K/R display is ambiguous at n = 1 (the single diagonal
 entry is both "first row" and "last row" of the pattern), so kr_factors
@@ -39,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegeneratePointError
-from .lax import PhasePoint, _qz, build_lax, parameters_from_lax
+from .lax import PhasePoint, _c_rows, _qz, build_lax, parameters_from_lax
 from .linalg import _UNITS, SquareMatrix, band_conjugate
 from .dynamics import rk4_endpoint
 
@@ -65,10 +66,10 @@ class KRFactors:
 
 
 def _aux(x: PhasePoint):
-    n, z, Q = x.n, x.z, x.Q
+    n = x.n
     one = _UNITS[x.mode][0]
-    a = tuple(Q[i] * z[i] for i in range(n))
-    b = tuple(z)
+    a = tuple(_qz(x))
+    b = x.z
     M = [one] * (n + 2)
     for i in range(1, n):
         M[i] = 1 - a[i - 1] / b[i]
@@ -81,6 +82,7 @@ def kr_factors(x: PhasePoint) -> KRFactors:
     Requires n >= 2 and M_i != 0 for 1 <= i <= n-1.  Every call re-checks
     the factorization as the product C R = K, which needs no inverse:
     exactly at a rational point, and within KR_CHECK_RTOL at a float point.
+    At a float point, an overflowing Q_k z_k raises ValueError naming it.
     """
     n = x.n
     if n < 2:
@@ -117,16 +119,7 @@ def kr_factors(x: PhasePoint) -> KRFactors:
             R[n + i][n + i + 1] = M[j - 1] * a[j - 1] * b[j - 1] / (M[j] * b[j])
     K[n][n - 1] = M[n - 1] * a[n - 1] * b[n - 1]  # K12
 
-    # C = [[J N22 J, 0], [Q_n z_n E_{0,n-1}, J N11 J]] of lax.build_factors
-    qz = _qz(x)
-    C = [[zero] * d for _ in range(d)]
-    for i in range(n):
-        C[i][i] = one
-        C[n + i][n + i] = x.z[n - 1 - i]
-        if i:
-            C[i][i - 1] = qz[i - 1]
-            C[n + i][n + i - 1] = one
-    C[n][n - 1] = qz[n - 1]
+    C = _c_rows(n, b, a, one, zero)
     K, R, C = (SquareMatrix._trusted(tuple(map(tuple, m)), mode) for m in (K, R, C))
     rebuilt = C @ R
     if mode == "exact":
@@ -141,7 +134,8 @@ def kr_factors(x: PhasePoint) -> KRFactors:
 
 
 def backlund_map(x: PhasePoint) -> PhasePoint:
-    """The closed-form birational map x -> x+."""
+    """The closed-form birational map x -> x+; at a float point, an
+    overflowing Q_k z_k raises ValueError naming it, as in kr_factors."""
     n = x.n
     _, _, M = _aux(x)
     one, zero = _UNITS[x.mode]

@@ -257,11 +257,11 @@ def _char_poly_values(x: PhasePoint) -> tuple:
 _conserved_values_exact = lru_cache(maxsize=8)(_char_poly_values)
 
 
-def conserved_values_by_path(x: PhasePoint, mode: str = "original") -> tuple:
+def conserved_values_by_path(x: PhasePoint) -> tuple:
     """F_0..F_2n at x by evaluating the symbolic path formula."""
     if x.n > MAX_SYMBOLIC_RANK:
         raise ValueError(f"path-formula route is capped at n <= {MAX_SYMBOLIC_RANK}")
-    return tuple(f_poly(x.n, i, mode).evaluate(x.z, x.Q) for i in range(2 * x.n + 1))
+    return tuple(f_poly(x.n, i).evaluate(x.z, x.Q) for i in range(2 * x.n + 1))
 
 
 def elementary_symmetric(i: int, values: Sequence):

@@ -14,9 +14,10 @@ Numerical integration is fixed-step RK4 in the (z, Q) chart, where the
 right-hand side is rational.  The rates (_rates, the formulas of
 hamilton_rhs's docstring), the RK4 step (_rk4_step) and the drift's F(t)
 (conserved._chain_sums) are each written once, as plain Python over any
-field.  _trace runs each once per rank, on first use, over a recording
-scalar (_Traced) and compiles the tape to straight-line code in the same
-grouping, so float results keep their bits and exact rates stay Fraction.
+field, and hamilton_rhs runs _rates as it is.  _trace runs the RK4 step
+and the chain-sum pass once per rank, on first use, over a recording
+scalar (_Traced) and compiles each tape to straight-line code in the same
+grouping, so float results keep their bits.
 For the RK4 step that costs about 2, 5 and 35 ms at n = 3, 8 and 50, and a
 step then takes about 4, 11 and 75 us (2-core Xeon, Python 3.11).
 
@@ -113,7 +114,7 @@ def hamilton_rhs(x: PhasePoint) -> tuple[tuple, tuple]:
         Q_n'/Q_n = (1-Q_n) z_n - (1-Q_{n-1}) z_n^{-1}
         z_n'/z_n = Q_n z_n - Q_{n-1} (z_{n-1} + z_n^{-1})
     """
-    rates = _rates_kernel(x.n)(*x.z, *x.Q)
+    rates = _rates(x.n, x.z, x.Q)
     return rates[x.n:], rates[:x.n]
 
 
@@ -163,8 +164,8 @@ class _Traced:
     with ``a`` None for a negation.  Constants stay plain floats
     (``type(x)(1)`` is ``1.0``), so only constant-only subexpressions fold,
     by float arithmetic itself: ``one - one`` is ``0.0``, while ``0.0 + x``
-    is recorded, because it turns -0.0 into 0.0.  _trace runs the rates, the
-    RK4 step and the chain-sum pass over _Traced inputs and compiles each tape.
+    is recorded, because it turns -0.0 into 0.0.  _trace runs the RK4 step
+    and the chain-sum pass over _Traced inputs and compiles each tape.
     """
 
     __slots__ = ("index", "tape")
@@ -339,12 +340,6 @@ def _chain_sums_kernel(n: int):
     bit for bit.
     """
     return _trace("chain_sums", n, lambda *s: _chain_sums(n, s[:n], s[n:], True))
-
-
-@functools.lru_cache(maxsize=None)
-def _rates_kernel(n: int):
-    """rates(z_1..z_n, Q_1..Q_n) -> _rates, compiled for rank n."""
-    return _trace("rates", n, lambda *s: _rates(n, s[:n], s[n:]))
 
 
 def _poisson_rows(n: int, z: Sequence, Q: Sequence, zero) -> list[list]:

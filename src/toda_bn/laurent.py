@@ -24,6 +24,7 @@ from .errors import (
     UnknownVariableError,
     ZeroBaseError,
 )
+from .linalg import scalars_mode
 
 ExpKey = tuple  # (z_exponents tuple[int], Q_exponents tuple[int])
 
@@ -183,16 +184,17 @@ class LaurentPoly:
         """Value at z = (z_1..z_n), Q = (Q_1..Q_n).
 
         Each term is its coefficient times the powers z_i ** e and Q_i ** e
-        in variable order, and the terms are added in storage order.  At a
-        point of ints and Fractions that value is computed in integers over
-        one common denominator (``_EvalPlan.rational``), one Fraction in
-        all; at a float or mixed point it rounds exactly as that
-        term-by-term evaluation does.  An int z_i with a negative exponent
-        makes ``int ** e`` a float, so such a point keeps the term-by-term
-        route and its float value.
+        in variable order, and the terms are added in storage order.  The
+        point's mode is ``linalg.scalars_mode``'s: at a point of ints and
+        Fractions the value is exact, computed in integers over one common
+        denominator (``_EvalPlan.rational``), one Fraction in all; at a
+        point of floats, ints included, each coordinate is passed through
+        ``float()`` and the value rounds exactly as that term-by-term
+        evaluation does.
 
         Also accepts a single object with ``.z`` and ``.Q`` attributes.
-        Raises ZeroBaseError when some z_i vanishes.
+        Raises ZeroBaseError when some z_i vanishes, and ModeError at a
+        point that mixes Fractions with floats.
         """
         if Q is None:
             z, Q = z.z, z.Q
@@ -200,23 +202,18 @@ class LaurentPoly:
             raise IndexMismatchError("point size does not match variable count")
         if any(v == 0 for v in z):
             raise ZeroBaseError("evaluation requires all z_i != 0")
+        point = (*z, *Q)
+        exact = scalars_mode(point) == "exact"
         if not self._terms:
-            return Fraction(0) if all(isinstance(v, (int, Fraction)) for v in z) else 0.0
+            return Fraction(0) if exact else 0.0
         plan = self._plan
         if plan is None:
             plan = self._plan = _EvalPlan(self._terms)
-        point = (*z, *Q)
-        if all(isinstance(v, (int, Fraction)) for v in point):
-            value = plan.rational(point)
-            if value is not None:
-                return value
-        powers = [point[v] ** e for v, e in plan.powers]
-        if all(type(v) is float for v in point):
-            coeffs = plan.float_coeffs()
-        else:
-            coeffs = plan.coeffs
+        if exact:
+            return plan.rational(point)
+        powers = [float(point[v]) ** e for v, e in plan.powers]
         acc = None
-        for term, factors in zip(coeffs, plan.factors):
+        for term, factors in zip(plan.float_coeffs(), plan.factors):
             for j in factors:
                 term = term * powers[j]
             acc = term if acc is None else acc + term
@@ -294,8 +291,9 @@ class _EvalPlan:
     Its first call makes, and keeps, the coefficients as integers over
     their common denominator D, and for each variable v that occurs the
     range lo_v <= e <= hi_v of its exponents, widened to take in 0.  Per
-    call, with x_v = p/q in lowest terms, each such variable gets a table
-    of the ints p^(e-lo) q^(hi-e) for e in its range, since
+    call, with x_v = p/q in lowest terms (an int is p/1), each such
+    variable gets a table of the ints p^(e-lo) q^(hi-e) for e in its
+    range, since
 
         x_v ** e = p^(e-lo) q^(hi-e) / (p^-lo q^hi),
 
@@ -340,21 +338,14 @@ class _EvalPlan:
             index.append(tuple(starts[v] + term.get(v, 0) for v, _, _ in spans))
         return den, nums, spans, index
 
-    def rational(self, point) -> Fraction | None:
-        """The value at a point of ints and Fractions, computed in integers.
-
-        Returns None when an int coordinate has a negative exponent in
-        some term: there the term-by-term value is a float.
-        """
+    def rational(self, point) -> Fraction:
+        """The value at a point of ints and Fractions, computed in integers."""
         if self._ints is None:
             self._ints = self._integer_terms()
         den, nums, spans, index = self._ints
         table = []
         for v, lo, hi in spans:
-            x = point[v]
-            if lo < 0 and type(x) is not Fraction:
-                return None
-            p, q = x.numerator, x.denominator
+            p, q = point[v].numerator, point[v].denominator
             p_pows, q_pows = [1], [1]
             for _ in range(hi - lo):
                 p_pows.append(p_pows[-1] * p)

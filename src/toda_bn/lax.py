@@ -13,7 +13,8 @@ One builder, ``_lax_rows``, writes L in closed form with ring operations
 only, so the same code gives L over Fraction and float (``build_lax``) and
 over LaurentPoly (``lax_symbolic``); C is never inverted numerically.
 ``_lax_inverse_rows`` writes L^{-1} = C B^{-1} N^{-1} the same way, from
-the same bidiagonal inverses.
+the same bidiagonal inverses, and ``_c_rows`` writes C, for
+``build_factors`` and ``backlund.kr_factors``.
 
 The phase space is cut out by two varieties: Gamma_1 constrains the
 sparsity of L^{-1}, Gamma_2 ties the four n x n blocks of L and L^{-1}
@@ -144,12 +145,11 @@ def build_factors(x: PhasePoint) -> tuple[SquareMatrix, SquareMatrix, SquareMatr
     N22 = SquareMatrix(n22, mode)
     J = SquareMatrix.reversal(n, mode)
     Z0 = SquareMatrix.zero(n, mode)
-    P = Z0.with_entry(0, n - 1, qz[n - 1])
 
     N = SquareMatrix.from_blocks([[N11, Z0], [Z0, N22]])
     B = SquareMatrix.from_blocks([[SquareMatrix.identity(n, mode), J],
                                   [Z0, SquareMatrix.identity(n, mode)]])
-    C = SquareMatrix.from_blocks([[N22.flip(), Z0], [P, N11.flip()]])
+    C = SquareMatrix._trusted(tuple(map(tuple, _c_rows(n, z, qz, one, zero))), mode)
     return N, B, C
 
 
@@ -173,6 +173,21 @@ def _bidiagonal_inverse(n: int, first, factor, zero) -> list[list]:
 def _flip(rows: list[list]) -> list[list]:
     """J A J: the rows of A reversed in both directions."""
     return [row[::-1] for row in rows[::-1]]
+
+
+def _c_rows(n: int, z, qz, one, zero) -> list[list]:
+    """The 2n rows of C = [[J N22 J, 0], [P, J N11 J]] by ring operations
+    only; the arguments are those of ``_lax_rows``, 1/z_k aside."""
+    d = 2 * n
+    rows = [[zero] * d for _ in range(d)]
+    for i in range(n):
+        rows[i][i] = one
+        rows[n + i][n + i] = z[n - 1 - i]
+        if i:
+            rows[i][i - 1] = qz[i - 1]
+            rows[n + i][n + i - 1] = one
+    rows[n][n - 1] = qz[n - 1]
+    return rows
 
 
 def _lax_rows(n: int, z, zinv, qz, one, zero) -> list[list]:

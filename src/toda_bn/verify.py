@@ -388,6 +388,7 @@ def check_splitting(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResul
     unique two-sided group factorization."""
     name, mode = "projection-splitting-factorization", "rational"
     resamples = 0
+    trials = max(1, cfg.trials // 2)  # per rank
     for n in range(1, cfg.n_max + 1):
         d = 2 * n
         # free-entry counts of the patterns
@@ -410,7 +411,7 @@ def check_splitting(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResul
         if probe != 2 * n * n:
             return _fail(name, mode, {"n": n, "which": "g_plus probe basis"})
 
-        for t in range(max(1, cfg.trials // 2)):
+        for t in range(trials):
             X = random_matrix(d, rng)
             pair = sp.project(X)
             if pair.plus + pair.minus != X:
@@ -442,7 +443,7 @@ def check_splitting(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResul
         K, R = sp.factor_minus_plus(gm)
         if K != gm or R != SquareMatrix.identity(d):
             return _fail(name, mode, {"n": n, "which": "G_minus fixed"})
-    return IdentityResult(name, mode, True, cfg.trials * cfg.n_max, resamples)
+    return IdentityResult(name, mode, True, trials * cfg.n_max, resamples)
 
 
 def check_lax_hamilton(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:

@@ -149,10 +149,12 @@ def test_kr_factors_are_canonical(rng):
 
 def test_kr_factors_keeps_the_overflow_error():
     # Q_1 z_1 overflows; every other entry is inf, nan or finite, so the
-    # check of Q_k z_k is what stops the factorization
+    # check of Q_k z_k is what stops the factorization, and the closed-form
+    # map, which shares it, stops with the same message
     x = PhasePoint(2, (1e300, 2.0), (1e10, 0.5))
-    with pytest.raises(ValueError, match=r"^Q_1 z_1 overflows: 10000000000\.0 \* 1e\+300$"):
-        kr_factors(x)
+    for route in (kr_factors, backlund_map):
+        with pytest.raises(ValueError, match=r"^Q_1 z_1 overflows: 10000000000\.0 \* 1e\+300$"):
+            route(x)
 
 
 def test_float_backlund_conjugate_keeps_its_bits():

@@ -359,7 +359,7 @@ def test_verify_report_golden(capsys):
                        "--n-max", "3", "--trials", "3")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "225d156403546935751f088b6e303aff4112eb785aa5ff7b8cd4206e8f946a96"
+        "6559814895a63af8b9769a47ee9eb627a8c8c631732f9461ba5f337e628eb726"
 
 
 def test_verify_report_golden_at_n4(capsys):
@@ -369,7 +369,7 @@ def test_verify_report_golden_at_n4(capsys):
                        "--n-max", "4", "--trials", "5")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "69c88c7842a53309852a9a96e190081776bf9dd78651b3f63f97d61cd58396f6"
+        "bcba3451adf8fd53b28d869ef522dd78739475274c687e08bc38553fa052b685"
 
 
 def test_verify_float_report_golden(capsys):

@@ -32,7 +32,7 @@ from toda_bn import (
 from toda_bn import dynamics, f_poly
 from toda_bn.conserved import (MAX_SYMBOLIC_RANK, _chain_sums, conserved_values,
                                conserved_values_by_path)
-from toda_bn.dynamics import (_chain_sums_kernel, _rates_kernel, _rk4_kernel,
+from toda_bn.dynamics import (_chain_sums_kernel, _rk4_kernel,
                                lax_along_flow, step_count)
 from toda_bn.lax import evaluate_matrix, lax_symbolic
 from toda_bn.verify import (VerifySuiteConfig, check_lax_hamilton, identity_rng,
@@ -532,7 +532,6 @@ def test_kernels_reject_a_zero_z_at_every_position(n):
             z = [1.5] * n
             z[j] = zero
             for call in (lambda: _rk4_kernel(n)(*z, *([0.25] * n), 1e-3),
-                         lambda: _rates_kernel(n)(*z, *([0.25] * n)),
                          lambda: _chain_sums_kernel(n)(*z, *([0.25] * n))):
                 with pytest.raises(ZeroBaseError, match=r"^all z_i must be nonzero$"):
                     call()

@@ -8,6 +8,7 @@ from toda_bn import (
     CanonicalPoint,
     IndexMismatchError,
     LaurentPoly,
+    ModeError,
     UnknownVariableError,
     ZeroBaseError,
     f_poly,
@@ -164,9 +165,20 @@ def outcome(f, *args):
     """(type, repr) of f's value, or the class of the exception it raises."""
     try:
         value = f(*args)
-    except ArithmeticError as e:  # a subnormal z_i ** -1 overflows
+    except (ArithmeticError, ModeError) as e:  # a subnormal z_i ** -1 overflows
         return type(e)
     return type(value), repr(value)
+
+
+def mode_outcome(p, z, Q):
+    """evaluate's outcome by linalg.scalars_mode's rule: ModeError where
+    Fractions meet floats, the term-by-term value at the all-float point
+    where a float occurs, and the term-by-term value in Fractions otherwise."""
+    types = {type(v) for v in (*z, *Q)}
+    if {Fraction, float} <= types:
+        return ModeError
+    to = float if float in types else Fraction
+    return outcome(evaluate_term_by_term, p, tuple(map(to, z)), tuple(map(to, Q)))
 
 
 def assert_same_values(polys, z, Q):
@@ -221,36 +233,56 @@ def test_evaluate_exact_at_rational_points(zq):
     assert_same_values(conserved_polys(len(z)) + lax_polys(len(z)), z, Q)
 
 
-MIXED = st.one_of(NONZERO_FLOATS, NONZERO_FRACTIONS, st.integers(-3, 3).filter(bool))
+TYPES = {int: st.integers(-3, 3), Fraction: st.fractions(-9, 9, max_denominator=9),
+         float: st.floats(-4, 4)}
 
 
-@settings(max_examples=20, deadline=None)
-@given(st.integers(1, 3).flatmap(
-    lambda n: st.tuples(st.lists(MIXED, min_size=n, max_size=n),
-                        st.lists(MIXED, min_size=n, max_size=n))))
+@st.composite
+def two_type_points(draw, n):
+    """(z, Q) with coordinates of two of the types int, Fraction and float;
+    the z_i are nonzero, a Q_i may be zero."""
+    pair = draw(st.sampled_from([(int, float), (int, Fraction), (Fraction, float)]))
+    coords = st.one_of(*(TYPES[t] for t in pair))
+    z = draw(st.lists(coords.filter(bool), min_size=n, max_size=n))
+    Q = draw(st.lists(coords, min_size=n, max_size=n))
+    return tuple(z), tuple(Q)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3).flatmap(two_type_points))
 def test_evaluate_bits_at_mixed_points(zq):
-    # ints, Fractions and floats mixed: int ** -1 is a float, and the
-    # coefficients stay Fractions unless every coordinate is a float
-    z, Q = map(tuple, zq)
-    assert_same_values(conserved_polys(len(z)), z, Q)
+    # ints join either mode: an int/float point is the all-float point and an
+    # int/Fraction point is exact, while Fractions with floats raise ModeError
+    z, Q = zq
+    for p in conserved_polys(len(z)):
+        assert outcome(p.evaluate, z, Q) == mode_outcome(p, z, Q)
 
 
 def test_evaluate_rational_z_float_q():
-    # a term's z powers are exact here, so only its Q powers are floats:
-    # c * z^e stays a Fraction until the first float factor
+    # Fraction z with float Q mixes the modes; the same z in ints with float
+    # Q is a float point, evaluated as the all-float point is
     z = (Fraction(3, 7), Fraction(-5, 3), Fraction(9, 4), Fraction(2, 9))
+    zi = (3, -5, 9, 2)
     for Q in ((0.1, -0.7, 0.3, 1.9), (1e-3, 2.5, -0.35, 0.65)):
         for n in (2, 3, 4):
-            assert_same_values(conserved_polys(n) + lax_polys(n), z[:n], Q[:n])
+            for p in conserved_polys(n) + lax_polys(n):
+                with pytest.raises(ModeError):
+                    p.evaluate(z[:n], Q[:n])
+                assert outcome(p.evaluate, zi[:n], Q[:n]) == \
+                    outcome(evaluate_term_by_term, p, tuple(map(float, zi[:n])), Q[:n])
 
 
 def test_evaluate_alternating_point_types():
+    # one polynomial, its evaluation plan kept, at points of every mode
     p = f_poly(3, 3)
     points = [((1.25, -0.5, 2.0), (0.5, -0.75, 0.25)),
               ((Fraction(5, 4), Fraction(-1, 2), 2), (Fraction(1, 2), Fraction(-3, 4), 0)),
-              ((2, -1, 3), (1, 2, -1))]
+              ((2, -1, 3), (1, 2, -1)),
+              ((2, -0.5, 3), (1, 0.5, -1)),
+              ((Fraction(5, 4), -0.5, 2), (0.5, -0.75, 0))]
     for z, Q in points + points[::-1]:
-        assert_same_values([p], z, Q)
+        assert outcome(p.evaluate, z, Q) == mode_outcome(p, z, Q)
+    assert outcome(p.evaluate, *points[2])[0] is Fraction
 
 
 def test_evaluate_zero_and_constant_polynomials():
@@ -345,12 +377,14 @@ def wide_polys(n):
     return st.dictionaries(keys, coeffs, max_size=8).map(lambda t: LaurentPoly(n, t))
 
 
-# Fractions of 300 to 400 bits, as on Backlund orbits, small ones and plain ints
+# Fractions and ints of 300 to 400 bits, as on Backlund orbits, small ones and
+# plain ints
 BIG_FRACTIONS = st.builds(Fraction, st.integers(-2 ** 400, 2 ** 400).filter(bool),
                           st.integers(2 ** 300, 2 ** 400))
-EXACT_Z = st.one_of(NONZERO_FRACTIONS, BIG_FRACTIONS, st.integers(-5, 5).filter(bool))
+BIG_INTS = st.integers(2 ** 300, 2 ** 400) | st.integers(-2 ** 400, -2 ** 300)
+EXACT_Z = st.one_of(NONZERO_FRACTIONS, BIG_FRACTIONS, BIG_INTS, st.integers(-5, 5).filter(bool))
 EXACT_Q = st.one_of(st.just(0), st.just(Fraction(0)), NONZERO_FRACTIONS, BIG_FRACTIONS,
-                    st.integers(-5, 5))
+                    BIG_INTS, st.integers(-5, 5))
 
 
 @settings(max_examples=150, deadline=None)
@@ -358,30 +392,26 @@ EXACT_Q = st.one_of(st.just(0), st.just(Fraction(0)), NONZERO_FRACTIONS, BIG_FRA
     lambda n: st.tuples(wide_polys(n), st.lists(EXACT_Z, min_size=n, max_size=n),
                         st.lists(EXACT_Q, min_size=n, max_size=n))))
 def test_integer_kernel_equals_fraction_terms(pzq):
+    # exact at every point of ints and Fractions, an int z_i with a negative
+    # exponent included: never a float, never an OverflowError
     p, z, Q = pzq
     exact = evaluate_term_by_term(p, tuple(map(Fraction, z)), tuple(map(Fraction, Q)))
-    got = _EvalPlan(p.terms).rational((*z, *Q)) if p.terms else exact
-    if got is None:
-        # an int z_i with a negative exponent: int ** e is a float, as before,
-        # and a float that overflows raises
-        assert any(type(v) is int and e < 0 for (ez, _) in p.terms for v, e in zip(z, ez))
-        kind = outcome(p.evaluate, z, Q)
-        assert kind is OverflowError or kind[0] is float
-    else:
+    if p.terms:
+        got = _EvalPlan(p.terms).rational((*z, *Q))
         assert type(got) is Fraction and got == exact
-        assert outcome(p.evaluate, z, Q) == (Fraction, repr(exact))
-    assert outcome(p.evaluate, z, Q) == outcome(evaluate_parent_route, p, z, Q)
+    assert outcome(p.evaluate, z, Q) == (Fraction, repr(exact))
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 3).flatmap(
-    lambda n: st.tuples(wide_polys(n), st.lists(MIXED, min_size=n, max_size=n),
-                        st.lists(st.one_of(MIXED, st.just(0.0)), min_size=n, max_size=n))))
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(wide_polys(n), two_type_points(n))))
 def test_evaluate_float_and_mixed_points_keep_the_parent_bits(pzq):
-    p, z, Q = pzq
-    assert outcome(p.evaluate, z, Q) == outcome(evaluate_parent_route, p, z, Q)
+    p, (z, Q) = pzq
     floats = (tuple(map(float, z)), tuple(map(float, Q)))
     assert outcome(p.evaluate, *floats) == outcome(evaluate_parent_route, p, *floats)
+    assert outcome(p.evaluate, z, Q) == mode_outcome(p, z, Q)
+    types = {type(v) for v in (*z, *Q)}
+    if float in types and Fraction not in types:
+        assert outcome(p.evaluate, z, Q) == outcome(p.evaluate, *floats)
 
 
 def test_integer_kernel_edge_cases():
@@ -390,10 +420,15 @@ def test_integer_kernel_edge_cases():
     for i in range(2 * n + 1):
         p = f_poly(n, i)
         for z, Q in [((big, -big, Fraction(-7, 3), 5), (0, Fraction(0), big, -2)),
-                     ((2, 3, -1, 4), (1, -1, 0, 2))]:
-            assert outcome(p.evaluate, z, Q) == outcome(evaluate_parent_route, p, z, Q)
+                     ((2, 3, -1, 4), (1, -1, 0, 2)),
+                     ((2 ** 400 + 1, -3, 2 ** 1100, -7), (0, 5, -2 ** 1100, 1))]:
+            exact = evaluate_term_by_term(p, tuple(map(Fraction, z)), tuple(map(Fraction, Q)))
+            assert outcome(p.evaluate, z, Q) == (Fraction, repr(exact))
             with pytest.raises(ZeroBaseError):
                 p.evaluate((big, Fraction(0), 1, 2), Q)
+    # int ** -1 is a float; the kernel takes the int as p/1
+    assert outcome(LaurentPoly.z_var(1, 1, -1).evaluate, (3,), (0,)) == \
+        (Fraction, repr(Fraction(1, 3)))
     empty = LaurentPoly.zero(2)
     for z, Q in [((big, 3), (0, big)), ((Fraction(1, 2), -1), (Fraction(0), 2))]:
         got = empty.evaluate(z, Q)
