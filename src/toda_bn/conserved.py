@@ -36,7 +36,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import exp
-from operator import add
 from typing import Sequence
 
 from .errors import DegeneratePointError, ModeError
@@ -110,24 +109,63 @@ def f_poly(n: int, i: int, mode: str = "original") -> LaurentPoly:
     return _f_polys(n, mode)[i]
 
 
+def _slot_width(n: int) -> int:
+    """Bits per exponent in a packed key of rank n: the least w with 2^w > 2n."""
+    return (2 * n).bit_length()
+
+
+def _pack(n: int, ez: Sequence[int], eq: Sequence[int]) -> int:
+    """The packed key sum_j e_j 2^(w j) of (z exponents, Q exponents).
+
+    Slot j = 0..n-1 holds the exponent of z_(j+1), slot n + j that of
+    Q_(j+1); w is ``_slot_width(n)``.  Packing is linear, so the key of a
+    product of monomials is the sum of their keys.
+    """
+    w = _slot_width(n)
+    return sum(e << (w * j) for j, e in enumerate((*ez, *eq)))
+
+
+def _unpack(n: int, key: int) -> tuple[tuple, tuple]:
+    """The (z exponents, Q exponents) of a packed key whose z exponents lie
+    in -1..2^w - 2 and whose Q exponents lie in 0..2^w - 1."""
+    w = _slot_width(n)
+    key += _pack(n, (1,) * n, (0,) * n)  # every slot now holds a digit in 0..2^w - 1
+    digits = [(key >> (w * j)) & ((1 << w) - 1) for j in range(2 * n)]
+    return tuple(d - 1 for d in digits[:n]), tuple(digits[n:])
+
+
 @lru_cache(maxsize=None)
 def _f_polys(n: int, mode: str) -> tuple[LaurentPoly, ...]:
     """F_0..F_2n of one rank and mode, from one pass with one memo.
 
     The sum is a memoized recursion over (position, chains left, forced)
-    on plain term maps {(z exponents, Q exponents): int}; no key depends
-    on i, so F_0..F_2n share the memo, which is dropped after the pass.
-    The mode only picks the interval table.  Every interval weight is a
-    monomial with coefficient +-1, so the coefficients stay ints until
-    the end.  Each step copies the map of the chains that skip the
-    position and adds the weight times each continuation into it in
-    place, term by term, exactly as ``LaurentPoly`` addition of a product
-    would; so the result keeps the storage order of the ring recursion,
-    which the float sums of ``evaluate`` follow.
+    on plain term maps {packed exponent key: int}; no key depends on i, so
+    F_0..F_2n share the memo, which is dropped after the pass.  The mode
+    only picks the interval table.  Every interval weight is a monomial
+    with coefficient +-1, so the coefficients stay ints until the end.
+    Each step copies the map of the chains that skip the position and
+    adds the weight times each continuation into it in place, term by
+    term, exactly as ``LaurentPoly`` addition of a product would; so the
+    result keeps the storage order of the ring recursion, which the float
+    sums of ``evaluate`` follow.
+
+    A key is ``_pack``'s int, so a weight times a continuation is one int
+    addition.  A chain takes z_k only from its interval starting at k and
+    1/z_k only from the one at kbar, and each interval gives each Q_i at
+    most once, so every z exponent along the recursion is -1, 0 or 1 and
+    every Q exponent at most the chain length 2n < 2^w: each slot's digit
+    lies in -1..2^w - 2, and each key stands for exactly one exponent
+    vector.  The keys of a finished F_i are unpacked once per term; the
+    z-half and Q-half tuples (at n = 6, 729 and 126 distinct ones over
+    17 089 terms) and the Fraction of each distinct coefficient are
+    shared through dicts.  Cold at n = 6 (2-core Xeon, Python 3.11), the
+    pass takes a median 28 ms against 79 ms with tuple keys.
     """
-    table = _interval_table(n, mode == "improved")
+    w = _slot_width(n)
+    rows = tuple(tuple((y, _pack(n, wz, wq), wc, nxt) for y, wz, wq, wc, nxt in row)
+                 for row in _interval_table(n, mode == "improved"))
     zero: dict = {}
-    one = {((0,) * n, (0,) * n): 1}
+    one = {0: 1}
     memo: dict[tuple[int, int, bool], dict] = {}
 
     def chains(pos: int, left: int, forced: bool) -> dict:
@@ -142,20 +180,37 @@ def _f_polys(n: int, mode: str) -> tuple[LaurentPoly, ...]:
         if key in memo:
             return memo[key]
         acc = {} if forced else dict(chains(pos + 1, left, False))
-        for y, wz, wq, wc, nxt_forced in table[pos - 1]:
-            for (ez, eq), c in chains(y + 1, left - 1, nxt_forced).items():
-                k = (tuple(map(add, wz, ez)), tuple(map(add, wq, eq)))
+        for y, wk, wc, nxt_forced in rows[pos - 1]:
+            for ek, c in chains(y + 1, left - 1, nxt_forced).items():
+                k = wk + ek
                 s = acc.get(k, 0) + wc * c
                 if s == 0:
-                    acc.pop(k, None)
+                    del acc[k]
                 else:
                     acc[k] = s
         memo[key] = acc
         return acc
 
-    return tuple(
-        LaurentPoly._trusted(n, {k: Fraction(c) for k, c in chains(1, i, False).items()})
-        for i in range(2 * n + 1))
+    # a half's digits, read off the key with 1 added to each z slot
+    mask, bias = (1 << (w * n)) - 1, _pack(n, (1,) * n, (0,) * n)
+    z_halves: dict[int, tuple] = {}
+    q_halves: dict[int, tuple] = {}
+    fractions: dict[int, Fraction] = {}
+
+    def poly(terms: dict) -> LaurentPoly:
+        out = {}
+        for k, c in terms.items():
+            zk, qk = (k + bias) & mask, (k + bias) >> (w * n)
+            if zk not in z_halves or qk not in q_halves:
+                ez, eq = _unpack(n, k)
+                z_halves.setdefault(zk, ez)
+                q_halves.setdefault(qk, eq)
+            if c not in fractions:
+                fractions[c] = Fraction(c)
+            out[z_halves[zk], q_halves[qk]] = fractions[c]
+        return LaurentPoly._trusted(n, out)
+
+    return tuple(poly(chains(1, i, False)) for i in range(2 * n + 1))
 
 
 @lru_cache(maxsize=None)

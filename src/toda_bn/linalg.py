@@ -411,10 +411,6 @@ class SquareMatrix:
     def to_json_obj(self):
         return [[format_scalar(v) for v in r] for r in self._rows]
 
-    @classmethod
-    def from_json_obj(cls, obj) -> "SquareMatrix":
-        return cls([[parse_scalar(v) for v in r] for r in obj])
-
 
 # -- exact kernel on reduced integer pairs ------------------------------------
 #
@@ -836,9 +832,6 @@ class PolyInLambda:
         for c in self.coeffs:
             acc = acc * lam + c
         return acc
-
-    def is_palindromic(self) -> bool:
-        return self.coeffs == tuple(reversed(self.coeffs))
 
 
 def mat_exp(m: SquareMatrix, t: float = 1.0) -> SquareMatrix:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,7 @@ from toda_bn import (
     ideal_generator,
     interval_weight,
 )
-from toda_bn.conserved import _chain_sums
+from toda_bn.conserved import _chain_sums, _pack, _unpack
 from toda_bn.lax import _lax_inverse_rows
 from toda_bn.verify import printed_f1, printed_f2_n2, random_point, random_rational
 
@@ -226,6 +227,25 @@ def test_f_poly_term_order_pinned(n, mode):
     for i in range(2 * n + 1):
         digest.update(repr(list(f_poly(n, i, mode).terms.items())).encode() + b"\n")
     assert digest.hexdigest() == F_POLY_GOLDEN[n]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_packed_key_round_trips_at_the_extreme_exponents(n):
+    # z exponents -1..1 and Q exponents 0..2n are what a chain can reach
+    rng = random.Random(n)
+    extremes = [(-1,) * n, (1,) * n, (0,) * n, tuple(rng.choice((-1, 0, 1)) for _ in range(n))]
+    q_extremes = [(0,) * n, (2 * n,) * n, tuple(rng.choice((0, 2 * n)) for _ in range(n))]
+    for ez in extremes:
+        for eq in q_extremes:
+            assert _unpack(n, _pack(n, ez, eq)) == (ez, eq)
+            # packing is linear: the key of a product is the sum of the keys
+            half = tuple(e // 2 for e in eq)
+            assert _pack(n, ez, half) + _pack(n, (0,) * n, tuple(a - b for a, b in zip(eq, half))) \
+                == _pack(n, ez, eq)
+    for mode in ("original", "improved"):
+        for i in range(2 * n + 1):
+            for ez, eq in f_poly(n, i, mode).terms:
+                assert all(-1 <= e <= 1 for e in ez) and all(0 <= e <= i for e in eq)
 
 
 def f_poly_by_ring(n, i, mode):

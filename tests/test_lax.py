@@ -190,7 +190,8 @@ def test_upper_right_block_is_reversal(rng):
 def test_char_poly_palindromic(rng):
     for n in (1, 2, 3):
         x = random_point(n, rng)
-        assert build_lax(x).char_poly().is_palindromic()
+        coeffs = build_lax(x).char_poly().coeffs
+        assert coeffs == coeffs[::-1]
 
 
 def test_lax_in_gamma(rng):
