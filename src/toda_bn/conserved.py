@@ -191,7 +191,7 @@ def _f_polys(n: int, mode: str) -> tuple[LaurentPoly, ...]:
         memo[key] = acc
         return acc
 
-    # a half's digits, read off the key with 1 added to each z slot
+    # key + bias holds the z digits, each raised by 1, in its low n slots
     mask, bias = (1 << (w * n)) - 1, _pack(n, (1,) * n, (0,) * n)
     z_halves: dict[int, tuple] = {}
     q_halves: dict[int, tuple] = {}

@@ -238,10 +238,9 @@ def test_packed_key_round_trips_at_the_extreme_exponents(n):
     for ez in extremes:
         for eq in q_extremes:
             assert _unpack(n, _pack(n, ez, eq)) == (ez, eq)
-            # packing is linear: the key of a product is the sum of the keys
-            half = tuple(e // 2 for e in eq)
-            assert _pack(n, ez, half) + _pack(n, (0,) * n, tuple(a - b for a, b in zip(eq, half))) \
-                == _pack(n, ez, eq)
+            # the key of a product is the sum of the keys, borrows included
+            inverse = tuple(-e for e in ez)
+            assert _unpack(n, _pack(n, ez, eq) + _pack(n, inverse, (0,) * n)) == ((0,) * n, eq)
     for mode in ("original", "improved"):
         for i in range(2 * n + 1):
             for ez, eq in f_poly(n, i, mode).terms:
