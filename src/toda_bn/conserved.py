@@ -230,23 +230,22 @@ def _weight_factors(n: int, improved: bool) -> tuple:
                  for row in _interval_table(n, improved))
 
 
-def _chain_sums(n: int, z: Sequence, Q: Sequence, improved: bool) -> tuple:
+def _chain_sums(n: int, z, zinv, Q, one, zero, improved: bool) -> tuple:
     """F_0..F_2n at (z, Q) by one backward pass over the interval table.
 
-    For each position, from 2n down to 1, ``forced[pos][l]`` is the sum
-    over chains of l intervals whose first starts at pos, and
+    ``z``, ``zinv`` and ``Q`` hold z_k, 1/z_k and Q_k at index k - 1, in
+    any ring of the ring contract (``dynamics``) with units ``one`` and
+    ``zero``.  For each position, from 2n down to 1, ``forced[pos][l]`` is
+    the sum over chains of l intervals whose first starts at pos, and
     ``free[pos][l]`` the sum over chains of l intervals starting at pos or
     later; F_l = free[1][l].  An interval (pos, y) that forces the next
     start continues with forced[y + 1], any other with free[y + 1].  The
-    pass takes O(n^2) ring operations in the scalar of z and Q, so a
-    Fraction point gives the exact F_i and a float point their float
-    values.
+    pass takes O(n^2) ring operations; over the Laurent variables it gives
+    the f_poly, which ``_f_polys`` expands faster.
     """
     table = _weight_factors(n, improved)
     d = 2 * n
-    vals = (*z, *(1 / v for v in z), *Q)
-    one = type(z[0])(1)
-    zero = one - one
+    vals = (*z, *zinv, *Q)
     free = [None] * (d + 2)
     forced = [None] * (d + 2)
     free[d + 1] = [one] + [zero] * d
@@ -345,6 +344,8 @@ def ideal_generator(i: int, x: PhasePoint, eps: Sequence[float]) -> float:
     These differences generate the defining ideal of the Borel-type
     presentation of the equivariant quantum K-ring attached to the system.
     """
+    if not 0 <= i <= 2 * x.n:
+        raise ValueError(f"need 0 <= i <= 2n, got i={i}")
     if len(eps) != x.n:
         raise ValueError("need one torus weight per rank")
     f = conserved_values(x)[i]

@@ -13,21 +13,30 @@ type-B relativistic Toda Hamiltonian 2 sum_i cosh(p_i) sqrt(...) sqrt(...).
 Numerical integration is fixed-step RK4 in the (z, Q) chart, where the
 right-hand side is rational.  The rates (_rates, the formulas of
 hamilton_rhs's docstring), the RK4 step (_rk4_step) and the drift's F(t)
-(conserved._chain_sums) are each written once, as plain Python over any
-field, and hamilton_rhs runs _rates as it is.  _trace runs the RK4 step
+(conserved._chain_sums) are each written once, under the ring contract
+below, and hamilton_rhs runs _rates as it is.  _trace runs the RK4 step
 and the chain-sum pass once per rank, on first use, over a recording
 scalar (_Traced) and compiles each tape to straight-line code in the same
 grouping, so float results keep their bits.
 For the RK4 step that costs about 2, 5 and 35 ms at n = 3, 8 and 50, and a
 step then takes about 4, 11 and 75 us (2-core Xeon, Python 3.11).
 
-lax_along_flow differentiates L's formula along the flow by the chain rule:
-one pass of build_lax's ring-generic builder (lax._lax_rows) over a dual
-scalar (_Dual), a value with its tangent.
-
 The exact factorization solution
 L(t) = a(t) L0 a(t)^{-1} with exp(L0 t) = a^{-1} b provides an
 independent route for cross-checking trajectories.
+
+The ring contract.  The ring-generic builders (lax._lax_rows,
+_lax_inverse_rows, _c_rows and _bidiagonal_inverse; _poisson_rows and
+_rates here; conserved._chain_sums) use only this much of their scalars:
+
+* ``+ - * /`` and negation, where only _rates and _rk4_step divide;
+* int literals only as operands (``1 - q``, ``2 * k``), never as stored
+  entries: a stored unit is an argument (``one``, ``zero``), and 1/z_k
+  arrives as ``zinv``.  No builder makes a scalar from a type;
+* comparisons with zero only where a builder branches; none does now.
+
+So each runs over Fraction, float, _Dual and _Traced, and each but
+_rates, which divides by z_k, over LaurentPoly.
 """
 
 from __future__ import annotations
@@ -119,7 +128,7 @@ def hamilton_rhs(x: PhasePoint) -> tuple[tuple, tuple]:
 
 
 def _rates(n: int, z: Sequence, Q: Sequence) -> tuple:
-    """The rates (dz_1..dz_n, dQ_1..dQ_n) of hamilton_rhs, in the field of z and Q.
+    """The rates (dz_1..dz_n, dQ_1..dQ_n) of hamilton_rhs, in a field (see the ring contract).
 
     Each shared sum s_i = z_i + 1/z_{i+1} and each 1 - Q_i is formed once.
     1 - Q_0 is the int 1 and the absent z_0 term is skipped, so exact points
@@ -161,17 +170,13 @@ class _Traced:
     Ring-generic code run over _Traced inputs records each ``+ - * /`` and
     negation it does with a traced operand as one node ``(op, a, b)`` of a
     tape, operands in source order: a node's index or a constant's repr,
-    with ``a`` None for a negation.  Constants stay plain floats
-    (``type(x)(1)`` is ``1.0``), so only constant-only subexpressions fold,
-    by float arithmetic itself: ``one - one`` is ``0.0``, while ``0.0 + x``
-    is recorded, because it turns -0.0 into 0.0.  _trace runs the RK4 step
-    and the chain-sum pass over _Traced inputs and compiles each tape.
+    with ``a`` None for a negation.  Constants, the units a builder is
+    given among them, stay plain ints and floats, so only constant-only
+    subexpressions fold, by float arithmetic itself, while ``0.0 + x`` is
+    recorded, because it turns -0.0 into 0.0.
     """
 
     __slots__ = ("index", "tape")
-
-    def __new__(cls, value):
-        return float(value)
 
     @classmethod
     def node(cls, tape: list, entry: tuple) -> "_Traced":
@@ -339,11 +344,12 @@ def _chain_sums_kernel(n: int):
     Traced once from conserved._chain_sums, so its floats are the pass's,
     bit for bit.
     """
-    return _trace("chain_sums", n, lambda *s: _chain_sums(n, s[:n], s[n:], True))
+    return _trace("chain_sums", n, lambda *s: _chain_sums(
+        n, s[:n], [1 / v for v in s[:n]], s[n:], 1.0, 0.0, True))
 
 
 def _poisson_rows(n: int, z: Sequence, Q: Sequence, zero) -> list[list]:
-    """The rows of Pi over u = (Q_1..Q_n, z_1..z_n), in the ring of z and Q.
+    """The rows of Pi over u = (Q_1..Q_n, z_1..z_n), in a ring (see the ring contract).
 
     {Q_i, z_i} = Q_i z_i and {Q_i, z_{i+1}} = -Q_i z_{i+1} are the only
     brackets that are not zero (``zero``), up to antisymmetry.

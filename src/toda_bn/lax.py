@@ -9,9 +9,10 @@ coordinates (z_1..z_n, Q_1..Q_n):
 * B  = [[1, J], [0, 1]] with J the n x n reversal;
 * C  = [[J N22 J, 0], [P, J N11 J]] with P = Q_n z_n E_{1,n}.
 
-One builder, ``_lax_rows``, writes L in closed form with ring operations
-only, so the same code gives L over Fraction and float (``build_lax``) and
-over LaurentPoly (``lax_symbolic``); C is never inverted numerically.
+One builder, ``_lax_rows``, writes L in closed form under the ring
+contract (``dynamics``), so the same code gives L over Fraction and float
+(``build_lax``) and over LaurentPoly (``lax_symbolic``); C is never
+inverted numerically.
 ``_lax_inverse_rows`` writes L^{-1} = C B^{-1} N^{-1} the same way, from
 the same bidiagonal inverses, and ``_c_rows`` writes C, for
 ``build_factors`` and ``backlund.kr_factors``.
@@ -154,7 +155,8 @@ def build_factors(x: PhasePoint) -> tuple[SquareMatrix, SquareMatrix, SquareMatr
 
 
 def _bidiagonal_inverse(n: int, first, factor, zero) -> list[list]:
-    """The rows of U^{-1} for an n x n upper-bidiagonal U, by ring operations.
+    """The rows of U^{-1} for an n x n upper-bidiagonal U, over any ring of
+    the ring contract (``dynamics``).
 
     U^{-1} has first[i] (-factor[i+1]) ... (-factor[j]) at (i, j), j >= i:
     a signed running product along each row, where first[i] = 1/U[i, i]
@@ -176,8 +178,8 @@ def _flip(rows: list[list]) -> list[list]:
 
 
 def _c_rows(n: int, z, qz, one, zero) -> list[list]:
-    """The 2n rows of C = [[J N22 J, 0], [P, J N11 J]] by ring operations
-    only; the arguments are those of ``_lax_rows``, 1/z_k aside."""
+    """The 2n rows of C = [[J N22 J, 0], [P, J N11 J]]; the arguments are
+    those of ``_lax_rows``, 1/z_k aside."""
     d = 2 * n
     rows = [[zero] * d for _ in range(d)]
     for i in range(n):
@@ -191,13 +193,13 @@ def _c_rows(n: int, z, qz, one, zero) -> list[list]:
 
 
 def _lax_rows(n: int, z, zinv, qz, one, zero) -> list[list]:
-    """The 2n rows of L = N B C^{-1} by ring operations only.
+    """The 2n rows of L = N B C^{-1}.
 
     ``z``, ``zinv`` and ``qz`` hold z_k, 1/z_k and Q_k z_k at index k - 1
-    in any ring whose units are ``one`` and ``zero``.  C11^{-1} and
-    C22^{-1} are the index flips of N22^{-1} and N11^{-1}: signed running
-    products of Q z, and of 1/z, along each row.  C21^{-1} is
-    -C22^{-1} P C11^{-1}, and N11 J C22^{-1} = J, so
+    in any ring of the ring contract (``dynamics``) with units ``one`` and
+    ``zero``.  C11^{-1} and C22^{-1} are the index flips of N22^{-1} and
+    N11^{-1}: signed running products of Q z, and of 1/z, along each row.
+    C21^{-1} is -C22^{-1} P C11^{-1}, and N11 J C22^{-1} = J, so
 
         L = [[(N11 - J P) C11^{-1}, J], [-L22 P C11^{-1}, L22]],  L22 = N22 C22^{-1},
 
@@ -223,7 +225,7 @@ def _lax_rows(n: int, z, zinv, qz, one, zero) -> list[list]:
 
 
 def _lax_inverse_rows(n: int, z, zinv, qz, one, zero) -> list[list]:
-    """The 2n rows of L^{-1} = C B^{-1} N^{-1}, by ring operations only.
+    """The 2n rows of L^{-1} = C B^{-1} N^{-1}.
 
     The arguments are those of ``_lax_rows``.  With 0-based indices,
 
@@ -263,9 +265,12 @@ def build_lax(x: PhasePoint) -> SquareMatrix:
     route and again when the next step conjugates it (exact
     ``conserved_values`` builds L^{-1}, not L).  The memo is exact only,
     because -0.0 == 0.0 with equal hashes, so a float memo could return
-    zeros of the other sign; and it is bounded, because orbit entries grow
-    by about 80 bits a step.  The matrix is immutable, so a hit is the
-    value a fresh build returns.
+    zeros of the other sign; and it is bounded, because orbit entries
+    grow: from a ``verify.random_point`` (4 bits), the largest numerator or
+    denominator of z and Q has a median of 97, 237 and 379 bits after 4, 8
+    and 12 ``backlund_map`` steps at n = 2, 138, 388 and 645 at n = 3, and
+    197, 571 and 970 at n = 4 (10 seeded points per rank).  The matrix is
+    immutable, so a hit is the value a fresh build returns.
     """
     if x.mode == "exact":
         return _build_lax_exact(x)

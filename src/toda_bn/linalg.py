@@ -827,12 +827,6 @@ class PolyInLambda:
 
     coeffs: tuple
 
-    def __call__(self, lam):
-        acc = 0
-        for c in self.coeffs:
-            acc = acc * lam + c
-        return acc
-
 
 def mat_exp(m: SquareMatrix, t: float = 1.0) -> SquareMatrix:
     """exp(t*m) for float-mode matrices, by scaling and squaring of a Taylor

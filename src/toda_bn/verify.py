@@ -13,6 +13,7 @@ derived from the master seed, and the report order is fixed.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 from dataclasses import dataclass, field
@@ -212,89 +213,108 @@ WORKED_POINT = lx.PhasePoint(2, (Fraction(2), Fraction(3)),
 # -- identity checks -----------------------------------------------------------
 
 
-def _fail(name, mode, counterexample, trials=0, resamples=0, details=None):
-    return IdentityResult(name, mode, False, trials, resamples,
-                          counterexample, details or {})
+#: (name, mode, check) of each identity in report order; run_suite reads it per call.
+IDENTITY_CHECKS: tuple = ()
 
 
-def check_lax_printed_n2(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
+def _identity(name: str, mode: str):
+    """Register the decorated check as identity ``name`` of ``mode``; the
+    registered function names its ``_passed`` or ``_fail`` outcome."""
+    def register(check):
+        @functools.wraps(check)
+        def named(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
+            return IdentityResult(name, mode, *check(cfg, rng))
+        global IDENTITY_CHECKS
+        IDENTITY_CHECKS += ((name, mode, named),)
+        return named
+    return register
+
+
+def _passed(trials=0, resamples=0, details=None) -> tuple:
+    """A passing outcome: IdentityResult's fields from ``passed`` on."""
+    return True, trials, resamples, None, details or {}
+
+
+def _fail(counterexample, trials=0, resamples=0, details=None) -> tuple:
+    return False, trials, resamples, counterexample, details or {}
+
+
+@_identity("lax-matrix-printed-n2", "rational")
+def check_lax_printed_n2(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     """All 16 entries of the n = 2 Lax matrix match the reference display."""
-    name, mode = "lax-matrix-printed-n2", "rational"
     sym = lx.lax_symbolic(2)
     ref = printed_lax_n2()
     if sym != ref:
         bad = [(i, j) for i in range(4) for j in range(4) if sym[i][j] != ref[i][j]]
-        return _fail(name, mode, {"structural_mismatch_at": bad})
+        return _fail({"structural_mismatch_at": bad})
     for t in range(cfg.trials):
         x = random_point(2, rng)
         got = lx.build_lax(x)
         want = lx.evaluate_matrix(ref, x)
         if got != want:
-            return _fail(name, mode, {"point": x.to_json_obj()}, t)
-    return IdentityResult(name, mode, True, cfg.trials,
-                          details={"structural_equality": True})
+            return _fail({"point": x.to_json_obj()}, t)
+    return _passed(cfg.trials, details={"structural_equality": True})
 
 
-def check_printed_f1_f2(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
-    name, mode = "printed-f1-f2", "rational"
+@_identity("printed-f1-f2", "rational")
+def check_printed_f1_f2(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     for n in range(1, min(cfg.n_max, 4) + 1):
         if cv.f_poly(n, 1) != printed_f1(n):
-            return _fail(name, mode, {"n": n, "which": "F1"})
+            return _fail({"n": n, "which": "F1"})
     if cfg.n_max >= 2 and cv.f_poly(2, 2) != printed_f2_n2():
-        return _fail(name, mode, {"n": 2, "which": "F2"})
-    return IdentityResult(name, mode, True)
+        return _fail({"n": 2, "which": "F2"})
+    return _passed()
 
 
-def check_route_equivalence(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
+@_identity("conserved-route-equivalence", "rational")
+def check_route_equivalence(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     """char-poly route == path formula == pruned path formula, exactly."""
-    name, mode = "conserved-route-equivalence", "rational"
     for n in range(1, cfg.n_max + 1):
         for i in range(2 * n + 1):
             if cv.f_poly(n, i, "original") != cv.f_poly(n, i, "improved"):
-                return _fail(name, mode, {"n": n, "i": i, "which": "modes differ"})
+                return _fail({"n": n, "i": i, "which": "modes differ"})
         for t in range(cfg.trials):
             x = random_point(n, rng)
             fc = cv.conserved_values(x)
             fp = cv.conserved_values_by_path(x)
             if fc != fp:
-                return _fail(name, mode, {"n": n, "point": x.to_json_obj()}, t)
-    return IdentityResult(name, mode, True, cfg.trials * cfg.n_max)
+                return _fail({"n": n, "point": x.to_json_obj()}, t)
+    return _passed(cfg.trials * cfg.n_max)
 
 
-def check_palindromic_symmetry(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
+@_identity("palindromic-symmetry", "rational")
+def check_palindromic_symmetry(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     """F_i = F_{2n-i} and F_0 = F_{2n} = 1; the shifted index i -> 2n+1-i
     is recorded for the report but not asserted (it fails pointwise)."""
-    name, mode = "palindromic-symmetry", "rational"
     shifted_holds = True
     for n in range(1, cfg.n_max + 1):
         for t in range(cfg.trials):
             x = random_point(n, rng)
             f = cv.conserved_values(x)
             if f[0] != 1 or f[2 * n] != 1:
-                return _fail(name, mode, {"n": n, "point": x.to_json_obj(),
-                                          "which": "boundary"}, t)
+                return _fail({"n": n, "point": x.to_json_obj(), "which": "boundary"}, t)
             if any(f[i] != f[2 * n - i] for i in range(2 * n + 1)):
-                return _fail(name, mode, {"n": n, "point": x.to_json_obj()}, t)
+                return _fail({"n": n, "point": x.to_json_obj()}, t)
             if any(f[i] != f[2 * n + 1 - i] for i in range(1, 2 * n + 1)):
                 shifted_holds = False
-    return IdentityResult(name, mode, True, cfg.trials * cfg.n_max,
-                          details={"shifted_index_identity_pointwise": shifted_holds})
+    return _passed(cfg.trials * cfg.n_max,
+                   details={"shifted_index_identity_pointwise": shifted_holds})
 
 
-def check_q_zero_reduction(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
+@_identity("q-zero-structural-reduction", "rational")
+def check_q_zero_reduction(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     """Setting every Q_i = 0 collapses F_i to e_i(z, z^{-1}), structurally."""
-    name, mode = "q-zero-structural-reduction", "rational"
     for n in range(1, cfg.n_max + 1):
         for i in range(2 * n + 1):
             if cv.f_poly(n, i).substitute_q_zero() != cv.elementary_symmetric_z_poly(n, i):
-                return _fail(name, mode, {"n": n, "i": i})
-    return IdentityResult(name, mode, True)
+                return _fail({"n": n, "i": i})
+    return _passed()
 
 
-def check_ideal_generator(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
+@_identity("ideal-generator-at-exponentials", "float")
+def check_ideal_generator(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     """The ring generators F_i - e_i(e^eps, e^-eps) vanish at Q = 0,
     z_j = e^{eps_j}; routes agree exactly at generic rational points."""
-    name, mode = "ideal-generator-at-exponentials", "float"
     tol = 1e-12
     worst = 0.0
     for n in range(1, cfg.n_max + 1):
@@ -305,12 +325,11 @@ def check_ideal_generator(cfg: VerifySuiteConfig, rng: random.Random) -> Identit
                 v = abs(cv.ideal_generator(i, x, eps))
                 worst = max(worst, v)
                 if v > tol:
-                    return _fail(name, mode, {"n": n, "i": i, "eps": eps,
-                                              "value": v}, t)
+                    return _fail({"n": n, "i": i, "eps": eps, "value": v}, t)
         # eps = 0, i = 2n: F_2n - e_2n(1, .., 1) = 1 - 1
         x1 = lx.PhasePoint(n, (Fraction(1),) * n, (Fraction(0),) * n)
         if cv.ideal_generator(2 * n, x1, [0.0] * n) != 0.0:
-            return _fail(name, mode, {"n": n, "which": "eps=0"})
+            return _fail({"n": n, "which": "eps=0"})
         # exact two-route agreement at a generic rational point
         x = random_point(n, rng)
         eps = [rng.uniform(-0.5, 0.5) for _ in range(n)]
@@ -320,13 +339,13 @@ def check_ideal_generator(cfg: VerifySuiteConfig, rng: random.Random) -> Identit
         for i in range(1, 2 * n + 1):
             ei = cv.elementary_symmetric(i, vals)
             if float(fc[i]) - ei != float(fp[i]) - ei:
-                return _fail(name, mode, {"n": n, "i": i, "which": "route"})
-    return IdentityResult(name, mode, True, 5 * cfg.n_max, details={"max_abs": worst})
+                return _fail({"n": n, "i": i, "which": "route"})
+    return _passed(5 * cfg.n_max, details={"max_abs": worst})
 
 
-def check_path_weight_factorization(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
+@_identity("signed-path-weight-factorization", "rational")
+def check_path_weight_factorization(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     """The four exact identities of the signed-path-weight factorization."""
-    name, mode = "signed-path-weight-factorization", "rational"
     trials = min(cfg.trials, 25)
     resamples = 0
     for n in range(1, min(cfg.n_max, 3) + 1):
@@ -335,20 +354,19 @@ def check_path_weight_factorization(cfg: VerifySuiteConfig, rng: random.Random) 
             x, rep, rs = sample_generic(lambda: random_point(n, rng), cv.path_weight_oracle)
             resamples += rs
             if not rep.all_ok:
-                return _fail(name, mode, {"n": n, "point": x.to_json_obj(),
-                                          "report": vars(rep)}, t, resamples)
+                return _fail({"n": n, "point": x.to_json_obj(), "report": vars(rep)}, t, resamples)
         # documented degeneracy: any Q_i = 0 raises, while both conserved
         # routes still agree at that point
         xq0 = lx.PhasePoint(n, tuple(random_rational(rng) for _ in range(n)),
                             (Fraction(0),) * n)
         try:
             cv.path_weight_oracle(xq0)
-            return _fail(name, mode, {"n": n, "which": "missing degeneracy"})
+            return _fail({"n": n, "which": "missing degeneracy"})
         except DegeneratePointError:
             pass
         if cv.conserved_values(xq0) != cv.conserved_values_by_path(xq0):
-            return _fail(name, mode, {"n": n, "which": "routes at Q=0"})
-    return IdentityResult(name, mode, True, trials * min(cfg.n_max, 3), resamples)
+            return _fail({"n": n, "which": "routes at Q=0"})
+    return _passed(trials * min(cfg.n_max, 3), resamples)
 
 
 def lu_read(L: SquareMatrix) -> lx.PhasePoint:
@@ -360,10 +378,10 @@ def lu_read(L: SquareMatrix) -> lx.PhasePoint:
                          tuple(lower[i + 1, i] * upper[i, i] for i in range(n)))
 
 
-def check_parameter_roundtrip(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
+@_identity("parameter-roundtrip", "rational")
+def check_parameter_roundtrip(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     """Both routes back from build_lax(x) return x, exactly: the read-off
     of parameters_from_lax and the LU read of L^{-1} (lu_read)."""
-    name, mode = "parameter-roundtrip", "rational"
     resamples = 0
 
     def both_routes(x):
@@ -373,20 +391,19 @@ def check_parameter_roundtrip(cfg: VerifySuiteConfig, rng: random.Random) -> Ide
     for n in range(1, cfg.n_max + 1):
         ones = lx.PhasePoint(n, (Fraction(1),) * n, (Fraction(0),) * n)
         if both_routes(ones) != (ones, ones):
-            return _fail(name, mode, {"n": n, "which": "unit point"})
+            return _fail({"n": n, "which": "unit point"})
         for t in range(cfg.trials):
             x, back, rs = sample_generic(lambda: random_point(n, rng), both_routes)
             resamples += rs
             if back != (x, x):
-                return _fail(name, mode, {"n": n, "point": x.to_json_obj()},
-                             t, resamples)
-    return IdentityResult(name, mode, True, cfg.trials * cfg.n_max, resamples)
+                return _fail({"n": n, "point": x.to_json_obj()}, t, resamples)
+    return _passed(cfg.trials * cfg.n_max, resamples)
 
 
-def check_splitting(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
+@_identity("projection-splitting-factorization", "rational")
+def check_splitting(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     """Projections, membership patterns, commutator closure and the
     unique two-sided group factorization."""
-    name, mode = "projection-splitting-factorization", "rational"
     resamples = 0
     trials = max(1, cfg.trials // 2)  # per rank
     for n in range(1, cfg.n_max + 1):
@@ -394,7 +411,7 @@ def check_splitting(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResul
         # free-entry counts of the patterns
         for which in ("g_plus", "g_minus"):
             if sp.pattern_dimension(n, which) != 2 * n * n:
-                return _fail(name, mode, {"n": n, "which": f"dim {which}"})
+                return _fail({"n": n, "which": f"dim {which}"})
         probe = 0
         for i in range(n):
             for j in range(n):
@@ -404,30 +421,30 @@ def check_splitting(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResul
                 u = u.with_entry(n + (n - 1 - i), n + (n - 1 - j), Fraction(1))
                 probe += sp.membership(u, "g_minus")
         if probe != 2 * n * n:
-            return _fail(name, mode, {"n": n, "which": "g_minus probe basis"})
+            return _fail({"n": n, "which": "g_minus probe basis"})
         probe = sum(sp.membership(SquareMatrix.zero(d).with_entry(i, j, Fraction(1)),
                                   "g_plus")
                     for i in range(d) for j in range(d))
         if probe != 2 * n * n:
-            return _fail(name, mode, {"n": n, "which": "g_plus probe basis"})
+            return _fail({"n": n, "which": "g_plus probe basis"})
 
         for t in range(trials):
             X = random_matrix(d, rng)
             pair = sp.project(X)
             if pair.plus + pair.minus != X:
-                return _fail(name, mode, {"n": n, "which": "plus+minus"}, t)
+                return _fail({"n": n, "which": "plus+minus"}, t)
             if not sp.membership(pair.plus, "g_plus") or \
                not sp.membership(pair.minus, "g_minus"):
-                return _fail(name, mode, {"n": n, "which": "projection pattern"}, t)
+                return _fail({"n": n, "which": "projection pattern"}, t)
             again = sp.project(pair.plus)
             if again.plus != pair.plus or again.minus != SquareMatrix.zero(d):
-                return _fail(name, mode, {"n": n, "which": "idempotence"}, t)
+                return _fail({"n": n, "which": "idempotence"}, t)
             a1, a2 = random_alg_plus(n, rng), random_alg_plus(n, rng)
             if not sp.membership(a1.commutator(a2), "g_plus"):
-                return _fail(name, mode, {"n": n, "which": "g_plus closure"}, t)
+                return _fail({"n": n, "which": "g_plus closure"}, t)
             b1, b2 = random_alg_minus(n, rng), random_alg_minus(n, rng)
             if not sp.membership(b1.commutator(b2), "g_minus"):
-                return _fail(name, mode, {"n": n, "which": "g_minus closure"}, t)
+                return _fail({"n": n, "which": "g_minus closure"}, t)
             try:
                 K, R = sp.factor_minus_plus(X)
             except DegeneratePointError:
@@ -435,18 +452,19 @@ def check_splitting(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResul
                 continue
             if K @ R != X or not sp.membership(K, "G_minus") \
                     or not sp.membership(R, "G_plus"):
-                return _fail(name, mode, {"n": n, "which": "KR"}, t)
+                return _fail({"n": n, "which": "KR"}, t)
             K2, R2 = sp.factor_minus_plus(K @ R)
             if K2 != K or R2 != R:
-                return _fail(name, mode, {"n": n, "which": "uniqueness"}, t)
+                return _fail({"n": n, "which": "uniqueness"}, t)
         gm = random_g_minus(n, rng)
         K, R = sp.factor_minus_plus(gm)
         if K != gm or R != SquareMatrix.identity(d):
-            return _fail(name, mode, {"n": n, "which": "G_minus fixed"})
-    return IdentityResult(name, mode, True, trials * cfg.n_max, resamples)
+            return _fail({"n": n, "which": "G_minus fixed"})
+    return _passed(trials * cfg.n_max, resamples)
 
 
-def check_lax_hamilton(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
+@_identity("lax-hamilton-equivalence", "rational")
+def check_lax_hamilton(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     """The chain rule along the coordinate flow reproduces [L, pi_plus(L)]
     entry by entry, exactly; pi_plus(L) has the expected diagonal.
 
@@ -455,28 +473,27 @@ def check_lax_hamilton(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityRe
     must be ``build_lax(x)``; [L, pi_plus(L)] comes from the splitting,
     whose one projection also gives the diagonal checked here.
     """
-    name, mode = "lax-hamilton-equivalence", "rational"
     for n in range(1, cfg.n_max + 1):
         for t in range(cfg.trials):
             x = random_point(n, rng)
             L, dL = dy.lax_along_flow(x)
             plus = sp.project(L).plus
             if L != lx.build_lax(x) or dL != L.commutator(plus):
-                return _fail(name, mode, {"n": n, "point": x.to_json_obj()}, t)
+                return _fail({"n": n, "point": x.to_json_obj()}, t)
             Qb = (Fraction(0),) + x.Q
             for i in range(1, n + 1):
                 want = (1 - x.Q[i - 1]) * x.z[i - 1] - (1 - Qb[i - 1]) / x.z[i - 1]
                 if plus[i - 1, i - 1] != want:
-                    return _fail(name, mode, {"n": n, "which": f"pi+ diag {i}"}, t)
+                    return _fail({"n": n, "which": f"pi+ diag {i}"}, t)
             if any(plus[i, i] != 0 for i in range(n, 2 * n)):
-                return _fail(name, mode, {"n": n, "which": "pi+ diag lower"}, t)
-    return IdentityResult(name, mode, True, cfg.trials * cfg.n_max)
+                return _fail({"n": n, "which": "pi+ diag lower"}, t)
+    return _passed(cfg.trials * cfg.n_max)
 
 
-def check_poisson(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
+@_identity("poisson-structure-exact", "rational")
+def check_poisson(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     """Antisymmetry and the coordinate Jacobi identity of dynamics' Pi
     builder over the Laurent variables, and u' = {u, H} at points."""
-    name, mode = "poisson-structure-exact", "rational"
     for n in range(1, min(cfg.n_max, 3) + 1):
         pi = dy._poisson_rows(n, [LaurentPoly.z_var(n, i) for i in range(1, n + 1)],
                               [LaurentPoly.q_var(n, i) for i in range(1, n + 1)],
@@ -486,7 +503,7 @@ def check_poisson(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
         for a in range(d):
             for b in range(d):
                 if pi[a][b] != -pi[b][a]:
-                    return _fail(name, mode, {"n": n, "which": "antisymmetry"})
+                    return _fail({"n": n, "which": "antisymmetry"})
         for a in range(d):
             for b in range(a + 1, d):
                 for c in range(b + 1, d):
@@ -495,8 +512,7 @@ def check_poisson(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
                         for e in range(d):
                             acc = acc + pi[u][e] * pi[v][w].partial_derivative(names[e])
                     if not acc.is_zero():
-                        return _fail(name, mode,
-                                     {"n": n, "which": f"jacobi {(a, b, c)}"})
+                        return _fail({"n": n, "which": f"jacobi {(a, b, c)}"})
     for n in range(1, cfg.n_max + 1):
         h = cv.f_poly(n, 1)
         names = [f"Q{i}" for i in range(1, n + 1)] + [f"z{i}" for i in range(1, n + 1)]
@@ -508,23 +524,23 @@ def check_poisson(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
             udot = [sum(pi_x[a, b] * gh[b] for b in range(2 * n)) for a in range(2 * n)]
             dQ, dz = dy.hamilton_rhs(x)
             if tuple(udot[:n]) != dQ or tuple(udot[n:]) != dz:
-                return _fail(name, mode, {"n": n, "point": x.to_json_obj()}, t)
-    return IdentityResult(name, mode, True, cfg.trials * cfg.n_max)
+                return _fail({"n": n, "point": x.to_json_obj()}, t)
+    return _passed(cfg.trials * cfg.n_max)
 
 
-def check_canonical_chart(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
+@_identity("canonical-chart", "float")
+def check_canonical_chart(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     """Chart spot values, inverse-map round trip, induced bracket table,
     and agreement of the two Hamiltonian expressions."""
-    name, mode = "canonical-chart", "float"
     c0 = dy.CanonicalPoint((0.0, 0.0), (0.0, 0.0))
     x0 = dy.to_phase(c0)
     spot = 4 + 2 * math.sqrt(2)
     if max(abs(x0.Q[0] + 1), abs(x0.Q[1] + 1),
            abs(x0.z[0] - math.sqrt(0.5)), abs(x0.z[1] - 1)) > 1e-12:
-        return _fail(name, mode, {"which": "spot chart values"})
+        return _fail({"which": "spot chart values"})
     if abs(dy.hamiltonian(x0) - spot) > 1e-12 or \
             abs(dy.hamiltonian_canonical(c0) - spot) > 1e-12:
-        return _fail(name, mode, {"which": "spot H"})
+        return _fail({"which": "spot H"})
     for n in range(1, cfg.n_max + 1):
         for t in range(20):
             c = random_canonical(n, rng)
@@ -533,81 +549,80 @@ def check_canonical_chart(cfg: VerifySuiteConfig, rng: random.Random) -> Identit
             err = max(max(abs(a - b) for a, b in zip(back.q, c.q)),
                       max(abs(a - b) for a, b in zip(back.p, c.p)))
             if err > 1e-12:
-                return _fail(name, mode, {"n": n, "which": "roundtrip", "err": err}, t)
+                return _fail({"n": n, "which": "roundtrip", "err": err}, t)
             if abs(dy.hamiltonian_canonical(c) - dy.hamiltonian(x)) > 1e-12:
-                return _fail(name, mode, {"n": n, "which": "H pullback"}, t)
+                return _fail({"n": n, "which": "H pullback"}, t)
             QQ, Qz, zz = dy.chart_brackets(c)
             pi_x = dy.poisson_structure(x)
             for i in range(n):
                 for j in range(n):
                     if abs(QQ[i][j]) > 1e-10 or abs(zz[i][j]) > 1e-10:
-                        return _fail(name, mode, {"n": n, "which": "QQ/zz table"}, t)
+                        return _fail({"n": n, "which": "QQ/zz table"}, t)
                     if abs(Qz[i][j] - pi_x[i, n + j]) > 1e-10:
-                        return _fail(name, mode, {"n": n, "which": "Qz table"}, t)
-    return IdentityResult(name, mode, True, 20 * cfg.n_max)
+                        return _fail({"n": n, "which": "Qz table"}, t)
+    return _passed(20 * cfg.n_max)
 
 
-def check_flow_conservation(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
+@_identity("flow-conservation", "float")
+def check_flow_conservation(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     """RK4 drift bound and fourth-order scaling; factorization flow
     against RK4; the two conjugation routes against each other."""
-    name, mode = "flow-conservation", "float"
     details = {}
     x3 = dy.to_phase(random_canonical(3, rng, scale=1.5))
     traj = dy.integrate(x3, T=1.0, h=1e-3)
     details["drift_h"] = traj.max_drift
     if traj.max_drift > 1e-8:
-        return _fail(name, mode, {"which": "drift bound", "drift": traj.max_drift},
-                     details=details)
+        return _fail({"which": "drift bound", "drift": traj.max_drift}, details=details)
     traj_half = dy.integrate(x3, T=1.0, h=5e-4)
     details["drift_h_half"] = traj_half.max_drift
     if traj_half.max_drift * 8 > traj.max_drift:
-        return _fail(name, mode, {"which": "order check"}, details=details)
+        return _fail({"which": "order check"}, details=details)
     for n in (2, 3):
         x = dy.to_phase(random_canonical(n, rng))
         la, lb = dy.flow_conjugations(x, 0.5)
         gap = max(abs(la[i, j] - lb[i, j]) for i in range(2 * n) for j in range(2 * n))
         details[f"route_gap_n{n}"] = gap
         if gap > 1e-9:
-            return _fail(name, mode, {"n": n, "which": "a vs b route"}, details=details)
+            return _fail({"n": n, "which": "a vs b route"}, details=details)
         xe = dy.exact_flow(x, 0.5)
         xr = dy.rk4_endpoint(x, 0.5, 1e-4)
         gap = max(max(abs(a - b) for a, b in zip(xe.z, xr.z)),
                   max(abs(a - b) for a, b in zip(xe.Q, xr.Q)))
         details[f"endpoint_gap_n{n}"] = gap
         if gap > 1e-6:
-            return _fail(name, mode, {"n": n, "which": "exact vs rk4"}, details=details)
+            return _fail({"n": n, "which": "exact vs rk4"}, details=details)
     # T = 0 and the Q = 0 fixed manifold
     single = dy.integrate(x3, T=0.0, h=1e-3)
     if len(single.states) != 1 or single.max_drift != 0.0:
-        return _fail(name, mode, {"which": "T=0"}, details=details)
+        return _fail({"which": "T=0"}, details=details)
     xq0 = lx.PhasePoint(3, (1.3, 0.7, 2.1), (0.0, 0.0, 0.0))
     frozen = dy.integrate(xq0, T=0.1, h=1e-3)
     if any(s != xq0 for s in frozen.states):
-        return _fail(name, mode, {"which": "Q=0 manifold"}, details=details)
-    return IdentityResult(name, mode, True, 1, details=details)
+        return _fail({"which": "Q=0 manifold"}, details=details)
+    return _passed(1, details=details)
 
 
-def check_backlund_exact(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
+@_identity("backlund-exact", "rational")
+def check_backlund_exact(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     """Closed-form map == conjugation route; spectrum invariance; the
     printed n = 2 formulas; the fully worked point; Q = 0 fixed points."""
-    name, mode = "backlund-exact", "rational"
     resamples = 0
     xp = bk.backlund_map(WORKED_POINT)
     if xp.z != (6, -5) or xp.Q != (Fraction(1, 2), Fraction(6, 5)):
-        return _fail(name, mode, {"which": "worked point"})
+        return _fail({"which": "worked point"})
     if dy.hamiltonian(WORKED_POINT) != Fraction(61, 15) or \
             dy.hamiltonian(xp) != Fraction(61, 15):
-        return _fail(name, mode, {"which": "worked point H"})
+        return _fail({"which": "worked point H"})
     seq = bk.iterate(WORKED_POINT, 10)
     f0 = cv.conserved_values(WORKED_POINT)
     if any(cv.conserved_values(s) != f0 for s in seq):
-        return _fail(name, mode, {"which": "iterate invariance"})
+        return _fail({"which": "iterate invariance"})
     for _ in range(100):  # the printed n = 2 display gets its own comparison
         x, (a, want), rs = sample_generic(lambda: random_point(2, rng),
                                           lambda p: (bk.backlund_map(p), printed_backlund_n2(p)))
         resamples += rs
         if a != want:
-            return _fail(name, mode, {"point": x.to_json_obj(), "which": "printed n=2"})
+            return _fail({"point": x.to_json_obj(), "which": "printed n=2"})
     for n in range(2, min(cfg.n_max, 4) + 1):
         for t in range(cfg.trials):
             x, (a, b), rs = sample_generic(
@@ -615,79 +630,58 @@ def check_backlund_exact(cfg: VerifySuiteConfig, rng: random.Random) -> Identity
                 lambda p: (bk.backlund_map(p), bk.backlund_conjugate(p)))
             resamples += rs
             if a != b:
-                return _fail(name, mode, {"n": n, "point": x.to_json_obj(),
-                                          "which": "two routes"}, t, resamples)
+                return _fail({"n": n, "point": x.to_json_obj(),
+                              "which": "two routes"}, t, resamples)
             if cv.conserved_values(a) != cv.conserved_values(x):
-                return _fail(name, mode, {"n": n, "point": x.to_json_obj(),
-                                          "which": "invariance"}, t, resamples)
+                return _fail({"n": n, "point": x.to_json_obj(),
+                              "which": "invariance"}, t, resamples)
             if n == 2 and a != printed_backlund_n2(x):
-                return _fail(name, mode, {"n": n, "point": x.to_json_obj(),
-                                          "which": "printed n=2"}, t, resamples)
+                return _fail({"n": n, "point": x.to_json_obj(),
+                              "which": "printed n=2"}, t, resamples)
         xq0 = lx.PhasePoint(n, tuple(random_rational(rng) for _ in range(n)),
                             (Fraction(0),) * n)
         if bk.backlund_map(xq0) != xq0:
-            return _fail(name, mode, {"n": n, "which": "Q=0 fixed"})
+            return _fail({"n": n, "which": "Q=0 fixed"})
     try:
         bk.kr_factors(random_point(1, rng))
-        return _fail(name, mode, {"which": "n=1 must be rejected"})
+        return _fail({"which": "n=1 must be rejected"})
     except DegeneratePointError:
         pass
-    return IdentityResult(name, mode, True, cfg.trials * max(0, min(cfg.n_max, 4) - 1),
-                          resamples)
+    return _passed(cfg.trials * max(0, min(cfg.n_max, 4) - 1), resamples)
 
 
-def check_backlund_commutation(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
+@_identity("backlund-flow-commutation", "float")
+def check_backlund_commutation(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     """The discrete map commutes with the continuous flow."""
-    name, mode = "backlund-flow-commutation", "float"
     details = {}
     for n in (2, 3):
         x = dy.to_phase(random_canonical(n, rng))
         rep = bk.flow_commutation_check(x, t=0.3, h=1e-4)
         details[f"discrepancy_n{n}"] = rep.discrepancy
         if rep.discrepancy > 1e-6:
-            return _fail(name, mode, {"n": n, "which": "commutation"}, details=details)
+            return _fail({"n": n, "which": "commutation"}, details=details)
     x = dy.to_phase(random_canonical(2, rng))
     if bk.flow_commutation_check(x, t=0.0, h=1e-3).discrepancy != 0.0:
-        return _fail(name, mode, {"which": "t=0"}, details=details)
-    return IdentityResult(name, mode, True, 2, details=details)
+        return _fail({"which": "t=0"}, details=details)
+    return _passed(2, details=details)
 
 
-def check_adjoint_invariance(cfg: VerifySuiteConfig, rng: random.Random) -> IdentityResult:
+@_identity("adjoint-invariance", "rational")
+def check_adjoint_invariance(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     """Conjugation by G_plus preserves the first variety, by G_minus the second."""
-    name, mode = "adjoint-invariance", "rational"
     for n in range(1, min(cfg.n_max, 3) + 1):
         L = lx.build_lax(random_point(n, rng))
         base = lx.gamma_membership(L)
         if not base.in_gamma:
-            return _fail(name, mode, {"n": n, "which": "base point"})
+            return _fail({"n": n, "which": "base point"})
         for t in range(20):
             gp = random_g_plus(n, rng)
             if not lx.gamma_membership(gp @ L @ gp.inverse()).in_gamma1:
-                return _fail(name, mode, {"n": n, "which": "G_plus"}, t)
+                return _fail({"n": n, "which": "G_plus"}, t)
             gm = random_g_minus(n, rng)
             if not lx.gamma_membership(gm @ L @ gm.inverse()).in_gamma2:
-                return _fail(name, mode, {"n": n, "which": "G_minus"}, t)
-    return IdentityResult(name, mode, True, 20 * min(cfg.n_max, 3))
-
-
-IDENTITY_CHECKS = (
-    ("lax-matrix-printed-n2", "rational", check_lax_printed_n2),
-    ("printed-f1-f2", "rational", check_printed_f1_f2),
-    ("conserved-route-equivalence", "rational", check_route_equivalence),
-    ("palindromic-symmetry", "rational", check_palindromic_symmetry),
-    ("q-zero-structural-reduction", "rational", check_q_zero_reduction),
-    ("ideal-generator-at-exponentials", "float", check_ideal_generator),
-    ("signed-path-weight-factorization", "rational", check_path_weight_factorization),
-    ("parameter-roundtrip", "rational", check_parameter_roundtrip),
-    ("projection-splitting-factorization", "rational", check_splitting),
-    ("lax-hamilton-equivalence", "rational", check_lax_hamilton),
-    ("poisson-structure-exact", "rational", check_poisson),
-    ("canonical-chart", "float", check_canonical_chart),
-    ("flow-conservation", "float", check_flow_conservation),
-    ("backlund-exact", "rational", check_backlund_exact),
-    ("backlund-flow-commutation", "float", check_backlund_commutation),
-    ("adjoint-invariance", "rational", check_adjoint_invariance),
-)
+                return _fail({"n": n, "which": "G_minus"}, t)
+    return _passed(20 * min(cfg.n_max, 3))
 
 
 def identity_rng(seed: int, index: int) -> random.Random:

@@ -25,6 +25,7 @@ from toda_bn import (
     interval_weight,
 )
 from toda_bn.conserved import _chain_sums, _pack, _unpack
+from toda_bn.dynamics import _Dual
 from toda_bn.lax import _lax_inverse_rows
 from toda_bn.verify import printed_f1, printed_f2_n2, random_point, random_rational
 
@@ -152,6 +153,17 @@ def test_ideal_generator_trivial_weights():
     n = 2
     x = PhasePoint(n, (Fraction(1),) * n, (Fraction(0),) * n)
     assert ideal_generator(2 * n, x, [0.0] * n) == 0.0
+
+
+@pytest.mark.parametrize("i", [-1, 5])
+def test_ideal_generator_rejects_an_index_outside_0_to_2n(monkeypatch, i):
+    # checked before any F_i is computed, with f_poly's message
+    monkeypatch.setattr("toda_bn.conserved.conserved_values", None)
+    x = PhasePoint(2, (Fraction(2), Fraction(3)), (Fraction(1, 2), Fraction(1, 5)))
+    with pytest.raises(ValueError, match=rf"^need 0 <= i <= 2n, got i={i}$"):
+        ideal_generator(i, x, [0.1, 0.2])
+    with pytest.raises(ValueError, match=rf"^need 0 <= i <= 2n, got i={i}$"):
+        f_poly(2, i)
 
 
 def test_ideal_generator_routes_agree(rng):
@@ -301,7 +313,7 @@ RATIONAL_POINTS = st.integers(1, 8).flatmap(lambda n: st.builds(
 @settings(max_examples=40, deadline=None)
 @given(RATIONAL_POINTS, st.booleans())
 def test_chain_sums_equal_char_poly_exactly(x, improved):
-    f = _chain_sums(x.n, x.z, x.Q, improved)
+    f = _chain_sums(x.n, x.z, [1 / v for v in x.z], x.Q, Fraction(1), Fraction(0), improved)
     assert f == conserved_values(x)
     assert all(type(v) is Fraction for v in f)
 
@@ -369,9 +381,47 @@ def test_float_chain_sums_near_exact_at_dyadic_chart_points(rng, n):
     for _ in range(3):
         z = tuple(Fraction(rng.randint(1, 16), 8) for _ in range(n))
         Q = tuple(Fraction(-rng.randint(1, 16), 16) for _ in range(n))
-        exact = _chain_sums(n, z, Q, True)
+        exact = _chain_sums(n, z, [1 / v for v in z], Q, Fraction(1), Fraction(0), True)
+        zf = tuple(map(float, z))
         for improved in (False, True):
-            got = _chain_sums(n, tuple(map(float, z)), tuple(map(float, Q)), improved)
+            got = _chain_sums(n, zf, [1 / v for v in zf], tuple(map(float, Q)), 1.0, 0.0,
+                              improved)
             assert all(type(v) is float for v in got)
             for g, e in zip(got, exact):
                 assert abs(Fraction(g) - e) <= CHAIN_SUMS_RTOL * max(1, abs(e)), (g, e)
+
+
+# -- the chain-sum pass over the symbolic and the dual ring --------------------
+
+
+def _symbolic_chain_sums(n, improved):
+    """The chain-sum pass over the Laurent variables of rank n."""
+    z = [LaurentPoly.z_var(n, k) for k in range(1, n + 1)]
+    zinv = [LaurentPoly.z_var(n, k, -1) for k in range(1, n + 1)]
+    Q = [LaurentPoly.q_var(n, k) for k in range(1, n + 1)]
+    return _chain_sums(n, z, zinv, Q, LaurentPoly.one(n), LaurentPoly.zero(n), improved)
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_chain_sums_over_laurent_polys_are_the_f_polys(n):
+    for mode in ("original", "improved"):
+        for i, p in enumerate(_symbolic_chain_sums(n, mode == "improved")):
+            assert p == f_poly(n, i, mode)
+            assert list(p.terms) == list(f_poly(n, i, mode).terms)  # storage order too
+
+
+@pytest.mark.parametrize("n", range(1, 5))
+def test_chain_sums_over_duals_give_the_f_poly_partials(rng, n):
+    # seeding one coordinate with tangent 1 and the others with 0 makes each
+    # F_i's tangent its partial derivative in that coordinate, exactly
+    names = [f"z{k}" for k in range(1, n + 1)] + [f"Q{k}" for k in range(1, n + 1)]
+    for _ in range(2):
+        x = random_point(n, rng)
+        for j, name in enumerate(names):
+            u = [_Dual(v, Fraction(int(j == k))) for k, v in enumerate(x.z + x.Q)]
+            z, Q = u[:n], u[n:]
+            f = _chain_sums(n, z, [1 / v for v in z], Q, Fraction(1), Fraction(0), True)
+            for i, v in enumerate(f):
+                assert getattr(v, "value", v) == conserved_values(x)[i]
+                assert getattr(v, "tangent", 0) == \
+                    f_poly(n, i).partial_derivative(name).evaluate(x.z, x.Q)

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import math
 import operator
 from fractions import Fraction
@@ -563,7 +564,8 @@ def test_hamilton_rhs_float_equals_the_loop_rates_bit_for_bit(rng):
 
 def _pass_bits(n, state):
     try:
-        return _bits(_chain_sums(n, state[:n], state[n:], True))
+        z = state[:n]
+        return _bits(_chain_sums(n, z, [1 / v for v in z], state[n:], 1.0, 0.0, True))
     except ZeroDivisionError:
         return (ZeroBaseError, "all z_i must be nonzero")
 
@@ -591,6 +593,58 @@ def test_chain_sums_kernel_matches_the_pass_on_the_chart(rng, n):
         f = _chain_sums_kernel(n)(*x.z, *x.Q)
         assert len(f) == 2 * n + 1 and all(type(v) is float for v in f)
         assert _bits(f) == _pass_bits(n, x.z + x.Q)
+
+
+# -- the recorded tapes --------------------------------------------------------
+#
+# A compiled kernel is the tape of one run of its ring-generic function over
+# _Traced inputs.  The digest of repr((tape, outputs)) pins every node and
+# its order, so a change to the chain-sum pass, the RK4 step or the units
+# and reciprocals they are given that records other nodes fails here.
+
+TAPE_SHA256 = {
+    "_chain_sums_kernel": (
+        "e5cf6264527f4b88d0ac22c386000fa3924dad59b4781650fb1778c4e9bc0099",
+        "eead170808caeeea39fdaee1f532b8c74a06ed44ea65ee5e11e44eaa34cda982",
+        "0e3a5e53f08fef1dac8e4c07921f5673c4329872e68c898b3e2583bfca7b85f8",
+        "8e189217d764be82e5867bcd6512b7003584ebf57af3518c73fd3c7a12fb7e27",
+        "8a7d4011087c83dd6fb592b6d019fa59b2bab952d94957d7ec34aaa0f47a8a08",
+        "1edac176af782d035a061c5660045d1f83efa98ea533572f4c6046b030da260f",
+        "da100d3dec748dbaae2c639c0155d6641efc39d99c6898e1269a354a589c82d1",
+        "6e129739c751c74a9495beb405dcbfa935ed0c195e8cf3193b8bae47ef9a7080",
+    ),
+    "_rk4_kernel": (
+        "c0225d4127e022910998f99256d94cff7bffe4ba3f48fbdf38b94e169766c9a5",
+        "0714e01797415a91136c0b2c86772b30a0954d7944a95a864536d772a55cb65f",
+        "1add691ef0e4405de1646cce09f87ba67f3323a4ca493dfd94ca4319b9261d5a",
+        "750c38398dc44fcd419298f08eb648560f5fb5f06ab864b70e04f6eb7127aac8",
+        "2e9de76c0bec16502c600fd16462175680cc2e8e3875d7c67895f907bd044187",
+        "c6b3c87bb8a20b8f3a675d5642dbaefa54596cf285855234b33d777a791c01ed",
+        "5416b08f23ea035be28b2412403e870ce54b5a6873c609541f77ff8443fa21e5",
+        "3c6614e6ca5eeced09492a911ae8d2c0062b45e6a309f3547759b26e1889638b",
+    ),
+}
+
+
+def _tape_digest(monkeypatch, kernel: str, n: int) -> str:
+    """sha256 of repr((tape, outputs)) of the function that ``kernel`` traces
+    at rank n, recorded as _trace records it: one input node per name, then
+    the run."""
+    traced = []
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_trace", lambda kind, n, fn, *extra: traced.append((fn, extra)))
+        getattr(dynamics, kernel).__wrapped__(n)
+    (fn, extra), = traced
+    names = [f"z{i}" for i in range(n)] + [f"q{i}" for i in range(n)] + list(extra)
+    tape = []
+    inputs = [dynamics._Traced.node(tape, (None, name, None)) for name in names]
+    out = [dynamics._operand(v) for v in fn(*inputs)]
+    return hashlib.sha256(repr((tape, out)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kernel,n", [(k, n) for k in TAPE_SHA256 for n in range(1, 9)])
+def test_kernel_tapes_are_pinned(monkeypatch, kernel, n):
+    assert _tape_digest(monkeypatch, kernel, n) == TAPE_SHA256[kernel][n - 1]
 
 
 def test_trace_caps_the_inline_depth_below_the_parser_limit(rng):
@@ -627,7 +681,8 @@ def test_integrate_drifts_equal_the_pass_on_the_returned_states(rng, n, monkeypa
     f0 = (conserved_values_by_path if n <= MAX_SYMBOLIC_RANK else conserved_values)(x)
     scales = [max(1.0, abs(f)) for f in f0]
     expected = [0.0] + [
-        max(abs(a - b) / s for a, b, s in zip(_chain_sums(n, y.z, y.Q, True), f0, scales))
+        max(abs(a - b) / s for a, b, s in zip(
+            _chain_sums(n, y.z, [1 / v for v in y.z], y.Q, 1.0, 0.0, True), f0, scales))
         for y in traj.states[1:]]
     assert _bits(traj.drifts) == _bits(expected)
     # the drift subtracts float F(0) entries, converted once per call

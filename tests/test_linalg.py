@@ -69,13 +69,21 @@ def test_char_poly_similarity_invariant(rng):
     assert (p @ m @ p.inverse()).char_poly() == m.char_poly()
 
 
+def horner(p, lam):
+    """The characteristic polynomial p, highest coefficient first, at lam."""
+    acc = 0
+    for c in p.coeffs:
+        acc = acc * lam + c
+    return acc
+
+
 def test_char_poly_root_at_triangular_eigenvalue(rng):
     rows = [[random_matrix(1, rng)[0, 0] if j >= i else Fraction(0) for j in range(4)]
             for i in range(4)]
     m = SquareMatrix(rows)
     p = m.char_poly()
     for i in range(4):
-        assert p(m[i, i]) == 0
+        assert horner(p, m[i, i]) == 0
 
 
 def test_lu_hand_example():
@@ -308,7 +316,7 @@ def test_char_poly_structured_cases(name):
 def test_char_poly_block_triangular_factors():
     m = STRUCTURED["block-triangular"][0]
     p, a, c = m.char_poly(), m.block(0, 0, 2).char_poly(), m.block(2, 2, 3).char_poly()
-    assert all(p(lam) == a(lam) * c(lam) for lam in range(6))
+    assert all(horner(p, lam) == horner(a, lam) * horner(c, lam) for lam in range(6))
 
 
 @settings(max_examples=30, deadline=None)
