@@ -12,6 +12,7 @@ environment variable TODA_BN_SEED provides the default seed for `verify`.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -210,7 +211,13 @@ def cmd_verify(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built once per process.
+
+    ``parse_args`` reads the parser and never changes it, so repeated
+    ``main`` calls in one process share it.
+    """
     ap = argparse.ArgumentParser(
         prog="toda-bn",
         description="Type-Bn relativistic Toda chain: Lax matrices, conserved "

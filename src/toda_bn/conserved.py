@@ -324,18 +324,32 @@ def elementary_symmetric(i: int, values: Sequence):
         raise ValueError("need i >= 0")
     if i > len(values):
         return 0
+    return _elementary_symmetric_up_to(i, values)[i]
+
+
+def _elementary_symmetric_up_to(i: int, values: Sequence) -> list:
+    """[e_0, .., e_i] of the given values, by one run of the recursion."""
     acc = [1] + [0] * i
     for v in values:
-        for j in range(min(i, len(acc) - 1), 0, -1):
+        for j in range(i, 0, -1):
             acc[j] = acc[j] + v * acc[j - 1]
-    return acc[i]
+    return acc
 
 
 def elementary_symmetric_z_poly(n: int, i: int) -> LaurentPoly:
     """e_i(z_1..z_n, z_1^{-1}..z_n^{-1}) as a Laurent polynomial."""
+    if i < 0:
+        raise ValueError("need i >= 0")
+    polys = _elementary_symmetric_z_polys(n)
+    return polys[i] if i < len(polys) else LaurentPoly.zero(n)
+
+
+@lru_cache(maxsize=None)
+def _elementary_symmetric_z_polys(n: int) -> tuple:
+    """e_0..e_2n of (z_1..z_n, z_1^{-1}..z_n^{-1}) as Laurent polynomials."""
     values = [LaurentPoly.z_var(n, k) for k in range(1, n + 1)]
     values += [LaurentPoly.z_var(n, k, -1) for k in range(1, n + 1)]
-    return LaurentPoly.zero(n) + elementary_symmetric(i, values)  # a LaurentPoly for every i
+    return tuple(LaurentPoly.zero(n) + e for e in _elementary_symmetric_up_to(2 * n, values))
 
 
 def ideal_generator(i: int, x: PhasePoint, eps: Sequence[float]) -> float:

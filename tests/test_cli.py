@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toda_bn
+from toda_bn import cli
 from toda_bn import conserved as cv
 from toda_bn.cli import main
 from toda_bn.dynamics import Z_WINDOW
@@ -410,6 +411,22 @@ def test_simulate_csv_golden(capsys, n):
     code, out, _ = run(capsys, *simulate_argv(n))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_GOLDEN[n][2]
+
+
+def test_one_parser_serves_every_call_in_a_process(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    code, out, _ = run(capsys, *simulate_argv(3))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_GOLDEN[3][2]
+    with pytest.raises(SystemExit) as exc:
+        main(simulate_argv(3)[:3])  # no --T
+    assert exc.value.code == 2
+    assert "--T" in capsys.readouterr().err
+    assert run(capsys, "verify", "--mode", "float", "--n-max", "1", "--trials", "1")[0] == 0
+    assert run(capsys, "conserved", "--point", WORKED)[0] == 0
+    code, out, _ = run(capsys, *simulate_argv(3))
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_GOLDEN[3][2]
 
 
 def test_simulate_drift_at_n8_within_bound(capsys):

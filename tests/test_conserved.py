@@ -1,5 +1,8 @@
+import functools
 import hashlib
+import itertools
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -216,6 +219,25 @@ def test_elementary_symmetric_z_poly_edges():
     assert elementary_symmetric_z_poly(2, 0) == LaurentPoly.one(2)
     assert elementary_symmetric_z_poly(2, 5) == LaurentPoly.zero(2)
     assert isinstance(elementary_symmetric_z_poly(2, 5), LaurentPoly)
+    with pytest.raises(ValueError, match=r"^need i >= 0$"):
+        elementary_symmetric_z_poly(2, -1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_elementary_symmetric_z_poly_is_e_i_of_the_laurent_variables(n):
+    # one pass per rank gives each e_i with the terms, and their order, of
+    # the recursion run up to i alone, and the sum over i-subsets
+    values = [LaurentPoly.z_var(n, k) for k in range(1, n + 1)]
+    values += [LaurentPoly.z_var(n, k, -1) for k in range(1, n + 1)]
+    for i in range(2 * n + 2):
+        expected = LaurentPoly.zero(n) + elementary_symmetric(i, values)
+        got = elementary_symmetric_z_poly(n, i)
+        assert got == expected
+        assert list(got.terms.items()) == list(expected.terms.items())
+        subsets = LaurentPoly.zero(n)
+        for subset in itertools.combinations(values, i):
+            subsets = subsets + functools.reduce(operator.mul, subset, LaurentPoly.one(n))
+        assert got == subsets
 
 
 # -- the term order of f_poly: float evaluate sums in storage order -------------

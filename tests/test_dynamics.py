@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -690,3 +691,21 @@ def test_integrate_drifts_equal_the_pass_on_the_returned_states(rng, n, monkeypa
     monkeypatch.setattr(dynamics, "_chain_sums_kernel", lambda n: lambda *state: tuple(
         map(_FloatOnlyMinuend, kernel(*state))))
     assert integrate(x, T=8 * 2.0 ** -10, h=2.0 ** -10).drifts == traj.drifts
+    # a NaN and an inf in F(t): max keeps whichever of them comes first, so
+    # the drift is NaN on the calls that put the NaN first and inf on the rest
+    calls = itertools.count()
+
+    def nonfinite(*state):
+        f = list(kernel(*state))
+        first, last = (0, 2 * n) if next(calls) % 2 else (2 * n, 0)
+        f[first], f[last] = math.nan, math.inf
+        return tuple(f)
+
+    monkeypatch.setattr(dynamics, "_chain_sums_kernel", lambda n: nonfinite)
+    drifts = integrate(x, T=8 * 2.0 ** -10, h=2.0 ** -10).drifts
+    f0 = [float(f) for f in f0]
+    calls = itertools.count()
+    expected = [0.0] + [max(abs(a - b) / s for a, b, s in zip(nonfinite(*y.z, *y.Q), f0, scales))
+                        for y in traj.states[1:]]
+    assert _bits(drifts) == _bits(expected)
+    assert {math.isnan(d) for d in drifts[1:]} == {True, False}
