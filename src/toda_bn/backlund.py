@@ -23,11 +23,12 @@ conjugate of L).
 The conjugation route takes no dense inverse: kr_factors writes K and R
 row by row, takes C from lax._c_rows, the writer build_factors uses, and
 checks the factorization as C R = K, and backlund_conjugate takes L+
-from linalg.band_conjugate, which solves K L+ = L K.  K is tridiagonal
-(its only entry outside the two diagonal blocks, M_{n-1} a_n b_n, sits
-on the subdiagonal) with det K = (z_1 .. z_n)^2, so wherever kr_factors
-succeeds the solve is one elimination over K's band; at a rational
-point it runs on int pairs, and L K reaches it as pairs.
+from linalg.conjugate, which solves K L+ = L K by Gaussian elimination.
+K is tridiagonal (its only entry outside the two diagonal blocks,
+M_{n-1} a_n b_n, sits on the subdiagonal) with det K = (z_1 .. z_n)^2,
+so wherever kr_factors succeeds the elimination, which skips zeros,
+touches only K's band and the fill-in of its interchanges; at a
+rational point it runs on int pairs, and L K reaches it as pairs.
 parameters_from_lax reads x+ off L+.
 
 The closed-form K/R display is ambiguous at n = 1 (the single diagonal
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 
 from .errors import DegeneratePointError
 from .lax import PhasePoint, _c_rows, _qz, build_lax, parameters_from_lax
-from .linalg import _UNITS, SquareMatrix, band_conjugate
+from .linalg import _UNITS, SquareMatrix, conjugate
 from .dynamics import rk4_endpoint
 
 #: Relative tolerance, against max(1, max|K|), of the float-mode C R = K
@@ -158,8 +159,9 @@ def backlund_map(x: PhasePoint) -> PhasePoint:
 
 def backlund_conjugate(x: PhasePoint) -> PhasePoint:
     """x -> x+ through L+ = K^{-1} L K, one elimination on K's band, and
-    parameter recovery."""
-    return parameters_from_lax(band_conjugate(kr_factors(x).K, build_lax(x)))
+    parameter recovery; at a float point, a non-finite entry of K or L K
+    raises ValueError."""
+    return parameters_from_lax(conjugate(kr_factors(x).K, build_lax(x)))
 
 
 def iterate(x: PhasePoint, steps: int) -> list[PhasePoint]:

@@ -9,18 +9,22 @@ Two scalar modes are supported and never mixed inside one matrix:
   exponentials.
 
 Every exact-mode kernel (``@``, ``inverse``, ``det``, ``lu_unit_lower``,
-``char_poly``, and the tridiagonal ``band_solve`` and ``band_conjugate``)
-runs on reduced (numerator, denominator) int pairs: it splits its
-Fraction operands into int lists once, updates rows in place with one
-multiply-add over the pivot row's nonzero entries, which reduces each
-product and sum as Fraction's own arithmetic does (Knuth, TAOCP vol. 2,
-4.5.1), and builds one Fraction per output entry.  Its pivot is the first
-nonzero entry at or below the diagonal; exact results are unique, so
-neither the pivot rule nor the int pairs can change them.
+``char_poly``, ``solve`` and ``conjugate``) runs on reduced (numerator,
+denominator) int pairs: it splits its Fraction operands into int lists
+once, updates rows in place with one multiply-add over the pivot row's
+nonzero entries, which reduces each product and sum as Fraction's own
+arithmetic does (Knuth, TAOCP vol. 2, 4.5.1), and builds one Fraction per
+output entry.  One forward elimination, :func:`_exact_forward`, and one
+back substitution, :func:`_exact_back`, serve ``inverse`` (the solve of
+A X = E), ``det``, ``lu_unit_lower``, ``solve`` and ``conjugate``.  Its
+pivot is the first nonzero entry at or below the diagonal; exact results
+are unique, so neither the pivot rule nor the int pairs can change them.
 
 Float mode keeps max-|.| pivots and dense row updates (skipping v - f*0.0
 can flip the sign of a zero), and its eliminations reject a non-finite
-entry with ValueError.
+entry with ValueError.  Float ``inverse`` (Gauss-Jordan), ``det`` and
+``lu_unit_lower`` count a pivot below SINGULARITY_RTOL as zero; float
+``solve`` raises only on an exactly zero pivot.
 
 Both modes get the characteristic polynomial from one algorithm: a
 Hessenberg reduction by similarity transforms and the Hessenberg
@@ -314,7 +318,8 @@ class SquareMatrix:
         return max(abs(v) for r in self._rows for v in r)
 
     def inverse(self) -> "SquareMatrix":
-        """Gauss-Jordan elimination; exact in rational mode.
+        """The X with self X = E: :func:`solve` in rational mode, so exact
+        there; Gauss-Jordan elimination in float mode.
 
         Raises SingularMatrixError("singular at column c") when a pivot
         vanishes: in rational mode c is the first column in the span of
@@ -322,10 +327,12 @@ class SquareMatrix:
         max|entry| under partial pivoting.  A non-finite float entry
         raises ValueError.
         """
-        if self._mode == "exact":
-            return SquareMatrix._trusted(_exact_inverse(self._rows), "exact")
-        _check_finite(self._rows)
         d = self._dim
+        if self._mode == "exact":
+            return SquareMatrix._trusted(_exact_solve(
+                self._rows, [[int(i == j) for j in range(d)] for i in range(d)],
+                [[1] * d for _ in range(d)]), "exact")
+        _check_finite(self._rows)
         tol = SINGULARITY_RTOL * max(float(self.max_abs()), 1e-300)
         aug = [list(r) + [float(i == j) for j in range(d)] for i, r in enumerate(self._rows)]
         for c in range(d):
@@ -342,14 +349,25 @@ class SquareMatrix:
         return SquareMatrix._trusted(tuple(tuple(r[d:]) for r in aug), self._mode)
 
     def det(self) -> Scalar:
-        """Determinant via elimination with row swaps; exact in rational mode.
+        """Determinant via elimination with row swaps; exact in rational mode,
+        where it is the sign of the interchanges times the product of the
+        pivots of :func:`_exact_forward`, and 0 when some column has none.
 
         A non-finite float entry raises ValueError.
         """
-        if self._mode == "exact":
-            return _exact_det(self._rows)
-        _check_finite(self._rows)
         d = self._dim
+        if self._mode == "exact":
+            nums, dens = _split(self._rows)
+            pivots = _exact_forward(nums, dens, d)
+            if len(pivots) < d:
+                return Fraction(0)
+            sign, on, od = 1, 1, 1
+            for c, p in enumerate(pivots):
+                if p != c:
+                    sign = -sign
+                on, od = _div(on, od, dens[c][c], nums[c][c])
+            return Fraction(sign * on, od)
+        _check_finite(self._rows)
         m = [list(r) for r in self._rows]
         tol = SINGULARITY_RTOL * max(float(self.max_abs()), 1e-300)
         sign = 1
@@ -374,13 +392,25 @@ class SquareMatrix:
         lower is unit lower triangular, upper is upper triangular; the
         factorization is unique when it exists.  Raises
         DegeneratePointError when a leading principal minor vanishes, and
-        ValueError on a non-finite float entry.
+        ValueError on a non-finite float entry.  In rational mode the
+        factors are those of :func:`_exact_forward`, and the index of the
+        vanishing minor is the first column that needs an interchange or
+        has no pivot.
         """
-        if self._mode == "exact":
-            low, up = _exact_lu_unit_lower(self._rows)
-            return SquareMatrix._trusted(low, "exact"), SquareMatrix._trusted(up, "exact")
-        _check_finite(self._rows)
         d = self._dim
+        if self._mode == "exact":
+            nums, dens = _split(self._rows)
+            pivots = _exact_forward(nums, dens, d)
+            c = next((c for c, p in enumerate(pivots) if p != c), len(pivots))
+            if c < d:
+                raise DegeneratePointError(f"vanishing leading minor at index {c}")
+            one = _UNITS["exact"][0]
+            lu = _fraction_rows(nums, dens)
+            return (SquareMatrix._trusted(tuple(r[:i] + (one,) + (_ZERO,) * (d - 1 - i)
+                                                for i, r in enumerate(lu)), "exact"),
+                    SquareMatrix._trusted(tuple((_ZERO,) * i + r[i:]
+                                                for i, r in enumerate(lu)), "exact"))
+        _check_finite(self._rows)
         tol = SINGULARITY_RTOL * max(float(self.max_abs()), 1e-300)
         low = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
         up = [list(r) for r in self._rows]
@@ -525,73 +555,70 @@ def _exact_matmul(a_rows, b_rows) -> tuple:
     return _fraction_rows(*_exact_matmul_pairs(a_rows, b_rows))
 
 
-def _exact_inverse(rows) -> tuple:
-    """Gauss-Jordan on [rows | E]; the pivot is the first nonzero entry at or
-    below the diagonal, so the column of a SingularMatrixError is the first
-    one in the span of the earlier columns."""
-    d = len(rows)
-    nums, dens = _split(rows)
-    for i in range(d):
-        nums[i] += [int(i == j) for j in range(d)]
-        dens[i] += [1] * d
+def _exact_forward(nums: list, dens: list, d: int) -> list:
+    """Eliminate the first d columns of the pair rows [A | B] in place.
+
+    The pivot of column c is the first nonzero entry at or below the
+    diagonal, and its row is swapped into row c.  Each multiplier
+    a_rc / a_cc is kept in the entry (r, c) it zeroes, so the entries below
+    the diagonal end up holding the unit lower factor L and the others U
+    and the reduced B, with P A = L U for the interchanges P (Golub & Van
+    Loan, *Matrix Computations*, 3.4).  Returns each column's pivot row.
+    The list stops short of d at the first column without a pivot, which
+    is the first column in the span of the earlier ones; the elimination
+    stops there.
+    """
+    pivots = []
     for c in range(d):
         p = _first_pivot(nums, c, c)
         if p is None:
-            raise SingularMatrixError(f"singular at column {c}")
+            break
+        pivots.append(p)
         nums[c], nums[p] = nums[p], nums[c]
         dens[c], dens[p] = dens[p], dens[c]
         rn, rd = nums[c], dens[c]
         pn, pd = rn[c], rd[c]
-        pivot = [(j, *_div(n, rd[j], pn, pd)) for j, n in enumerate(rn) if n]
-        for j, n, dd in pivot:
-            rn[j] = n
-            rd[j] = dd
-        for r in range(d):
-            if r != c and nums[r][c]:
-                _addmul(nums[r], dens[r], -nums[r][c], dens[r][c], pivot)
-    return _fraction_rows([r[d:] for r in nums], [r[d:] for r in dens])
-
-
-def _exact_det(rows) -> Fraction:
-    """The determinant by elimination with the first nonzero pivot."""
-    d = len(rows)
-    nums, dens = _split(rows)
-    sign, on, od = 1, 1, 1
-    for c in range(d):
-        p = _first_pivot(nums, c, c)
-        if p is None:
-            return Fraction(0)
-        if p != c:
-            nums[c], nums[p] = nums[p], nums[c]
-            dens[c], dens[p] = dens[p], dens[c]
-            sign = -sign
-        pn, pd = nums[c][c], dens[c][c]
-        on, od = _div(on, od, pd, pn)
-        pivot = _nonzeros(nums[c], dens[c])
+        pivot = [(j, rn[j], rd[j]) for j in range(c + 1, len(rn)) if rn[j]]
         for r in range(c + 1, d):
             if nums[r][c]:
                 fn, fd = _div(nums[r][c], dens[r][c], pn, pd)
+                nums[r][c], dens[r][c] = fn, fd
                 _addmul(nums[r], dens[r], -fn, fd, pivot)
-    return Fraction(sign * on, od)
+    return pivots
 
 
-def _exact_lu_unit_lower(rows) -> tuple[tuple, tuple]:
-    """Doolittle without pivoting: the (lower, upper) Fraction rows."""
-    d = len(rows)
-    nums, dens = _split(rows)
-    low_n = [[int(i == j) for j in range(d)] for i in range(d)]
-    low_d = [[1] * d for _ in range(d)]
-    for c in range(d):
-        pn, pd = nums[c][c], dens[c][c]
-        if not pn:
-            raise DegeneratePointError(f"vanishing leading minor at index {c}")
-        pivot = _nonzeros(nums[c], dens[c])
-        for r in range(c + 1, d):
-            if nums[r][c]:
-                fn, fd = _div(nums[r][c], dens[r][c], pn, pd)
-                low_n[r][c], low_d[r][c] = fn, fd
-                _addmul(nums[r], dens[r], -fn, fd, pivot)
-    return _fraction_rows(low_n, low_d), _fraction_rows(nums, dens)
+def _exact_back(nums: list, dens: list, d: int) -> tuple:
+    """X with U X = Y as Fraction rows, for the pair rows [U | Y] that
+    :func:`_exact_forward` leaves: x_c = (y_c - sum_{k>c} u_ck x_k) / u_cc
+    from the last row up, over the nonzero u_ck only."""
+    x_nums, x_dens, x_nz = [None] * d, [None] * d, [None] * d
+    for c in reversed(range(d)):
+        un, ud = nums[c], dens[c]
+        rn, rd = un[d:], ud[d:]
+        for k in range(c + 1, d):
+            if un[k]:
+                _addmul(rn, rd, -un[k], ud[k], x_nz[k])
+        pn, pd = un[c], ud[c]
+        for j, v in enumerate(rn):
+            if v:
+                rn[j], rd[j] = _div(v, rd[j], pn, pd)
+        x_nums[c], x_dens[c] = rn, rd
+        x_nz[c] = _nonzeros(rn, rd)
+    return _fraction_rows(x_nums, x_dens)
+
+
+def _exact_solve(a_rows, b_nums: list, b_dens: list) -> tuple:
+    """X with A X = B as Fraction rows, for Fraction rows of A and the
+    pair rows of B, which become part of the elimination's rows."""
+    d = len(a_rows)
+    nums, dens = _split(a_rows)
+    for r in range(d):
+        nums[r] += b_nums[r]
+        dens[r] += b_dens[r]
+    c = len(_exact_forward(nums, dens, d))
+    if c < d:
+        raise SingularMatrixError(f"singular at column {c}")
+    return _exact_back(nums, dens, d)
 
 
 def _hessenberg_char_poly(rows) -> tuple:
@@ -709,26 +736,29 @@ def _float_hessenberg_char_poly(rows) -> tuple:
     return tuple(reversed(polys[d]))
 
 
-def band_solve(A: SquareMatrix, B: SquareMatrix) -> SquareMatrix:
-    """X with A X = B for a tridiagonal A; A's entries off its band are not read.
+def solve(A: SquareMatrix, B: SquareMatrix) -> SquareMatrix:
+    """X with A X = B, by Gaussian elimination (Golub & Van Loan, *Matrix
+    Computations*, 3.2 and 3.4).
 
-    Gaussian elimination over the band with a two-row interchange, as
-    LAPACK's gtsv (Higham, *Accuracy and Stability of Numerical
-    Algorithms*, 9.5): the pivot of column c is row c as reduced so far or
-    row c+1, the first nonzero in exact mode and the larger |.| in float
-    mode, and an interchange fills one entry of a second superdiagonal.
-    Exact mode runs on int pairs, so it is exact; float mode keeps dense
-    row updates.  A zero pivot raises SingularMatrixError("singular at
-    column c").
+    Exact mode runs on int pairs, with the first nonzero pivot at or below
+    the diagonal, so it is exact.  Float mode pivots on the largest |.|
+    there and skips zero multipliers and zero entries of U, so on a
+    tridiagonal A it picks LAPACK's gtsv pivots and does gtsv's operations
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 9.5); a
+    non-finite float entry of A or B raises ValueError.  A zero pivot
+    raises SingularMatrixError("singular at column c"), with c the first
+    column of A in the span of the earlier ones in exact mode.
     """
     A._check_compatible(B)
     if A.mode == "exact":
-        return SquareMatrix._trusted(_exact_band_solve(A.rows, *_split(B.rows)), "exact")
-    return SquareMatrix._trusted(_float_band_solve(A.rows, B.rows), "float")
+        return SquareMatrix._trusted(_exact_solve(A.rows, *_split(B.rows)), "exact")
+    _check_finite(A.rows)
+    _check_finite(B.rows)
+    return SquareMatrix._trusted(_float_solve(A.rows, B.rows), "float")
 
 
-def band_conjugate(K: SquareMatrix, L: SquareMatrix) -> SquareMatrix:
-    """K^{-1} L K for a tridiagonal K: the X with K X = L K, by band_solve.
+def conjugate(K: SquareMatrix, L: SquareMatrix) -> SquareMatrix:
+    """K^{-1} L K: the X with K X = L K, by :func:`solve`.
 
     In exact mode the product L K enters the elimination as int pairs, so
     no Fraction of it is built.
@@ -736,88 +766,33 @@ def band_conjugate(K: SquareMatrix, L: SquareMatrix) -> SquareMatrix:
     K._check_compatible(L)
     if K.mode == "exact":
         return SquareMatrix._trusted(
-            _exact_band_solve(K.rows, *_exact_matmul_pairs(L.rows, K.rows)), "exact")
-    return band_solve(K, L @ K)
+            _exact_solve(K.rows, *_exact_matmul_pairs(L.rows, K.rows)), "exact")
+    return solve(K, L @ K)
 
 
-def _exact_band_solve(a, b_nums: list, b_dens: list) -> tuple:
-    """:func:`band_solve` of Fraction rows ``a`` and pair rows of B, as
-    Fraction rows.
-
-    Row c of the elimination is one pair row: its entries at columns c,
-    c+1 and c+2 of A, then its row of the right-hand side.  The pivot is
-    the first nonzero of rows c and c+1.
-    """
+def _float_solve(a, b) -> tuple:
+    """:func:`solve` of finite float rows: partial pivoting on [A | B],
+    then back substitution."""
     d = len(a)
-
-    def pair_row(band, r):
-        return ([v.numerator for v in band] + b_nums[r],
-                [v.denominator for v in band] + b_dens[r])
-
-    tn, td = pair_row([a[0][0], a[0][1] if d > 1 else _ZERO, _ZERO], 0)
-    U = []
+    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
     for c in range(d):
-        if c + 1 < d:
-            bn, bd = pair_row([a[c + 1][c], a[c + 1][c + 1],
-                               a[c + 1][c + 2] if c + 2 < d else _ZERO], c + 1)
-            if not tn[0]:
-                tn, td, bn, bd = bn, bd, tn, td
-        if not tn[0]:
+        p = max(range(c, d), key=lambda r: abs(rows[r][c]))
+        if rows[p][c] == 0:
             raise SingularMatrixError(f"singular at column {c}")
-        U.append((tn, td))
-        if c + 1 < d:
-            if bn[0]:
-                fn, fd = _div(bn[0], bd[0], tn[0], td[0])
-                _addmul(bn, bd, -fn, fd, _nonzeros(tn, td)[1:])
-            # the reduced row c+1 starts at column c+1
-            tn = bn[1:3] + [0] + bn[3:]
-            td = bd[1:3] + [1] + bd[3:]
-    x_nums, x_dens, x_nz = [None] * d, [None] * d, [None] * d
-    for c in reversed(range(d)):
-        un, ud = U[c]
-        rn, rd = un[3:], ud[3:]
-        for k in (1, 2):
-            if c + k < d and un[k]:
-                _addmul(rn, rd, -un[k], ud[k], x_nz[c + k])
-        pn, pd = un[0], ud[0]
-        for j, v in enumerate(rn):
-            if v:
-                rn[j], rd[j] = _div(v, rd[j], pn, pd)
-        x_nums[c], x_dens[c] = rn, rd
-        x_nz[c] = _nonzeros(rn, rd)
-    return _fraction_rows(x_nums, x_dens)
-
-
-def _float_band_solve(a, b) -> tuple:
-    """:func:`band_solve` of float rows: the pivot of column c is the
-    larger |.| of rows c and c+1."""
-    d, zero = len(a), 0.0
-
-    def entry(r, c):
-        return a[r][c] if c < d else zero
-
-    top, rtop = [a[0][0], entry(0, 1), zero], b[0]
-    U, Y = [], []  # row c of U holds its entries at columns c, c+1, c+2
-    for c in range(d):
-        if c + 1 < d:
-            bot, rbot = [a[c + 1][c], a[c + 1][c + 1], entry(c + 1, c + 2)], b[c + 1]
-            if abs(bot[0]) > abs(top[0]):
-                top, bot, rtop, rbot = bot, top, rbot, rtop
-        if top[0] == 0:
-            raise SingularMatrixError(f"singular at column {c}")
-        U.append(top)
-        Y.append(rtop)
-        if c + 1 < d:
-            m = bot[0] / top[0]
-            top = [bot[1] - m * top[1], bot[2] - m * top[2], zero]
-            rtop = [v - m * w for v, w in zip(rbot, rtop)]
+        rows[c], rows[p] = rows[p], rows[c]
+        pivot = rows[c]
+        for r in range(c + 1, d):
+            if rows[r][c] != 0:
+                m = rows[r][c] / pivot[c]
+                rows[r][c + 1:] = [v - m * w for v, w in zip(rows[r][c + 1:], pivot[c + 1:])]
     X = [None] * d
     for c in reversed(range(d)):
-        u, row = U[c], Y[c]
-        for k in (1, 2):
-            if c + k < d and u[k] != 0:
-                row = [v - u[k] * w for v, w in zip(row, X[c + k])]
-        X[c] = tuple(v / u[0] for v in row)
+        u = rows[c]
+        row = u[d:]
+        for k in range(c + 1, d):
+            if u[k] != 0:
+                row = [v - u[k] * w for v, w in zip(row, X[k])]
+        X[c] = tuple([v / u[c] for v in row])
     return tuple(X)
 
 

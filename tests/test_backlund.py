@@ -26,7 +26,7 @@ from toda_bn.backlund import KR_CHECK_RTOL
 from toda_bn.conserved import _conserved_values_exact
 from toda_bn.errors import TodaError
 from toda_bn.lax import _build_lax_exact
-from toda_bn.linalg import band_conjugate, band_solve
+from toda_bn.linalg import conjugate, solve
 from toda_bn.verify import (printed_backlund_n2, random_canonical, random_matrix, random_point,
                             random_rational)
 
@@ -85,19 +85,20 @@ def _k_factors(rng, n, count, mode="exact"):
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_band_solve_equals_the_dense_inverse(rng, n):
+    # K X = B checked by the product, which shares no code with the solve
     for K, L, x in _k_factors(rng, n, 3):
         assert K.det() == math.prod(x.z) ** 2  # so K is invertible wherever it exists
         for B in (L @ K, random_matrix(2 * n, rng)):
-            assert band_solve(K, B) == K.inverse() @ B
+            assert K @ solve(K, B) == B
 
 
 def test_band_solve_interchanges_past_a_zero_pivot(rng):
     # in both modes, at columns 0 and 2
     rows = [[0, 2, 0, 0], [3, 1, 4, 0], [0, 5, 0, 6], [0, 0, 7, 1]]
     A, B = SquareMatrix(rows), random_matrix(4, rng)
-    X = A.inverse() @ B
-    assert band_solve(A, B) == X
-    got = band_solve(SquareMatrix(rows, "float"), SquareMatrix(B.rows, "float"))
+    X = solve(A, B)
+    assert A @ X == B
+    got = solve(SquareMatrix(rows, "float"), SquareMatrix(B.rows, "float"))
     assert all(abs(got[i, j] - X[i, j]) <= 1e-14 * max(1, abs(X[i, j]))
                for i in range(4) for j in range(4))
 
@@ -105,7 +106,7 @@ def test_band_solve_interchanges_past_a_zero_pivot(rng):
 def test_float_band_solve_pivots_on_the_larger_entry():
     # eliminating with the tiny pivot 1e-20 would leave x_1 = 0
     A = SquareMatrix([[1e-20, 1.0], [1.0, 1.0]])
-    X = band_solve(A, SquareMatrix([[1.0, 0.0], [2.0, 0.0]]))
+    X = solve(A, SquareMatrix([[1.0, 0.0], [2.0, 0.0]]))
     assert abs(X[0, 0] - 1.0) <= 1e-15 and abs(X[1, 0] - 1.0) <= 1e-15
 
 
@@ -118,7 +119,7 @@ def test_float_band_solve_pivots_on_the_larger_entry():
 def test_band_solve_rejects_a_singular_band(mode, rows, column):
     A = SquareMatrix(rows, mode)
     with pytest.raises(SingularMatrixError, match=f"singular at column {column}$"):
-        band_solve(A, SquareMatrix.identity(A.dim, mode))
+        solve(A, SquareMatrix.identity(A.dim, mode))
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -134,7 +135,7 @@ def test_band_conjugate_equals_the_dense_route(rng, n):
             break
     assert len(points) > 3
     for K, L, _ in points:
-        assert band_conjugate(K, L) == K.inverse() @ L @ K
+        assert K @ conjugate(K, L) == L @ K
 
 
 def test_kr_factors_are_canonical(rng):
@@ -155,6 +156,15 @@ def test_kr_factors_keeps_the_overflow_error():
     for route in (kr_factors, backlund_map):
         with pytest.raises(ValueError, match=r"^Q_1 z_1 overflows: 10000000000\.0 \* 1e\+300$"):
             route(x)
+
+
+def test_float_conjugate_rejects_a_non_finite_k():
+    # K's entries overflow to inf and NaN; the solve names one rather than
+    # eliminating on it
+    x = PhasePoint(2, (1e200, 1e-200), (0.5, 0.5))
+    assert not all(math.isfinite(v) for row in kr_factors(x).K.rows for v in row)
+    with pytest.raises(ValueError, match="^non-finite entry nan at row 1, column 0$"):
+        backlund_conjugate(x)
 
 
 def test_float_backlund_conjugate_keeps_its_bits():
@@ -181,7 +191,7 @@ def test_float_backlund_conjugate_keeps_its_bits():
 def test_float_band_solve_agrees_with_the_dense_route(rng, n):
     for K, L, _ in _k_factors(rng, n, 3, "float"):
         B = L @ K
-        got, dense = band_solve(K, B), K.inverse() @ B
+        got, dense = solve(K, B), K.inverse() @ B
         scale = max(dense.max_abs(), 1.0)
         assert all(abs(got[i, j] - dense[i, j]) <= KR_CHECK_RTOL * scale
                    for i in range(2 * n) for j in range(2 * n))

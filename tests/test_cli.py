@@ -231,6 +231,14 @@ def test_backlund_overflow_exits_2_on_every_route(capsys, point, message, route)
     assert err == f"error: {message}\n"
 
 
+def test_backlund_conjugate_names_a_non_finite_k(capsys):
+    code, out, err = run(capsys, "backlund", "--route", "conjugate", "--point",
+                         '{"n": 2, "z": [1e200, 1e-200], "Q": [0.5, 0.5]}')
+    assert code == 2
+    assert out == ""
+    assert err == "error: non-finite entry nan at row 1, column 0\n"
+
+
 @pytest.mark.parametrize("command", ["lax", "conserved"])
 @pytest.mark.parametrize("point,message", OVERFLOW_POINTS, ids=OVERFLOW_IDS)
 def test_overflowing_product_is_named(capsys, point, message, command):

@@ -18,7 +18,7 @@ from toda_bn import (
     to_phase,
 )
 from toda_bn.conserved import conserved_values
-from toda_bn.linalg import _addmul, _div, band_conjugate, band_solve
+from toda_bn.linalg import _addmul, _div, conjugate, solve
 from toda_bn.verify import random_canonical, random_matrix
 
 
@@ -536,9 +536,9 @@ def test_kernel_outputs_are_canonical(ab, data):
         outputs.extend(a.lu_unit_lower())
     except DegeneratePointError:
         pass
-    for band_kernel in (band_solve, band_conjugate):
+    for kernel in (solve, conjugate):
         try:
-            outputs.append(band_kernel(a, b))
+            outputs.append(kernel(a, b))
         except SingularMatrixError:
             pass
     for out in outputs:
@@ -753,6 +753,56 @@ def test_pair_kernel_matches_fraction_reference(a, data):
     assert a.char_poly().coeffs == reference_char_poly(a.rows)
 
 
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.data())
+def test_solve_and_conjugate_match_the_fraction_inverse(a, data):
+    # products of the max-|.| Gauss-Jordan reference, which shares no code
+    # with the elimination behind solve, conjugate and inverse
+    b = data.draw(rational_matrices(dims=st.just(a.dim)))
+
+    def by_reference_inverse():
+        inv_b = reference_matmul(reference_inverse(a.rows), b.rows)
+        return inv_b, reference_matmul(inv_b, a.rows)
+
+    expected = outcome(by_reference_inverse)
+    assert outcome(lambda: (solve(a, b).rows, conjugate(a, b).rows)) == expected
+
+
+@st.composite
+def row_dominant_systems(draw):
+    """(A, B) as float rows, d = 1..12: A's k/8 entries make each diagonal
+    entry outweigh the rest of its row by at least 1, and its rows are
+    permuted; B has k/8 entries."""
+    d = draw(st.integers(1, 12))
+
+    def rows(bound):
+        entries = st.integers(-8 * bound, 8 * bound).map(lambda k: k / 8)
+        return draw(st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d))
+
+    a, b = rows(1), rows(2)
+    for i, r in enumerate(a):
+        r[i] = draw(st.sampled_from([-1, 1])) * (d + draw(st.integers(0, 8)) / 8)
+    return [a[i] for i in draw(st.permutations(range(d)))], b
+
+
+#: |float solve - exact solve| entrywise, within it times max(max|X|, 1), for
+#: row_dominant_systems (||A^-1||_inf <= 1, ||A||_inf < 2d + 2); the worst
+#: measured over 3000 such systems was 2.0e-16
+FLOAT_SOLVE_RTOL = 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(row_dominant_systems())
+def test_float_solve_agrees_with_exact_on_dense_matrices(ab):
+    a, b = ab
+    d = len(a)
+    got = solve(SquareMatrix(a, "float"), SquareMatrix(b, "float"))
+    exact = solve(*(SquareMatrix([[Fraction(v) for v in r] for r in m]) for m in ab))
+    scale = max(exact.max_abs(), 1)
+    assert all(abs(Fraction(got[i, j]) - exact[i, j]) <= FLOAT_SOLVE_RTOL * scale
+               for i in range(d) for j in range(d))
+
+
 @pytest.mark.parametrize("rows,column", [
     ([[0, 1], [0, 2]], 0),
     ([[1, 2], [2, 4]], 1),
@@ -762,7 +812,9 @@ def test_pair_kernel_matches_fraction_reference(a, data):
 ])
 def test_singular_column_is_the_first_in_the_span_of_the_earlier(rows, column):
     m = SquareMatrix(rows)
-    for call in (lambda: m.inverse(), lambda: reference_inverse(m.rows)):
+    b = SquareMatrix.identity(m.dim)
+    for call in (lambda: m.inverse(), lambda: reference_inverse(m.rows),
+                 lambda: solve(m, b), lambda: conjugate(m, b)):
         with pytest.raises(SingularMatrixError, match=f"^singular at column {column}$"):
             call()
     assert m.det() == 0
@@ -771,12 +823,11 @@ def test_singular_column_is_the_first_in_the_span_of_the_earlier(rows, column):
 @st.composite
 def tridiagonal_matrices(draw):
     """Tridiagonal rational matrices, with a zero on the diagonal or a
-    zero column of the band now and then, so that the band solve
-    interchanges rows and meets singular bands.  Entries off the band are
-    random, since the band solve must not read them."""
+    zero column of the band now and then, so that the solve interchanges
+    rows and meets singular bands."""
     d = draw(st.integers(1, 8))
     band = st.one_of(st.just(Fraction(0)), ENTRIES, BIG_ENTRIES)
-    rows = [[draw(band) if abs(i - j) <= 1 else draw(ENTRIES) for j in range(d)]
+    rows = [[draw(band) if abs(i - j) <= 1 else Fraction(0) for j in range(d)]
             for i in range(d)]
     return SquareMatrix(rows)
 
@@ -785,18 +836,19 @@ def tridiagonal_matrices(draw):
 @given(tridiagonal_matrices(), st.data())
 def test_band_kernels_match_the_fraction_band_solve(a, data):
     b = data.draw(rational_matrices(dims=st.just(a.dim)))
-    assert (outcome(lambda: band_solve(a, b).rows)
+    assert (outcome(lambda: solve(a, b).rows)
             == outcome(lambda: reference_band_solve(a.rows, b.rows)))
     product = (b @ a).rows
-    assert (outcome(lambda: band_conjugate(a, b).rows)
+    assert (outcome(lambda: conjugate(a, b).rows)
             == outcome(lambda: reference_band_solve(a.rows, product)))
 
 
 def test_band_conjugate_interchanges_past_a_zero_leading_pivot():
     a = SquareMatrix([[0, 2, 0, 0], [3, 1, 4, 0], [0, 5, 0, 6], [0, 0, 7, 1]])
     b = SquareMatrix([[Fraction(i - j, 1 + i * j) for j in range(4)] for i in range(4)])
-    assert band_conjugate(a, b) == a.inverse() @ b @ a
-    assert band_solve(a, b) == a.inverse() @ b
+    inv_b = reference_matmul(reference_inverse(a.rows), b.rows)
+    assert conjugate(a, b).rows == reference_matmul(inv_b, a.rows)
+    assert solve(a, b).rows == inv_b
 
 
 @pytest.mark.parametrize("rows,column", [
@@ -810,8 +862,8 @@ def test_band_kernels_name_the_singular_column_as_before(rows, column):
     a = SquareMatrix(rows)
     b = SquareMatrix.identity(a.dim)
     match = f"^singular at column {column}$"
-    for call in (lambda: reference_band_solve(a.rows, b.rows), lambda: band_solve(a, b),
-                 lambda: band_conjugate(a, b)):
+    for call in (lambda: reference_band_solve(a.rows, b.rows), lambda: solve(a, b),
+                 lambda: conjugate(a, b)):
         with pytest.raises(SingularMatrixError, match=match):
             call()
 
@@ -895,6 +947,17 @@ def test_float_elimination_names_the_first_non_finite_entry(rows, entry, op):
     m = SquareMatrix(rows, "float")
     with pytest.raises(ValueError, match=f"^non-finite entry {entry}$"):
         getattr(m, op)()
+
+
+@pytest.mark.parametrize("rows,entry", [
+    ([[2.0, 1.0], [1.0, math.inf]], "inf at row 1, column 1"),
+    ([[math.nan, 1.0], [1.0, 2.0]], "nan at row 0, column 0"),
+], ids=["inf", "nan"])
+def test_float_solve_names_the_first_non_finite_entry(rows, entry):
+    bad, good = SquareMatrix(rows, "float"), SquareMatrix.identity(2, "float")
+    for call in (lambda: solve(bad, good), lambda: solve(good, bad)):
+        with pytest.raises(ValueError, match=f"^non-finite entry {entry}$"):
+            call()
 
 
 def test_with_entry_rejects_an_index_outside_the_matrix():
