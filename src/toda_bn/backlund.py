@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .errors import DegeneratePointError
 from .lax import PhasePoint, _c_rows, _qz, build_lax, parameters_from_lax
-from .linalg import _UNITS, SquareMatrix, conjugate
+from .linalg import _UNITS, SquareMatrix, _check_finite, conjugate
 from .dynamics import rk4_endpoint
 
 #: Relative tolerance, against max(1, max|K|), of the float-mode C R = K
@@ -83,7 +83,8 @@ def kr_factors(x: PhasePoint) -> KRFactors:
     Requires n >= 2 and M_i != 0 for 1 <= i <= n-1.  Every call re-checks
     the factorization as the product C R = K, which needs no inverse:
     exactly at a rational point, and within KR_CHECK_RTOL at a float point.
-    At a float point, an overflowing Q_k z_k raises ValueError naming it.
+    At a float point, an overflowing Q_k z_k, or a non-finite entry of K
+    or of C R, raises ValueError naming it.
     """
     n = x.n
     if n < 2:
@@ -127,6 +128,8 @@ def kr_factors(x: PhasePoint) -> KRFactors:
         if rebuilt != K:
             raise RuntimeError("internal error: C R does not rebuild K")
     else:
+        _check_finite(K.rows)
+        _check_finite(rebuilt.rows)
         scale = max(K.max_abs(), 1.0)
         if any(abs(rebuilt[i, j] - K[i, j]) > KR_CHECK_RTOL * scale
                for i in range(2 * n) for j in range(2 * n)):

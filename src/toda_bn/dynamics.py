@@ -52,7 +52,7 @@ from .conserved import (MAX_SYMBOLIC_RANK, _chain_sums, conserved_values,
                         conserved_values_by_path)
 from .errors import ModeError, OutOfChartError, StepBlowupError, ZeroBaseError
 from .lax import PhasePoint, _lax_rows, build_lax, parameters_from_lax
-from .linalg import _UNITS, SquareMatrix, mat_exp
+from .linalg import _UNITS, SquareMatrix, conjugate, mat_exp
 from .splitting import factor_minus_plus, project
 
 #: Trajectories must keep every |z_i| inside this window.
@@ -98,10 +98,6 @@ class Trajectory:
     @property
     def max_drift(self) -> float:
         return max(self.drifts)
-
-    @property
-    def endpoint(self) -> PhasePoint:
-        return self.states[-1]
 
 
 def lax_rhs(L: SquareMatrix) -> SquareMatrix:
@@ -591,14 +587,15 @@ def flow_conjugations(x0: PhasePoint, t: float) -> tuple[SquareMatrix, SquareMat
     """The two factorization expressions a L0 a^{-1} and b L0 b^{-1} of L(t).
 
     exp(L0 t) = a^{-1} b with a in G_plus and b in G_minus, so exp(-L0 t) =
-    b^{-1} a is the factorization K R with K = b^{-1} and R = a.  The two
-    conjugations agree up to roundoff and both solve the Lax equation.
+    b^{-1} a is the factorization K R with K = b^{-1} and R = a.  Each is one
+    :func:`linalg.conjugate`, R L0 R^{-1} by transposes; the two agree up to
+    roundoff and both solve the Lax equation.
     """
     if x0.mode != "float":
         raise ModeError("the factorization flow runs in float mode")
     L0 = build_lax(x0)
     K, R = factor_minus_plus(mat_exp(L0, -t))
-    return R @ L0 @ R.inverse(), K.inverse() @ L0 @ K
+    return conjugate(R.transpose(), L0.transpose()).transpose(), conjugate(K, L0)
 
 
 def exact_flow(x0: PhasePoint, t: float) -> PhasePoint:

@@ -20,11 +20,13 @@ A X = E), ``det``, ``lu_unit_lower``, ``solve`` and ``conjugate``.  Its
 pivot is the first nonzero entry at or below the diagonal; exact results
 are unique, so neither the pivot rule nor the int pairs can change them.
 
-Float mode keeps max-|.| pivots and dense row updates (skipping v - f*0.0
-can flip the sign of a zero), and its eliminations reject a non-finite
-entry with ValueError.  Float ``inverse`` (Gauss-Jordan), ``det`` and
-``lu_unit_lower`` count a pivot below SINGULARITY_RTOL as zero; float
-``solve`` raises only on an exactly zero pivot.
+Float mode mirrors this with :func:`_float_forward` (max-|.| pivots, or
+none for ``lu_unit_lower``; dense row updates, since skipping v - f*0.0
+can flip the sign of a zero) and :func:`_float_back`, and rejects a
+non-finite entry with ValueError.  The pass stops only at a zero pivot;
+``solve`` and ``conjugate`` raise only there, and so keep LAPACK gtsv's
+bits on a tridiagonal A, while ``inverse``, ``det`` and ``lu_unit_lower``
+count a pivot below SINGULARITY_RTOL * max|a_ij| as zero.
 
 Both modes get the characteristic polynomial from one algorithm: a
 Hessenberg reduction by similarity transforms and the Hessenberg
@@ -318,113 +320,79 @@ class SquareMatrix:
         return max(abs(v) for r in self._rows for v in r)
 
     def inverse(self) -> "SquareMatrix":
-        """The X with self X = E: :func:`solve` in rational mode, so exact
-        there; Gauss-Jordan elimination in float mode.
+        """The X with self X = E, by :func:`solve`'s two passes on [self | E].
 
-        Raises SingularMatrixError("singular at column c") when a pivot
-        vanishes: in rational mode c is the first column in the span of
-        the earlier ones; in float mode |pivot| < SINGULARITY_RTOL *
-        max|entry| under partial pivoting.  A non-finite float entry
-        raises ValueError.
+        Raises SingularMatrixError("singular at column c") at the first
+        column in the span of the earlier ones in rational mode, or whose
+        pivot is below SINGULARITY_RTOL * max|entry| in float mode.  A
+        non-finite float entry raises ValueError.
         """
         d = self._dim
+        eye = [[int(i == j) for j in range(d)] for i in range(d)]
         if self._mode == "exact":
-            return SquareMatrix._trusted(_exact_solve(
-                self._rows, [[int(i == j) for j in range(d)] for i in range(d)],
-                [[1] * d for _ in range(d)]), "exact")
-        _check_finite(self._rows)
-        tol = SINGULARITY_RTOL * max(float(self.max_abs()), 1e-300)
-        aug = [list(r) + [float(i == j) for j in range(d)] for i, r in enumerate(self._rows)]
-        for c in range(d):
-            p = max(range(c, d), key=lambda r: abs(aug[r][c]))
-            if abs(aug[p][c]) < tol:
-                raise SingularMatrixError(f"singular at column {c}")
-            aug[c], aug[p] = aug[p], aug[c]
-            piv = aug[c][c]
-            aug[c] = [v / piv for v in aug[c]]
-            for r in range(d):
-                if r != c and aug[r][c] != 0:
-                    f = aug[r][c]
-                    aug[r] = [v - f * w for v, w in zip(aug[r], aug[c])]
-        return SquareMatrix._trusted(tuple(tuple(r[d:]) for r in aug), self._mode)
+            ones = [[1] * d for _ in eye]
+            return SquareMatrix._trusted(_exact_solve(self._rows, eye, ones), "exact")
+        rows, _, c = self._float_forward_rtol([list(map(float, r)) for r in eye])
+        if c < d:
+            raise SingularMatrixError(f"singular at column {c}")
+        return SquareMatrix._trusted(_float_back(rows, d), "float")
 
     def det(self) -> Scalar:
-        """Determinant via elimination with row swaps; exact in rational mode,
-        where it is the sign of the interchanges times the product of the
-        pivots of :func:`_exact_forward`, and 0 when some column has none.
-
-        A non-finite float entry raises ValueError.
-        """
+        """The sign of the interchanges times the product of the pivots of
+        the forward pass, so exact in rational mode; 0 when some column has
+        no pivot, or in float mode one below SINGULARITY_RTOL * max|entry|.
+        A non-finite float entry raises ValueError."""
         d = self._dim
         if self._mode == "exact":
             nums, dens = _split(self._rows)
             pivots = _exact_forward(nums, dens, d)
             if len(pivots) < d:
                 return Fraction(0)
-            sign, on, od = 1, 1, 1
-            for c, p in enumerate(pivots):
-                if p != c:
-                    sign = -sign
-                on, od = _div(on, od, dens[c][c], nums[c][c])
-            return Fraction(sign * on, od)
-        _check_finite(self._rows)
-        m = [list(r) for r in self._rows]
-        tol = SINGULARITY_RTOL * max(float(self.max_abs()), 1e-300)
-        sign = 1
-        out = 1.0
-        for c in range(d):
-            p = max(range(c, d), key=lambda r: abs(m[r][c]))
-            if abs(m[p][c]) < tol:
+            diagonal = [Fraction(nums[c][c], dens[c][c]) for c in range(d)]
+        else:
+            rows, pivots, c = self._float_forward_rtol([[]] * d)
+            if c < d:
                 return 0.0
-            if p != c:
-                m[c], m[p] = m[p], m[c]
-                sign = -sign
-            out *= m[c][c]
-            for r in range(c + 1, d):
-                if m[r][c] != 0:
-                    f = m[r][c] / m[c][c]
-                    m[r] = [v - f * w for v, w in zip(m[r], m[c])]
-        return sign * out
+            diagonal = [r[c] for c, r in enumerate(rows)]
+        return (-1) ** sum(p != c for c, p in enumerate(pivots)) * reduce(mul, diagonal)
 
     def lu_unit_lower(self) -> tuple["SquareMatrix", "SquareMatrix"]:
         """Doolittle factorization self = lower @ upper, without pivoting.
 
-        lower is unit lower triangular, upper is upper triangular; the
-        factorization is unique when it exists.  Raises
-        DegeneratePointError when a leading principal minor vanishes, and
-        ValueError on a non-finite float entry.  In rational mode the
-        factors are those of :func:`_exact_forward`, and the index of the
-        vanishing minor is the first column that needs an interchange or
-        has no pivot.
+        Both triangles are read off the forward pass; the factorization is
+        unique when it exists.  Raises DegeneratePointError when a leading
+        principal minor vanishes: at the first column that needs an
+        interchange or has no pivot in rational mode, or whose pivot is
+        below SINGULARITY_RTOL * max|entry| in float mode.  A non-finite
+        float entry raises ValueError.
         """
         d = self._dim
+        one, zero = _units(self._mode)
         if self._mode == "exact":
             nums, dens = _split(self._rows)
             pivots = _exact_forward(nums, dens, d)
             c = next((c for c, p in enumerate(pivots) if p != c), len(pivots))
-            if c < d:
-                raise DegeneratePointError(f"vanishing leading minor at index {c}")
-            one = _UNITS["exact"][0]
             lu = _fraction_rows(nums, dens)
-            return (SquareMatrix._trusted(tuple(r[:i] + (one,) + (_ZERO,) * (d - 1 - i)
-                                                for i, r in enumerate(lu)), "exact"),
-                    SquareMatrix._trusted(tuple((_ZERO,) * i + r[i:]
-                                                for i, r in enumerate(lu)), "exact"))
-        _check_finite(self._rows)
-        tol = SINGULARITY_RTOL * max(float(self.max_abs()), 1e-300)
-        low = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
-        up = [list(r) for r in self._rows]
-        for c in range(d):
-            if abs(up[c][c]) < tol:
-                raise DegeneratePointError(f"vanishing leading minor at index {c}")
-            for r in range(c + 1, d):
-                if up[r][c] != 0:
-                    f = up[r][c] / up[c][c]
-                    low[r][c] = f
-                    up[r] = [v - f * w for v, w in zip(up[r], up[c])]
-                    up[r][c] = 0.0
-        return (SquareMatrix._trusted(tuple(map(tuple, low)), self._mode),
-                SquareMatrix._trusted(tuple(map(tuple, up)), self._mode))
+            up = tuple((zero,) * i + r[i:] for i, r in enumerate(lu))
+        else:
+            lu, _, c = self._float_forward_rtol([[]] * d, swap=False)
+            up = _float_upper(lu)
+        if c < d:
+            raise DegeneratePointError(f"vanishing leading minor at index {c}")
+        # a zero that the pass skipped is no multiplier: lower reads 0 there
+        return (SquareMatrix._trusted(tuple(tuple(v or zero for v in r[:i]) + (one,)
+                                            + (zero,) * (d - 1 - i)
+                                            for i, r in enumerate(lu)), self._mode),
+                SquareMatrix._trusted(up, self._mode))
+
+    def _float_forward_rtol(self, b_rows: list, swap: bool = True) -> tuple[list, list, int]:
+        """The rows and pivot rows of :func:`_float_forward` on [self | B], and
+        the first column whose pivot is below SINGULARITY_RTOL * max|entry|
+        (d if none); a non-finite entry raises ValueError."""
+        rows, pivots = _float_forward(self._rows, b_rows, swap)
+        tol = SINGULARITY_RTOL * max(self.max_abs(), 1e-300)
+        return rows, pivots, next(
+            (c for c in range(len(pivots)) if abs(rows[c][c]) < tol), len(pivots))
 
     def char_poly(self) -> "PolyInLambda":
         """Coefficients of det(lambda*E - self), highest degree first.
@@ -621,6 +589,59 @@ def _exact_solve(a_rows, b_nums: list, b_dens: list) -> tuple:
     return _exact_back(nums, dens, d)
 
 
+def _float_forward(a_rows, b_rows, swap: bool = True) -> tuple[list, list]:
+    """:func:`_exact_forward` on the float rows [A | B], returned with the
+    pivot rows, which stop short of d at the first zero pivot.  The pivot is
+    the largest |.| at or below the diagonal, or the diagonal entry if not
+    ``swap``; a row with a zero in the pivot column is skipped.  A
+    non-finite entry raises ValueError."""
+    _check_finite(a_rows)
+    _check_finite(b_rows)
+    d = len(a_rows)
+    rows = [list(a) + list(b) for a, b in zip(a_rows, b_rows)]
+    pivots = []
+    for c in range(d):
+        p = max(range(c, d), key=lambda r: abs(rows[r][c])) if swap else c
+        if rows[p][c] == 0:
+            break
+        pivots.append(p)
+        rows[c], rows[p] = rows[p], rows[c]
+        piv, w = rows[c][c], rows[c][c + 1:]
+        for row in rows[c + 1:]:
+            if row[c] != 0:
+                f = row[c] = row[c] / piv
+                row[c + 1:] = [v - f * x for v, x in zip(row[c + 1:], w)]
+    return rows, pivots
+
+
+def _float_back(rows: list, d: int) -> tuple:
+    """X with U X = Y as float rows, for the rows [U | Y] that
+    :func:`_float_forward` leaves, over the nonzero u_ck only."""
+    x = [None] * d
+    for c in reversed(range(d)):
+        u = rows[c]
+        row = u[d:]
+        for k in range(c + 1, d):
+            if u[k] != 0:
+                row = [v - u[k] * w for v, w in zip(row, x[k])]
+        x[c] = tuple([v / u[c] for v in row])
+    return tuple(x)
+
+
+def _float_upper(lu: list) -> tuple:
+    """U off :func:`_float_forward`'s rows without interchanges, with the
+    signed zeros below the diagonal of a pass that updates whole rows: a
+    zero it skipped keeps its sign until a later update of its row."""
+    up = []
+    for i, r in enumerate(lu):
+        below = [v if v == 0 else 0.0 for v in r[:i]]
+        for k, f in enumerate(r[:i]):
+            if f != 0:
+                below[:k] = [z - f * u for z, u in zip(below[:k], up[k])]
+        up.append(tuple(below + r[i:]))
+    return tuple(up)
+
+
 def _hessenberg_char_poly(rows) -> tuple:
     """det(lambda*E - H) of Fraction rows, coefficients highest degree first
     (Cohen, Alg. 2.2.9).
@@ -752,9 +773,10 @@ def solve(A: SquareMatrix, B: SquareMatrix) -> SquareMatrix:
     A._check_compatible(B)
     if A.mode == "exact":
         return SquareMatrix._trusted(_exact_solve(A.rows, *_split(B.rows)), "exact")
-    _check_finite(A.rows)
-    _check_finite(B.rows)
-    return SquareMatrix._trusted(_float_solve(A.rows, B.rows), "float")
+    rows, pivots = _float_forward(A.rows, B.rows)
+    if len(pivots) < A.dim:
+        raise SingularMatrixError(f"singular at column {len(pivots)}")
+    return SquareMatrix._trusted(_float_back(rows, A.dim), "float")
 
 
 def conjugate(K: SquareMatrix, L: SquareMatrix) -> SquareMatrix:
@@ -768,32 +790,6 @@ def conjugate(K: SquareMatrix, L: SquareMatrix) -> SquareMatrix:
         return SquareMatrix._trusted(
             _exact_solve(K.rows, *_exact_matmul_pairs(L.rows, K.rows)), "exact")
     return solve(K, L @ K)
-
-
-def _float_solve(a, b) -> tuple:
-    """:func:`solve` of finite float rows: partial pivoting on [A | B],
-    then back substitution."""
-    d = len(a)
-    rows = [list(ra) + list(rb) for ra, rb in zip(a, b)]
-    for c in range(d):
-        p = max(range(c, d), key=lambda r: abs(rows[r][c]))
-        if rows[p][c] == 0:
-            raise SingularMatrixError(f"singular at column {c}")
-        rows[c], rows[p] = rows[p], rows[c]
-        pivot = rows[c]
-        for r in range(c + 1, d):
-            if rows[r][c] != 0:
-                m = rows[r][c] / pivot[c]
-                rows[r][c + 1:] = [v - m * w for v, w in zip(rows[r][c + 1:], pivot[c + 1:])]
-    X = [None] * d
-    for c in reversed(range(d)):
-        u = rows[c]
-        row = u[d:]
-        for k in range(c + 1, d):
-            if u[k] != 0:
-                row = [v - u[k] * w for v, w in zip(row, X[k])]
-        X[c] = tuple([v / u[c] for v in row])
-    return tuple(X)
 
 
 @dataclass(frozen=True)

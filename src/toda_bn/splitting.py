@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegeneratePointError, SingularMatrixError
-from .linalg import SquareMatrix
+from .linalg import SquareMatrix, solve
 
 _MEMBERSHIP_KINDS = ("g_plus", "g_minus", "G_plus", "G_minus")
 
@@ -135,30 +135,33 @@ def factor_minus_plus(X: SquareMatrix) -> tuple[SquareMatrix, SquareMatrix]:
     Block LU (Golub & Van Loan, *Matrix Computations*, 4th ed., 3.2) on
     K = [[U, 0], [V, J U J]] and R = [[P, Y], [0, Z]]: X11 = U P,
     X21 = V P, X12 = U Y, and the Schur complement
-    S = X22 - X21 X11^{-1} X12 equals J U J Z.  So X11^{-1} J S J =
-    P^{-1} (J Z J) is upper times unit lower, and the Doolittle LU of the
-    transpose of its flip is Z^T (J P^{-1} J)^T.  Then U = X11 P^{-1},
-    V = X21 P^{-1} and Y = P X11^{-1} X12.
+    S = X22 - X21 W with W = X11^{-1} X12 equals J U J Z.  So
+    X11^{-1} J S J = P^{-1} (J Z J) is upper times unit lower, and the
+    Doolittle LU of the transpose of its flip is Z^T (J P^{-1} J)^T.  Then
+    U = X11 P^{-1}, V = X21 P^{-1} and Y = P W.  W and X11^{-1} J S J are
+    solves with X11, and P is a back substitution on the triangular P^{-1}.
 
     Raises DegeneratePointError on a singular X11 or a vanishing minor in
     that LU.  In exact mode this happens exactly when no factorization
     exists: a factorization makes X11 = U P invertible and gives that LU,
     and conversely the LU's factors build K and R as above.  In float mode
-    a singular X, by ``det``'s SINGULARITY_RTOL, raises first.
+    a singular X, then a singular X11, by ``det``'s SINGULARITY_RTOL raise
+    first: a float solve raises only on a zero pivot, and the float LU
+    measures its pivots against X11^{-1} J S J alone, which a Schur
+    complement of rounding noise would pass.
     """
     n = _half(X)
-    # the float LU below measures its pivots against X11^{-1} J S J alone, so
-    # a Schur complement that is all rounding noise would pass it
+    X11, X21 = X.block(0, 0, n), X.block(n, 0, n)
     if X.mode == "float" and X.det() == 0:
         raise DegeneratePointError("singular matrix")
-    X11, X21 = X.block(0, 0, n), X.block(n, 0, n)
     try:
-        X11inv = X11.inverse()
+        if X.mode == "float" and X11.det() == 0:
+            raise SingularMatrixError("a pivot below SINGULARITY_RTOL")
+        W = solve(X11, X.block(0, n, n))
     except SingularMatrixError as e:
         raise DegeneratePointError(f"singular upper-left block: {e}") from e
-    W = X11inv @ X.block(0, n, n)
     S = X.block(n, n, n) - X21 @ W
-    lo, up = (X11inv @ S.flip()).flip().transpose().lu_unit_lower()
+    lo, up = solve(X11, S.flip()).flip().transpose().lu_unit_lower()
     Pinv = up.transpose().flip()
     P = Pinv.inverse()
     Z0 = SquareMatrix.zero(n, X.mode)

@@ -159,12 +159,12 @@ def test_kr_factors_keeps_the_overflow_error():
 
 
 def test_float_conjugate_rejects_a_non_finite_k():
-    # K's entries overflow to inf and NaN; the solve names one rather than
-    # eliminating on it
+    # K's entries overflow to inf and NaN; kr_factors names one rather than
+    # returning K, so the conjugation route stops there too
     x = PhasePoint(2, (1e200, 1e-200), (0.5, 0.5))
-    assert not all(math.isfinite(v) for row in kr_factors(x).K.rows for v in row)
-    with pytest.raises(ValueError, match="^non-finite entry nan at row 1, column 0$"):
-        backlund_conjugate(x)
+    for call in (kr_factors, backlund_conjugate):
+        with pytest.raises(ValueError, match="^non-finite entry nan at row 1, column 0$"):
+            call(x)
 
 
 def test_float_backlund_conjugate_keeps_its_bits():
@@ -189,11 +189,15 @@ def test_float_backlund_conjugate_keeps_its_bits():
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_float_band_solve_agrees_with_the_dense_route(rng, n):
+    # the oracle is the exact solve at the same binary64 point, which shares
+    # no float code with the solve under test
     for K, L, _ in _k_factors(rng, n, 3, "float"):
         B = L @ K
-        got, dense = solve(K, B), K.inverse() @ B
-        scale = max(dense.max_abs(), 1.0)
-        assert all(abs(got[i, j] - dense[i, j]) <= KR_CHECK_RTOL * scale
+        exact = solve(*(SquareMatrix([[Fraction(v) for v in r] for r in m.rows])
+                        for m in (K, B)))
+        got = solve(K, B)
+        scale = max(exact.max_abs(), 1)
+        assert all(abs(Fraction(got[i, j]) - exact[i, j]) <= KR_CHECK_RTOL * scale
                    for i in range(2 * n) for j in range(2 * n))
 
 

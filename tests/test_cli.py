@@ -387,7 +387,7 @@ def test_verify_float_report_golden(capsys):
                        "--n-max", "3", "--trials", "3")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
-        "1bebd142cbbf9c8af01dbe268f7fb1c5807179c149c9da6f42ac847fac1d3ffd"
+        "d7922d5bdb37426063123c839d5b378103f1037d33f5db5273c81bec8f56a235"
 
 
 # simulate CSVs, drift column included, in the benchmark's argv form:

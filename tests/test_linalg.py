@@ -18,7 +18,7 @@ from toda_bn import (
     to_phase,
 )
 from toda_bn.conserved import conserved_values
-from toda_bn.linalg import _addmul, _div, conjugate, solve
+from toda_bn.linalg import SINGULARITY_RTOL, _addmul, _div, conjugate, solve
 from toda_bn.verify import random_canonical, random_matrix
 
 
@@ -354,10 +354,10 @@ def test_sparse_products_inverse_det_lu(a, b):
 # digests do not depend on the platform's libm.
 FLOAT_GOLDEN = [
     (PhasePoint(3, (1.3, -0.7, 2.1), (0.4, -0.25, 0.15)),
-     "41dcdd59fdb8a41af5d48b82d522908b2dde1ece86321db95605ffd3a99bc44a"),
+     "22ca8a127fbc350b2603321b98d7135e52bb809bd0adc7eaedd8e4cb6ebaa310"),
     (PhasePoint(8, (1.1, -0.9, 1.7, 0.6, -1.3, 2.2, 0.8, -1.5),
                 (0.3, -0.2, 0.45, 0.1, -0.35, 0.25, 0.05, -0.15)),
-     "72d48234944c4f0be543d1d606c50aa45424c80482f3e5879f6138903763de71"),
+     "8c4a160cce091573b02745ee6dbb75627c4e9af87a7be6fc2eccbe3a83cdc2d5"),
 ]
 
 
@@ -902,6 +902,96 @@ def test_float_det_sign_follows_row_swaps():
     got = SquareMatrix([[float(v) for v in r] for r in rows], "float").det()
     assert exact == -25
     assert got == pytest.approx(float(exact), rel=1e-12)
+
+
+def float_tolerance(rows):
+    return SINGULARITY_RTOL * max(max(abs(v) for r in rows for v in r), 1e-300)
+
+
+def reference_float_det(rows):
+    """A float det loop of its own: max-|.| pivots, whole-row updates, and 0.0
+    at the first pivot below SINGULARITY_RTOL * max|entry|."""
+    d = len(rows)
+    m = [list(r) for r in rows]
+    tol = float_tolerance(rows)
+    sign, out = 1, 1.0
+    for c in range(d):
+        p = max(range(c, d), key=lambda r: abs(m[r][c]))
+        if abs(m[p][c]) < tol:
+            return 0.0
+        if p != c:
+            m[c], m[p] = m[p], m[c]
+            sign = -sign
+        out *= m[c][c]
+        for r in range(c + 1, d):
+            if m[r][c] != 0:
+                f = m[r][c] / m[c][c]
+                m[r] = [v - f * w for v, w in zip(m[r], m[c])]
+    return sign * out
+
+
+def reference_float_lu_unit_lower(rows):
+    """A float Doolittle loop of its own: whole-row updates, each eliminated
+    entry set to 0.0, and the SINGULARITY_RTOL rule on the diagonal."""
+    d = len(rows)
+    tol = float_tolerance(rows)
+    low = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
+    up = [list(r) for r in rows]
+    for c in range(d):
+        if abs(up[c][c]) < tol:
+            raise DegeneratePointError(f"vanishing leading minor at index {c}")
+        for r in range(c + 1, d):
+            if up[r][c] != 0:
+                f = up[r][c] / up[c][c]
+                low[r][c] = f
+                up[r] = [v - f * w for v, w in zip(up[r], up[c])]
+                up[r][c] = 0.0
+    return tuple(map(tuple, low)), tuple(map(tuple, up))
+
+
+# k/8 entries, signed zeros, and entries within 2^-20 of the pivot threshold
+# of a matrix whose largest |entry| is 2
+RTOL_EDGE = [s * 2 * SINGULARITY_RTOL * f for s in (1, -1) for f in (1 - 2 ** -20, 1, 1 + 2 ** -20)]
+EDGE_ENTRIES = st.one_of(st.sampled_from([0.0, -0.0]), st.integers(-16, 16).map(lambda k: k / 8),
+                         st.sampled_from(RTOL_EDGE))
+
+
+@st.composite
+def rtol_edge_matrices(draw):
+    d = draw(st.integers(1, 6))
+    rows = [[draw(EDGE_ENTRIES) for _ in range(d)] for _ in range(d)]
+    rows[draw(st.integers(0, d - 1))][draw(st.integers(0, d - 1))] = 2.0
+    return rows
+
+
+@settings(max_examples=400, deadline=None)
+@given(rtol_edge_matrices())
+def test_float_det_and_lu_keep_the_bits_of_their_own_loops(rows):
+    m = SquareMatrix(rows, "float")
+    assert repr(m.det()) == repr(reference_float_det(rows))
+    got = outcome(lambda: tuple(f.rows for f in m.lu_unit_lower()))
+    assert repr(got) == repr(outcome(lambda: reference_float_lu_unit_lower(rows)))
+
+
+@pytest.mark.parametrize("f,singular", [(1 - 2 ** -20, True), (1 + 2 ** -20, False)],
+                         ids=["under", "over"])
+def test_float_pivot_rule_at_the_threshold(f, singular):
+    # max|entry| = 2, so the second pivot sits just under or just over the tolerance
+    small = 2 * SINGULARITY_RTOL * f
+    for rows in ([[2.0, 1.0], [-0.0, small]], [[2.0, 0.0], [1.0, small]]):
+        m = SquareMatrix(rows, "float")
+        expect = reference_float_det(rows)
+        assert (m.det() == 0.0) is singular and repr(m.det()) == repr(expect)
+        if singular:
+            for call, error, message in (
+                    (m.inverse, SingularMatrixError, "singular at column 1"),
+                    (m.lu_unit_lower, DegeneratePointError, "vanishing leading minor at index 1")):
+                with pytest.raises(error, match=f"^{message}$"):
+                    call()
+        else:
+            assert repr(tuple(f.rows for f in m.lu_unit_lower())) == repr(
+                reference_float_lu_unit_lower(rows))
+            assert solve(m, SquareMatrix.identity(2, "float")) == m.inverse()
 
 
 # -- the reversal conjugation as an index flip, and rejected inputs -------------
