@@ -77,14 +77,32 @@ def _aux(x: PhasePoint):
     return a, b, tuple(M)
 
 
+def _check_divisor(name: str, u: float, v: float) -> None:
+    """Raise ValueError naming the float product u v, a divisor, if it underflows to 0.0."""
+    if u * v == 0:
+        raise ValueError(f"{name} underflows to 0.0: {u!r} * {v!r}")
+
+
+def _check_square(name: str, v: float, divides: bool) -> None:
+    """Raise ValueError naming the float square v ** 2 if it overflows, where
+    ``**`` raises OverflowError, or if it is a divisor and underflows to 0.0."""
+    try:
+        square = v ** 2
+    except OverflowError:
+        raise ValueError(f"{name} ** 2 overflows: {v!r}") from None
+    if divides and square == 0:
+        raise ValueError(f"{name} ** 2 underflows to 0.0: {v!r}")
+
+
 def kr_factors(x: PhasePoint) -> KRFactors:
     """Build K in G_minus and R in G_plus with C = K @ R^{-1}, entrywise.
 
     Requires n >= 2 and M_i != 0 for 1 <= i <= n-1.  Every call re-checks
     the factorization as the product C R = K, which needs no inverse:
     exactly at a rational point, and within KR_CHECK_RTOL at a float point.
-    At a float point, an overflowing Q_k z_k, or a non-finite entry of K
-    or of C R, raises ValueError naming it.
+    At a float point, an overflowing Q_k z_k, a divisor z_i z_{i+1} or
+    M_i z_{i+1} that underflows to 0.0, or a non-finite entry of K or of
+    C R, raises ValueError naming it.
     """
     n = x.n
     if n < 2:
@@ -95,6 +113,11 @@ def kr_factors(x: PhasePoint) -> KRFactors:
     one, zero = _UNITS[mode]
     if any(M[i] == 0 for i in range(1, n)):
         raise DegeneratePointError("some M_i vanishes; K/R factors undefined")
+    if mode == "float":  # the divisors of N_i and of R22's superdiagonal
+        for i in range(1, n - 1):
+            _check_divisor(f"z_{i + 1} z_{i + 2}", b[i], b[i + 1])
+        for j in range(1, n):
+            _check_divisor(f"M_{j} z_{j + 1}", M[j], b[j])
     N = tuple(1 - a[i - 1] * a[i] / (b[i] * b[i + 1]) for i in range(1, n - 1))
 
     # K = [[K11, 0], [K12, J K11 J]] and R = [[R11, 0], [0, R22]], 0-based
@@ -139,12 +162,17 @@ def kr_factors(x: PhasePoint) -> KRFactors:
 
 def backlund_map(x: PhasePoint) -> PhasePoint:
     """The closed-form birational map x -> x+; at a float point, an
-    overflowing Q_k z_k raises ValueError naming it, as in kr_factors."""
+    overflowing Q_k z_k, M_i ** 2 or z_i ** 2, or a divisor M_i ** 2 or
+    z_i ** 2 (i > 1) that underflows to 0.0, raises ValueError naming it."""
     n = x.n
     _, _, M = _aux(x)
     one, zero = _UNITS[x.mode]
     if any(M[i] == 0 for i in range(1, n)):
         raise DegeneratePointError("some M_i vanishes; map undefined")
+    if x.mode == "float":  # the squares of Q_i+
+        for i in range(1, n + 1):
+            _check_square(f"M_{i}", M[i], True)
+            _check_square(f"z_{i}", x.z[i - 1], i > 1)
     zext = tuple(x.z) + (one,)  # z_{n+1} = 1
     Qp = []
     for i in range(1, n + 1):

@@ -41,7 +41,7 @@ from typing import Sequence
 from .errors import DegeneratePointError, ModeError
 from .laurent import LaurentPoly
 from .lax import PhasePoint, _lax_inverse_rows, _qz, build_factors, build_lax
-from .linalg import _UNITS, SquareMatrix
+from .linalg import _UNITS, SquareMatrix, conjugate, solve
 
 #: Symbolic expansion guard: chain enumeration grows quickly with n, so the
 #: path-formula route stays a desk-scale verification tool.
@@ -423,10 +423,12 @@ def path_weight_oracle(x: PhasePoint) -> PathWeightReport:
         for rows in (diag(a + b), diag([*ones[:n], *z[::-1]]),
                      diag([*z, *(1 / v for v in z[::-1])]), Lam, bidiag, corner))
 
+    # no inverse is taken: D is diagonal, so D Lambda D^{-1} is the transpose
+    # of D^{-1} Lambda^T D, and D^{-1} Z^{-1} N B D solves (Z D) M = N B D
     N, B, C = build_factors(x)
-    c_ok = (C == Z @ (D @ Lam @ D.inverse()))
+    c_ok = (C == Z @ conjugate(D, Lam.transpose()).transpose())
 
-    M = D.inverse() @ Z.inverse() @ N @ B @ D
+    M = solve(Z @ D, N @ B @ D)
     three_ok = (M == zdiag @ bidiag @ corner)
 
     entry_ok = True
@@ -437,6 +439,6 @@ def path_weight_oracle(x: PhasePoint) -> PathWeightReport:
                 entry_ok = False
 
     # Lambda is unit lower triangular: det(lambda*Lambda - M) = det(lambda*E - Lambda^{-1} M)
-    spectrum_ok = (Lam.inverse() @ M).char_poly() == build_lax(x).char_poly()
+    spectrum_ok = solve(Lam, M).char_poly() == build_lax(x).char_poly()
 
     return PathWeightReport(c_ok, three_ok, entry_ok, spectrum_ok)

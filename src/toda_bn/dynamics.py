@@ -17,9 +17,13 @@ hamilton_rhs's docstring), the RK4 step (_rk4_step) and the drift's F(t)
 below, and hamilton_rhs runs _rates as it is.  _trace runs the RK4 step
 and the chain-sum pass once per rank, on first use, over a recording
 scalar (_Traced) and compiles each tape to straight-line code in the same
-grouping, so float results keep their bits.
-For the RK4 step that costs about 2, 5 and 35 ms at n = 3, 8 and 50, and a
-step then takes about 4, 11 and 75 us (2-core Xeon, Python 3.11).
+grouping, so float results keep their bits.  rk4_endpoint, which keeps
+no state but the last, compiles the RK4 tape a second way
+(_rk4_loop_kernel): every step in one loop, the state in its locals and
+the Z_WINDOW test inline.  Tracing and compiling the RK4 step costs about
+2, 6 and 25-40 ms at n = 3, 8 and 50, each way; a step then takes about
+4, 12 and 90 us as one kernel call with its window check, and about 3.4,
+10 and 75 us inside the loop (2-core Xeon, Python 3.11).
 
 The exact factorization solution
 L(t) = a(t) L0 a(t)^{-1} with exp(L0 t) = a^{-1} b provides an
@@ -277,19 +281,19 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
 _ATOM = 4
 
 
-def _trace(kind: str, n: int, fn, *extra: str):
-    """fn's run as straight-line code ``kind(z0.., q0.., *extra)``, for rank n.
+def _straight_line(n: int, fn, extra: tuple) -> tuple[list, list, list]:
+    """fn's run as straight-line code: (parameter names, body lines, outputs).
 
-    fn runs once over one _Traced input per name and returns a tuple.  A
-    node used exactly once, the return counting as a use, is written inline
-    into its user, up to _MAX_DEPTH levels deep.  Every other node, unused
-    ones too (a division may raise), gets its own line ``tK = a op b``.  An
-    inlined operand is parenthesised where precedence needs it: a left
-    operand of lower precedence than its operation, a right operand of
-    lower or equal precedence (every operation groups to the left), and a
-    negation's compound operand.  So the kernel's grouping is the tape's,
-    and it redoes fn's float run bit for bit.  A division by a zero z_i in
-    the kernel raises ZeroBaseError.
+    fn runs once over one _Traced input per name, z0.., q0.. and then
+    ``extra``, and returns a tuple.  A node used exactly once, the return
+    counting as a use, is written inline into its user, up to _MAX_DEPTH
+    levels deep.  Every other node, unused ones too (a division may
+    raise), gets its own line ``tK = a op b``.  An inlined operand is
+    parenthesised where precedence needs it: a left operand of lower
+    precedence than its operation, a right operand of lower or equal
+    precedence (every operation groups to the left), and a negation's
+    compound operand.  So the code's grouping is the tape's, and it redoes
+    fn's float run bit for bit.  Each output is the text of an expression.
     """
     names = [f"z{i}" for i in range(n)] + [f"q{i}" for i in range(n)] + list(extra)
     tape: list[tuple] = []
@@ -323,14 +327,29 @@ def _trace(kind: str, n: int, fn, *extra: str):
         else:
             text[k] = f"t{k}"
             body.append(f"t{k} = {expr}")
-    source = [f"def {kind}({', '.join(names)}):", "    try:",
-              *("        " + line for line in body),
-              f"        return ({''.join(text.get(v, v) + ', ' for v in out)})",
+    return names, body, [text.get(v, v) for v in out]
+
+
+def _define(kind: str, n: int, params: list, lines: list):
+    """Compile ``def kind(*params)`` with the body ``lines``, in which a
+    ZeroDivisionError raises ZeroBaseError."""
+    source = [f"def {kind}({', '.join(params)}):", "    try:",
+              *("        " + line for line in lines),
               "    except ZeroDivisionError:",
               "        raise ZeroBaseError('all z_i must be nonzero') from None"]
     namespace = {"ZeroBaseError": ZeroBaseError}
     exec(compile("\n".join(source), f"<toda_bn {kind} n={n}>", "exec"), namespace)
     return namespace[kind]
+
+
+def _trace(kind: str, n: int, fn, *extra: str):
+    """fn's run as straight-line code ``kind(z0.., q0.., *extra)``, for rank n.
+
+    See _straight_line; a division by a zero z_i in the kernel raises
+    ZeroBaseError.
+    """
+    names, body, out = _straight_line(n, fn, extra)
+    return _define(kind, n, names, [*body, f"return ({''.join(v + ', ' for v in out)})"])
 
 
 @functools.lru_cache(maxsize=None)
@@ -484,10 +503,39 @@ def _rk4_step(n: int, state: Sequence, h) -> tuple:
                  for v, ka, kb, kc, kd in zip(state, a, b, c, d))
 
 
+def _rk4_traced(n: int):
+    """_rk4_step at rank n as a function of (z_1..z_n, Q_1..Q_n, h), for tracing."""
+    return lambda *s: _rk4_step(n, s[:-1], s[-1])
+
+
 @functools.lru_cache(maxsize=None)
 def _rk4_kernel(n: int):
     """rk4(z_1..z_n, Q_1..Q_n, h) -> the state after one _rk4_step, compiled for rank n."""
-    return _trace("rk4", n, lambda *s: _rk4_step(n, s[:-1], s[-1]), "h")
+    return _trace("rk4", n, _rk4_traced(n), "h")
+
+
+@functools.lru_cache(maxsize=None)
+def _rk4_loop_kernel(n: int):
+    """rk4_loop(z_1..z_n, Q_1..Q_n, h, steps) -> (k, state): up to ``steps``
+    _rk4_step steps, compiled for rank n as one loop over the RK4 tape.
+
+    The state lives in the loop's locals, and the loop stops after the
+    first step k whose state has a |z_i| outside Z_WINDOW (NaN included),
+    or after step ``steps``; each step does the operations of _rk4_kernel,
+    so the state's floats are its, bit for bit.
+    """
+    names, body, out = _straight_line(n, _rk4_traced(n), ("h",))
+    state = "".join(v + ", " for v in names[:2 * n])
+    lo, hi = Z_WINDOW
+    inside = " and ".join(f"({lo!r} <= {z} <= {hi!r} or {-hi!r} <= {z} <= {-lo!r})"
+                          for z in names[:n])
+    return _define("rk4_loop", n, [*names, "steps"], [
+        "for k in range(1, steps + 1):",
+        *("    " + line for line in body),
+        f"    {state}= {', '.join(out)}",
+        f"    if not ({inside}):",
+        f"        return k, ({state})",
+        f"return steps, ({state})"])
 
 
 def _check_window(n: int, state: tuple, t: float):
@@ -516,6 +564,17 @@ def step_count(T: float, h: float, names: tuple[str, str] = ("T", "h")) -> int:
     return round(steps)
 
 
+def _initial_state(x0: PhasePoint, T: float, h: float) -> tuple[int, tuple]:
+    """(step_count(T, h), (z_1..z_n, Q_1..Q_n) of x0), once x0 is checked
+    as integration needs it: float mode, every |z_i| inside Z_WINDOW."""
+    if x0.mode != "float":
+        raise ModeError("integration runs in float mode")
+    steps = step_count(T, h)
+    state = tuple(x0.z) + tuple(x0.Q)
+    _check_window(x0.n, state, 0.0)
+    return steps, state
+
+
 def _rk4_states(x0: PhasePoint, T: float, h: float):
     """Yield (t, state) at t = 0 and after each of the step_count(T, h) RK4 steps.
 
@@ -523,13 +582,9 @@ def _rk4_states(x0: PhasePoint, T: float, h: float):
     when a |z_i| lies outside Z_WINDOW, x0 included, so every state yielded
     has float coordinates and no zero z_i.
     """
-    if x0.mode != "float":
-        raise ModeError("integration runs in float mode")
-    steps = step_count(T, h)
-    n = x0.n
-    state = tuple(x0.z) + tuple(x0.Q)
-    _check_window(n, state, 0.0)
+    steps, state = _initial_state(x0, T, h)
     yield 0.0, state
+    n = x0.n
     rk4_step = _rk4_kernel(n)
     for k in range(1, steps + 1):
         state = rk4_step(*state, h)
@@ -540,11 +595,15 @@ def _rk4_states(x0: PhasePoint, T: float, h: float):
 def rk4_endpoint(x0: PhasePoint, T: float, h: float) -> PhasePoint:
     """Endpoint of the RK4 flow, without trajectory or drift bookkeeping.
 
-    T and h follow integrate's rules.
+    T and h follow integrate's rules, and a state outside Z_WINDOW raises
+    integrate's StepBlowupError, at the same t.  The steps run as one
+    compiled loop (_rk4_loop_kernel).
     """
-    for _, state in _rk4_states(x0, T, h):
-        pass
-    return PhasePoint._trusted(x0.n, state[:x0.n], state[x0.n:])
+    steps, state = _initial_state(x0, T, h)
+    n = x0.n
+    k, state = _rk4_loop_kernel(n)(*state, h, steps)
+    _check_window(n, state, k * h)
+    return PhasePoint._trusted(n, state[:n], state[n:])
 
 
 def integrate(x0: PhasePoint, T: float, h: float = 1e-3) -> Trajectory:

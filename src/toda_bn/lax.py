@@ -345,9 +345,11 @@ def gamma_membership(L: SquareMatrix) -> GammaReport:
         ("gamma2:upper-left-of-inverse", A.block(0, 0, n), L.block(n, n, n).flip()),
         ("gamma2:lower-right-of-inverse", A.block(n, n, n), L.block(0, 0, n).flip()),
     ]
+    # exact entries are compared as they are; float ones by their difference
     g2 = [(name, i, j) for name, got, expect in blocks
-          for i, row in enumerate((got - expect).rows) for j, v in enumerate(row)
-          if not is_zero(v)]
+          for i, (row, want) in enumerate(zip(got.rows, expect.rows))
+          for j, (v, w) in enumerate(zip(row, want))
+          if not (v == w if mode == "exact" else is_zero(v - w))]
     return GammaReport(not g1, not g2, (g1 + g2)[0] if g1 or g2 else None)
 
 
@@ -363,8 +365,10 @@ def parameters_from_lax(L: SquareMatrix) -> PhasePoint:
     No inverse is taken.  A zero among the last-row entries read raises
     NotInGammaError, and so does a rebuild of L from (z, Q) that differs
     from L at some entry (exactly, or beyond RECOVERY_RTOL in float mode):
-    the matrix is outside the coordinate chart.  In exact mode the rows are
-    compared at once, and only a mismatch is scanned for its first entry.
+    the matrix is outside the coordinate chart.  A float z_i read that
+    underflows to 0.0 raises ValueError naming it.  In exact mode the rows
+    are compared at once, and only a mismatch is scanned for its first
+    entry.
     """
     d = L.dim
     if d % 2:
@@ -375,6 +379,8 @@ def parameters_from_lax(L: SquareMatrix) -> PhasePoint:
     if 0 in reads:
         raise NotInGammaError(f"zero entry at ({d - 1}, {d - 1 - reads.index(0)})")
     z = (1 / reads[0], *(-reads[k - 1] / reads[k] for k in range(1, n)))
+    if mode == "float" and 0 in z:
+        raise ValueError(f"z_{z.index(0) + 1} read off L underflows to 0.0")
     Q = tuple(1 - L[i, i] / z[i] for i in range(n))
 
     def close(a, b):

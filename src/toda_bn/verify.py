@@ -26,7 +26,7 @@ from . import lax as lx
 from . import splitting as sp
 from .errors import DegeneratePointError
 from .laurent import LaurentPoly
-from .linalg import SquareMatrix
+from .linalg import SquareMatrix, conjugate
 
 
 @dataclass
@@ -101,16 +101,27 @@ def random_matrix(d: int, rng: random.Random) -> SquareMatrix:
     return SquareMatrix([[random_rational(rng) for _ in range(d)] for _ in range(d)])
 
 
+def _exact_rows(d: int, diagonal: Fraction) -> list[list]:
+    """d x d rows of Fractions, ``diagonal`` on the diagonal and 0 elsewhere."""
+    zero = Fraction(0)
+    return [[diagonal if i == j else zero for j in range(d)] for i in range(d)]
+
+
+def _exact_matrix(rows: list[list]) -> SquareMatrix:
+    """The exact matrix of rows whose every entry is a Fraction."""
+    return SquareMatrix._trusted(tuple(map(tuple, rows)), "exact")
+
+
 def random_alg_plus(n: int, rng: random.Random) -> SquareMatrix:
-    m = SquareMatrix.zero(2 * n)
+    m = _exact_rows(2 * n, Fraction(0))
     for i in range(n):
         for j in range(n):
             if j >= i:
-                m = m.with_entry(i, j, random_rational(rng))
+                m[i][j] = random_rational(rng)
             if j > i:
-                m = m.with_entry(n + i, n + j, random_rational(rng))
-            m = m.with_entry(i, n + j, random_rational(rng))
-    return m
+                m[n + i][n + j] = random_rational(rng)
+            m[i][n + j] = random_rational(rng)
+    return _exact_matrix(m)
 
 
 def random_alg_minus(n: int, rng: random.Random) -> SquareMatrix:
@@ -122,15 +133,15 @@ def random_alg_minus(n: int, rng: random.Random) -> SquareMatrix:
 
 
 def random_g_plus(n: int, rng: random.Random) -> SquareMatrix:
-    m = SquareMatrix.identity(2 * n)
+    m = _exact_rows(2 * n, Fraction(1))
     for i in range(n):
-        m = m.with_entry(i, i, random_rational(rng))  # nonzero by construction
+        m[i][i] = random_rational(rng)  # nonzero by construction
         for j in range(n):
             if j > i:
-                m = m.with_entry(i, j, random_rational(rng))
-                m = m.with_entry(n + i, n + j, random_rational(rng))
-            m = m.with_entry(i, n + j, random_rational(rng))
-    return m
+                m[i][j] = random_rational(rng)
+                m[n + i][n + j] = random_rational(rng)
+            m[i][n + j] = random_rational(rng)
+    return _exact_matrix(m)
 
 
 def _invertible_upper_left(m: SquareMatrix):
@@ -400,6 +411,14 @@ def check_parameter_roundtrip(cfg: VerifySuiteConfig, rng: random.Random) -> tup
     return _passed(cfg.trials * cfg.n_max, resamples)
 
 
+def _unit_entries(d: int, *cells) -> SquareMatrix:
+    """The exact d x d matrix with 1 at each (i, j) of ``cells`` and 0 elsewhere."""
+    m = _exact_rows(d, Fraction(0))
+    for i, j in cells:
+        m[i][j] = Fraction(1)
+    return _exact_matrix(m)
+
+
 @_identity("projection-splitting-factorization", "rational")
 def check_splitting(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
     """Projections, membership patterns, commutator closure and the
@@ -415,15 +434,12 @@ def check_splitting(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
         probe = 0
         for i in range(n):
             for j in range(n):
-                e_ll = SquareMatrix.zero(d).with_entry(n + i, j, Fraction(1))
-                probe += sp.membership(e_ll, "g_minus")
-                u = SquareMatrix.zero(d).with_entry(i, j, Fraction(1))
-                u = u.with_entry(n + (n - 1 - i), n + (n - 1 - j), Fraction(1))
+                probe += sp.membership(_unit_entries(d, (n + i, j)), "g_minus")
+                u = _unit_entries(d, (i, j), (n + (n - 1 - i), n + (n - 1 - j)))
                 probe += sp.membership(u, "g_minus")
         if probe != 2 * n * n:
             return _fail({"n": n, "which": "g_minus probe basis"})
-        probe = sum(sp.membership(SquareMatrix.zero(d).with_entry(i, j, Fraction(1)),
-                                  "g_plus")
+        probe = sum(sp.membership(_unit_entries(d, (i, j)), "g_plus")
                     for i in range(d) for j in range(d))
         if probe != 2 * n * n:
             return _fail({"n": n, "which": "g_plus probe basis"})
@@ -597,7 +613,7 @@ def check_flow_conservation(cfg: VerifySuiteConfig, rng: random.Random) -> tuple
         details[f"route_gap_n{n}"] = gap
         if gap > 1e-9:
             return _fail({"n": n, "which": "a vs b route"}, details=details)
-        xe = dy.exact_flow(x, 0.5)
+        xe = lx.parameters_from_lax(la)  # dy.exact_flow(x, 0.5), from the la in hand
         xr = dy.rk4_endpoint(x, 0.5, 1e-4)
         gap = max(max(abs(a - b) for a, b in zip(xe.z, xr.z)),
                   max(abs(a - b) for a, b in zip(xe.Q, xr.Q)))
@@ -681,18 +697,23 @@ def check_backlund_commutation(cfg: VerifySuiteConfig, rng: random.Random) -> tu
 
 @_identity("adjoint-invariance", "rational")
 def check_adjoint_invariance(cfg: VerifySuiteConfig, rng: random.Random) -> tuple:
-    """Conjugation by G_plus preserves the first variety, by G_minus the second."""
+    """Conjugation by G_plus preserves the first variety, by G_minus the second.
+
+    g L g^{-1} is (g^T)^{-1} L^T g^T transposed: one linalg.conjugate, so
+    one elimination on g^T, and no inverse of g.
+    """
     for n in range(1, min(cfg.n_max, 3) + 1):
         L = lx.build_lax(random_point(n, rng))
         base = lx.gamma_membership(L)
         if not base.in_gamma:
             return _fail({"n": n, "which": "base point"})
+        Lt = L.transpose()
         for t in range(20):
             gp = random_g_plus(n, rng)
-            if not lx.gamma_membership(gp @ L @ gp.inverse()).in_gamma1:
+            if not lx.gamma_membership(conjugate(gp.transpose(), Lt).transpose()).in_gamma1:
                 return _fail({"n": n, "which": "G_plus"}, t)
             gm = random_g_minus(n, rng)
-            if not lx.gamma_membership(gm @ L @ gm.inverse()).in_gamma2:
+            if not lx.gamma_membership(conjugate(gm.transpose(), Lt).transpose()).in_gamma2:
                 return _fail({"n": n, "which": "G_minus"}, t)
     return _passed(20 * min(cfg.n_max, 3))
 

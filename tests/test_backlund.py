@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from toda_bn import (
     DegeneratePointError,
@@ -165,6 +167,48 @@ def test_float_conjugate_rejects_a_non_finite_k():
     for call in (kr_factors, backlund_conjugate):
         with pytest.raises(ValueError, match="^non-finite entry nan at row 1, column 0$"):
             call(x)
+
+
+def test_float_routes_name_a_product_past_the_float_range():
+    # z_2 z_3 underflows to 0.0 as N_1's divisor, and M_1 = 1 - 0.5 / 1e-200
+    # squares past the float range; both raised bare arithmetic errors
+    x = PhasePoint(3, (1.0, 1e-200, 1e-200), (0.5, 0.5, 0.5))
+    for call in (kr_factors, backlund_conjugate):
+        with pytest.raises(ValueError, match=r"^z_2 z_3 underflows to 0\.0: 1e-200 \* 1e-200$"):
+            call(x)
+    with pytest.raises(ValueError, match=r"^M_1 \*\* 2 overflows: -5e\+199$"):
+        backlund_map(x)
+
+
+def test_float_map_names_a_square_that_underflows():
+    # z_2 ** 2 divides Q_1+ and underflows to 0.0
+    with pytest.raises(ValueError, match=r"^z_2 \*\* 2 underflows to 0\.0: 1e-200$"):
+        backlund_map(PhasePoint(2, (1.0, 1e-200), (1e-210, 0.5)))
+
+
+def test_float_conjugate_names_a_z_read_that_underflows():
+    # K and L K are finite, and the elimination gives an L+ whose last row
+    # reads z_2 = -L+[3, 3] / L+[3, 2] as 0.0; Q_1 = 1 - L+[0, 0] / z_1 divided by it
+    x = PhasePoint(2, (3.97e-207, -2.58e-14), (2.1e35, -2.46e-281))
+    with pytest.raises(ValueError, match=r"^z_2 read off L underflows to 0\.0$"):
+        backlund_conjugate(x)
+
+
+_LOG_UNIFORM = st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 300.0)).map(
+    lambda se: se[0] * 10.0 ** se[1])
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 4).flatmap(lambda n: st.tuples(
+    st.just(n), st.lists(_LOG_UNIFORM, min_size=2 * n, max_size=2 * n))))
+def test_float_routes_raise_only_named_errors_at_log_uniform_points(case):
+    n, coords = case
+    x = PhasePoint(n, tuple(coords[:n]), tuple(coords[n:]))
+    for call in (kr_factors, backlund_map, backlund_conjugate):
+        try:
+            call(x)
+        except (TodaError, ValueError):
+            pass
 
 
 def test_float_backlund_conjugate_keeps_its_bits():

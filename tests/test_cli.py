@@ -239,6 +239,15 @@ def test_backlund_conjugate_names_a_non_finite_k(capsys):
     assert err == "error: non-finite entry nan at row 1, column 0\n"
 
 
+def test_backlund_map_names_a_square_that_underflows(capsys):
+    # the point's conserved quantities are finite, so the map is what stops
+    code, out, err = run(capsys, "backlund", "--route", "map", "--point",
+                         '{"n": 2, "z": [1.0, 1e-200], "Q": [1e-210, 0.5]}')
+    assert code == 2
+    assert out == ""
+    assert err == "error: z_2 ** 2 underflows to 0.0: 1e-200\n"
+
+
 @pytest.mark.parametrize("command", ["lax", "conserved"])
 @pytest.mark.parametrize("point,message", OVERFLOW_POINTS, ids=OVERFLOW_IDS)
 def test_overflowing_product_is_named(capsys, point, message, command):

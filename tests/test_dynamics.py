@@ -34,7 +34,7 @@ from toda_bn import (
 from toda_bn import dynamics, f_poly
 from toda_bn.conserved import (MAX_SYMBOLIC_RANK, _chain_sums, conserved_values,
                                conserved_values_by_path)
-from toda_bn.dynamics import (_chain_sums_kernel, _rk4_kernel,
+from toda_bn.dynamics import (_chain_sums_kernel, _rk4_kernel, _rk4_loop_kernel,
                                lax_along_flow, step_count)
 from toda_bn.lax import evaluate_matrix, lax_symbolic
 from toda_bn.verify import (VerifySuiteConfig, check_lax_hamilton, identity_rng,
@@ -527,6 +527,38 @@ def test_rk4_kernel_matches_the_loop_step_on_the_chart(rng, n):
             _steps(lambda s, h: _reference_rk4_step(n, s, h), state, h)
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rk4_loop_kernel_equals_steps_of_the_step_kernel(rng, n):
+    x = to_phase(random_canonical(n, rng))
+    for h, steps in ((1e-3, 0), (1e-3, 1), (2.0 ** -10, 40), (1e-4, 300)):
+        state = x.z + x.Q
+        for _ in range(steps):
+            state = _rk4_kernel(n)(*state, h)
+        k, got = _rk4_loop_kernel(n)(*x.z, *x.Q, h, steps)
+        assert k == steps and _bits(got) == _bits(state)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rk4_endpoint_leaves_the_window_where_integrate_does(rng, n):
+    # large chart coordinates and a large step: RK4 leaves the window within
+    # a few steps, and the loop kernel must stop at the same step as integrate
+    for _ in range(100):
+        x = to_phase(random_canonical(n, rng, scale=3.0))
+        try:
+            integrate(x, T=4.0, h=0.25)
+        except StepBlowupError as exc:
+            want = str(exc)
+            break
+        except ZeroBaseError:
+            continue
+    else:
+        pytest.fail("no draw left the window")
+    assert not want.endswith("at t=0.0")
+    with pytest.raises(StepBlowupError) as got:
+        rk4_endpoint(x, 4.0, 0.25)
+    assert str(got.value) == want
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_kernels_reject_a_zero_z_at_every_position(n):
     for j in range(n):
@@ -534,6 +566,7 @@ def test_kernels_reject_a_zero_z_at_every_position(n):
             z = [1.5] * n
             z[j] = zero
             for call in (lambda: _rk4_kernel(n)(*z, *([0.25] * n), 1e-3),
+                         lambda: _rk4_loop_kernel(n)(*z, *([0.25] * n), 1e-3, 1),
                          lambda: _chain_sums_kernel(n)(*z, *([0.25] * n))):
                 with pytest.raises(ZeroBaseError, match=r"^all z_i must be nonzero$"):
                     call()

@@ -329,6 +329,28 @@ def test_gamma_membership_equals_the_entry_scan_on_tampered_lax(rng, n, mode):
                     assert report_tuple(gamma_membership(bad)) == old_gamma_membership(bad)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_gamma_membership_names_the_first_broken_condition(worked_point, mode):
+    # Gamma_1 is reported before Gamma_2, and Gamma_2 block by block.  Once
+    # L's upper right block is J and L^{-1}'s is -J, L L^{-1} = E forces the
+    # other two blocks, so no inverse can break one of those first.
+    x = worked_point if mode == "exact" else worked_point.to_float()
+    L = build_lax(x)
+    A = L.inverse()
+    one = SquareMatrix.identity(4, mode)
+    # diag(2, 1, 1, 1) L diag(1/2, 1, 1, 1) keeps L^{-1}'s shape and scales row 0 of J
+    scaled = one.with_entry(0, 0, 2) @ L @ one.with_entry(0, 0, Fraction(1, 2))
+    controls = [
+        (A.with_entry(3, 0, A[3, 0] + 1).inverse(), ("gamma1", 3, 0)),
+        (scaled, ("gamma2:upper-right-of-L", 0, 1)),
+        (L.with_entry(0, 0, L[0, 0] + 1), ("gamma2:upper-right-of-inverse", 0, 1)),
+    ]
+    for bad, first in controls:
+        rep = gamma_membership(bad)
+        assert rep.first_violation == first
+        assert report_tuple(rep) == old_gamma_membership(bad)
+
+
 def test_parameter_roundtrip(rng):
     for n in range(1, 6):
         for _ in range(10):

@@ -1,11 +1,14 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from toda_bn import dynamics as dy
 from toda_bn import verify
 from toda_bn.errors import DegeneratePointError
-from toda_bn.verify import VerifySuiteConfig, random_point, sample_generic
+from toda_bn.lax import build_lax
+from toda_bn.linalg import SquareMatrix, conjugate
+from toda_bn.verify import VerifySuiteConfig, random_point, random_rational, sample_generic
 
 
 def test_sample_generic_returns_probe_value_and_redraws():
@@ -77,3 +80,60 @@ def test_flow_conservation_still_rejects_a_second_order_step(monkeypatch):
         result = flow_conservation(seed)
         assert not result.passed
         assert result.counterexample["which"] in ("drift bound", "order check")
+
+
+# -- the exact builders against the copy-per-entry ones they replaced ----------
+
+
+def with_entry_alg_plus(n, rng):
+    m = SquareMatrix.zero(2 * n)
+    for i in range(n):
+        for j in range(n):
+            if j >= i:
+                m = m.with_entry(i, j, random_rational(rng))
+            if j > i:
+                m = m.with_entry(n + i, n + j, random_rational(rng))
+            m = m.with_entry(i, n + j, random_rational(rng))
+    return m
+
+
+def with_entry_g_plus(n, rng):
+    m = SquareMatrix.identity(2 * n)
+    for i in range(n):
+        m = m.with_entry(i, i, random_rational(rng))
+        for j in range(n):
+            if j > i:
+                m = m.with_entry(i, j, random_rational(rng))
+                m = m.with_entry(n + i, n + j, random_rational(rng))
+            m = m.with_entry(i, n + j, random_rational(rng))
+    return m
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_row_built_samplers_equal_the_with_entry_builders(seed):
+    for n in range(1, 5):
+        for built, reference in ((verify.random_alg_plus, with_entry_alg_plus),
+                                 (verify.random_g_plus, with_entry_g_plus)):
+            a, b = random.Random(seed), random.Random(seed)
+            got = built(n, a)
+            assert got == reference(n, b)
+            assert all(type(v) is Fraction for row in got.rows for v in row)
+            assert a.getstate() == b.getstate()  # the same draws, in the same order
+
+
+def test_unit_entry_probes_equal_the_with_entry_builds():
+    d = 6
+    for cells in (((4, 1),), ((0, 2), (5, 3)), ((2, 2),)):
+        m = SquareMatrix.zero(d)
+        for i, j in cells:
+            m = m.with_entry(i, j, Fraction(1))
+        assert verify._unit_entries(d, *cells) == m
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_conjugation_by_transposes_equals_the_dense_route(rng, n):
+    # adjoint-invariance takes g L g^{-1} as conjugate(g^T, L^T)^T
+    for _ in range(5):
+        L = build_lax(random_point(n, rng))
+        for g in (verify.random_g_plus(n, rng), verify.random_g_minus(n, rng)):
+            assert conjugate(g.transpose(), L.transpose()).transpose() == g @ L @ g.inverse()
