@@ -14,16 +14,22 @@ Numerical integration is fixed-step RK4 in the (z, Q) chart, where the
 right-hand side is rational.  The rates (_rates, the formulas of
 hamilton_rhs's docstring), the RK4 step (_rk4_step) and the drift's F(t)
 (conserved._chain_sums) are each written once, under the ring contract
-below, and hamilton_rhs runs _rates as it is.  _trace runs the RK4 step
-and the chain-sum pass once per rank, on first use, over a recording
-scalar (_Traced) and compiles each tape to straight-line code in the same
-grouping, so float results keep their bits.  rk4_endpoint, which keeps
-no state but the last, compiles the RK4 tape a second way
-(_rk4_loop_kernel): every step in one loop, the state in its locals and
-the Z_WINDOW test inline.  Tracing and compiling the RK4 step costs about
-2, 6 and 25-40 ms at n = 3, 8 and 50, each way; a step then takes about
-4, 12 and 90 us as one kernel call with its window check, and about 3.4,
-10 and 75 us inside the loop (2-core Xeon, Python 3.11).
+below, and hamilton_rhs runs _rates as it is.  The RK4 step and the
+chain-sum pass run once per rank, on first use, over a recording scalar
+(_Traced), and _straight_line writes each tape out as straight-line code
+in the same grouping, every constant a float literal, so the kernels do
+float arithmetic only and float results keep their bits.  Two kernels
+run the RK4 tape as one loop over the steps, the state in their locals
+and the Z_WINDOW test inline: _rk4_loop_kernel for rk4_endpoint, which
+keeps no state but the last, and _trajectory_kernel for integrate, which
+after each step also runs the chain-sum tape and the drift.  (_trace
+compiles one tape as a single call.)  Tracing and compiling take about
+2, 6 and 35-40 ms at n = 3, 8 and 50 for the RK4 loop, and about 3,
+8-13 and 320 ms for the trajectory loop, whose chain-sum tape grows
+faster than n^2 (1, 4-7 and 190-280 ms of it).  A step then takes about
+3.4-4, 10-15 and 40-90 us in the RK4 loop, and a state 7-11, 23-34 and
+530-640 us in the trajectory loop (best of 5 on a shared 2-core Xeon,
+Python 3.11.7, whose speed varied up to 1.5x between runs).
 
 The exact factorization solution
 L(t) = a(t) L0 a(t)^{-1} with exp(L0 t) = a^{-1} b provides an
@@ -47,6 +53,7 @@ from __future__ import annotations
 
 import collections
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -281,14 +288,18 @@ _PRECEDENCE = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3}
 _ATOM = 4
 
 
-def _straight_line(n: int, fn, extra: tuple) -> tuple[list, list, list]:
+def _straight_line(n: int, fn, extra: tuple, temp: str = "t") -> tuple[list, list, list]:
     """fn's run as straight-line code: (parameter names, body lines, outputs).
 
     fn runs once over one _Traced input per name, z0.., q0.. and then
     ``extra``, and returns a tuple.  A node used exactly once, the return
     counting as a use, is written inline into its user, up to _MAX_DEPTH
     levels deep.  Every other node, unused ones too (a division may
-    raise), gets its own line ``tK = a op b``.  An inlined operand is
+    raise), gets its own line ``tK = a op b``, with ``temp`` for t.  A
+    constant is written as the float literal of its value (``1`` as
+    ``1.0``), so every operation has float operands only: an int operand
+    would be converted to the same float, on CPython's slower generic
+    path.  An inlined operand is
     parenthesised where precedence needs it: a left operand of lower
     precedence than its operation, a right operand of lower or equal
     precedence (every operation groups to the left), and a negation's
@@ -308,7 +319,9 @@ def _straight_line(n: int, fn, extra: tuple) -> tuple[list, list, list]:
 
     def operand(v, tightest: int) -> str:
         """v's text, in parentheses if it binds less tightly than ``tightest``."""
-        t = text.get(v, v)
+        if type(v) is str:
+            return repr(float(v))
+        t = text[v]
         return f"({t})" if precedence.get(v, _ATOM) < tightest else t
 
     for k, (op, a, b) in enumerate(tape):
@@ -325,9 +338,9 @@ def _straight_line(n: int, fn, extra: tuple) -> tuple[list, list, list]:
         if uses[k] == 1 and d < _MAX_DEPTH:
             text[k], precedence[k], depth[k] = expr, prec, d
         else:
-            text[k] = f"t{k}"
-            body.append(f"t{k} = {expr}")
-    return names, body, [text.get(v, v) for v in out]
+            text[k] = f"{temp}{k}"
+            body.append(f"{temp}{k} = {expr}")
+    return names, body, [operand(v, 0) for v in out]
 
 
 def _define(kind: str, n: int, params: list, lines: list):
@@ -352,15 +365,10 @@ def _trace(kind: str, n: int, fn, *extra: str):
     return _define(kind, n, names, [*body, f"return ({''.join(v + ', ' for v in out)})"])
 
 
-@functools.lru_cache(maxsize=None)
-def _chain_sums_kernel(n: int):
-    """chain_sums(z_1..z_n, Q_1..Q_n) -> F_0..F_2n, the improved float pass.
-
-    Traced once from conserved._chain_sums, so its floats are the pass's,
-    bit for bit.
-    """
-    return _trace("chain_sums", n, lambda *s: _chain_sums(
-        n, s[:n], [1 / v for v in s[:n]], s[n:], 1.0, 0.0, True))
+def _chain_sums_traced(n: int):
+    """The improved float pass of conserved._chain_sums at rank n, as a
+    function of (z_1..z_n, Q_1..Q_n) -> F_0..F_2n, for tracing."""
+    return lambda *s: _chain_sums(n, s[:n], [1 / v for v in s[:n]], s[n:], 1.0, 0.0, True)
 
 
 def _poisson_rows(n: int, z: Sequence, Q: Sequence, zero) -> list[list]:
@@ -508,34 +516,55 @@ def _rk4_traced(n: int):
     return lambda *s: _rk4_step(n, s[:-1], s[-1])
 
 
-@functools.lru_cache(maxsize=None)
-def _rk4_kernel(n: int):
-    """rk4(z_1..z_n, Q_1..Q_n, h) -> the state after one _rk4_step, compiled for rank n."""
-    return _trace("rk4", n, _rk4_traced(n), "h")
+def _rk4_loop(kind: str, n: int, params: list, each: list):
+    """Compile ``kind(z_1..z_n, Q_1..Q_n, h, steps, *params) -> (k, state)``:
+    up to ``steps`` _rk4_step steps for rank n, as one loop over the RK4 tape.
 
-
-@functools.lru_cache(maxsize=None)
-def _rk4_loop_kernel(n: int):
-    """rk4_loop(z_1..z_n, Q_1..Q_n, h, steps) -> (k, state): up to ``steps``
-    _rk4_step steps, compiled for rank n as one loop over the RK4 tape.
-
-    The state lives in the loop's locals, and the loop stops after the
-    first step k whose state has a |z_i| outside Z_WINDOW (NaN included),
-    or after step ``steps``; each step does the operations of _rk4_kernel,
-    so the state's floats are its, bit for bit.
+    The state lives in the loop's locals, z0.. and q0.., and the loop stops
+    after the first step k whose state has a |z_i| outside Z_WINDOW (NaN
+    included), or after step ``steps``.  The lines ``each`` run after
+    every step whose state is inside the window.  Each step does the
+    operations of _rk4_step's float run, so the state's floats are its,
+    bit for bit.
     """
     names, body, out = _straight_line(n, _rk4_traced(n), ("h",))
     state = "".join(v + ", " for v in names[:2 * n])
     lo, hi = Z_WINDOW
     inside = " and ".join(f"({lo!r} <= {z} <= {hi!r} or {-hi!r} <= {z} <= {-lo!r})"
                           for z in names[:n])
-    return _define("rk4_loop", n, [*names, "steps"], [
+    return _define(kind, n, [*names, "steps", *params], [
         "for k in range(1, steps + 1):",
         *("    " + line for line in body),
         f"    {state}= {', '.join(out)}",
         f"    if not ({inside}):",
         f"        return k, ({state})",
+        *("    " + line for line in each),
         f"return steps, ({state})"])
+
+
+@functools.lru_cache(maxsize=None)
+def _rk4_loop_kernel(n: int):
+    """rk4_loop(z_1..z_n, Q_1..Q_n, h, steps) -> (k, state), the RK4 loop alone."""
+    return _rk4_loop("rk4_loop", n, [], [])
+
+
+@functools.lru_cache(maxsize=None)
+def _trajectory_kernel(n: int):
+    """trajectory(z_1..z_n, Q_1..Q_n, h, steps, r_0..r_2n, s_0..s_2n, keep_z,
+    keep_q, note) -> (k, state): the RK4 loop, which passes the z and the Q
+    of each state it keeps to ``keep_z`` and ``keep_q``, as tuples, and its
+    drift max_i |F_i - r_i| / s_i to ``note``.
+
+    F_0..F_2n come from the chain-sum tape (_chain_sums_traced), run on the
+    state in the loop, and the drift's operations are in index order, so
+    max keeps a NaN where it stands.
+    """
+    _, sums, f = _straight_line(n, _chain_sums_traced(n), (), "u")
+    z, q = ("".join(f"{v}{i}, " for i in range(n)) for v in "zq")
+    r, s = ([f"{v}{i}" for i in range(2 * n + 1)] for v in "rs")
+    drift = "".join(f"abs({x} - {a}) / {b}, " for x, a, b in zip(f, r, s))
+    return _rk4_loop("trajectory", n, [*r, *s, "keep_z", "keep_q", "note"], [
+        *sums, f"keep_z(({z}))", f"keep_q(({q}))", f"note(max(({drift})))"])
 
 
 def _check_window(n: int, state: tuple, t: float):
@@ -575,23 +604,6 @@ def _initial_state(x0: PhasePoint, T: float, h: float) -> tuple[int, tuple]:
     return steps, state
 
 
-def _rk4_states(x0: PhasePoint, T: float, h: float):
-    """Yield (t, state) at t = 0 and after each of the step_count(T, h) RK4 steps.
-
-    A state is the raw tuple (z_1..z_n, Q_1..Q_n).  Raises StepBlowupError
-    when a |z_i| lies outside Z_WINDOW, x0 included, so every state yielded
-    has float coordinates and no zero z_i.
-    """
-    steps, state = _initial_state(x0, T, h)
-    yield 0.0, state
-    n = x0.n
-    rk4_step = _rk4_kernel(n)
-    for k in range(1, steps + 1):
-        state = rk4_step(*state, h)
-        _check_window(n, state, k * h)
-        yield k * h, state
-
-
 def rk4_endpoint(x0: PhasePoint, T: float, h: float) -> PhasePoint:
     """Endpoint of the RK4 flow, without trajectory or drift bookkeeping.
 
@@ -613,10 +625,10 @@ def integrate(x0: PhasePoint, T: float, h: float = 1e-3) -> Trajectory:
     relative drift of the conserved quantities against their initial
     values.  Raises ValueError unless T is a whole number of h steps (see
     step_count), and StepBlowupError when a |z_i| of x0 or of a later
-    state lies outside Z_WINDOW.
+    state lies outside Z_WINDOW.  The steps, F(t) and the drifts run as
+    one compiled loop (_trajectory_kernel).
     """
-    steps = _rk4_states(x0, T, h)
-    next(steps)  # checks x0, T and h before the drift bookkeeping starts
+    steps, state = _initial_state(x0, T, h)
     n = x0.n
     # F(0) by the reference route of the rank, F(t) by the compiled chain-sum
     # pass (see Trajectory).  F(0) keeps the rank switch because the two routes
@@ -628,18 +640,12 @@ def integrate(x0: PhasePoint, T: float, h: float = 1e-3) -> Trajectory:
                  else conserved_values)
     f0 = [float(f) for f in reference(x0)]
     scales = [max(1.0, abs(f)) for f in f0]
-    chain_sums = _chain_sums_kernel(n)
-    sub, truediv = operator.sub, operator.truediv
-    times = [0.0]
-    states = [x0]
-    drifts = [0.0]
-    for t, state in steps:
-        times.append(t)
-        states.append(PhasePoint._trusted(n, state[:n], state[n:]))
-        # max_i |F_i(t) - F_i(0)| / scale_i, in index order: the C-level maps
-        # do a generator's operations in its order, so a NaN keeps its place
-        drifts.append(max(map(truediv, map(abs, map(sub, chain_sums(*state), f0)), scales)))
-    return Trajectory(tuple(times), tuple(states), tuple(drifts))
+    z, Q, drifts = [], [], [0.0]
+    k, state = _trajectory_kernel(n)(*state, h, steps, *f0, *scales, z.append, Q.append,
+                                     drifts.append)
+    _check_window(n, state, k * h)
+    points = map(PhasePoint._trusted, itertools.repeat(n), z, Q)
+    return Trajectory(tuple(j * h for j in range(steps + 1)), (x0, *points), tuple(drifts))
 
 
 def flow_conjugations(x0: PhasePoint, t: float) -> tuple[SquareMatrix, SquareMatrix]:

@@ -68,9 +68,13 @@ class IdentityResult:
 # -- random sampling ----------------------------------------------------------
 
 
+#: The numerators random_rational draws from.
+_NUMERATORS = tuple(k for k in range(-9, 10) if k)
+
+
 def random_rational(rng: random.Random) -> Fraction:
     """Nonzero rational with numerator and denominator in [-9, 9] \\ {0}."""
-    num = rng.choice([k for k in range(-9, 10) if k])
+    num = rng.choice(_NUMERATORS)
     den = rng.randint(1, 9)
     return Fraction(num, den)
 

@@ -1,6 +1,6 @@
+import ast
 import functools
 import hashlib
-import itertools
 import math
 import operator
 from fractions import Fraction
@@ -34,8 +34,7 @@ from toda_bn import (
 from toda_bn import dynamics, f_poly
 from toda_bn.conserved import (MAX_SYMBOLIC_RANK, _chain_sums, conserved_values,
                                conserved_values_by_path)
-from toda_bn.dynamics import (_chain_sums_kernel, _rk4_kernel, _rk4_loop_kernel,
-                               lax_along_flow, step_count)
+from toda_bn.dynamics import _rk4_loop_kernel, _trajectory_kernel, lax_along_flow, step_count
 from toda_bn.lax import evaluate_matrix, lax_symbolic
 from toda_bn.verify import (VerifySuiteConfig, check_lax_hamilton, identity_rng,
                             random_canonical, random_matrix, random_point)
@@ -483,6 +482,23 @@ def _bits(state):
     return tuple("nan" if math.isnan(v) else v.hex() for v in state)
 
 
+# The RK4 step and the chain-sum pass alone, compiled by _trace from the
+# functions that _rk4_loop_kernel and _trajectory_kernel trace: the tests
+# compare the single-step kernels with interpreted references, and the
+# loops with them.
+
+@functools.cache
+def _rk4_kernel(n):
+    """rk4(z_1..z_n, Q_1..Q_n, h) -> the state after one _rk4_step."""
+    return dynamics._trace("rk4", n, dynamics._rk4_traced(n), "h")
+
+
+@functools.cache
+def _chain_sums_kernel(n):
+    """chain_sums(z_1..z_n, Q_1..Q_n) -> F_0..F_2n, the improved float pass."""
+    return dynamics._trace("chain_sums", n, dynamics._chain_sums_traced(n))
+
+
 def _steps(step, state, h, count=20):
     """float.hex of the states after each of ``count`` steps, or the exception."""
     out = []
@@ -559,14 +575,101 @@ def test_rk4_endpoint_leaves_the_window_where_integrate_does(rng, n):
     assert str(got.value) == want
 
 
+def _per_step_integrate(x0, T, h):
+    """integrate as it ran before _trajectory_kernel: per step, one call of
+    the step kernel, the window check, one call of the chain-sum kernel and
+    the drift by C-level maps.  Returns (times, states, drifts)."""
+    steps, state = dynamics._initial_state(x0, T, h)
+    n = x0.n
+    reference = conserved_values_by_path if n <= MAX_SYMBOLIC_RANK else conserved_values
+    f0 = [float(f) for f in reference(x0)]
+    scales = [max(1.0, abs(f)) for f in f0]
+    times, states, drifts = [0.0], [state], [0.0]
+    for k in range(1, steps + 1):
+        state = _rk4_kernel(n)(*state, h)
+        dynamics._check_window(n, state, k * h)
+        times.append(k * h)
+        states.append(state)
+        drifts.append(max(map(operator.truediv, map(abs, map(
+            operator.sub, _chain_sums_kernel(n)(*state), f0)), scales)))
+    return times, states, drifts
+
+
+def _compiled_integrate(x0, T, h):
+    traj = integrate(x0, T, h)
+    return traj.times, [y.z + y.Q for y in traj.states], traj.drifts
+
+
+def _flow_bits(flow, x0, T, h):
+    """float.hex of flow's (times, states, drifts), or its exception."""
+    try:
+        times, states, drifts = flow(x0, T, h)
+    except (StepBlowupError, ZeroBaseError) as exc:
+        return type(exc), str(exc)
+    return _bits(times), [_bits(s) for s in states], _bits(drifts)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_trajectory_kernel_equals_the_per_step_loop(rng, n):
+    for T, h in ((64 * 2.0 ** -10, 2.0 ** -10), (0.0, 1e-3), (0.3, 0.1)):
+        x = to_phase(random_canonical(n, rng))
+        assert _flow_bits(_compiled_integrate, x, T, h) == _flow_bits(_per_step_integrate, x, T, h)
+    # a draw that leaves the window mid-run
+    for _ in range(100):
+        x = to_phase(random_canonical(n, rng, scale=3.0))
+        want = _flow_bits(_per_step_integrate, x, 4.0, 0.25)
+        if want[0] is StepBlowupError:
+            break
+    else:
+        pytest.fail("no draw left the window")
+    assert not want[1].endswith("at t=0.0")
+    assert _flow_bits(_compiled_integrate, x, 4.0, 0.25) == want
+    # Q_{n-1} = 0 leaves z_n' = Q_n z_n^2, so the second stage's z_n is
+    # 1 + (0.5/2)(-4) = 0.0 exactly
+    x = PhasePoint(n, (1.0,) * n, ((0.25,) * (n - 2) + (0.0, -4.0))[-n:])
+    want = _flow_bits(_per_step_integrate, x, 0.5, 0.5)
+    assert want == (ZeroBaseError, "all z_i must be nonzero")
+    assert _flow_bits(_compiled_integrate, x, 0.5, 0.5) == want
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_kernel_sources_do_float_arithmetic_only(monkeypatch, n):
+    # an int operand sends a float operation down CPython's generic path, so
+    # every number a kernel computes with is a float literal; only the loop's
+    # range(1, steps + 1) counts in ints
+    sources = {}
+    define = dynamics._define
+
+    def record(kind, n, params, lines):
+        sources[kind] = "\n".join(["def kernel():", *("    " + line for line in lines)])
+        return define(kind, n, params, lines)
+
+    monkeypatch.setattr(dynamics, "_define", record)
+    _rk4_loop_kernel.__wrapped__(n)
+    _trajectory_kernel.__wrapped__(n)
+    _rk4_kernel.__wrapped__(n)
+    _chain_sums_kernel.__wrapped__(n)
+    assert set(sources) == {"rk4_loop", "trajectory", "rk4", "chain_sums"}
+    for kind, source in sources.items():
+        tree = ast.parse(source)
+        counts = {id(v) for loop in ast.walk(tree) if isinstance(loop, ast.For)
+                  for v in ast.walk(loop.iter)}
+        numbers = [v.value for v in ast.walk(tree) if isinstance(v, ast.Constant)
+                   and id(v) not in counts and not isinstance(v.value, str)]
+        assert numbers and {type(v) for v in numbers} == {float}, kind
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_kernels_reject_a_zero_z_at_every_position(n):
     for j in range(n):
         for zero in (0.0, -0.0):
             z = [1.5] * n
             z[j] = zero
+            drift = [0.0] * (2 * n + 1) + [1.0] * (2 * n + 1)  # F(0) and the scales
+            keep = [[].append] * 3
             for call in (lambda: _rk4_kernel(n)(*z, *([0.25] * n), 1e-3),
                          lambda: _rk4_loop_kernel(n)(*z, *([0.25] * n), 1e-3, 1),
+                         lambda: _trajectory_kernel(n)(*z, *([0.25] * n), 1e-3, 1, *drift, *keep),
                          lambda: _chain_sums_kernel(n)(*z, *([0.25] * n))):
                 with pytest.raises(ZeroBaseError, match=r"^all z_i must be nonzero$"):
                     call()
@@ -634,7 +737,9 @@ def test_chain_sums_kernel_matches_the_pass_on_the_chart(rng, n):
 # A compiled kernel is the tape of one run of its ring-generic function over
 # _Traced inputs.  The digest of repr((tape, outputs)) pins every node and
 # its order, so a change to the chain-sum pass, the RK4 step or the units
-# and reciprocals they are given that records other nodes fails here.
+# and reciprocals they are given that records other nodes fails here.  The
+# keys name the single-step kernels above; the tapes are the two that
+# _trajectory_kernel traces (_rk4_loop_kernel traces the same RK4 tape).
 
 TAPE_SHA256 = {
     "_chain_sums_kernel": (
@@ -661,14 +766,21 @@ TAPE_SHA256 = {
 
 
 def _tape_digest(monkeypatch, kernel: str, n: int) -> str:
-    """sha256 of repr((tape, outputs)) of the function that ``kernel`` traces
-    at rank n, recorded as _trace records it: one input node per name, then
-    the run."""
-    traced = []
+    """sha256 of repr((tape, outputs)) of the function that _trajectory_kernel
+    traces at rank n for ``kernel``'s tape (the RK4 step's, the one with the
+    extra input h, or the chain-sum pass's), recorded as _straight_line
+    records it: one input node per name, then the run."""
+    traced = {}
+    straight_line = dynamics._straight_line
+
+    def record(n, fn, extra, *temp):
+        traced["_rk4_kernel" if extra else "_chain_sums_kernel"] = fn, extra
+        return straight_line(n, fn, extra, *temp)
+
     with monkeypatch.context() as m:
-        m.setattr(dynamics, "_trace", lambda kind, n, fn, *extra: traced.append((fn, extra)))
-        getattr(dynamics, kernel).__wrapped__(n)
-    (fn, extra), = traced
+        m.setattr(dynamics, "_straight_line", record)
+        _trajectory_kernel.__wrapped__(n)
+    fn, extra = traced[kernel]
     names = [f"z{i}" for i in range(n)] + [f"q{i}" for i in range(n)] + list(extra)
     tape = []
     inputs = [dynamics._Traced.node(tape, (None, name, None)) for name in names]
@@ -699,16 +811,9 @@ def test_trace_keeps_an_unused_division():
         kernel(0.0, 0.5)
 
 
-class _FloatOnlyMinuend(float):
-    """A float that fails when a non-float is subtracted from it."""
-
-    def __sub__(self, other):
-        assert type(other) is float, f"F(0) entry {other!r} is a {type(other).__name__}"
-        return float(self) - other
-
-
 @pytest.mark.parametrize("n", range(1, 9))
-def test_integrate_drifts_equal_the_pass_on_the_returned_states(rng, n, monkeypatch):
+def test_integrate_drifts_equal_the_pass_on_the_returned_states(rng, n, monkeypatch,
+                                                                fresh_kernels):
     x = to_phase(random_canonical(n, rng))
     traj = integrate(x, T=8 * 2.0 ** -10, h=2.0 ** -10)
     # F(0) as the reference route returns it (Fraction entries at n <= 6)
@@ -719,26 +824,38 @@ def test_integrate_drifts_equal_the_pass_on_the_returned_states(rng, n, monkeypa
             _chain_sums(n, y.z, [1 / v for v in y.z], y.Q, 1.0, 0.0, True), f0, scales))
         for y in traj.states[1:]]
     assert _bits(traj.drifts) == _bits(expected)
-    # the drift subtracts float F(0) entries, converted once per call
-    kernel = _chain_sums_kernel(n)
-    monkeypatch.setattr(dynamics, "_chain_sums_kernel", lambda n: lambda *state: tuple(
-        map(_FloatOnlyMinuend, kernel(*state))))
-    assert integrate(x, T=8 * 2.0 ** -10, h=2.0 ** -10).drifts == traj.drifts
-    # a NaN and an inf in F(t): max keeps whichever of them comes first, so
-    # the drift is NaN on the calls that put the NaN first and inf on the rest
-    calls = itertools.count()
+    # the loop is given float F(0) entries and scales, converted once per call
+    kernel = _trajectory_kernel(n)
 
-    def nonfinite(*state):
-        f = list(kernel(*state))
-        first, last = (0, 2 * n) if next(calls) % 2 else (2 * n, 0)
-        f[first], f[last] = math.nan, math.inf
+    def float_only(*args):
+        reference = args[2 * n + 2:-3]
+        assert [type(v) for v in reference] == [float] * (4 * n + 2), reference
+        return kernel(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_trajectory_kernel", lambda n: float_only)
+        assert integrate(x, T=8 * 2.0 ** -10, h=2.0 ** -10).drifts == traj.drifts
+    # a NaN and an inf in F(t), made from the state by the traced pass: F_0 is
+    # NaN and F_2n inf while z_1 < c, the other way round while z_1 > c.  max
+    # keeps whichever of them comes first, so the drift is NaN below c and inf
+    # above it
+    z1 = [y.z[0] for y in traj.states[1:]]
+    c = (min(z1) + max(z1)) / 2
+
+    def nonfinite(n, z, zinv, Q, one, zero, improved):
+        f = list(_chain_sums(n, z, zinv, Q, one, zero, improved))
+        big = z[0] * 1e308 * 1e308  # inf, as z_1 > 0 on the chart
+        signed = (z[0] - c) * 1e308 * 1e308  # -inf below c, inf above
+        f[0], f[-1] = f[0] + big + signed, f[-1] + big - signed
         return tuple(f)
 
-    monkeypatch.setattr(dynamics, "_chain_sums_kernel", lambda n: nonfinite)
+    monkeypatch.setattr(dynamics, "_chain_sums", nonfinite)
+    _trajectory_kernel.cache_clear()
     drifts = integrate(x, T=8 * 2.0 ** -10, h=2.0 ** -10).drifts
     f0 = [float(f) for f in f0]
-    calls = itertools.count()
-    expected = [0.0] + [max(abs(a - b) / s for a, b, s in zip(nonfinite(*y.z, *y.Q), f0, scales))
-                        for y in traj.states[1:]]
+    expected = [0.0] + [
+        max(abs(a - b) / s for a, b, s in zip(
+            nonfinite(n, y.z, [1 / v for v in y.z], y.Q, 1.0, 0.0, True), f0, scales))
+        for y in traj.states[1:]]
     assert _bits(drifts) == _bits(expected)
     assert {math.isnan(d) for d in drifts[1:]} == {True, False}

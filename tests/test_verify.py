@@ -63,19 +63,16 @@ def test_flow_conservation_halves_h_where_rk4_truncation_exceeds_the_bound():
     assert "h" not in flow_conservation(7).details
 
 
-def test_flow_conservation_still_rejects_a_second_order_step(monkeypatch):
-    # a midpoint step in place of RK4: its drift shrinks only 4x a halving,
-    # so three halvings do not make it pass
-    def midpoint_kernel(n):
-        def step(*s):
-            state, h = s[:-1], s[-1]
-            k1 = dy._rates(n, state[:n], state[n:])
-            mid = [v + 0.5 * h * k for v, k in zip(state, k1)]
-            k2 = dy._rates(n, mid[:n], mid[n:])
-            return tuple(v + h * k for v, k in zip(state, k2))
-        return step
+def test_flow_conservation_still_rejects_a_second_order_step(monkeypatch, fresh_kernels):
+    # a midpoint step in place of RK4, traced into the compiled loops: its
+    # drift shrinks only 4x a halving, so three halvings do not make it pass
+    def midpoint_step(n, state, h):
+        k1 = dy._rates(n, state[:n], state[n:])
+        mid = [v + 0.5 * h * k for v, k in zip(state, k1)]
+        k2 = dy._rates(n, mid[:n], mid[n:])
+        return tuple(v + h * k for v, k in zip(state, k2))
 
-    monkeypatch.setattr(dy, "_rk4_kernel", midpoint_kernel)
+    monkeypatch.setattr(dy, "_rk4_step", midpoint_step)
     for seed in (7, 706265967, 11):
         result = flow_conservation(seed)
         assert not result.passed
