@@ -23,7 +23,7 @@ from . import conserved as cv
 from . import dynamics as dy
 from . import lax as lx
 from .errors import TodaError
-from .linalg import _UNITS, format_scalar
+from .linalg import format_scalar
 from .verify import VerifySuiteConfig, run_suite
 
 
@@ -120,7 +120,7 @@ def cmd_lax(args) -> int:
 def cmd_conserved(args) -> int:
     x, _ = _parse_point(args.point, args.n)
     f = cv.conserved_values(x)
-    chains = cv._chain_sums(x.n, x.z, [1 / w for w in x.z], x.Q, *_UNITS[x.mode], False)
+    chains = cv._path_sums(x)
     if x.mode == "exact":
         agree = f == chains
     else:

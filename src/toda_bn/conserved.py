@@ -26,8 +26,11 @@ followed immediately by one starting at kbar.  Both variants expand to
 the same polynomial; the pruning is exactly the pairwise cancellation
 coming from w(k, k+1bar) = -w(k, kbar).  Both variants read one
 interval table per rank, the improved one with those entries dropped or
-marked.  ``f_poly`` expands route two into Laurent polynomials;
-``_chain_sums`` evaluates it at a point in O(n^2) scalar operations.
+marked.  ``f_poly`` expands route two, in either variant, into Laurent
+polynomials.  ``_chain_sums`` evaluates the improved variant at a point in
+O(n^2) scalar operations: it gives the F_i of an exact point
+(``conserved_values_by_path``), the CLI's check of the two routes and the
+flow's F(t).
 """
 
 from __future__ import annotations
@@ -214,8 +217,9 @@ def _f_polys(n: int, mode: str) -> tuple[LaurentPoly, ...]:
 
 
 @lru_cache(maxsize=None)
-def _weight_factors(n: int, improved: bool) -> tuple:
-    """The interval table with each weight as sparse factors, at index x - 1.
+def _weight_factors(n: int) -> tuple:
+    """The improved interval table with each weight as sparse factors, at
+    index x - 1.
 
     Each row lists (y, sign, factors, forces_next); a factor is an index
     into (z_1..z_n, 1/z_1..1/z_n, Q_1..Q_n), and the weight of (x, y) is
@@ -227,11 +231,12 @@ def _weight_factors(n: int, improved: bool) -> tuple:
                      + [2 * n + k for k, e in enumerate(wq) if e])
 
     return tuple(tuple((y, sign, factors(wz, wq), nxt) for y, wz, wq, sign, nxt in row)
-                 for row in _interval_table(n, improved))
+                 for row in _interval_table(n, True))
 
 
-def _chain_sums(n: int, z, zinv, Q, one, zero, improved: bool) -> tuple:
-    """F_0..F_2n at (z, Q) by one backward pass over the interval table.
+def _chain_sums(n: int, z, zinv, Q, one, zero) -> tuple:
+    """F_0..F_2n at (z, Q) by one backward pass over the improved interval
+    table.
 
     ``z``, ``zinv`` and ``Q`` hold z_k, 1/z_k and Q_k at index k - 1, in
     any ring of the ring contract (``dynamics``) with units ``one`` and
@@ -243,7 +248,7 @@ def _chain_sums(n: int, z, zinv, Q, one, zero, improved: bool) -> tuple:
     pass takes O(n^2) ring operations; over the Laurent variables it gives
     the f_poly, which ``_f_polys`` expands faster.
     """
-    table = _weight_factors(n, improved)
+    table = _weight_factors(n)
     d = 2 * n
     vals = (*z, *zinv, *Q)
     free = [None] * (d + 2)
@@ -312,10 +317,25 @@ _conserved_values_exact = lru_cache(maxsize=8)(_char_poly_values)
 
 
 def conserved_values_by_path(x: PhasePoint) -> tuple:
-    """F_0..F_2n at x by evaluating the symbolic path formula."""
+    """F_0..F_2n at x by the path formula.
+
+    At an exact point this is the chain-sum pass (``_path_sums``), whose
+    Fractions equal the expanded ``f_poly`` at x.  At a float point it
+    evaluates ``f_poly(n, i)`` term by term: those bits are the F(0) of a
+    flow (``dynamics.integrate``), pinned by its golden trajectories, and
+    the pass rounds differently.  Both modes keep the cap at
+    ``MAX_SYMBOLIC_RANK``.
+    """
     if x.n > MAX_SYMBOLIC_RANK:
         raise ValueError(f"path-formula route is capped at n <= {MAX_SYMBOLIC_RANK}")
+    if x.mode == "exact":
+        return _path_sums(x)
     return tuple(f_poly(x.n, i).evaluate(x.z, x.Q) for i in range(2 * x.n + 1))
+
+
+def _path_sums(x: PhasePoint) -> tuple:
+    """F_0..F_2n at x by the chain-sum pass, in x's mode."""
+    return _chain_sums(x.n, x.z, [1 / w for w in x.z], x.Q, *_UNITS[x.mode])
 
 
 def elementary_symmetric(i: int, values: Sequence):

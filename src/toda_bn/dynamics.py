@@ -366,9 +366,9 @@ def _trace(kind: str, n: int, fn, *extra: str):
 
 
 def _chain_sums_traced(n: int):
-    """The improved float pass of conserved._chain_sums at rank n, as a
-    function of (z_1..z_n, Q_1..Q_n) -> F_0..F_2n, for tracing."""
-    return lambda *s: _chain_sums(n, s[:n], [1 / v for v in s[:n]], s[n:], 1.0, 0.0, True)
+    """The float pass of conserved._chain_sums at rank n, as a function
+    of (z_1..z_n, Q_1..Q_n) -> F_0..F_2n, for tracing."""
+    return lambda *s: _chain_sums(n, s[:n], [1 / v for v in s[:n]], s[n:], 1.0, 0.0)
 
 
 def _poisson_rows(n: int, z: Sequence, Q: Sequence, zero) -> list[list]:

@@ -10,12 +10,16 @@ coefficients; zero coefficients are never stored, so two polynomials are
 equal iff their term maps are equal.  The printed and serialized term
 order is graded lexicographic with the z block before the Q block,
 highest first.
+
+``evaluate`` sums the terms at a point in one loop, over Fractions at an
+exact point and over floats at a float point.  Its exact callers evaluate
+small polynomials (Lax entries, a gradient, interval weights); the
+conserved quantities at an exact point come from ``conserved``'s chain-sum
+pass, which never expands F_i into terms.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -186,11 +190,10 @@ class LaurentPoly:
         Each term is its coefficient times the powers z_i ** e and Q_i ** e
         in variable order, and the terms are added in storage order.  The
         point's mode is ``linalg.scalars_mode``'s: at a point of ints and
-        Fractions the value is exact, computed in integers over one common
-        denominator (``_EvalPlan.rational``), one Fraction in all; at a
-        point of floats, ints included, each coordinate is passed through
-        ``float()`` and the value rounds exactly as that term-by-term
-        evaluation does.
+        Fractions each coordinate is passed through ``Fraction()`` and the
+        value is an exact Fraction; at a point of floats, ints included,
+        each coordinate is passed through ``float()`` and the coefficients
+        through ``_EvalPlan.float_coeffs``.  One loop serves both modes.
 
         Also accepts a single object with ``.z`` and ``.Q`` attributes.
         Raises ZeroBaseError when some z_i vanishes, and ModeError at a
@@ -209,11 +212,10 @@ class LaurentPoly:
         plan = self._plan
         if plan is None:
             plan = self._plan = _EvalPlan(self._terms)
-        if exact:
-            return plan.rational(point)
-        powers = [float(point[v]) ** e for v, e in plan.powers]
+        to = Fraction if exact else float
+        powers = [to(point[v]) ** e for v, e in plan.powers]
         acc = None
-        for term, factors in zip(plan.float_coeffs(), plan.factors):
+        for term, factors in zip(plan.coeffs if exact else plan.float_coeffs(), plan.factors):
             for j in factors:
                 term = term * powers[j]
             acc = term if acc is None else acc + term
@@ -289,23 +291,9 @@ class _EvalPlan:
     the coefficients of terms with a factor are converted once up front,
     as ``numerator / denominator``, the correctly rounded quotient that
     ``float(c)`` also returns; a constant term keeps its Fraction.
-
-    At a point of ints and Fractions, ``rational`` adds the terms as ints.
-    Its first call makes, and keeps, the coefficients as integers over
-    their common denominator D, and for each variable v that occurs the
-    range lo_v <= e <= hi_v of its exponents, widened to take in 0.  Per
-    call, with x_v = p/q in lowest terms (an int is p/1), each such
-    variable gets a table of the ints p^(e-lo) q^(hi-e) for e in its
-    range, since
-
-        x_v ** e = p^(e-lo) q^(hi-e) / (p^-lo q^hi),
-
-    so a term is its integer coefficient times one table entry per
-    variable, all terms share the denominator D prod_v p^-lo q^hi, and the
-    value is one Fraction: the sum of the terms over that denominator.
     """
 
-    __slots__ = ("powers", "factors", "coeffs", "_floats", "_ints")
+    __slots__ = ("powers", "factors", "coeffs", "_floats")
 
     def __init__(self, terms: Mapping[ExpKey, Fraction]):
         table: dict[tuple[int, int], int] = {}
@@ -325,48 +313,12 @@ class _EvalPlan:
         self.powers = tuple(table)
         self.coeffs = list(terms.values())
         self._floats = None
-        self._ints = None
 
     def float_coeffs(self) -> list:
         if self._floats is None:
             self._floats = [c.numerator / c.denominator if f else c
                             for c, f in zip(self.coeffs, self.factors)]
         return self._floats
-
-    def _integer_terms(self) -> tuple:
-        """(D, the coefficients times D, (v, lo_v, hi_v) per occurring
-        variable, and per term its index into the concatenated tables)."""
-        den = math.lcm(*(c.denominator for c in self.coeffs))
-        nums = [c.numerator * (den // c.denominator) for c in self.coeffs]
-        spans, starts, size = [], {}, 0
-        for v in sorted({v for v, _ in self.powers}):
-            exps = [e for u, e in self.powers if u == v]
-            lo, hi = min(0, *exps), max(0, *exps)
-            spans.append((v, lo, hi))
-            starts[v] = size - lo
-            size += hi - lo + 1
-        index = []
-        for factors in self.factors:
-            term = dict(self.powers[j] for j in factors)  # variable -> exponent
-            index.append(tuple(starts[v] + term.get(v, 0) for v, _, _ in spans))
-        return den, nums, spans, index
-
-    def rational(self, point) -> Fraction:
-        """The value at a point of ints and Fractions, computed in integers."""
-        if self._ints is None:
-            self._ints = self._integer_terms()
-        den, nums, spans, index = self._ints
-        table = []
-        for v, lo, hi in spans:
-            p, q = point[v].numerator, point[v].denominator
-            p_pows, q_pows = [1], [1]
-            for _ in range(hi - lo):
-                p_pows.append(p_pows[-1] * p)
-                q_pows.append(q_pows[-1] * q)
-            table += map(operator.mul, p_pows, reversed(q_pows))
-            den *= p_pows[-lo] * q_pows[hi]
-        entry = table.__getitem__
-        return Fraction(sum(c * math.prod(map(entry, i)) for c, i in zip(nums, index)), den)
 
 
 def _parse_var(var: str, n: int) -> tuple[str, int]:

@@ -366,9 +366,10 @@ def parameters_from_lax(L: SquareMatrix) -> PhasePoint:
     NotInGammaError, and so does a rebuild of L from (z, Q) that differs
     from L at some entry (exactly, or beyond RECOVERY_RTOL in float mode):
     the matrix is outside the coordinate chart.  A float z_i read that
-    underflows to 0.0 raises ValueError naming it.  In exact mode the rows
-    are compared at once, and only a mismatch is scanned for its first
-    entry.
+    underflows to 0.0 raises ValueError naming it.  The rows are compared
+    at once, and only a mismatch is scanned for its first entry: float rows
+    that compare equal are within RECOVERY_RTOL at every entry, and
+    build_lax has already rejected non-finite ones.
     """
     d = L.dim
     if d % 2:
@@ -390,7 +391,7 @@ def parameters_from_lax(L: SquareMatrix) -> PhasePoint:
 
     x = PhasePoint(n, z, Q)
     rebuilt = build_lax(x)
-    if mode == "exact" and rebuilt.rows == L.rows:
+    if rebuilt.rows == L.rows:
         return x
     for i in range(d):
         for j in range(d):

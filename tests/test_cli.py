@@ -178,6 +178,16 @@ def test_bad_trials_exit_2(capsys):
     assert "trials" in err
 
 
+def test_verify_past_the_path_route_cap_exits_2_with_one_line(capsys):
+    # the exact path route keeps MAX_SYMBOLIC_RANK, though its chain-sum pass
+    # needs no expansion, until the suite gets a ceiling of its own
+    code, out, err = run(capsys, "verify", "--mode", "rational", "--n-max", "7",
+                         "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "error: path-formula route is capped at n <= 6\n"
+
+
 # -- the one point contract -----------------------------------------------------
 
 BAD_POINTS = [

@@ -211,8 +211,56 @@ def test_path_weight_oracle_float_rejected(worked_point):
 
 def test_path_route_rank_guard():
     x = PhasePoint(7, (Fraction(1),) * 7, (Fraction(0),) * 7)
-    with pytest.raises(ValueError):
-        conserved_values_by_path(x)
+    for point in (x, x.to_float()):
+        with pytest.raises(ValueError, match=r"^path-formula route is capped at n <= 6$"):
+            conserved_values_by_path(point)
+
+
+def fraction_terms(p, z, Q):
+    """p at (z, Q) term by term in Fractions, the terms added in storage order;
+    each distinct z-half and Q-half monomial is computed once."""
+    halves = {}
+
+    def monomial(base, exps):
+        if (base, exps) not in halves:
+            v = Fraction(1)
+            for b, e in zip(base, exps):
+                if e:
+                    v *= b ** e
+            halves[base, exps] = v
+        return halves[base, exps]
+
+    acc = Fraction(0)
+    for (ez, eq), c in p.terms.items():
+        acc += c * monomial(z, ez) * monomial(Q, eq)
+    return acc
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_exact_path_route_equals_the_f_poly_terms(rng, n):
+    # the exact path route is the chain-sum pass; it must equal the expanded
+    # path formula of either table, evaluated term by term in Fractions, which
+    # takes about 0.5 s a point at n = 6
+    points = [random_point(n, rng) for _ in range(3 if n <= 4 else 1)]
+    points.append(PhasePoint(n, tuple(random_rational(rng) for _ in range(n)),
+                             (Fraction(0),) * n))
+    if n <= 5:
+        # 8 steps down an orbit the entries carry hundreds of bits (about 450
+        # at n = 3, 650 at n = 5); at n = 6 the Fraction terms take about
+        # 4 s there, so rank 6 is checked at the small points only
+        while True:
+            try:
+                points.append(iterate(random_point(n, rng), 8)[-1])
+                break
+            except DegeneratePointError:
+                continue
+    # the two tables expand to one term map, so one exact sum serves both
+    polys = [f_poly(n, i, "original") for i in range(2 * n + 1)]
+    assert polys == [f_poly(n, i, "improved") for i in range(2 * n + 1)]
+    for x in points:
+        got = conserved_values_by_path(x)
+        assert all(type(v) is Fraction for v in got)
+        assert got == tuple(fraction_terms(p, x.z, x.Q) for p in polys)
 
 
 def test_elementary_symmetric_z_poly_edges():
@@ -333,9 +381,9 @@ RATIONAL_POINTS = st.integers(1, 8).flatmap(lambda n: st.builds(
 
 
 @settings(max_examples=40, deadline=None)
-@given(RATIONAL_POINTS, st.booleans())
-def test_chain_sums_equal_char_poly_exactly(x, improved):
-    f = _chain_sums(x.n, x.z, [1 / v for v in x.z], x.Q, Fraction(1), Fraction(0), improved)
+@given(RATIONAL_POINTS)
+def test_chain_sums_equal_char_poly_exactly(x):
+    f = _chain_sums(x.n, x.z, [1 / v for v in x.z], x.Q, Fraction(1), Fraction(0))
     assert f == conserved_values(x)
     assert all(type(v) is Fraction for v in f)
 
@@ -403,33 +451,31 @@ def test_float_chain_sums_near_exact_at_dyadic_chart_points(rng, n):
     for _ in range(3):
         z = tuple(Fraction(rng.randint(1, 16), 8) for _ in range(n))
         Q = tuple(Fraction(-rng.randint(1, 16), 16) for _ in range(n))
-        exact = _chain_sums(n, z, [1 / v for v in z], Q, Fraction(1), Fraction(0), True)
+        exact = _chain_sums(n, z, [1 / v for v in z], Q, Fraction(1), Fraction(0))
         zf = tuple(map(float, z))
-        for improved in (False, True):
-            got = _chain_sums(n, zf, [1 / v for v in zf], tuple(map(float, Q)), 1.0, 0.0,
-                              improved)
-            assert all(type(v) is float for v in got)
-            for g, e in zip(got, exact):
-                assert abs(Fraction(g) - e) <= CHAIN_SUMS_RTOL * max(1, abs(e)), (g, e)
+        got = _chain_sums(n, zf, [1 / v for v in zf], tuple(map(float, Q)), 1.0, 0.0)
+        assert all(type(v) is float for v in got)
+        for g, e in zip(got, exact):
+            assert abs(Fraction(g) - e) <= CHAIN_SUMS_RTOL * max(1, abs(e)), (g, e)
 
 
 # -- the chain-sum pass over the symbolic and the dual ring --------------------
 
 
-def _symbolic_chain_sums(n, improved):
+def _symbolic_chain_sums(n):
     """The chain-sum pass over the Laurent variables of rank n."""
     z = [LaurentPoly.z_var(n, k) for k in range(1, n + 1)]
     zinv = [LaurentPoly.z_var(n, k, -1) for k in range(1, n + 1)]
     Q = [LaurentPoly.q_var(n, k) for k in range(1, n + 1)]
-    return _chain_sums(n, z, zinv, Q, LaurentPoly.one(n), LaurentPoly.zero(n), improved)
+    return _chain_sums(n, z, zinv, Q, LaurentPoly.one(n), LaurentPoly.zero(n))
 
 
 @pytest.mark.parametrize("n", range(1, 5))
 def test_chain_sums_over_laurent_polys_are_the_f_polys(n):
-    for mode in ("original", "improved"):
-        for i, p in enumerate(_symbolic_chain_sums(n, mode == "improved")):
-            assert p == f_poly(n, i, mode)
-            assert list(p.terms) == list(f_poly(n, i, mode).terms)  # storage order too
+    # the pass runs the pruned table, so it gives the improved polynomials
+    for i, p in enumerate(_symbolic_chain_sums(n)):
+        assert p == f_poly(n, i, "improved")
+        assert list(p.terms) == list(f_poly(n, i, "improved").terms)  # storage order too
 
 
 @pytest.mark.parametrize("n", range(1, 5))
@@ -442,7 +488,7 @@ def test_chain_sums_over_duals_give_the_f_poly_partials(rng, n):
         for j, name in enumerate(names):
             u = [_Dual(v, Fraction(int(j == k))) for k, v in enumerate(x.z + x.Q)]
             z, Q = u[:n], u[n:]
-            f = _chain_sums(n, z, [1 / v for v in z], Q, Fraction(1), Fraction(0), True)
+            f = _chain_sums(n, z, [1 / v for v in z], Q, Fraction(1), Fraction(0))
             for i, v in enumerate(f):
                 assert getattr(v, "value", v) == conserved_values(x)[i]
                 assert getattr(v, "tangent", 0) == \

@@ -495,7 +495,7 @@ def _rk4_kernel(n):
 
 @functools.cache
 def _chain_sums_kernel(n):
-    """chain_sums(z_1..z_n, Q_1..Q_n) -> F_0..F_2n, the improved float pass."""
+    """chain_sums(z_1..z_n, Q_1..Q_n) -> F_0..F_2n, the float pass."""
     return dynamics._trace("chain_sums", n, dynamics._chain_sums_traced(n))
 
 
@@ -702,7 +702,7 @@ def test_hamilton_rhs_float_equals_the_loop_rates_bit_for_bit(rng):
 def _pass_bits(n, state):
     try:
         z = state[:n]
-        return _bits(_chain_sums(n, z, [1 / v for v in z], state[n:], 1.0, 0.0, True))
+        return _bits(_chain_sums(n, z, [1 / v for v in z], state[n:], 1.0, 0.0))
     except ZeroDivisionError:
         return (ZeroBaseError, "all z_i must be nonzero")
 
@@ -821,7 +821,7 @@ def test_integrate_drifts_equal_the_pass_on_the_returned_states(rng, n, monkeypa
     scales = [max(1.0, abs(f)) for f in f0]
     expected = [0.0] + [
         max(abs(a - b) / s for a, b, s in zip(
-            _chain_sums(n, y.z, [1 / v for v in y.z], y.Q, 1.0, 0.0, True), f0, scales))
+            _chain_sums(n, y.z, [1 / v for v in y.z], y.Q, 1.0, 0.0), f0, scales))
         for y in traj.states[1:]]
     assert _bits(traj.drifts) == _bits(expected)
     # the loop is given float F(0) entries and scales, converted once per call
@@ -842,8 +842,8 @@ def test_integrate_drifts_equal_the_pass_on_the_returned_states(rng, n, monkeypa
     z1 = [y.z[0] for y in traj.states[1:]]
     c = (min(z1) + max(z1)) / 2
 
-    def nonfinite(n, z, zinv, Q, one, zero, improved):
-        f = list(_chain_sums(n, z, zinv, Q, one, zero, improved))
+    def nonfinite(n, z, zinv, Q, one, zero):
+        f = list(_chain_sums(n, z, zinv, Q, one, zero))
         big = z[0] * 1e308 * 1e308  # inf, as z_1 > 0 on the chart
         signed = (z[0] - c) * 1e308 * 1e308  # -inf below c, inf above
         f[0], f[-1] = f[0] + big + signed, f[-1] + big - signed
@@ -855,7 +855,7 @@ def test_integrate_drifts_equal_the_pass_on_the_returned_states(rng, n, monkeypa
     f0 = [float(f) for f in f0]
     expected = [0.0] + [
         max(abs(a - b) / s for a, b, s in zip(
-            nonfinite(n, y.z, [1 / v for v in y.z], y.Q, 1.0, 0.0, True), f0, scales))
+            nonfinite(n, y.z, [1 / v for v in y.z], y.Q, 1.0, 0.0), f0, scales))
         for y in traj.states[1:]]
     assert _bits(drifts) == _bits(expected)
     assert {math.isnan(d) for d in drifts[1:]} == {True, False}

@@ -341,13 +341,13 @@ def test_ring_results_have_valid_terms(abk):
         assert_valid_terms(p)
 
 
-# -- the integer kernel of exact evaluation against Fraction terms --------------
+# -- exact evaluation against Fraction terms ------------------------------------
 
 
 def evaluate_parent_route(p, z, Q):
-    """LaurentPoly.evaluate as it was before exact points were evaluated in
-    integers: the plan's powers, then one term at a time, in Fractions at an
-    exact point and with float coefficients at a float point."""
+    """The term loop of LaurentPoly.evaluate, written out on a fresh plan:
+    the plan's powers, then one term at a time, in Fractions at an exact
+    point and with float coefficients at a float point."""
     if len(z) != p.n or len(Q) != p.n:
         raise IndexMismatchError("point size does not match variable count")
     if any(v == 0 for v in z):
@@ -396,9 +396,6 @@ def test_integer_kernel_equals_fraction_terms(pzq):
     # exponent included: never a float, never an OverflowError
     p, z, Q = pzq
     exact = evaluate_term_by_term(p, tuple(map(Fraction, z)), tuple(map(Fraction, Q)))
-    if p.terms:
-        got = _EvalPlan(p.terms).rational((*z, *Q))
-        assert type(got) is Fraction and got == exact
     assert outcome(p.evaluate, z, Q) == (Fraction, repr(exact))
 
 
@@ -426,7 +423,7 @@ def test_integer_kernel_edge_cases():
             assert outcome(p.evaluate, z, Q) == (Fraction, repr(exact))
             with pytest.raises(ZeroBaseError):
                 p.evaluate((big, Fraction(0), 1, 2), Q)
-    # int ** -1 is a float; the kernel takes the int as p/1
+    # int ** -1 is a float; evaluate takes the int as a Fraction
     assert outcome(LaurentPoly.z_var(1, 1, -1).evaluate, (3,), (0,)) == \
         (Fraction, repr(Fraction(1, 3)))
     empty = LaurentPoly.zero(2)
