@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 from .errors import DegeneratePointError
 from .lax import PhasePoint, _c_rows, _qz, build_lax, parameters_from_lax
-from .linalg import _UNITS, SquareMatrix, _check_finite, conjugate
+from .linalg import _UNITS, SquareMatrix, _check_finite, close, conjugate
 from .dynamics import rk4_endpoint
 
 #: Relative tolerance, against max(1, max|K|), of the float-mode C R = K
@@ -153,9 +153,9 @@ def kr_factors(x: PhasePoint) -> KRFactors:
     else:
         _check_finite(K.rows)
         _check_finite(rebuilt.rows)
-        scale = max(K.max_abs(), 1.0)
-        if any(abs(rebuilt[i, j] - K[i, j]) > KR_CHECK_RTOL * scale
-               for i in range(2 * n) for j in range(2 * n)):
+        scale = K.max_abs()
+        if not all(close(v, w, mode, KR_CHECK_RTOL, scale)
+                   for row, want in zip(rebuilt.rows, K.rows) for v, w in zip(row, want)):
             raise DegeneratePointError("C R = K check failed beyond float tolerance")
     return KRFactors(K, R, a, b, M, N)
 

@@ -23,7 +23,7 @@ from . import conserved as cv
 from . import dynamics as dy
 from . import lax as lx
 from .errors import TodaError
-from .linalg import format_scalar
+from .linalg import close, format_scalar
 from .verify import VerifySuiteConfig, run_suite
 
 
@@ -121,10 +121,7 @@ def cmd_conserved(args) -> int:
     x, _ = _parse_point(args.point, args.n)
     f = cv.conserved_values(x)
     chains = cv._path_sums(x)
-    if x.mode == "exact":
-        agree = f == chains
-    else:
-        agree = all(abs(a - b) <= ROUTES_RTOL * max(1.0, abs(a)) for a, b in zip(f, chains))
+    agree = all(close(a, b, x.mode, ROUTES_RTOL, abs(a)) for a, b in zip(f, chains))
     _emit(_json_dumps({"F": [format_scalar(v) for v in f], "routes_agree": agree}), args.out)
     return 0
 

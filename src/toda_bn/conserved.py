@@ -47,7 +47,8 @@ from .lax import PhasePoint, _lax_inverse_rows, _qz, build_factors, build_lax
 from .linalg import _UNITS, SquareMatrix, conjugate, solve
 
 #: Symbolic expansion guard: chain enumeration grows quickly with n, so the
-#: path-formula route stays a desk-scale verification tool.
+#: path-formula route stays a desk-scale verification tool; ``f_poly`` and
+#: ``conserved_values_by_path`` raise ValueError above it.
 MAX_SYMBOLIC_RANK = 6
 
 
@@ -103,8 +104,11 @@ def f_poly(n: int, i: int, mode: str = "original") -> LaurentPoly:
 
     mode "original" sums over all interval chains; mode "improved" prunes
     the pairwise-cancelling chains as described in the module docstring.
-    F_0 = 1 by convention.
+    F_0 = 1 by convention.  A rank above ``MAX_SYMBOLIC_RANK`` raises the
+    path-formula route's ValueError before anything is expanded.
     """
+    if n > MAX_SYMBOLIC_RANK:
+        raise ValueError(f"path-formula route is capped at n <= {MAX_SYMBOLIC_RANK}")
     if not 0 <= i <= 2 * n:
         raise ValueError(f"need 0 <= i <= 2n, got i={i}")
     if mode not in ("original", "improved"):

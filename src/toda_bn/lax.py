@@ -21,6 +21,9 @@ The phase space is cut out by two varieties: Gamma_1 constrains the
 sparsity of L^{-1}, Gamma_2 ties the four n x n blocks of L and L^{-1}
 together through the reversal J.  Generic members of the intersection
 are parametrized by (z, Q); ``parameters_from_lax`` inverts the chart.
+``gamma_membership`` and ``parameters_from_lax`` compare entries by
+``linalg.close``: with equality over Fraction, within RECOVERY_RTOL over
+float.
 """
 
 from __future__ import annotations
@@ -32,11 +35,12 @@ from typing import Sequence
 
 from .errors import NotInGammaError, ZeroBaseError
 from .laurent import LaurentPoly
-from .linalg import (_UNITS, SquareMatrix, _check_finite, coerce_scalar, format_scalar,
-                     parse_scalar, scalars_mode)
+from .linalg import (_UNITS, SquareMatrix, _check_finite, close, coerce_scalar,
+                     format_scalar, parse_scalar, scalars_mode)
 
-#: Relative tolerance for the consistency reads of parameter recovery in
-#: float mode (exact mode uses exact equality).
+#: Relative tolerance of ``linalg.close`` for the float Gamma membership
+#: tests and the rebuild check of parameter recovery (exact mode compares
+#: with equality).
 RECOVERY_RTOL = 1e-8
 
 
@@ -306,12 +310,6 @@ def evaluate_matrix(entries: Sequence[Sequence[LaurentPoly]], x: PhasePoint) -> 
     return SquareMatrix([[p.evaluate(x.z, x.Q) for p in row] for row in entries], x.mode)
 
 
-def _is_zero(v, mode, scale) -> bool:
-    if mode == "exact":
-        return v == 0
-    return abs(v) <= RECOVERY_RTOL * max(scale, 1.0)
-
-
 def gamma_membership(L: SquareMatrix) -> GammaReport:
     """Test membership of L in the two defining varieties.
 
@@ -322,8 +320,13 @@ def gamma_membership(L: SquareMatrix) -> GammaReport:
     Gamma_2 requires L = [[U, J], [*, W]] with
     L^{-1} = [[J W J, -J], [*, J U J]].
 
-    ``first_violation`` is the first failed entry, Gamma_1's in row-major
-    order before Gamma_2's block by block.
+    Entries are compared by ``linalg.close`` with RECOVERY_RTOL and the
+    scale max(max|L|, max|L^{-1}|).  ``first_violation`` is the first
+    failed entry, Gamma_1's in row-major order before Gamma_2's block by
+    block; each scan stops at its first failure.  Gamma_2's last two
+    blocks stay although, in exact mode, they can never hold the first
+    violation (L A = E with the first two blocks J and -J forces them);
+    in float mode they test the computed inverse.
     """
     d = L.dim
     if d % 2:
@@ -332,12 +335,9 @@ def gamma_membership(L: SquareMatrix) -> GammaReport:
     A = L.inverse()
     mode = L.mode
     scale = max(L.max_abs(), A.max_abs()) if mode == "float" else 0.0
-
-    def is_zero(v):
-        return _is_zero(v, mode, scale)
-
-    g1 = [("gamma1", i, j) for i, row in enumerate(A.rows) for j in range(i)
-          if not (is_zero(row[j]) if j < i - 1 else i <= n or is_zero(row[j] - 1))]
+    g1 = next((("gamma1", i, j) for i, row in enumerate(A.rows) for j in range(i)
+               if not (close(row[j], 0, mode, RECOVERY_RTOL, scale) if j < i - 1
+                       else i <= n or close(row[j], 1, mode, RECOVERY_RTOL, scale))), None)
     J = SquareMatrix.reversal(n, mode)
     blocks = [
         ("gamma2:upper-right-of-L", L.block(0, n, n), J),
@@ -345,12 +345,11 @@ def gamma_membership(L: SquareMatrix) -> GammaReport:
         ("gamma2:upper-left-of-inverse", A.block(0, 0, n), L.block(n, n, n).flip()),
         ("gamma2:lower-right-of-inverse", A.block(n, n, n), L.block(0, 0, n).flip()),
     ]
-    # exact entries are compared as they are; float ones by their difference
-    g2 = [(name, i, j) for name, got, expect in blocks
-          for i, (row, want) in enumerate(zip(got.rows, expect.rows))
-          for j, (v, w) in enumerate(zip(row, want))
-          if not (v == w if mode == "exact" else is_zero(v - w))]
-    return GammaReport(not g1, not g2, (g1 + g2)[0] if g1 or g2 else None)
+    g2 = next(((name, i, j) for name, got, expect in blocks
+               for i, (row, want) in enumerate(zip(got.rows, expect.rows))
+               for j, (v, w) in enumerate(zip(row, want))
+               if not close(v, w, mode, RECOVERY_RTOL, scale)), None)
+    return GammaReport(g1 is None, g2 is None, g1 or g2)
 
 
 def parameters_from_lax(L: SquareMatrix) -> PhasePoint:
@@ -364,7 +363,8 @@ def parameters_from_lax(L: SquareMatrix) -> PhasePoint:
 
     No inverse is taken.  A zero among the last-row entries read raises
     NotInGammaError, and so does a rebuild of L from (z, Q) that differs
-    from L at some entry (exactly, or beyond RECOVERY_RTOL in float mode):
+    from L at some entry a, b by ``linalg.close`` (exactly, or beyond
+    RECOVERY_RTOL with the scale max(|a|, |b|) in float mode):
     the matrix is outside the coordinate chart.  A float z_i read that
     underflows to 0.0 raises ValueError naming it.  The rows are compared
     at once, and only a mismatch is scanned for its first entry: float rows
@@ -384,17 +384,13 @@ def parameters_from_lax(L: SquareMatrix) -> PhasePoint:
         raise ValueError(f"z_{z.index(0) + 1} read off L underflows to 0.0")
     Q = tuple(1 - L[i, i] / z[i] for i in range(n))
 
-    def close(a, b):
-        if mode == "exact":
-            return a == b
-        return abs(a - b) <= RECOVERY_RTOL * max(abs(a), abs(b), 1.0)
-
     x = PhasePoint(n, z, Q)
     rebuilt = build_lax(x)
     if rebuilt.rows == L.rows:
         return x
     for i in range(d):
         for j in range(d):
-            if not close(rebuilt[i, j], L[i, j]):
+            a, b = rebuilt[i, j], L[i, j]
+            if not close(a, b, mode, RECOVERY_RTOL, max(abs(a), abs(b))):
                 raise NotInGammaError(f"rebuilt Lax matrix differs at ({i}, {j})")
     return x

@@ -141,6 +141,15 @@ def _check_finite(rows) -> None:
             raise ValueError(f"non-finite entry {r[j]!r} at row {i}, column {j}")
 
 
+def close(a, b, mode: str, rtol: float, scale: float = 1.0) -> bool:
+    """Whether a and b agree: ``a == b`` in exact mode, and
+    |a - b| <= rtol * max(scale, 1) in float mode, where NaN is close to
+    nothing.  The one comparison rule of every checked tolerance."""
+    if mode == "exact":
+        return a == b
+    return abs(a - b) <= rtol * max(scale, 1.0)
+
+
 class SquareMatrix:
     """Immutable d x d matrix with a single scalar mode."""
 

@@ -9,7 +9,9 @@ With matrices written in n x n blocks and J the n x n reversal:
 
 The two patterns intersect trivially and sum to everything, so they
 define linear projections pi_plus / pi_minus computed here by an explicit
-entrywise rule.  The corresponding groups are
+entrywise rule.  ``membership`` tests a pattern entry by entry with
+``linalg.close``: exactly over Fraction, within MEMBERSHIP_RTOL over
+float.  The corresponding groups are
 
 * G_plus: upper triangular with invertible X block and unit diagonal
   Z block;
@@ -26,12 +28,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DegeneratePointError, SingularMatrixError
-from .linalg import SquareMatrix, solve
+from .linalg import SquareMatrix, close, solve
 
 _MEMBERSHIP_KINDS = ("g_plus", "g_minus", "G_plus", "G_minus")
 
-#: Relative tolerance for pattern tests on float matrices (exact mode
-#: compares exactly).
+#: Relative tolerance of ``linalg.close`` for pattern tests on float
+#: matrices, against max(1, max|X|) (exact mode compares exactly).
 MEMBERSHIP_RTOL = 1e-9
 
 
@@ -69,12 +71,6 @@ def project(X: SquareMatrix) -> SplitPair:
     return SplitPair(X - minus, minus)
 
 
-def _close(a, b, mode, scale) -> bool:
-    if mode == "exact":
-        return a == b
-    return abs(a - b) <= MEMBERSHIP_RTOL * max(scale, 1.0)
-
-
 def membership(X: SquareMatrix, which: str) -> bool:
     """Pattern predicate for the two subalgebras and the two subgroups.
 
@@ -82,7 +78,8 @@ def membership(X: SquareMatrix, which: str) -> bool:
     block has diagonal 0 (g_plus), or diagonal 1 with no zero on the upper
     left block's diagonal (G_plus).
     Group membership requires an invertible matrix and raises
-    SingularMatrixError otherwise.
+    SingularMatrixError otherwise.  Entries are compared by
+    ``linalg.close`` with MEMBERSHIP_RTOL and the scale max|X|.
     """
     if which not in _MEMBERSHIP_KINDS:
         raise ValueError(f"which must be one of {_MEMBERSHIP_KINDS}")
@@ -93,28 +90,20 @@ def membership(X: SquareMatrix, which: str) -> bool:
         if X.det() == 0:
             raise SingularMatrixError("group membership needs a nonsingular matrix")
 
-    def zero(v):
-        return _close(v, 0, mode, scale)
-
-    def one(v):
-        return _close(v, 1, mode, scale)
+    def near(v, w=0):
+        return close(v, w, mode, MEMBERSHIP_RTOL, scale)
 
     if which in ("g_plus", "G_plus"):
-        if not all(zero(v) for i, row in enumerate(X.rows) for v in row[:i]):
+        if not all(near(v) for i, row in enumerate(X.rows) for v in row[:i]):
             return False  # not upper triangular
         if which == "g_plus":
-            return all(zero(X[n + i, n + i]) for i in range(n))
-        return (all(not zero(X[i, i]) for i in range(n))
-                and all(one(X[n + i, n + i]) for i in range(n)))
+            return all(near(X[n + i, n + i]) for i in range(n))
+        return (all(not near(X[i, i]) for i in range(n))
+                and all(near(X[n + i, n + i], 1) for i in range(n)))
 
-    for i in range(n):
-        for j in range(n):
-            if not zero(X[i, n + j]):
-                return False
-    expect = X.block(0, 0, n).flip()
-    W = X.block(n, n, n)
-    return all(_close(W[i, j], expect[i, j], mode, scale)
-               for i in range(n) for j in range(n))
+    expect = X.block(0, 0, n).flip()  # J U J, which W must be
+    return (all(near(v) for row in X.rows[:n] for v in row[n:])
+            and all(near(X[n + i, n + j], expect[i, j]) for i in range(n) for j in range(n)))
 
 
 def pattern_dimension(n: int, which: str) -> int:

@@ -178,9 +178,17 @@ def test_bad_trials_exit_2(capsys):
     assert "trials" in err
 
 
-def test_verify_past_the_path_route_cap_exits_2_with_one_line(capsys):
+def test_verify_past_the_path_route_cap_exits_2_with_one_line(capsys, monkeypatch):
     # the exact path route keeps MAX_SYMBOLIC_RANK, though its chain-sum pass
-    # needs no expansion, until the suite gets a ceiling of its own
+    # needs no expansion, until the suite gets a ceiling of its own; f_poly
+    # raises the same line before expanding anything at n = 7
+    expand = cv._f_polys
+
+    def capped(n, mode):
+        assert n <= cv.MAX_SYMBOLIC_RANK, f"f_poly expanded at n = {n}"
+        return expand(n, mode)
+
+    monkeypatch.setattr(cv, "_f_polys", capped)
     code, out, err = run(capsys, "verify", "--mode", "rational", "--n-max", "7",
                          "--trials", "1")
     assert code == 2

@@ -209,11 +209,17 @@ def test_path_weight_oracle_float_rejected(worked_point):
         path_weight_oracle(worked_point.to_float())
 
 
-def test_path_route_rank_guard():
+def test_path_route_rank_guard(monkeypatch):
+    # f_poly raises the route's error too, before expanding anything
+    def expand(n, mode):
+        raise AssertionError(f"f_poly expanded at n = {n}")
+
+    monkeypatch.setattr("toda_bn.conserved._f_polys", expand)
     x = PhasePoint(7, (Fraction(1),) * 7, (Fraction(0),) * 7)
-    for point in (x, x.to_float()):
+    for route in (lambda: conserved_values_by_path(x),
+                  lambda: conserved_values_by_path(x.to_float()), lambda: f_poly(7, 1)):
         with pytest.raises(ValueError, match=r"^path-formula route is capped at n <= 6$"):
-            conserved_values_by_path(point)
+            route()
 
 
 def fraction_terms(p, z, Q):

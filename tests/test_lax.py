@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 
 import pytest
@@ -16,7 +18,8 @@ from toda_bn import (
     parameters_from_lax,
 )
 from toda_bn.conserved import _conserved_values_exact, conserved_values
-from toda_bn.lax import _build_lax_exact, _is_zero, _lax_inverse_rows, evaluate_matrix
+from toda_bn.lax import RECOVERY_RTOL, _build_lax_exact, _lax_inverse_rows, evaluate_matrix
+from toda_bn.linalg import close
 from toda_bn.verify import lu_read, printed_lax_n2, random_point, random_rational
 
 
@@ -235,7 +238,7 @@ def old_gamma_membership(L):
             violation = (which, i, j)
 
     def is_zero(v):
-        return _is_zero(v, mode, scale)
+        return close(v, 0, mode, RECOVERY_RTOL, scale)
 
     in_g1 = True
     for i in range(d):
@@ -382,6 +385,40 @@ def test_zero_in_the_last_row_is_not_in_gamma(worked_point, mode):
     for j in (2, 3):  # the last-row entries the read-off divides by
         with pytest.raises(NotInGammaError, match=rf"zero entry at \(3, {j}\)"):
             parameters_from_lax(L.with_entry(3, j, 0))
+
+
+def _rebuild_edge(a: float) -> float:
+    """The float b > a furthest from a that the rebuild check accepts:
+    |a - b| <= RECOVERY_RTOL * max(|a|, |b|, 1)."""
+    def inside(b):
+        return abs(a - b) <= RECOVERY_RTOL * max(abs(a), abs(b), 1.0)
+
+    b = a + RECOVERY_RTOL * max(abs(a), 1.0)
+    while inside(b):
+        b = math.nextafter(b, math.inf)
+    while not inside(b):
+        b = math.nextafter(b, -math.inf)
+    return b
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_float_rebuild_check_at_its_tolerance(rng, n):
+    # an entry the read-off does not use, changed to one float step inside
+    # the tolerance and one step outside: a 0 of the J block (scale 1) and
+    # the largest unused entry (scale max(|a|, |b|) > 1)
+    x = random_point(n, rng).to_float()
+    L = build_lax(x)
+    y = parameters_from_lax(L)
+    rebuilt = build_lax(y)
+    read = {(i, i) for i in range(n)} | {(2 * n - 1, j) for j in range(n, 2 * n)}
+    largest = max((ij for ij in itertools.product(range(2 * n), repeat=2) if ij not in read),
+                  key=lambda ij: abs(rebuilt[ij]))
+    assert rebuilt[0, n] == 0.0 and abs(rebuilt[largest]) > 1
+    for i, j in ((0, n), largest):
+        edge = _rebuild_edge(rebuilt[i, j])
+        assert parameters_from_lax(L.with_entry(i, j, edge)) == y
+        with pytest.raises(NotInGammaError, match=rf"rebuilt Lax matrix differs at \({i}, {j}\)"):
+            parameters_from_lax(L.with_entry(i, j, math.nextafter(edge, math.inf)))
 
 
 def test_not_in_gamma_detected(worked_point):

@@ -18,8 +18,35 @@ from toda_bn import (
     to_phase,
 )
 from toda_bn.conserved import conserved_values
-from toda_bn.linalg import SINGULARITY_RTOL, _addmul, _div, conjugate, solve
+from toda_bn.linalg import SINGULARITY_RTOL, _addmul, _div, close, conjugate, solve
 from toda_bn.verify import random_canonical, random_matrix
+
+
+@pytest.mark.parametrize("rtol,scale,base", [
+    (2.0 ** -20, 8.0, 1.0), (2.0 ** -20, 0.25, -3.0), (1e-9, 3.0, 0.0), (1e-8, 1e6, 0.0),
+])
+def test_close_at_its_float_boundary(rtol, scale, base):
+    # base + tol is exact at these values, so edge and base are exactly
+    # rtol * max(scale, 1) apart, and the next float beyond is not close
+    tol = rtol * max(scale, 1.0)
+    edge = base + tol
+    assert edge - base == tol
+    beyond = math.nextafter(edge, math.inf)
+    for a, b, want in ((edge, base, True), (beyond, base, False)):
+        assert close(a, b, "float", rtol, scale) is want
+        assert close(b, a, "float", rtol, scale) is want
+        assert close(-a, -b, "float", rtol, scale) is want
+
+
+def test_close_nan_signed_zeros_and_exact_mode():
+    for a, b in ((math.nan, math.nan), (math.nan, 0.0), (0.0, math.nan), (math.inf, math.inf)):
+        assert not close(a, b, "float", 1.0, 1e300)
+    assert close(-0.0, 0.0, "float", 0.0) and close(0.0, -0.0, "float", 0.0)
+    # exact mode is equality, whatever the tolerance and scale
+    tiny = Fraction(1, 10 ** 30)
+    assert not close(Fraction(1), 1 + tiny, "exact", 1.0, 1e300)
+    assert not close(tiny, 0, "exact", 1.0, 1e300)
+    assert close(Fraction(2, 6), Fraction(1, 3), "exact", 0.0)
 
 
 def test_identity_inverse():

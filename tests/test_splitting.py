@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,8 @@ from toda_bn import (
     pattern_dimension,
     project,
 )
-from toda_bn.splitting import _close
+from toda_bn.linalg import close
+from toda_bn.splitting import MEMBERSHIP_RTOL
 from toda_bn.verify import (
     random_alg_minus,
     random_alg_plus,
@@ -71,6 +73,17 @@ def test_lax_factor_memberships(worked_point):
     assert not membership(c, "G_minus")  # J N11 J != N22 in general
     assert membership(kr_factors(worked_point).K, "G_minus")
     assert membership(kr_factors(worked_point).R, "G_plus")
+
+
+@pytest.mark.parametrize("scale", [0.5, 2.0, 3.0])
+def test_float_membership_at_its_tolerance(scale):
+    # the entry t must be 0 in both patterns: within MEMBERSHIP_RTOL times
+    # max(max|X|, 1), and max|X| = max(scale, 1) at these t
+    edge = MEMBERSHIP_RTOL * max(scale, 1.0)
+    for t, want in ((edge, True), (math.nextafter(edge, math.inf), False)):
+        for s in (t, -t):
+            assert membership(SquareMatrix([[scale, 1.0], [s, 0.0]], "float"), "g_plus") is want
+            assert membership(SquareMatrix([[scale, s], [1.0, scale]], "float"), "G_minus") is want
 
 
 def test_group_membership_singular_input():
@@ -146,7 +159,7 @@ def old_plus_membership(X, which):
         raise SingularMatrixError("group membership needs a nonsingular matrix")
 
     def zero(v):
-        return _close(v, 0, mode, scale)
+        return close(v, 0, mode, MEMBERSHIP_RTOL, scale)
 
     for i in range(n):
         for j in range(n):
@@ -159,7 +172,7 @@ def old_plus_membership(X, which):
     if which == "g_plus":
         return all(zero(X[n + i, n + i]) for i in range(n))
     return (all(not zero(X[i, i]) for i in range(n))
-            and all(_close(X[n + i, n + i], 1, mode, scale) for i in range(n)))
+            and all(close(X[n + i, n + i], 1, mode, MEMBERSHIP_RTOL, scale) for i in range(n)))
 
 
 def sparse_upper(n, rng):
