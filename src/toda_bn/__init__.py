@@ -64,7 +64,7 @@ from .lax import (
     lax_symbolic,
     parameters_from_lax,
 )
-from .linalg import PolyInLambda, SquareMatrix, mat_exp
+from .linalg import SquareMatrix, mat_exp
 from .splitting import (
     SplitPair,
     factor_minus_plus,

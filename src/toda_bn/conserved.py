@@ -46,9 +46,9 @@ from .laurent import LaurentPoly
 from .lax import PhasePoint, _lax_inverse_rows, _qz, build_factors, build_lax
 from .linalg import _UNITS, SquareMatrix, conjugate, solve
 
-#: Symbolic expansion guard: chain enumeration grows quickly with n, so the
-#: path-formula route stays a desk-scale verification tool; ``f_poly`` and
-#: ``conserved_values_by_path`` raise ValueError above it.
+#: Symbolic expansion guard: chain enumeration grows quickly with n, so
+#: ``f_poly`` raises ValueError above it, before expanding anything.  The
+#: chain-sum pass expands nothing and runs at every rank.
 MAX_SYMBOLIC_RANK = 6
 
 
@@ -309,10 +309,10 @@ def _char_poly_values(x: PhasePoint) -> tuple:
     a traced flow run reaches the lax and linalg layers.
     """
     if x.mode == "float":
-        coeffs = build_lax(x).char_poly().coeffs
+        coeffs = build_lax(x).char_poly()
     else:
         rows = _lax_inverse_rows(x.n, x.z, [1 / w for w in x.z], _qz(x), *_UNITS["exact"])
-        c = SquareMatrix._trusted(tuple(map(tuple, rows)), "exact").char_poly().coeffs
+        c = SquareMatrix._trusted(tuple(map(tuple, rows)), "exact").char_poly()
         coeffs = [v / c[-1] for v in reversed(c)]
     return tuple(-c if i % 2 else c for i, c in enumerate(coeffs))
 
@@ -327,11 +327,9 @@ def conserved_values_by_path(x: PhasePoint) -> tuple:
     Fractions equal the expanded ``f_poly`` at x.  At a float point it
     evaluates ``f_poly(n, i)`` term by term: those bits are the F(0) of a
     flow (``dynamics.integrate``), pinned by its golden trajectories, and
-    the pass rounds differently.  Both modes keep the cap at
-    ``MAX_SYMBOLIC_RANK``.
+    the pass rounds differently.  An exact point runs at every rank; a
+    float point above ``MAX_SYMBOLIC_RANK`` gets ``f_poly``'s ValueError.
     """
-    if x.n > MAX_SYMBOLIC_RANK:
-        raise ValueError(f"path-formula route is capped at n <= {MAX_SYMBOLIC_RANK}")
     if x.mode == "exact":
         return _path_sums(x)
     return tuple(f_poly(x.n, i).evaluate(x.z, x.Q) for i in range(2 * x.n + 1))

@@ -39,7 +39,6 @@ ch. 6).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, isfinite, ldexp
 from functools import reduce
@@ -403,15 +402,15 @@ class SquareMatrix:
         return rows, pivots, next(
             (c for c in range(len(pivots)) if abs(rows[c][c]) < tol), len(pivots))
 
-    def char_poly(self) -> "PolyInLambda":
+    def char_poly(self) -> tuple:
         """Coefficients of det(lambda*E - self), highest degree first.
 
         A non-finite float entry raises ValueError.
         """
         if self._mode == "exact":
-            return PolyInLambda(_hessenberg_char_poly(self._rows))
+            return _hessenberg_char_poly(self._rows)
         _check_finite(self._rows)
-        return PolyInLambda(_float_hessenberg_char_poly(self._rows))
+        return _float_hessenberg_char_poly(self._rows)
 
     # -- serialization -------------------------------------------------------
 
@@ -799,13 +798,6 @@ def conjugate(K: SquareMatrix, L: SquareMatrix) -> SquareMatrix:
         return SquareMatrix._trusted(
             _exact_solve(K.rows, *_exact_matmul_pairs(L.rows, K.rows)), "exact")
     return solve(K, L @ K)
-
-
-@dataclass(frozen=True)
-class PolyInLambda:
-    """Polynomial sum_i coeffs[i] * lambda^(d-i), where d = len(coeffs)-1."""
-
-    coeffs: tuple
 
 
 def mat_exp(m: SquareMatrix, t: float = 1.0) -> SquareMatrix:

@@ -71,7 +71,7 @@ def test_criterion_05_q_zero_reduction():
     _run(check_q_zero_reduction, 5,
          "Q=0 reduction F_i = e_i(z, 1/z), structural, n<=4", n_max=4)
     _run(check_ideal_generator, 5,
-         "ideal generators vanish at Q=0, z_j = exp(eps_j), within 1e-12",
+         "ideal generators vanish at Q=0, z_j = exp(eps_j), within 16 n u e_i",
          n_max=4)
 
 

@@ -179,9 +179,8 @@ def test_bad_trials_exit_2(capsys):
 
 
 def test_verify_past_the_path_route_cap_exits_2_with_one_line(capsys, monkeypatch):
-    # the exact path route keeps MAX_SYMBOLIC_RANK, though its chain-sum pass
-    # needs no expansion, until the suite gets a ceiling of its own; f_poly
-    # raises the same line before expanding anything at n = 7
+    # conserved-route-equivalence compares the path formula's two modes, so
+    # f_poly raises the route's line at n = 7 before expanding anything
     expand = cv._f_polys
 
     def capped(n, mode):
@@ -415,6 +414,14 @@ def test_verify_float_report_golden(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "d7922d5bdb37426063123c839d5b378103f1037d33f5db5273c81bec8f56a235"
+
+
+def test_verify_float_report_golden_at_the_defaults(capsys):
+    # the default float report: seed 7, n-max 4, 50 trials
+    code, out, _ = run(capsys, "verify", "--mode", "float")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "45b0535e1570871f32da149b5f7d8b97b58da66ca1fa7d35322c169284a448b1"
 
 
 # simulate CSVs, drift column included, in the benchmark's argv form:

@@ -209,17 +209,23 @@ def test_path_weight_oracle_float_rejected(worked_point):
         path_weight_oracle(worked_point.to_float())
 
 
-def test_path_route_rank_guard(monkeypatch):
-    # f_poly raises the route's error too, before expanding anything
+def test_path_route_rank_guard(monkeypatch, rng):
+    # f_poly raises the route's error before expanding anything, so a float
+    # point above the cap gets it too; an exact point is the chain-sum pass,
+    # which expands nothing and equals the char_poly route at every rank
     def expand(n, mode):
         raise AssertionError(f"f_poly expanded at n = {n}")
 
     monkeypatch.setattr("toda_bn.conserved._f_polys", expand)
     x = PhasePoint(7, (Fraction(1),) * 7, (Fraction(0),) * 7)
-    for route in (lambda: conserved_values_by_path(x),
-                  lambda: conserved_values_by_path(x.to_float()), lambda: f_poly(7, 1)):
+    for route in (lambda: conserved_values_by_path(x.to_float()), lambda: f_poly(7, 1)):
         with pytest.raises(ValueError, match=r"^path-formula route is capped at n <= 6$"):
             route()
+    for n in range(7, 11):
+        q_zero = PhasePoint(n, tuple(random_rational(rng) for _ in range(n)),
+                            (Fraction(0),) * n)
+        for y in (random_point(n, rng), random_point(n, rng), q_zero):
+            assert conserved_values_by_path(y) == conserved_values(y)
 
 
 def fraction_terms(p, z, Q):
@@ -404,7 +410,7 @@ def lax_inverse(x):
 def char_poly_of_lax(x):
     """F_0..F_2n off det(lambda*E - L) of the dense L: the route before the
     closed-form L^{-1}, kept as the oracle."""
-    return tuple((-1) ** i * c for i, c in enumerate(build_lax(x).char_poly().coeffs))
+    return tuple((-1) ** i * c for i, c in enumerate(build_lax(x).char_poly()))
 
 
 @settings(max_examples=40, deadline=None)

@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from toda_bn import conserved as cv
 from toda_bn import dynamics as dy
 from toda_bn import verify
 from toda_bn.errors import DegeneratePointError
@@ -51,6 +53,28 @@ def flow_conservation(seed):
     check = verify.IDENTITY_CHECKS[index][2]
     return check(VerifySuiteConfig(n_max=4, trials=5, seed=seed, mode="float"),
                  verify.identity_rng(seed, index))
+
+
+def test_ideal_generator_sweep_to_n12_stays_under_half_its_bound(monkeypatch):
+    # float verify --n-max 12 --trials 1 runs the identity at every rank;
+    # each |F_i - e_i| it checks, in units of u e_i, is recorded and stays
+    # under half the bound 16 n
+    ratios, generator = [], cv.ideal_generator
+
+    def recorded(i, x, eps):
+        v = generator(i, x, eps)
+        vals = [math.exp(e) for e in eps] + [math.exp(-e) for e in eps]
+        ratios.append((x.n, abs(v) / (2.0 ** -53 * cv.elementary_symmetric(i, vals))))
+        return v
+
+    monkeypatch.setattr(verify.cv, "ideal_generator", recorded)
+    index = [name for name, _, _ in verify.IDENTITY_CHECKS].index(
+        "ideal-generator-at-exponentials")
+    result = verify.IDENTITY_CHECKS[index][2](
+        VerifySuiteConfig(n_max=12, trials=1, mode="float"), verify.identity_rng(7, index))
+    assert result.passed, (result.counterexample, result.details)
+    assert {n for n, _ in ratios} == set(range(1, 13))
+    assert all(r <= 16 * n / 2 for n, r in ratios), max(ratios, key=lambda p: p[1] / p[0])
 
 
 def test_flow_conservation_halves_h_where_rk4_truncation_exceeds_the_bound():
