@@ -12,7 +12,9 @@ environment variable TODA_BN_SEED provides the default seed for `verify`.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
+import itertools
 import json
 import math
 import os
@@ -30,6 +32,12 @@ from .verify import VerifySuiteConfig, run_suite
 #: `conserved` at a float point: the char_poly and chain-sum values of each
 #: F_i must agree within this times max(1, |F_i|) for routes_agree.
 ROUTES_RTOL = 1e-10
+
+
+#: Output is written this many lines at a time: few enough that a long
+#: `simulate` never holds its whole CSV as text, enough that an unbuffered
+#: stdout is not written once per row.
+BLOCK_LINES = 4096
 
 
 class CliError(Exception):
@@ -92,18 +100,19 @@ def _parse_point(arg: str, n_flag: int | None = None):
     return x, c
 
 
-def _emit(payload: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+def _emit(lines, out: str | None):
+    """Write each string of ``lines`` and a newline to the file ``out``, or
+    to stdout, BLOCK_LINES strings per write."""
+    lines = iter(lines)
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        while block := list(itertools.islice(lines, BLOCK_LINES)):
+            fh.write("\n".join(block) + "\n")
 
 
 def _json_dumps(obj) -> str:
     """obj as indented JSON; a NaN or infinite float raises CliError."""
     try:
-        return json.dumps(obj, indent=2, allow_nan=False) + "\n"
+        return json.dumps(obj, indent=2, allow_nan=False)
     except ValueError as e:
         raise CliError(f"result is not finite: {e}") from e
 
@@ -112,8 +121,8 @@ def cmd_lax(args) -> int:
     x, _ = _parse_point(args.point, args.n)
     L = lx.build_lax(x)
     rep = lx.gamma_membership(L)
-    _emit(_json_dumps({"n": x.n, "L": L.to_json_obj(),
-                       "in_gamma": rep.in_gamma}), args.out)
+    _emit([_json_dumps({"n": x.n, "L": L.to_json_obj(),
+                        "in_gamma": rep.in_gamma})], args.out)
     return 0
 
 
@@ -122,7 +131,7 @@ def cmd_conserved(args) -> int:
     f = cv.conserved_values(x)
     chains = cv._path_sums(x)
     agree = all(close(a, b, x.mode, ROUTES_RTOL, abs(a)) for a, b in zip(f, chains))
-    _emit(_json_dumps({"F": [format_scalar(v) for v in f], "routes_agree": agree}), args.out)
+    _emit([_json_dumps({"F": [format_scalar(v) for v in f], "routes_agree": agree})], args.out)
     return 0
 
 
@@ -137,10 +146,9 @@ def cmd_simulate(args) -> int:
     n = x0.n
     header = ["t"] + [f"z_{i + 1}" for i in range(n)] + \
         [f"Q_{i + 1}" for i in range(n)] + ["drift"]
-    lines = [",".join(header)]
-    for t, s, drift in zip(traj.times, traj.states, traj.drifts):
-        lines.append(",".join(map(repr, (t, *s.z, *s.Q, drift))))
-    _emit("\n".join(lines) + "\n", args.out)
+    rows = (",".join(map(repr, (k * traj.h, *s, drift)))
+            for k, (s, drift) in enumerate(zip(traj.rows(), traj.drift_values)))
+    _emit(itertools.chain([",".join(header)], rows), args.out)
     return 0
 
 
@@ -148,7 +156,7 @@ def cmd_backlund(args) -> int:
     x, _ = _parse_point(args.point, args.n)
     if args.steps < 0:
         raise CliError("--steps must be >= 0")
-    _emit(_json_dumps(_backlund_payload(x, args.steps, args.route)), args.out)
+    _emit([_json_dumps(_backlund_payload(x, args.steps, args.route))], args.out)
     return 0
 
 
@@ -185,7 +193,7 @@ def _canonical_payload(x, c) -> dict:
 
 def cmd_canonical(args) -> int:
     x, c = _parse_point(args.point, args.n)
-    _emit(_json_dumps(_canonical_payload(x, c)), args.out)
+    _emit([_json_dumps(_canonical_payload(x, c))], args.out)
     return 0
 
 
@@ -204,7 +212,7 @@ def cmd_verify(args) -> int:
         "identities": len(results),
         "failed": [r.name for r in results if not r.passed],
     }))
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit(lines, args.out)
     return 0 if ok else 1
 
 

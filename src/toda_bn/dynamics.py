@@ -27,9 +27,17 @@ compiles one tape as a single call.)  Tracing and compiling take about
 2, 6 and 35-40 ms at n = 3, 8 and 50 for the RK4 loop, and about 3,
 8-13 and 320 ms for the trajectory loop, whose chain-sum tape grows
 faster than n^2 (1, 4-7 and 190-280 ms of it).  A step then takes about
-3.4-4, 10-15 and 40-90 us in the RK4 loop, and a state 7-11, 23-34 and
-530-640 us in the trajectory loop (best of 5 on a shared 2-core Xeon,
-Python 3.11.7, whose speed varied up to 1.5x between runs).
+3.4-4, 10-15 and 40-90 us in the RK4 loop (best of 5 on a shared 2-core
+Xeon, Python 3.11.7, whose speed varied up to 1.5x between runs).
+
+integrate stores a trajectory flat (Trajectory): the loop hands each
+state's z and Q tuples to one array('d')'s extend and its drift to
+another's append, so a state is 2n + 1 binary64 values, 58 B at n = 3
+with the arrays' slack (tracemalloc, 4097 states), where a PhasePoint a
+state took 427 B.  integrate then costs about 5.1-5.6, 20-21 and
+1950-2140 us a state at n = 3, 8 and 50 (5.3-5.9, 19-20 and 2040-2120
+with a PhasePoint a state; median of 7, scaled by perfbench/speed.py's
+reference kernel, four alternating runs each on the same host).
 
 The exact factorization solution
 L(t) = a(t) L0 a(t)^{-1} with exp(L0 t) = a^{-1} b provides an
@@ -51,9 +59,9 @@ _rates, which divides by z_k, over LaurentPoly.
 
 from __future__ import annotations
 
+import array
 import collections
 import functools
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -94,6 +102,14 @@ class CanonicalPoint:
 class Trajectory:
     """Fixed-step trajectory with per-state conserved-quantity drift.
 
+    Stored flat, as binary64 values in two ``array('d')``s: ``coords``
+    holds z_1..z_n, Q_1..Q_n of each state in turn, x0 first, and
+    ``drift_values`` each state's drift, 58 B a state at n = 3 over 4097
+    states (tracemalloc; 427 B with a PhasePoint per state).  ``times``,
+    ``states`` and ``drifts`` are tuples read from them: ``states`` is
+    built on first read and kept, the other two are built at each read.
+    t_k is k h.
+
     ``drifts[k]`` is max_i |F_i(t_k) - F_i(0)| / max(1, |F_i(0)|), with
     drifts[0] = 0.  F_i(0) comes from a reference route (the path formula
     for n <= MAX_SYMBOLIC_RANK, char_poly above it), as floats, and
@@ -102,13 +118,31 @@ class Trajectory:
     routes.
     """
 
-    times: tuple
-    states: tuple
-    drifts: tuple
+    n: int
+    h: float
+    coords: array.array
+    drift_values: array.array
+
+    @property
+    def times(self) -> tuple:
+        return tuple(k * self.h for k in range(len(self.drift_values)))
+
+    @functools.cached_property
+    def states(self) -> tuple:
+        n = self.n
+        return tuple(PhasePoint._trusted(n, s[:n], s[n:]) for s in self.rows())
+
+    @property
+    def drifts(self) -> tuple:
+        return tuple(self.drift_values)
 
     @property
     def max_drift(self) -> float:
-        return max(self.drifts)
+        return max(self.drift_values)
+
+    def rows(self):
+        """Each state's (z_1..z_n, Q_1..Q_n) as a tuple, x0 first."""
+        return zip(*[iter(self.coords)] * (2 * self.n))
 
 
 def lax_rhs(L: SquareMatrix) -> SquareMatrix:
@@ -640,12 +674,12 @@ def integrate(x0: PhasePoint, T: float, h: float = 1e-3) -> Trajectory:
                  else conserved_values)
     f0 = [float(f) for f in reference(x0)]
     scales = [max(1.0, abs(f)) for f in f0]
-    z, Q, drifts = [], [], [0.0]
-    k, state = _trajectory_kernel(n)(*state, h, steps, *f0, *scales, z.append, Q.append,
-                                     drifts.append)
+    # each kept state's z and then its Q extend coords, so a state is 2n values
+    coords, drifts = array.array("d", state), array.array("d", [0.0])
+    k, state = _trajectory_kernel(n)(*state, h, steps, *f0, *scales, coords.extend,
+                                     coords.extend, drifts.append)
     _check_window(n, state, k * h)
-    points = map(PhasePoint._trusted, itertools.repeat(n), z, Q)
-    return Trajectory(tuple(j * h for j in range(steps + 1)), (x0, *points), tuple(drifts))
+    return Trajectory(n, h, coords, drifts)
 
 
 def flow_conjugations(x0: PhasePoint, t: float) -> tuple[SquareMatrix, SquareMatrix]:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import toda_bn
 from toda_bn import cli
 from toda_bn import conserved as cv
+from toda_bn import dynamics as dy
 from toda_bn.cli import main
 from toda_bn.dynamics import Z_WINDOW
 
@@ -118,6 +119,33 @@ def test_simulate_csv(capsys):
     assert len(lines) == 12  # header + 11 states
     assert float(lines[1].split(",")[0]) == 0.0
     assert float(lines[-1].split(",")[-1]) < 1e-10
+
+
+def test_simulate_writes_blocks_that_stdout_and_out_agree_on(tmp_path):
+    h = 2.0 ** -10
+    steps = cli.BLOCK_LINES + 100  # the header and steps + 1 rows fill two blocks
+    argv = ["simulate", "--init", "0.1,-0.2", "--T", repr(steps * h), "--h", repr(h)]
+    writes = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            writes.append(text)
+            return super().write(text)
+
+    with contextlib.redirect_stdout(Recording()):
+        assert main(argv) == 0
+    assert len(writes) == 2
+    assert [text.count("\n") for text in writes] == [cli.BLOCK_LINES, steps + 2 -
+                                                      cli.BLOCK_LINES]
+    out = tmp_path / "sim.csv"
+    assert main([*argv, "--out", str(out)]) == 0
+    # the CSV as one string, formatted from the trajectory's views
+    traj = dy.integrate(dy.to_phase(dy.CanonicalPoint((0.1,), (-0.2,))), steps * h, h)
+    rows = [",".join(map(repr, (t, *y.z, *y.Q, drift)))
+            for t, y, drift in zip(traj.times, traj.states, traj.drifts)]
+    whole = "\n".join(["t,z_1,Q_1,drift", *rows]) + "\n"
+    assert "".join(writes) == whole
+    assert out.read_bytes() == whole.encode()
 
 
 def test_canonical_both_directions(capsys):

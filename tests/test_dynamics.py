@@ -1,8 +1,10 @@
 import ast
 import functools
 import hashlib
+import itertools
 import math
 import operator
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -630,6 +632,66 @@ def test_trajectory_kernel_equals_the_per_step_loop(rng, n):
     want = _flow_bits(_per_step_integrate, x, 0.5, 0.5)
     assert want == (ZeroBaseError, "all z_i must be nonzero")
     assert _flow_bits(_compiled_integrate, x, 0.5, 0.5) == want
+
+
+def _per_point_integrate(x0, T, h):
+    """integrate's (times, states, drifts) as they were built before flat
+    storage: the trajectory kernel's z and Q tuples appended to two lists,
+    one PhasePoint a state after x0 itself, and the times and drifts as
+    tuples."""
+    steps, state = dynamics._initial_state(x0, T, h)
+    n = x0.n
+    reference = conserved_values_by_path if n <= MAX_SYMBOLIC_RANK else conserved_values
+    f0 = [float(f) for f in reference(x0)]
+    scales = [max(1.0, abs(f)) for f in f0]
+    z, Q, drifts = [], [], [0.0]
+    k, state = _trajectory_kernel(n)(*state, h, steps, *f0, *scales, z.append, Q.append,
+                                     drifts.append)
+    dynamics._check_window(n, state, k * h)
+    points = map(PhasePoint._trusted, itertools.repeat(n), z, Q)
+    return tuple(j * h for j in range(steps + 1)), (x0, *points), tuple(drifts)
+
+
+def _view_bits(times, states, drifts):
+    """float.hex of a trajectory's views, with the types of each state's parts."""
+    return (type(times), _bits(times), type(states),
+            [(type(y), y.n, type(y.z), type(y.Q), _bits(y.z), _bits(y.Q)) for y in states],
+            type(drifts), _bits(drifts))
+
+
+@pytest.mark.parametrize("n", [1, 3, 6, 8])
+def test_trajectory_views_equal_the_per_point_construction(rng, n):
+    h = 2.0 ** -10
+    # on the Q = 0 manifold, with -0.0 in x0's Q
+    frozen = PhasePoint(n, tuple(1.0 + 0.25 * i for i in range(n)),
+                        tuple(-0.0 if i % 2 == 0 else 0.0 for i in range(n)))
+    for x, T in ((to_phase(random_canonical(n, rng)), 64 * h),
+                 (to_phase(random_canonical(n, rng)), 0.0), (frozen, 16 * h)):
+        traj = integrate(x, T, h)
+        states = traj.states
+        assert _view_bits(traj.times, states, traj.drifts) == \
+            _view_bits(*_per_point_integrate(x, T, h))
+        assert traj.states == states
+        assert traj.max_drift == max(traj.drifts)
+    assert _bits(states[0].Q) == _bits(frozen.Q)  # -0.0 kept
+
+
+def test_integrate_retains_2n_plus_1_floats_a_state():
+    # a state is its 2n coordinates and its drift, binary64 in two flat
+    # arrays; 16 B a state covers the arrays' over-allocation.  A PhasePoint
+    # a state held 427 B at n = 3
+    n, steps, h = 3, 4096, 2.0 ** -10
+    x = to_phase(CanonicalPoint((0.31, -0.52, 0.17), (0.12, -0.43, 0.64)))
+    integrate(x, T=h, h=h)  # compile the kernel and fill F(0)'s caches
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        traj = integrate(x, T=steps * h, h=h)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(traj.drifts) == steps + 1
+    assert retained / (steps + 1) < (2 * n + 1) * 8 + 16
 
 
 @pytest.mark.parametrize("n", range(1, 9))
