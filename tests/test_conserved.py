@@ -1,9 +1,11 @@
 import functools
+import gc
 import hashlib
 import itertools
 import math
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -27,7 +29,7 @@ from toda_bn import (
     ideal_generator,
     interval_weight,
 )
-from toda_bn.conserved import _chain_sums, _pack, _unpack
+from toda_bn.conserved import _chain_sums, _f_polys, _pack, _unpack
 from toda_bn.dynamics import _Dual
 from toda_bn.lax import _lax_inverse_rows
 from toda_bn.verify import printed_f1, printed_f2_n2, random_point, random_rational
@@ -321,6 +323,43 @@ def test_f_poly_term_order_pinned(n, mode):
     for i in range(2 * n + 1):
         digest.update(repr(list(f_poly(n, i, mode).terms.items())).encode() + b"\n")
     assert digest.hexdigest() == F_POLY_GOLDEN[n]
+
+
+def test_f_polys_share_one_key_object_a_monomial():
+    # palindromic symmetry F_i = F_2n-i repeats every monomial; the expansion
+    # keeps one key tuple a monomial, across F_0..F_2n and across the pair
+    n = 6
+    polys = _f_polys(n, "original")
+    for i in range(n + 1):
+        a, b = polys[i].terms, polys[2 * n - i].terms
+        assert a == b
+        keys = {k: k for k in b}
+        assert all(keys[k] is k for k in a)
+    shared = {}
+    for p in polys:
+        assert all(shared.setdefault(k, k) is k for k in p.terms)
+    assert len(shared) == 6745 and sum(len(p.terms) for p in polys) == 17089
+
+
+def test_f_polys_and_their_float_plan_retain_under_150_b_a_term():
+    # F_0..F_12 at n = 6 and their evaluation plans after one float
+    # evaluate; a key tuple, an index tuple and a float a term held 231 B
+    n = 6
+    x = PhasePoint(n, tuple(1.0 + 0.1 * k for k in range(n)),
+                   tuple(0.3 + 0.05 * k for k in range(n)))
+    f_poly.cache_clear()
+    _f_polys.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        polys = [f_poly(n, i) for i in range(2 * n + 1)]
+        conserved_values_by_path(x)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained / sum(len(p.terms) for p in polys) < 150
 
 
 @pytest.mark.parametrize("n", range(1, 7))

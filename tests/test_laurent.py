@@ -345,26 +345,26 @@ def test_ring_results_have_valid_terms(abk):
 
 
 def evaluate_parent_route(p, z, Q):
-    """The term loop of LaurentPoly.evaluate, written out on a fresh plan:
-    the plan's powers, then one term at a time, in Fractions at an exact
-    point and with float coefficients at a float point."""
+    """The term loop of LaurentPoly.evaluate, each term built from its key:
+    its coefficient times point[v] ** e over the key's nonzero exponents in
+    variable order, z half then Q half, and the terms added in storage
+    order.  At a float point the coefficient of a term with a factor is
+    first converted as numerator / denominator; a constant term keeps its
+    Fraction."""
     if len(z) != p.n or len(Q) != p.n:
         raise IndexMismatchError("point size does not match variable count")
     if any(v == 0 for v in z):
         raise ZeroBaseError("evaluation requires all z_i != 0")
     if not p.terms:
         return Fraction(0) if all(isinstance(v, (int, Fraction)) for v in z) else 0.0
-    plan = _EvalPlan(p.terms)
     point = (*z, *Q)
-    powers = [point[v] ** e for v, e in plan.powers]
-    if all(type(v) is float for v in point):
-        coeffs = plan.float_coeffs()
-    else:
-        coeffs = plan.coeffs
+    floats = all(type(v) is float for v in point)
     acc = None
-    for term, factors in zip(coeffs, plan.factors):
-        for j in factors:
-            term = term * powers[j]
+    for (ez, eq), c in p.terms.items():
+        powers = [(v, e) for v, e in enumerate(ez + eq) if e]
+        term = c.numerator / c.denominator if floats and powers else c
+        for v, e in powers:
+            term = term * point[v] ** e
         acc = term if acc is None else acc + term
     return acc
 
@@ -474,8 +474,12 @@ def polys_of_shared_halves(draw, n):
 def test_eval_plan_of_shared_halves_keeps_the_bits(pzq):
     p, z, Q = pzq
     plan = _EvalPlan(p.terms)
-    # each term's factors index its (variable, exponent) powers in variable order
-    assert [tuple(plan.powers[j] for j in f) for f in plan.factors] == \
+    # each term's z half then Q half index its (variable, exponent) powers in
+    # variable order, and equal halves are one tuple
+    assert [tuple(plan.powers[j] for j in zf + qf)
+            for zf, qf in zip(plan.z_factors, plan.q_factors)] == \
         [tuple((v, e) for v, e in enumerate(ez + eq) if e) for ez, eq in p.terms]
+    assert len(set(map(id, plan.z_factors))) == len({ez for ez, _ in p.terms})
+    assert len(set(map(id, plan.q_factors))) == len({eq for _, eq in p.terms})
     assert hex_outcome(p.evaluate, tuple(z), tuple(Q)) == \
         hex_outcome(evaluate_term_by_term, p, tuple(z), tuple(Q))
