@@ -31,10 +31,10 @@ faster than n^2 (1, 4-7 and 190-280 ms of it).  A step then takes about
 Xeon, Python 3.11.7, whose speed varied up to 1.5x between runs).
 
 integrate stores a trajectory flat (Trajectory): the loop hands each
-state's z and Q tuples to one array('d')'s extend and its drift to
-another's append, so a state is 2n + 1 binary64 values, 58 B at n = 3
-with the arrays' slack (tracemalloc, 4097 states), where a PhasePoint a
-state took 427 B.  integrate then costs about 5.1-5.6, 20-21 and
+state, one tuple (z_1..z_n, Q_1..Q_n), to one array('d')'s extend and
+its drift to another's append, so a state is 2n + 1 binary64 values,
+58 B at n = 3 with the arrays' slack (tracemalloc, 4097 states), where a
+PhasePoint a state took 427 B.  integrate then costs about 5.1-5.6, 20-21 and
 1950-2140 us a state at n = 3, 8 and 50 (5.3-5.9, 19-20 and 2040-2120
 with a PhasePoint a state; median of 7, scaled by perfbench/speed.py's
 reference kernel, four alternating runs each on the same host).
@@ -584,21 +584,20 @@ def _rk4_loop_kernel(n: int):
 
 @functools.lru_cache(maxsize=None)
 def _trajectory_kernel(n: int):
-    """trajectory(z_1..z_n, Q_1..Q_n, h, steps, r_0..r_2n, s_0..s_2n, keep_z,
-    keep_q, note) -> (k, state): the RK4 loop, which passes the z and the Q
-    of each state it keeps to ``keep_z`` and ``keep_q``, as tuples, and its
-    drift max_i |F_i - r_i| / s_i to ``note``.
+    """trajectory(z_1..z_n, Q_1..Q_n, h, steps, r_0..r_2n, s_0..s_2n, keep,
+    note) -> (k, state): the RK4 loop, which passes each state it keeps to
+    ``keep``, as the tuple (z_1..z_n, Q_1..Q_n), and its drift
+    max_i |F_i - r_i| / s_i to ``note``.
 
     F_0..F_2n come from the chain-sum tape (_chain_sums_traced), run on the
     state in the loop, and the drift's operations are in index order, so
     max keeps a NaN where it stands.
     """
-    _, sums, f = _straight_line(n, _chain_sums_traced(n), (), "u")
-    z, q = ("".join(f"{v}{i}, " for i in range(n)) for v in "zq")
+    names, sums, f = _straight_line(n, _chain_sums_traced(n), (), "u")
     r, s = ([f"{v}{i}" for i in range(2 * n + 1)] for v in "rs")
     drift = "".join(f"abs({x} - {a}) / {b}, " for x, a, b in zip(f, r, s))
-    return _rk4_loop("trajectory", n, [*r, *s, "keep_z", "keep_q", "note"], [
-        *sums, f"keep_z(({z}))", f"keep_q(({q}))", f"note(max(({drift})))"])
+    return _rk4_loop("trajectory", n, [*r, *s, "keep", "note"], [
+        *sums, f"keep(({''.join(v + ', ' for v in names)}))", f"note(max(({drift})))"])
 
 
 def _check_window(n: int, state: tuple, t: float):
@@ -668,16 +667,15 @@ def integrate(x0: PhasePoint, T: float, h: float = 1e-3) -> Trajectory:
     # pass (see Trajectory).  F(0) keeps the rank switch because the two routes
     # make different calls, which the benchmark's call-edge checks pin; in
     # exact arithmetic all three routes are equal (see the verification suite).
-    # The path formula gives F_0 and F_2n as Fraction; float(a) - float(b) is
-    # what float - Fraction computes, so converting once keeps the bits.
+    # At a float point both reference routes return floats.
     reference = (conserved_values_by_path if n <= MAX_SYMBOLIC_RANK
                  else conserved_values)
-    f0 = [float(f) for f in reference(x0)]
+    f0 = reference(x0)
     scales = [max(1.0, abs(f)) for f in f0]
-    # each kept state's z and then its Q extend coords, so a state is 2n values
+    # each kept state extends coords by its 2n values
     coords, drifts = array.array("d", state), array.array("d", [0.0])
     k, state = _trajectory_kernel(n)(*state, h, steps, *f0, *scales, coords.extend,
-                                     coords.extend, drifts.append)
+                                     drifts.append)
     _check_window(n, state, k * h)
     return Trajectory(n, h, coords, drifts)
 

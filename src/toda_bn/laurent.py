@@ -12,7 +12,8 @@ order is graded lexicographic with the z block before the Q block,
 highest first.
 
 ``evaluate`` sums the terms at a point in one loop, over Fractions at an
-exact point and over floats at a float point.  Its exact callers evaluate
+exact point and over floats at a float point, so its value is a Fraction
+or a float by the point's mode alone.  Its exact callers evaluate
 small polynomials (Lax entries, a gradient, interval weights); the
 conserved quantities at an exact point come from ``conserved``'s chain-sum
 pass, which never expands F_i into terms.
@@ -192,8 +193,10 @@ class LaurentPoly:
         point's mode is ``linalg.scalars_mode``'s: at a point of ints and
         Fractions each coordinate is passed through ``Fraction()`` and the
         value is an exact Fraction; at a point of floats, ints included,
-        each coordinate is passed through ``float()`` and the coefficients
-        through ``_EvalPlan.float_coeffs``.  One loop serves both modes.
+        each coordinate is passed through ``float()``, each coefficient
+        through ``_EvalPlan.float_coeffs``, and the value is a float, a
+        constant or empty polynomial's included.  One loop serves both
+        modes.
 
         Also accepts a single object with ``.z`` and ``.Q`` attributes.
         Raises ZeroBaseError when some z_i vanishes, and ModeError at a
@@ -289,10 +292,12 @@ class _EvalPlan:
     each half is made once per plan and every term with that half holds
     the same tuple; ``evaluate`` multiplies by the z half, then by the Q
     half, which is variable order.  At a float point ``Fraction * float``
-    computes ``float(c) * x``, so the coefficients of terms with a factor
-    are converted once up front, as ``numerator / denominator``, the
-    correctly rounded quotient that ``float(c)`` also returns, one float
-    per distinct coefficient object; a constant term keeps its Fraction.
+    and ``Fraction + float`` compute ``float(c) * x`` and ``float(c) + x``,
+    so the coefficients are converted once up front, as ``numerator /
+    denominator``, the correctly rounded quotient that ``float(c)`` also
+    returns, one float per distinct coefficient object.  Every sum keeps
+    its bits; a constant term is a float too, so every float evaluate
+    returns a float.
 
     With the keys and coefficients that ``conserved._f_polys`` shares,
     F_0..F_12 at n = 6 and their plans retain 114 B a term (1.9 MB) after
@@ -330,13 +335,11 @@ class _EvalPlan:
         if self._floats is None:
             floats: dict[int, float] = {}  # id of a coefficient -> its float
             self._floats = []
-            for c, zf, qf in zip(self.coeffs, self.z_factors, self.q_factors):
-                if zf or qf:
-                    f = floats.get(id(c))
-                    if f is None:
-                        f = floats[id(c)] = c.numerator / c.denominator
-                    c = f
-                self._floats.append(c)
+            for c in self.coeffs:
+                f = floats.get(id(c))
+                if f is None:
+                    f = floats[id(c)] = c.numerator / c.denominator
+                self._floats.append(f)
         return self._floats
 
 

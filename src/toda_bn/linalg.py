@@ -26,7 +26,10 @@ can flip the sign of a zero) and :func:`_float_back`, and rejects a
 non-finite entry with ValueError.  The pass stops only at a zero pivot;
 ``solve`` and ``conjugate`` raise only there, and so keep LAPACK gtsv's
 bits on a tridiagonal A, while ``inverse``, ``det`` and ``lu_unit_lower``
-count a pivot below SINGULARITY_RTOL * max|a_ij| as zero.
+count a pivot below SINGULARITY_RTOL * max|a_ij| as zero.  Float
+``lu_unit_lower`` puts +0.0 below U's diagonal, as exact mode puts 0:
+no result depends on the sign of those zeros, since float ``@`` sums
+from 0 and elimination carries a zero's sign only into zero entries.
 
 Both modes get the characteristic polynomial from one algorithm: a
 Hessenberg reduction by similarity transforms and the Hessenberg
@@ -368,7 +371,8 @@ class SquareMatrix:
         """Doolittle factorization self = lower @ upper, without pivoting.
 
         Both triangles are read off the forward pass; the factorization is
-        unique when it exists.  Raises DegeneratePointError when a leading
+        unique when it exists.  U is zero below its diagonal, +0.0 in float
+        mode.  Raises DegeneratePointError when a leading
         principal minor vanishes: at the first column that needs an
         interchange or has no pivot in rational mode, or whose pivot is
         below SINGULARITY_RTOL * max|entry| in float mode.  A non-finite
@@ -381,17 +385,16 @@ class SquareMatrix:
             pivots = _exact_forward(nums, dens, d)
             c = next((c for c, p in enumerate(pivots) if p != c), len(pivots))
             lu = _fraction_rows(nums, dens)
-            up = tuple((zero,) * i + r[i:] for i, r in enumerate(lu))
         else:
             lu, _, c = self._float_forward_rtol([[]] * d, swap=False)
-            up = _float_upper(lu)
         if c < d:
             raise DegeneratePointError(f"vanishing leading minor at index {c}")
         # a zero that the pass skipped is no multiplier: lower reads 0 there
         return (SquareMatrix._trusted(tuple(tuple(v or zero for v in r[:i]) + (one,)
                                             + (zero,) * (d - 1 - i)
                                             for i, r in enumerate(lu)), self._mode),
-                SquareMatrix._trusted(up, self._mode))
+                SquareMatrix._trusted(tuple((zero,) * i + tuple(r[i:])
+                                            for i, r in enumerate(lu)), self._mode))
 
     def _float_forward_rtol(self, b_rows: list, swap: bool = True) -> tuple[list, list, int]:
         """The rows and pivot rows of :func:`_float_forward` on [self | B], and
@@ -634,20 +637,6 @@ def _float_back(rows: list, d: int) -> tuple:
                 row = [v - u[k] * w for v, w in zip(row, x[k])]
         x[c] = tuple([v / u[c] for v in row])
     return tuple(x)
-
-
-def _float_upper(lu: list) -> tuple:
-    """U off :func:`_float_forward`'s rows without interchanges, with the
-    signed zeros below the diagonal of a pass that updates whole rows: a
-    zero it skipped keeps its sign until a later update of its row."""
-    up = []
-    for i, r in enumerate(lu):
-        below = [v if v == 0 else 0.0 for v in r[:i]]
-        for k, f in enumerate(r[:i]):
-            if f != 0:
-                below[:k] = [z - f * u for z, u in zip(below[:k], up[k])]
-        up.append(tuple(below + r[i:]))
-    return tuple(up)
 
 
 def _hessenberg_char_poly(rows) -> tuple:

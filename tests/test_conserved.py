@@ -21,6 +21,7 @@ from toda_bn import (
     build_lax,
     iterate,
     path_weight_oracle,
+    to_phase,
     conserved_values,
     conserved_values_by_path,
     elementary_symmetric,
@@ -32,7 +33,8 @@ from toda_bn import (
 from toda_bn.conserved import _chain_sums, _f_polys, _pack, _unpack
 from toda_bn.dynamics import _Dual
 from toda_bn.lax import _lax_inverse_rows
-from toda_bn.verify import printed_f1, printed_f2_n2, random_point, random_rational
+from toda_bn.verify import (printed_f1, printed_f2_n2, random_canonical, random_point,
+                            random_rational)
 
 
 def test_weight_table_singletons():
@@ -275,6 +277,15 @@ def test_exact_path_route_equals_the_f_poly_terms(rng, n):
         got = conserved_values_by_path(x)
         assert all(type(v) is Fraction for v in got)
         assert got == tuple(fraction_terms(p, x.z, x.Q) for p in polys)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_float_path_route_returns_floats_only(rng, n):
+    # F_0 and F_2n, the constant polynomial 1, are floats like F_1..F_2n-1
+    for x in (random_point(n, rng).to_float(), to_phase(random_canonical(n, rng))):
+        got = conserved_values_by_path(x)
+        assert [type(v) for v in got] == [float] * (2 * n + 1)
+        assert got[0].hex() == got[-1].hex() == (1.0).hex()
 
 
 def test_elementary_symmetric_z_poly_edges():

@@ -1,7 +1,6 @@
 import ast
 import functools
 import hashlib
-import itertools
 import math
 import operator
 import tracemalloc
@@ -636,19 +635,19 @@ def test_trajectory_kernel_equals_the_per_step_loop(rng, n):
 
 def _per_point_integrate(x0, T, h):
     """integrate's (times, states, drifts) as they were built before flat
-    storage: the trajectory kernel's z and Q tuples appended to two lists,
-    one PhasePoint a state after x0 itself, and the times and drifts as
+    storage: the trajectory kernel's state tuples appended to a list, one
+    PhasePoint a state after x0 itself, and the times and drifts as
     tuples."""
     steps, state = dynamics._initial_state(x0, T, h)
     n = x0.n
     reference = conserved_values_by_path if n <= MAX_SYMBOLIC_RANK else conserved_values
     f0 = [float(f) for f in reference(x0)]
     scales = [max(1.0, abs(f)) for f in f0]
-    z, Q, drifts = [], [], [0.0]
-    k, state = _trajectory_kernel(n)(*state, h, steps, *f0, *scales, z.append, Q.append,
+    kept, drifts = [], [0.0]
+    k, state = _trajectory_kernel(n)(*state, h, steps, *f0, *scales, kept.append,
                                      drifts.append)
     dynamics._check_window(n, state, k * h)
-    points = map(PhasePoint._trusted, itertools.repeat(n), z, Q)
+    points = (PhasePoint._trusted(n, s[:n], s[n:]) for s in kept)
     return tuple(j * h for j in range(steps + 1)), (x0, *points), tuple(drifts)
 
 
@@ -694,6 +693,37 @@ def test_integrate_retains_2n_plus_1_floats_a_state():
     assert retained / (steps + 1) < (2 * n + 1) * 8 + 16
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_trajectory_kernel_keeps_each_state_by_one_call(rng, n):
+    # one call of keep per state inside the window, with the state's 2n-tuple
+    # (z_1..z_n, Q_1..Q_n); the state that leaves the window is not kept
+    reference = [1.0] * (2 * n + 1) * 2  # F(0) and the scales; any floats serve
+    x = to_phase(random_canonical(n, rng))
+    state, expected = x.z + x.Q, []
+    for _ in range(5):
+        state = _rk4_kernel(n)(*state, 2.0 ** -10)
+        expected.append((_bits(state),))
+    calls = []
+    k, last = _trajectory_kernel(n)(*x.z, *x.Q, 2.0 ** -10, 5, *reference,
+                                    lambda *args: calls.append(args), [].append)
+    assert k == 5 and _bits(last) == expected[-1][0]
+    assert all(type(a) is tuple for (a,) in calls)
+    assert [tuple(map(_bits, args)) for args in calls] == expected
+    for _ in range(100):
+        x = to_phase(random_canonical(n, rng, scale=3.0))
+        calls.clear()
+        try:
+            k, _ = _trajectory_kernel(n)(*x.z, *x.Q, 0.25, 16, *reference,
+                                         lambda *args: calls.append(args), [].append)
+        except ZeroBaseError:
+            continue
+        if k < 16:
+            break
+    else:
+        pytest.fail("no draw left the window")
+    assert len(calls) == k - 1 and {len(a) for (a,) in calls} <= {2 * n}
+
+
 @pytest.mark.parametrize("n", range(1, 9))
 def test_kernel_sources_do_float_arithmetic_only(monkeypatch, n):
     # an int operand sends a float operation down CPython's generic path, so
@@ -728,7 +758,7 @@ def test_kernels_reject_a_zero_z_at_every_position(n):
             z = [1.5] * n
             z[j] = zero
             drift = [0.0] * (2 * n + 1) + [1.0] * (2 * n + 1)  # F(0) and the scales
-            keep = [[].append] * 3
+            keep = [[].append] * 2
             for call in (lambda: _rk4_kernel(n)(*z, *([0.25] * n), 1e-3),
                          lambda: _rk4_loop_kernel(n)(*z, *([0.25] * n), 1e-3, 1),
                          lambda: _trajectory_kernel(n)(*z, *([0.25] * n), 1e-3, 1, *drift, *keep),
@@ -855,6 +885,68 @@ def test_kernel_tapes_are_pinned(monkeypatch, kernel, n):
     assert _tape_digest(monkeypatch, kernel, n) == TAPE_SHA256[kernel][n - 1]
 
 
+_AST_OPS = {"+": ast.Add, "-": ast.Sub, "*": ast.Mult, "/": ast.Div}
+
+
+def _grouping_pairs(n, fn, extra, temp="t"):
+    """(parsed, expected) ast.dump pairs for every body line and output that
+    _straight_line writes for fn: the expected tree is built from the tape
+    alone, an input or a node with its own line being a Name and every other
+    node its BinOp or UnaryOp, so equal dumps mean that the code groups each
+    operation as the tape does."""
+    names, body, out = dynamics._straight_line(n, fn, extra, temp)
+    tape = []
+    inputs = [dynamics._Traced.node(tape, (None, name, None)) for name in names]
+    outputs = [dynamics._operand(v) for v in fn(*inputs)]
+    assert len(out) == len(outputs)
+    lines = [ast.parse(line).body[0] for line in body]
+    assert all(isinstance(line, ast.Assign) and len(line.targets) == 1 for line in lines)
+    targets = [line.targets[0].id for line in lines]
+    own = [int(t[len(temp):]) for t in targets]
+    assert targets == [f"{temp}{k}" for k in own] and own == sorted(set(own))
+
+    def tree(v, line=None):
+        if type(v) is str:  # a constant, which the code writes as a float literal
+            value = float(v)
+            literal = ast.Constant(abs(value))
+            return ast.UnaryOp(ast.USub(), literal) if math.copysign(1.0, value) < 0 else literal
+        op, a, b = tape[v]
+        if op is None:
+            return ast.Name(a, ast.Load())
+        if v in own and v != line:
+            return ast.Name(f"{temp}{v}", ast.Load())
+        if a is None:
+            return ast.UnaryOp(ast.USub(), tree(b))
+        return ast.BinOp(tree(a), _AST_OPS[op](), tree(b))
+
+    pairs = [(ast.dump(line.value), ast.dump(tree(k, k))) for line, k in zip(lines, own)]
+    pairs += [(ast.dump(ast.parse(text, mode="eval").body), ast.dump(tree(v)))
+              for text, v in zip(out, outputs)]
+    return pairs
+
+
+def _hand_tape(z0, z1, q0, q1):
+    """Negations, constants (negative ones and ints among them) and right-nested
+    ``-`` and ``/``, each result used once so that it is written inline."""
+    return (z0 - (z1 - q0), z0 / (z1 / q0), z0 - (z1 + q0), z0 / (z1 * q0),
+            (z0 - z1) - (q0 - q1), -(z0 * z1), -(z0 + z1) * 2, -z0 * q1, 1.5 - -z1,
+            z0 * -3.0, -(-q0), q1 - z1 / (z0 - 0.5), (z0 + z1) * (q0 - q1) / (z1 - q1),
+            2 - (q0 - (q1 - (z0 - z1))), z0 - z0 * z1, q0 / -q1, -(q0 / (z1 - -2.0)))
+
+
+@pytest.mark.parametrize("tape", ["rk4", "chain_sums", "hand"])
+def test_straight_line_groups_every_operation_as_the_tape(tape):
+    cases = {"rk4": [(n, dynamics._rk4_traced(n), ("h",), "t") for n in range(1, 9)],
+             "chain_sums": [(n, dynamics._chain_sums_traced(n), (), "u")
+                            for n in range(1, 9)],
+             "hand": [(2, _hand_tape, (), "t")]}[tape]
+    for n, fn, extra, temp in cases:
+        pairs = _grouping_pairs(n, fn, extra, temp)
+        assert pairs and all(got == want for got, want in pairs), n
+    if tape == "hand":  # every node of the hand tape is written inline
+        assert dynamics._straight_line(2, _hand_tape, ())[1] == []
+
+
 def test_trace_caps_the_inline_depth_below_the_parser_limit(rng):
     # a left fold of 300 inputs is one chain of single-use nodes; inlined
     # whole it would nest 300 parentheses deep, and the parser allows 200
@@ -878,7 +970,7 @@ def test_integrate_drifts_equal_the_pass_on_the_returned_states(rng, n, monkeypa
                                                                 fresh_kernels):
     x = to_phase(random_canonical(n, rng))
     traj = integrate(x, T=8 * 2.0 ** -10, h=2.0 ** -10)
-    # F(0) as the reference route returns it (Fraction entries at n <= 6)
+    # F(0) as the reference route returns it
     f0 = (conserved_values_by_path if n <= MAX_SYMBOLIC_RANK else conserved_values)(x)
     scales = [max(1.0, abs(f)) for f in f0]
     expected = [0.0] + [
@@ -886,11 +978,11 @@ def test_integrate_drifts_equal_the_pass_on_the_returned_states(rng, n, monkeypa
             _chain_sums(n, y.z, [1 / v for v in y.z], y.Q, 1.0, 0.0), f0, scales))
         for y in traj.states[1:]]
     assert _bits(traj.drifts) == _bits(expected)
-    # the loop is given float F(0) entries and scales, converted once per call
+    # the loop is given float F(0) entries and scales
     kernel = _trajectory_kernel(n)
 
     def float_only(*args):
-        reference = args[2 * n + 2:-3]
+        reference = args[2 * n + 2:-2]
         assert [type(v) for v in reference] == [float] * (4 * n + 2), reference
         return kernel(*args)
 

@@ -140,15 +140,16 @@ def test_str_deterministic_and_json_roundtrip(rng):
 
 def evaluate_term_by_term(p, z, Q):
     """LaurentPoly.evaluate as a plain loop over the terms: each term is its
-    coefficient times z_i ** e and Q_i ** e in variable order, and the terms
-    are added in storage order."""
+    coefficient, as a float at a float point, times z_i ** e and Q_i ** e in
+    variable order, and the terms are added in storage order."""
     if len(z) != p.n or len(Q) != p.n:
         raise IndexMismatchError("point size does not match variable count")
     if any(v == 0 for v in z):
         raise ZeroBaseError("evaluation requires all z_i != 0")
+    to = float if any(type(v) is float for v in (*z, *Q)) else Fraction
     acc = None
     for (ez, eq), c in p.terms.items():
-        term = c
+        term = to(c)
         for base, e in zip(z, ez):
             if e:
                 term = term * base ** e
@@ -287,15 +288,17 @@ def test_evaluate_alternating_point_types():
 
 def test_evaluate_zero_and_constant_polynomials():
     zero, seven = LaurentPoly.zero(2), LaurentPoly.constant(2, Fraction(7, 3))
-    for z, Q, zero_value in [((0.5, -2.0), (0.25, 0.0), 0.0),
-                             ((Fraction(1, 2), 3), (Fraction(1), 0), Fraction(0)),
-                             ((1, 2), (0, 0), Fraction(0))]:
+    for z, Q, to in [((0.5, -2.0), (0.25, 0.0), float),
+                     ((1, 2.0), (0, 0), float),
+                     ((Fraction(1, 2), 3), (Fraction(1), 0), Fraction),
+                     ((1, 2), (0, 0), Fraction)]:
         got = zero.evaluate(z, Q)
-        assert type(got) is type(zero_value) and got == zero_value
+        assert type(got) is to and got == 0 and repr(got) == repr(to(0))
         assert_same_values([zero, seven], z, Q)
-        # a constant term keeps its Fraction at a float point: F_0 = 1
-        assert outcome(seven.evaluate, z, Q) == (Fraction, repr(Fraction(7, 3)))
-    assert type(f_poly(2, 0).evaluate((0.5, -2.0), (0.25, 0.0))) is Fraction
+        # a constant is a float at a float point, as every other value there
+        assert outcome(seven.evaluate, z, Q) == (to, repr(to(Fraction(7, 3))))
+    one = f_poly(2, 0).evaluate((0.5, -2.0), (0.25, 0.0))
+    assert type(one) is float and one.hex() == (1.0).hex()
 
 
 def test_evaluate_error_cases():
@@ -348,9 +351,8 @@ def evaluate_parent_route(p, z, Q):
     """The term loop of LaurentPoly.evaluate, each term built from its key:
     its coefficient times point[v] ** e over the key's nonzero exponents in
     variable order, z half then Q half, and the terms added in storage
-    order.  At a float point the coefficient of a term with a factor is
-    first converted as numerator / denominator; a constant term keeps its
-    Fraction."""
+    order.  At a float point each coefficient is first converted as
+    numerator / denominator."""
     if len(z) != p.n or len(Q) != p.n:
         raise IndexMismatchError("point size does not match variable count")
     if any(v == 0 for v in z):
@@ -362,7 +364,7 @@ def evaluate_parent_route(p, z, Q):
     acc = None
     for (ez, eq), c in p.terms.items():
         powers = [(v, e) for v, e in enumerate(ez + eq) if e]
-        term = c.numerator / c.denominator if floats and powers else c
+        term = c.numerator / c.denominator if floats else c
         for v, e in powers:
             term = term * point[v] ** e
         acc = term if acc is None else acc + term

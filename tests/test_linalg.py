@@ -958,8 +958,9 @@ def reference_float_det(rows):
 
 
 def reference_float_lu_unit_lower(rows):
-    """A float Doolittle loop of its own: whole-row updates, each eliminated
-    entry set to 0.0, and the SINGULARITY_RTOL rule on the diagonal."""
+    """A float Doolittle loop of its own: whole-row updates, the
+    SINGULARITY_RTOL rule on the diagonal, and U's strictly lower part
+    0.0."""
     d = len(rows)
     tol = float_tolerance(rows)
     low = [[1.0 if i == j else 0.0 for j in range(d)] for i in range(d)]
@@ -972,8 +973,7 @@ def reference_float_lu_unit_lower(rows):
                 f = up[r][c] / up[c][c]
                 low[r][c] = f
                 up[r] = [v - f * w for v, w in zip(up[r], up[c])]
-                up[r][c] = 0.0
-    return tuple(map(tuple, low)), tuple(map(tuple, up))
+    return tuple(map(tuple, low)), tuple(tuple([0.0] * i + r[i:]) for i, r in enumerate(up))
 
 
 # k/8 entries, signed zeros, and entries within 2^-20 of the pivot threshold
@@ -1019,6 +1019,23 @@ def test_float_pivot_rule_at_the_threshold(f, singular):
             assert repr(tuple(f.rows for f in m.lu_unit_lower())) == repr(
                 reference_float_lu_unit_lower(rows))
             assert solve(m, SquareMatrix.identity(2, "float")) == m.inverse()
+
+
+@pytest.mark.parametrize("rows", [
+    [[1.0, 2.0], [-0.0, 3.0]],
+    [[2.0, 1.0, -1.0], [-0.0, 1.0, 0.5], [-0.0, 4.0, 3.0]],
+    [[2.0, 1.0, -1.0], [1.0, -0.5, 0.5], [-0.0, -0.0, 3.0]],
+    [[-1.0, 0.5, 0.0, 1.0], [-0.0, 2.0, -0.0, 1.0], [0.5, -0.0, 1.0, -0.0],
+     [-0.0, 1.0, -0.0, 4.0]],
+])
+def test_float_lu_puts_positive_zeros_under_the_diagonal_of_u(rows):
+    # the pass skips a row whose entry in the pivot column is a zero of either
+    # sign; U reads +0.0 there, as it does under each eliminated entry
+    lower, upper = SquareMatrix(rows, "float").lu_unit_lower()
+    below = [v for i, r in enumerate(upper.rows) for v in r[:i]]
+    assert below and all(v == 0 and math.copysign(1.0, v) == 1.0 for v in below)
+    assert any(math.copysign(1.0, v) < 0 for r in rows for v in r)
+    assert repr((lower.rows, upper.rows)) == repr(reference_float_lu_unit_lower(rows))
 
 
 # -- the reversal conjugation as an index flip, and rejected inputs -------------
