@@ -7,7 +7,12 @@ output that cannot be written.
 Every point argument goes through `_parse_point`: a phase point or a
 canonical point, as inline JSON, a JSON file or a bare comma list;
 rationals are encoded as "p/q" strings, floats as plain numbers.  The
-environment variable TODA_BN_SEED provides the default seed for `verify`.
+four --point subcommands (lax, conserved, backlund, canonical) share one
+parse-and-emit path, `cmd_point`, and differ only in their payload
+function of (phase point, canonical point, args).  `main` lifts Python's
+int/str digit limit for the length of one call, since exact points and
+orbits write integers of any length.  The environment variable
+TODA_BN_SEED provides the default seed for `verify`.
 """
 
 from __future__ import annotations
@@ -134,22 +139,23 @@ def _json_dumps(obj) -> str:
         raise CliError(f"result is not finite: {e}") from e
 
 
-def cmd_lax(args) -> int:
-    x, _ = _parse_point(args.point, args.n)
-    L = lx.build_lax(x)
-    rep = lx.gamma_membership(L)
-    _emit([_json_dumps({"n": x.n, "L": L.to_json_obj(),
-                        "in_gamma": rep.in_gamma})], args.out)
+def cmd_point(args) -> int:
+    """A --point subcommand: its payload of the point, as indented JSON."""
+    x, c = _parse_point(args.point, args.n)
+    _emit([_json_dumps(args.payload(x, c, args))], args.out)
     return 0
 
 
-def cmd_conserved(args) -> int:
-    x, _ = _parse_point(args.point, args.n)
+def _lax_payload(x, c, args) -> dict:
+    L = lx.build_lax(x)
+    return {"n": x.n, "L": L.to_json_obj(), "in_gamma": lx.gamma_membership(L).in_gamma}
+
+
+def _conserved_payload(x, c, args) -> dict:
     f = cv.conserved_values(x)
     chains = cv._path_sums(x)
     agree = all(close(a, b, x.mode, ROUTES_RTOL, abs(a)) for a, b in zip(f, chains))
-    _emit([_json_dumps({"F": [format_scalar(v) for v in f], "routes_agree": agree})], args.out)
-    return 0
+    return {"F": [format_scalar(v) for v in f], "routes_agree": agree}
 
 
 def cmd_simulate(args) -> int:
@@ -163,25 +169,18 @@ def cmd_simulate(args) -> int:
     n = x0.n
     header = ["t"] + [f"z_{i + 1}" for i in range(n)] + \
         [f"Q_{i + 1}" for i in range(n)] + ["drift"]
-    rows = (",".join(map(repr, (k * traj.h, *s, drift)))
-            for k, (s, drift) in enumerate(zip(traj.rows(), traj.drift_values)))
+    rows = (",".join(map(repr, (k * traj.h, *row))) for k, row in enumerate(traj.rows()))
     _emit(itertools.chain([",".join(header)], rows), args.out)
     return 0
 
 
-def cmd_backlund(args) -> int:
-    x, _ = _parse_point(args.point, args.n)
+def _backlund_payload(x, c, args) -> dict:
     if args.steps < 0:
         raise CliError("--steps must be >= 0")
-    _emit([_json_dumps(_backlund_payload(x, args.steps, args.route))], args.out)
-    return 0
-
-
-def _backlund_payload(x, steps: int, route: str) -> dict:
-    routes = ("map", "conjugate") if route == "both" else (route,)
-    payload = {"route": route, "steps": []}
+    routes = ("map", "conjugate") if args.route == "both" else (args.route,)
+    payload = {"route": args.route, "steps": []}
     points = {r: x for r in routes}
-    for k in range(steps + 1):
+    for k in range(args.steps + 1):
         entry = {"step": k}
         for r in routes:
             p = points[r]
@@ -190,14 +189,14 @@ def _backlund_payload(x, steps: int, route: str) -> dict:
         if len(routes) == 2:
             entry["routes_agree"] = points["map"] == points["conjugate"]
         payload["steps"].append(entry)
-        if k < steps:
+        if k < args.steps:
             for r in routes:
                 points[r] = (bk.backlund_map(points[r]) if r == "map"
                              else bk.backlund_conjugate(points[r]))
     return payload
 
 
-def _canonical_payload(x, c) -> dict:
+def _canonical_payload(x, c, args) -> dict:
     if c is not None:
         return {"point": x.to_json_obj(),
                 "H_phase": dy.hamiltonian(x),
@@ -206,12 +205,6 @@ def _canonical_payload(x, c) -> dict:
     return {"q": list(c.q), "p": list(c.p),
             "H_phase": float(dy.hamiltonian(x)),
             "H_canonical": dy.hamiltonian_canonical(c)}
-
-
-def cmd_canonical(args) -> int:
-    x, c = _parse_point(args.point, args.n)
-    _emit([_json_dumps(_canonical_payload(x, c))], args.out)
-    return 0
 
 
 def cmd_verify(args) -> int:
@@ -259,13 +252,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n", type=int, default=None, help="expected rank (checked)")
         p.add_argument("--out", default=None, help="write output to this file")
 
-    p = sub.add_parser("lax", help="build the Lax matrix at a point")
-    add_point(p)
-    p.set_defaults(fn=cmd_lax)
+    def point_command(name: str, summary: str, payload) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        add_point(p)
+        p.set_defaults(fn=cmd_point, payload=payload)
+        return p
 
-    p = sub.add_parser("conserved", help="conserved quantities F_0..F_2n at a point")
-    add_point(p)
-    p.set_defaults(fn=cmd_conserved)
+    point_command("lax", "build the Lax matrix at a point", _lax_payload)
+    point_command("conserved", "conserved quantities F_0..F_2n at a point", _conserved_payload)
 
     p = sub.add_parser("simulate", help="integrate the flow with fixed-step RK4")
     add_point(p, init=True)
@@ -273,15 +267,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1e-3, help="step size")
     p.set_defaults(fn=cmd_simulate)
 
-    p = sub.add_parser("backlund", help="iterate the discrete-time map")
-    add_point(p)
+    p = point_command("backlund", "iterate the discrete-time map", _backlund_payload)
     p.add_argument("--steps", type=int, default=1)
     p.add_argument("--route", choices=("map", "conjugate", "both"), default="map")
-    p.set_defaults(fn=cmd_backlund)
-
-    p = sub.add_parser("canonical", help="convert between canonical and phase coordinates")
-    add_point(p)
-    p.set_defaults(fn=cmd_canonical)
+    point_command("canonical", "convert between canonical and phase coordinates",
+                  _canonical_payload)
 
     p = sub.add_parser("verify", help="run the randomized identity suite")
     p.add_argument("--seed", type=int, default=None,
@@ -296,6 +286,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    # the int/str digit limit (Python 3.10.7 on) is lifted for this call only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         return args.fn(args)
     except (CliError, ValueError) as e:
@@ -308,6 +302,9 @@ def main(argv=None) -> int:
         # a float point past the range: an overflow, or a division by an underflowed 0.0
         print(f"error: point is out of the float range: {e}", file=sys.stderr)
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

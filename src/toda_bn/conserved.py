@@ -26,11 +26,12 @@ followed immediately by one starting at kbar.  Both variants expand to
 the same polynomial; the pruning is exactly the pairwise cancellation
 coming from w(k, k+1bar) = -w(k, kbar).  Both variants read one
 interval table per rank, the improved one with those entries dropped or
-marked.  ``f_poly`` expands route two, in either variant, into Laurent
-polynomials.  ``_chain_sums`` evaluates the improved variant at a point in
-O(n^2) scalar operations: it gives the F_i of an exact point
-(``conserved_values_by_path``), the CLI's check of the two routes and the
-flow's F(t).
+marked; a row names its weight by its factors, which ``_chain_sums``
+multiplies and ``f_poly`` turns into exponent keys.  ``f_poly`` expands
+route two, in either variant, into Laurent polynomials.  ``_chain_sums``
+evaluates the improved variant at a point in O(n^2) scalar operations:
+it gives the F_i of an exact point (``conserved_values_by_path``), the
+CLI's check of the two routes and the flow's F(t).
 """
 
 from __future__ import annotations
@@ -56,31 +57,38 @@ MAX_SYMBOLIC_RANK = 6
 def _interval_table(n: int, improved: bool) -> tuple:
     """The weighted intervals of each start x = 1..2n, at index x - 1.
 
-    Each row lists (y, z exponents, Q exponents, sign, forces_next) in
-    increasing y; the weight of (x, y) is the monomial sign * z^e * Q^f.
+    Each row lists (y, sign, factors, forces_next) in increasing y.  A
+    factor is an index into (z_1..z_n, 1/z_1..1/z_n, Q_1..Q_n), z_k or
+    1/z_k first and then the Q_k in increasing k, and the weight of
+    (x, y) is sign times the product of the factors (``_exponents``).
     The improved table drops (k, kbar) for k < n, and its (k, k+1bar)
     forces the next interval to start at kbar.
     """
-    def unit(k: int, power: int = 1) -> tuple:
-        return tuple(power if m == k else 0 for m in range(1, n + 1))
-
-    zeros = (0,) * n
     rows = []
     for k in range(1, n + 1):               # x = k
-        z, tail = unit(k), tuple(int(m >= k) for m in range(1, n + 1))
-        row = [(k, z, zeros, 1, False)]
+        z, tail = (k - 1,), tuple(range(2 * n + k - 1, 3 * n))  # z_k; Q_k..Q_n
+        row = [(k, 1, z, False)]
         if k < n:
-            row += [(k + 1, z, unit(k), -1, False), (2 * n - k, z, tail, 1, improved)]
+            row += [(k + 1, -1, (*z, 2 * n + k - 1), False), (2 * n - k, 1, z + tail, improved)]
         if k == n or not improved:
-            row.append((2 * n + 1 - k, z, tail, -1, False))
+            row.append((2 * n + 1 - k, -1, z + tail, False))
         rows.append(tuple(row))
     for k in range(n, 0, -1):               # x = kbar
-        x, zinv = 2 * n + 1 - k, unit(k, -1)
-        row = [(x, zinv, zeros, 1, False)]
+        x, zinv = 2 * n + 1 - k, (n + k - 1,)
+        row = [(x, 1, zinv, False)]
         if k > 1:
-            row.append((x + 1, zinv, unit(k - 1), -1, False))
+            row.append((x + 1, -1, (*zinv, 2 * n + k - 2), False))
         rows.append(tuple(row))
     return tuple(rows)
+
+
+def _exponents(n: int, factors: Sequence[int]) -> tuple[tuple, tuple]:
+    """The (z exponents, Q exponents) of the product of ``factors``, indices
+    into (z_1..z_n, 1/z_1..1/z_n, Q_1..Q_n)."""
+    counts = [0] * (3 * n)
+    for f in factors:
+        counts[f] += 1
+    return tuple(a - b for a, b in zip(counts, counts[n:2 * n])), tuple(counts[2 * n:])
 
 
 def interval_weight(n: int, x: int, y: int) -> LaurentPoly:
@@ -92,9 +100,9 @@ def interval_weight(n: int, x: int, y: int) -> LaurentPoly:
     """
     if not (1 <= x <= 2 * n and 1 <= y <= 2 * n):
         raise ValueError(f"indices must lie in 1..{2 * n}")
-    for end, wz, wq, sign, _ in _interval_table(n, False)[x - 1]:
+    for end, sign, factors, _ in _interval_table(n, False)[x - 1]:
         if end == y:
-            return LaurentPoly.monomial(n, wz, wq, sign)
+            return LaurentPoly.monomial(n, *_exponents(n, factors), sign)
     return LaurentPoly.zero(n)
 
 
@@ -174,7 +182,8 @@ def _f_polys(n: int, mode: str) -> tuple[LaurentPoly, ...]:
     a term.
     """
     w = _slot_width(n)
-    rows = tuple(tuple((y, _pack(n, wz, wq), wc, nxt) for y, wz, wq, wc, nxt in row)
+    rows = tuple(tuple((y, _pack(n, *_exponents(n, factors)), sign, nxt)
+                       for y, sign, factors, nxt in row)
                  for row in _interval_table(n, mode == "improved"))
     zero: dict = {}
     one = {0: 1}
@@ -229,39 +238,22 @@ def _f_polys(n: int, mode: str) -> tuple[LaurentPoly, ...]:
     return tuple(poly(chains(1, i, False)) for i in range(2 * n + 1))
 
 
-@lru_cache(maxsize=None)
-def _weight_factors(n: int) -> tuple:
-    """The improved interval table with each weight as sparse factors, at
-    index x - 1.
-
-    Each row lists (y, sign, factors, forces_next); a factor is an index
-    into (z_1..z_n, 1/z_1..1/z_n, Q_1..Q_n), and the weight of (x, y) is
-    sign times the product of the factors.  Every exponent in the table
-    is 0 or +-1 (only z appears inverted).
-    """
-    def factors(wz, wq):
-        return tuple([k if e > 0 else n + k for k, e in enumerate(wz) if e]
-                     + [2 * n + k for k, e in enumerate(wq) if e])
-
-    return tuple(tuple((y, sign, factors(wz, wq), nxt) for y, wz, wq, sign, nxt in row)
-                 for row in _interval_table(n, True))
-
-
 def _chain_sums(n: int, z, zinv, Q, one, zero) -> tuple:
     """F_0..F_2n at (z, Q) by one backward pass over the improved interval
     table.
 
     ``z``, ``zinv`` and ``Q`` hold z_k, 1/z_k and Q_k at index k - 1, in
     any ring of the ring contract (``dynamics``) with units ``one`` and
-    ``zero``.  For each position, from 2n down to 1, ``forced[pos][l]`` is
-    the sum over chains of l intervals whose first starts at pos, and
-    ``free[pos][l]`` the sum over chains of l intervals starting at pos or
-    later; F_l = free[1][l].  An interval (pos, y) that forces the next
+    ``zero``.  A weight is the product of its table factors, in their
+    order, negated where its sign is -1.  For each position, from 2n down
+    to 1, ``forced[pos][l]`` is the sum over chains of l intervals whose
+    first starts at pos, and ``free[pos][l]`` the sum over chains of l
+    intervals starting at pos or later; F_l = free[1][l].  An interval (pos, y) that forces the next
     start continues with forced[y + 1], any other with free[y + 1].  The
     pass takes O(n^2) ring operations; over the Laurent variables it gives
     the f_poly, which ``_f_polys`` expands faster.
     """
-    table = _weight_factors(n)
+    table = _interval_table(n, True)
     d = 2 * n
     vals = (*z, *zinv, *Q)
     free = [None] * (d + 2)

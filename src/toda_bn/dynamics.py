@@ -31,13 +31,9 @@ faster than n^2 (1, 4-7 and 190-280 ms of it).  A step then takes about
 Xeon, Python 3.11.7, whose speed varied up to 1.5x between runs).
 
 integrate stores a trajectory flat (Trajectory): the loop hands each
-state, one tuple (z_1..z_n, Q_1..Q_n), to one array('d')'s extend and
-its drift to another's append, so a state is 2n + 1 binary64 values,
-58 B at n = 3 with the arrays' slack (tracemalloc, 4097 states), where a
-PhasePoint a state took 427 B.  integrate then costs about 5.1-5.6, 20-21 and
-1950-2140 us a state at n = 3, 8 and 50 (5.3-5.9, 19-20 and 2040-2120
-with a PhasePoint a state; median of 7, scaled by perfbench/speed.py's
-reference kernel, four alternating runs each on the same host).
+state's row, one tuple (z_1..z_n, Q_1..Q_n, drift), to one array('d')'s
+extend, so a state is 2n + 1 binary64 values, stored in the order of
+simulate's CSV columns.
 
 The exact factorization solution
 L(t) = a(t) L0 a(t)^{-1} with exp(L0 t) = a^{-1} b provides an
@@ -102,13 +98,11 @@ class CanonicalPoint:
 class Trajectory:
     """Fixed-step trajectory with per-state conserved-quantity drift.
 
-    Stored flat, as binary64 values in two ``array('d')``s: ``coords``
-    holds z_1..z_n, Q_1..Q_n of each state in turn, x0 first, and
-    ``drift_values`` each state's drift, 58 B a state at n = 3 over 4097
-    states (tracemalloc; 427 B with a PhasePoint per state).  ``times``,
-    ``states`` and ``drifts`` are tuples read from them: ``states`` is
-    built on first read and kept, the other two are built at each read.
-    t_k is k h.
+    Stored flat, as binary64 values in one ``array('d')``: ``values``
+    holds each state's row (z_1..z_n, Q_1..Q_n, drift) in turn, x0 first.
+    ``times``, ``states`` and ``drifts`` are tuples read from it:
+    ``states`` is built on first read and kept, the other two are built
+    at each read.  t_k is k h.
 
     ``drifts[k]`` is max_i |F_i(t_k) - F_i(0)| / max(1, |F_i(0)|), with
     drifts[0] = 0.  F_i(0) comes from a reference route (the path formula
@@ -120,29 +114,28 @@ class Trajectory:
 
     n: int
     h: float
-    coords: array.array
-    drift_values: array.array
+    values: array.array
 
     @property
     def times(self) -> tuple:
-        return tuple(k * self.h for k in range(len(self.drift_values)))
+        return tuple(k * self.h for k in range(len(self.values) // (2 * self.n + 1)))
 
     @functools.cached_property
     def states(self) -> tuple:
         n = self.n
-        return tuple(PhasePoint._trusted(n, s[:n], s[n:]) for s in self.rows())
+        return tuple(PhasePoint._trusted(n, s[:n], s[n:-1]) for s in self.rows())
 
     @property
     def drifts(self) -> tuple:
-        return tuple(self.drift_values)
+        return tuple(self.values[2 * self.n::2 * self.n + 1])
 
     @property
     def max_drift(self) -> float:
-        return max(self.drift_values)
+        return max(self.drifts)
 
     def rows(self):
-        """Each state's (z_1..z_n, Q_1..Q_n) as a tuple, x0 first."""
-        return zip(*[iter(self.coords)] * (2 * self.n))
+        """Each state's (z_1..z_n, Q_1..Q_n, drift) as a tuple, x0 first."""
+        return zip(*[iter(self.values)] * (2 * self.n + 1))
 
 
 def lax_rhs(L: SquareMatrix) -> SquareMatrix:
@@ -584,10 +577,10 @@ def _rk4_loop_kernel(n: int):
 
 @functools.lru_cache(maxsize=None)
 def _trajectory_kernel(n: int):
-    """trajectory(z_1..z_n, Q_1..Q_n, h, steps, r_0..r_2n, s_0..s_2n, keep,
-    note) -> (k, state): the RK4 loop, which passes each state it keeps to
-    ``keep``, as the tuple (z_1..z_n, Q_1..Q_n), and its drift
-    max_i |F_i - r_i| / s_i to ``note``.
+    """trajectory(z_1..z_n, Q_1..Q_n, h, steps, r_0..r_2n, s_0..s_2n, keep)
+    -> (k, state): the RK4 loop, which passes each state it keeps to
+    ``keep`` as one tuple (z_1..z_n, Q_1..Q_n, drift), the drift being
+    max_i |F_i - r_i| / s_i.
 
     F_0..F_2n come from the chain-sum tape (_chain_sums_traced), run on the
     state in the loop, and the drift's operations are in index order, so
@@ -596,8 +589,8 @@ def _trajectory_kernel(n: int):
     names, sums, f = _straight_line(n, _chain_sums_traced(n), (), "u")
     r, s = ([f"{v}{i}" for i in range(2 * n + 1)] for v in "rs")
     drift = "".join(f"abs({x} - {a}) / {b}, " for x, a, b in zip(f, r, s))
-    return _rk4_loop("trajectory", n, [*r, *s, "keep", "note"], [
-        *sums, f"keep(({''.join(v + ', ' for v in names)}))", f"note(max(({drift})))"])
+    return _rk4_loop("trajectory", n, [*r, *s, "keep"], [
+        *sums, f"keep(({''.join(v + ', ' for v in names)}max(({drift})), ))"])
 
 
 def _check_window(n: int, state: tuple, t: float):
@@ -609,9 +602,10 @@ def _check_window(n: int, state: tuple, t: float):
 def step_count(T: float, h: float, names: tuple[str, str] = ("T", "h")) -> int:
     """The number of RK4 steps of size h that end at time T.
 
-    Raises ValueError unless T and h are finite, T >= 0, h > 0 and T/h is
-    within 1e-9 of a whole number; ``names`` are how the messages call T
-    and h.
+    Raises ValueError unless T and h are finite, T >= 0, h > 0, T/h is
+    below 2^52 and T/h is within 1e-9 of a whole number; ``names`` are how
+    the messages call T and h.  From 2^52 on every float is a whole
+    number, so the last test could not fail there.
     """
     t_name, h_name = names
     if not (math.isfinite(T) and math.isfinite(h)):
@@ -621,7 +615,10 @@ def step_count(T: float, h: float, names: tuple[str, str] = ("T", "h")) -> int:
     if T < 0:
         raise ValueError(f"{t_name} must be >= 0")
     steps = T / h
-    if not math.isfinite(steps) or abs(steps - round(steps)) > 1e-9:
+    if not steps < 2.0 ** 52:
+        raise ValueError(f"{t_name} {T!r} is {steps!r} steps of {h_name} {h!r}; "
+                         "the count must be below 2**52")
+    if abs(steps - round(steps)) > 1e-9:
         raise ValueError(f"{t_name} {T!r} is not a whole number of {h_name} {h!r} steps")
     return round(steps)
 
@@ -672,12 +669,11 @@ def integrate(x0: PhasePoint, T: float, h: float = 1e-3) -> Trajectory:
                  else conserved_values)
     f0 = reference(x0)
     scales = [max(1.0, abs(f)) for f in f0]
-    # each kept state extends coords by its 2n values
-    coords, drifts = array.array("d", state), array.array("d", [0.0])
-    k, state = _trajectory_kernel(n)(*state, h, steps, *f0, *scales, coords.extend,
-                                     drifts.append)
+    # each kept state extends values by its row of 2n + 1
+    values = array.array("d", (*state, 0.0))
+    k, state = _trajectory_kernel(n)(*state, h, steps, *f0, *scales, values.extend)
     _check_window(n, state, k * h)
-    return Trajectory(n, h, coords, drifts)
+    return Trajectory(n, h, values)
 
 
 def flow_conjugations(x0: PhasePoint, t: float) -> tuple[SquareMatrix, SquareMatrix]:

@@ -400,11 +400,28 @@ def test_simulate_bad_range_exits_2_with_one_line(capsys, flags):
     (("--T", "1", "--h", "0"), "--h must be positive"),
     (("--T", "-1"), "--T must be >= 0"),
     (("--T", "1", "--h", "0.3"), "--T 1.0 is not a whole number of --h 0.3 steps"),
+    (("--T", "0.001", "--h", "1e-308"),
+     "--T 0.001 is 1.0000000000000001e+305 steps of --h 1e-308; the count must be below 2**52"),
 ])
 def test_simulate_T_h_messages(capsys, flags, message):
     code, _, err = run(capsys, "simulate", "--init", "0.1,0.2", *flags)
     assert code == 2
     assert err == f"error: {message}\n"
+
+
+def test_simulate_past_2_52_steps_exits_2_at_once():
+    # from 2^52 on every float is whole, so T/h = 1e305 passed the step test
+    # and the run never returned; a fresh process bounds a regression's hang
+    proc = cli_process(["simulate", "--init", '{"q":[0,0],"p":[0,0]}', "--T", "0.001",
+                        "--h", "1e-308"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                       text=True)
+    try:
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: --T 0.001 is ")
 
 
 def test_simulate_ends_at_T(capsys):
@@ -484,6 +501,43 @@ def test_verify_float_report_golden_at_the_defaults(capsys):
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == \
         "45b0535e1570871f32da149b5f7d8b97b58da66ca1fa7d35322c169284a448b1"
+
+
+# the only JSON subcommands whose bytes no other digest pins; canonical at
+# q = p = 0 takes only exp(0) and sqrt, so its bytes do not depend on libm
+POINT_GOLDEN = {
+    "lax-exact": (("lax", "--point", '{"n":3,"z":["2","-3","5/2"],"Q":["1/3","2/5","-1/2"]}'),
+                  "917bfb903633acf05ff2797253241108aed28d540871a644055806204b11b6d0"),
+    "lax-float": (("lax", "--point", '{"n":3,"z":[1.5,0.5,2.0],"Q":[-0.3,0.2,-0.7]}'),
+                  "c007a9cdc9ab3dc316fa089caef80f6772d16cd1ada575df059540e058b71f1f"),
+    "canonical": (("canonical", "--point", '{"q":[0,0,0],"p":[0,0,0]}'),
+                  "13ff9f456c3238335385e04d7ebdb41056fb6b2642d27d1d5f70845d13d6a3c8"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(POINT_GOLDEN))
+def test_point_command_golden(capsys, case):
+    argv, digest = POINT_GOLDEN[case]
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_exact_output_past_the_int_digit_limit(capsys):
+    # z_1 of 4000 digits gives F_i and a Backlund step past Python's
+    # 4300-digit int/str limit; each call lifts it and puts it back
+    limit = sys.get_int_max_str_digits()
+    point = json.dumps({"n": 2, "z": ["7" * 4000, "3"], "Q": ["1/2", "1/5"]})
+    code, out, err = run(capsys, "conserved", "--point", point)
+    assert (code, err) == (0, "")
+    assert max(len(v) for v in json.loads(out)["F"]) > 4300
+    code, out, err = run(capsys, "backlund", "--steps", "1", "--point", point)
+    assert (code, err) == (0, "")
+    last = json.loads(out)["steps"][-1]["map"]
+    code, out, err = run(capsys, "conserved", "--point", json.dumps(last["point"]))
+    assert (code, err) == (0, "")
+    assert json.loads(out)["F"] == last["F"]
+    assert sys.get_int_max_str_digits() == limit
 
 
 # simulate CSVs, drift column included, in the benchmark's argv form:

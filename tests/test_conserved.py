@@ -30,7 +30,7 @@ from toda_bn import (
     ideal_generator,
     interval_weight,
 )
-from toda_bn.conserved import _chain_sums, _f_polys, _pack, _unpack
+from toda_bn.conserved import _chain_sums, _f_polys, _interval_table, _pack, _unpack
 from toda_bn.dynamics import _Dual
 from toda_bn.lax import _lax_inverse_rows
 from toda_bn.verify import (printed_f1, printed_f2_n2, random_canonical, random_point,
@@ -92,6 +92,33 @@ def test_weight_table_every_pair(n):
     for x in range(1, 2 * n + 1):
         for y in range(1, 2 * n + 1):
             assert interval_weight(n, x, y) == expected.get((x, y), LaurentPoly.zero(n)), (x, y)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_interval_table_rows_reproduce_interval_weight(rng, n):
+    # a row (y, sign, factors, forces_next) weighs sign times its factors,
+    # indices into (z, 1/z, Q): z_k or 1/z_k first, then the Q_k ascending.
+    # The original table names every weighted pair; the improved one drops
+    # (k, kbar) for k < n and forces kbar after (k, k+1bar)
+    original, improved = _interval_table(n, False), _interval_table(n, True)
+    pairs = {table: {(x, row[0]) for x, rows in enumerate(table, 1) for row in rows}
+             for table in (original, improved)}
+    assert pairs[original] == set(docstring_weights(n))
+    assert pairs[improved] == pairs[original] - {(k, 2 * n + 1 - k) for k in range(1, n)}
+    for _ in range(3):
+        x = random_point(n, rng)
+        values = (*x.z, *(1 / v for v in x.z), *x.Q)
+        for table in (original, improved):
+            assert len(table) == 2 * n
+            for pos, rows in enumerate(table, 1):
+                assert [y for y, *_ in rows] == sorted({y for y, *_ in rows})
+                for y, sign, factors, forces_next in rows:
+                    head, qs = factors[0], factors[1:]
+                    assert head < 2 * n and list(qs) == sorted(set(qs))
+                    assert all(2 * n <= f < 3 * n for f in qs)
+                    w = sign * functools.reduce(operator.mul, (values[f] for f in factors))
+                    assert w == interval_weight(n, pos, y).evaluate(x.z, x.Q), (pos, y)
+                    assert forces_next == (table is improved and pos < n and y == 2 * n - pos)
 
 
 def test_f1_matches_printed_formula():

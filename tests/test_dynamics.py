@@ -386,9 +386,10 @@ def test_step_count():
 @pytest.mark.parametrize("T,h", [
     (1.0, 0.3), (0.1, 3e-3), (-0.1, 1e-3), (-1e-3, 1e-3), (math.inf, 1e-3),
     (math.nan, 1e-3), (0.1, math.inf), (0.1, math.nan), (0.0, 0.0), (0.1, -1e-3),
-    (1e300, 1e-300),
+    (1e300, 1e-300), (1e17, 3.0), (2.0 ** 52, 1.0), (1e-3, 1e-308),
 ], ids=["not-a-multiple", "not-a-multiple-small", "T-negative", "T-minus-one-step",
-        "T-inf", "T-nan", "h-inf", "h-nan", "h-zero", "h-negative", "T/h-inf"])
+        "T-inf", "T-nan", "h-inf", "h-nan", "h-zero", "h-negative", "T/h-inf",
+        "T/h-whole-past-2^52", "T/h-2^52", "T/h-1e305"])
 def test_flow_rejects_T_h_that_do_not_end_at_T(rng, T, h):
     x = to_phase(random_canonical(1, rng))
     for flow in (rk4_endpoint, integrate):
@@ -402,6 +403,11 @@ def test_step_count_messages():
     # simulate passes its flag names; see test_cli.test_simulate_T_h_messages
     with pytest.raises(ValueError, match=r"^T 1\.0 is not a whole number of h 0\.3 steps$"):
         step_count(1.0, 0.3)
+    # 1e17 / 3 rounds to a whole float, which the whole-number test cannot reject
+    with pytest.raises(ValueError, match=r"^T 1e\+17 is 3\.3333333333333332e\+16 steps of h 3\.0; "
+                                         r"the count must be below 2\*\*52$"):
+        step_count(1e17, 3.0)
+    assert step_count(2.0 ** 52 - 1, 1.0) == 2 ** 52 - 1
 
 
 def test_rk4_stage_with_zero_z_raises():
@@ -643,12 +649,11 @@ def _per_point_integrate(x0, T, h):
     reference = conserved_values_by_path if n <= MAX_SYMBOLIC_RANK else conserved_values
     f0 = [float(f) for f in reference(x0)]
     scales = [max(1.0, abs(f)) for f in f0]
-    kept, drifts = [], [0.0]
-    k, state = _trajectory_kernel(n)(*state, h, steps, *f0, *scales, kept.append,
-                                     drifts.append)
+    kept = []
+    k, state = _trajectory_kernel(n)(*state, h, steps, *f0, *scales, kept.append)
     dynamics._check_window(n, state, k * h)
-    points = (PhasePoint._trusted(n, s[:n], s[n:]) for s in kept)
-    return tuple(j * h for j in range(steps + 1)), (x0, *points), tuple(drifts)
+    points = (PhasePoint._trusted(n, s[:n], s[n:-1]) for s in kept)
+    return tuple(j * h for j in range(steps + 1)), (x0, *points), (0.0, *(s[-1] for s in kept))
 
 
 def _view_bits(times, states, drifts):
@@ -675,10 +680,23 @@ def test_trajectory_views_equal_the_per_point_construction(rng, n):
     assert _bits(states[0].Q) == _bits(frozen.Q)  # -0.0 kept
 
 
+@pytest.mark.parametrize("n", [1, 3, 8])
+def test_trajectory_rows_are_the_states_with_their_drifts(rng, n):
+    # one row (z_1..z_n, Q_1..Q_n, drift) a state, x0 first, in simulate's
+    # CSV column order; the flat array holds exactly those 2n + 1 floats
+    h, steps = 2.0 ** -10, 32
+    traj = integrate(to_phase(random_canonical(n, rng)), steps * h, h)
+    rows = list(traj.rows())
+    assert all(type(row) is tuple for row in rows)
+    assert [_bits(row) for row in rows] == \
+        [_bits(y.z + y.Q + (d,)) for y, d in zip(traj.states, traj.drifts)]
+    assert len(rows) == steps + 1
+    assert traj.values.typecode == "d" and len(traj.values) == (2 * n + 1) * (steps + 1)
+
+
 def test_integrate_retains_2n_plus_1_floats_a_state():
-    # a state is its 2n coordinates and its drift, binary64 in two flat
-    # arrays; 16 B a state covers the arrays' over-allocation.  A PhasePoint
-    # a state held 427 B at n = 3
+    # a state is its 2n coordinates and its drift, binary64 in one flat
+    # array; 16 B a state covers the array's over-allocation
     n, steps, h = 3, 4096, 2.0 ** -10
     x = to_phase(CanonicalPoint((0.31, -0.52, 0.17), (0.12, -0.43, 0.64)))
     integrate(x, T=h, h=h)  # compile the kernel and fill F(0)'s caches
@@ -695,33 +713,40 @@ def test_integrate_retains_2n_plus_1_floats_a_state():
 
 @pytest.mark.parametrize("n", [1, 3, 8])
 def test_trajectory_kernel_keeps_each_state_by_one_call(rng, n):
-    # one call of keep per state inside the window, with the state's 2n-tuple
-    # (z_1..z_n, Q_1..Q_n); the state that leaves the window is not kept
-    reference = [1.0] * (2 * n + 1) * 2  # F(0) and the scales; any floats serve
+    # one call of keep per state inside the window, with the state's row
+    # (z_1..z_n, Q_1..Q_n, drift); the state that leaves the window is not kept
     x = to_phase(random_canonical(n, rng))
-    state, expected = x.z + x.Q, []
+    h = 2.0 ** -10
+    f0 = [float(f) for f in (conserved_values_by_path if n <= MAX_SYMBOLIC_RANK
+                             else conserved_values)(x)]
+    scales = [max(1.0, abs(f)) for f in f0]
+    state, states, drifts = x.z + x.Q, [], []
     for _ in range(5):
-        state = _rk4_kernel(n)(*state, 2.0 ** -10)
-        expected.append((_bits(state),))
+        state = _rk4_kernel(n)(*state, h)
+        states.append(_bits(state))
+        drifts.append(max(map(operator.truediv, map(abs, map(
+            operator.sub, _chain_sums_kernel(n)(*state), f0)), scales)))
     calls = []
-    k, last = _trajectory_kernel(n)(*x.z, *x.Q, 2.0 ** -10, 5, *reference,
-                                    lambda *args: calls.append(args), [].append)
-    assert k == 5 and _bits(last) == expected[-1][0]
+    k, last = _trajectory_kernel(n)(*x.z, *x.Q, h, 5, *f0, *scales,
+                                    lambda *args: calls.append(args))
+    assert k == 5 and _bits(last) == states[-1]
     assert all(type(a) is tuple for (a,) in calls)
-    assert [tuple(map(_bits, args)) for args in calls] == expected
+    assert [_bits(a[:-1]) for (a,) in calls] == states
+    assert _bits([a[-1] for (a,) in calls]) == _bits(drifts)
+    assert _bits(drifts) == _bits(integrate(x, 5 * h, h).drifts[1:])
     for _ in range(100):
         x = to_phase(random_canonical(n, rng, scale=3.0))
         calls.clear()
         try:
-            k, _ = _trajectory_kernel(n)(*x.z, *x.Q, 0.25, 16, *reference,
-                                         lambda *args: calls.append(args), [].append)
+            k, _ = _trajectory_kernel(n)(*x.z, *x.Q, 0.25, 16, *f0, *scales,
+                                         lambda *args: calls.append(args))
         except ZeroBaseError:
             continue
         if k < 16:
             break
     else:
         pytest.fail("no draw left the window")
-    assert len(calls) == k - 1 and {len(a) for (a,) in calls} <= {2 * n}
+    assert len(calls) == k - 1 and {len(a) for (a,) in calls} <= {2 * n + 1}
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -758,10 +783,10 @@ def test_kernels_reject_a_zero_z_at_every_position(n):
             z = [1.5] * n
             z[j] = zero
             drift = [0.0] * (2 * n + 1) + [1.0] * (2 * n + 1)  # F(0) and the scales
-            keep = [[].append] * 2
+            keep = [].append
             for call in (lambda: _rk4_kernel(n)(*z, *([0.25] * n), 1e-3),
                          lambda: _rk4_loop_kernel(n)(*z, *([0.25] * n), 1e-3, 1),
-                         lambda: _trajectory_kernel(n)(*z, *([0.25] * n), 1e-3, 1, *drift, *keep),
+                         lambda: _trajectory_kernel(n)(*z, *([0.25] * n), 1e-3, 1, *drift, keep),
                          lambda: _chain_sums_kernel(n)(*z, *([0.25] * n))):
                 with pytest.raises(ZeroBaseError, match=r"^all z_i must be nonzero$"):
                     call()
@@ -982,7 +1007,7 @@ def test_integrate_drifts_equal_the_pass_on_the_returned_states(rng, n, monkeypa
     kernel = _trajectory_kernel(n)
 
     def float_only(*args):
-        reference = args[2 * n + 2:-2]
+        reference = args[2 * n + 2:-1]
         assert [type(v) for v in reference] == [float] * (4 * n + 2), reference
         return kernel(*args)
 
