@@ -73,6 +73,5 @@ from .splitting import (
     pattern_dimension,
     project,
 )
-from .verify import IdentityResult, VerifySuiteConfig, run_suite
 
 __version__ = "0.1.0"

@@ -38,7 +38,7 @@ rejects n = 1; the closed-form map backlund_map handles n = 1 fine.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegeneratePointError
 from .lax import PhasePoint, _c_rows, _qz, build_lax, parameters_from_lax
@@ -50,8 +50,7 @@ from .dynamics import rk4_endpoint
 KR_CHECK_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class KRFactors:
+class KRFactors(NamedTuple):
     """Closed-form factors of C = K @ R^{-1} with their auxiliaries.
 
     M holds (M_0, M_1, .., M_{n+1}) with the boundary values pinned to 1;
@@ -212,8 +211,7 @@ def iterate(x: PhasePoint, steps: int) -> list[PhasePoint]:
     return out
 
 
-@dataclass(frozen=True)
-class CommutationReport:
+class CommutationReport(NamedTuple):
     """Endpoint comparison of map-then-flow against flow-then-map."""
 
     discrepancy: float

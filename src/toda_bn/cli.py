@@ -11,8 +11,9 @@ four --point subcommands (lax, conserved, backlund, canonical) share one
 parse-and-emit path, `cmd_point`, and differ only in their payload
 function of (phase point, canonical point, args).  `main` lifts Python's
 int/str digit limit for the length of one call, since exact points and
-orbits write integers of any length.  The environment variable
-TODA_BN_SEED provides the default seed for `verify`.
+orbits write integers of any length.  `verify` is imported by its own
+command, `cmd_verify`, so no other subcommand loads `toda_bn.verify`.  The
+environment variable TODA_BN_SEED provides the default seed for `verify`.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from . import dynamics as dy
 from . import lax as lx
 from .errors import TodaError
 from .linalg import close, format_scalar
-from .verify import VerifySuiteConfig, run_suite
 
 
 #: `conserved` at a float point: the char_poly and chain-sum values of each
@@ -208,6 +208,8 @@ def _canonical_payload(x, c, args) -> dict:
 
 
 def cmd_verify(args) -> int:
+    from .verify import VerifySuiteConfig, run_suite
+
     seed = args.seed
     if seed is None:
         seed = int(os.environ.get("TODA_BN_SEED", "7"))

@@ -36,11 +36,10 @@ CLI's check of the two routes and the flow's F(t).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import exp
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DegeneratePointError, ModeError
 from .laurent import LaurentPoly
@@ -390,8 +389,7 @@ def ideal_generator(i: int, x: PhasePoint, eps: Sequence[float]) -> float:
     return float(f) - float(elementary_symmetric(i, values))
 
 
-@dataclass(frozen=True)
-class PathWeightReport:
+class PathWeightReport(NamedTuple):
     """Outcome of the executable factorization oracle behind the path formula."""
 
     c_factorization_ok: bool        # C = Z * (D Lambda D^{-1})

@@ -22,8 +22,9 @@ float arithmetic only and float results keep their bits.  Two kernels
 run the RK4 tape as one loop over the steps, the state in their locals
 and the Z_WINDOW test inline: _rk4_loop_kernel for rk4_endpoint, which
 keeps no state but the last, and _trajectory_kernel for integrate, which
-after each step also runs the chain-sum tape and the drift.  (_trace
-compiles one tape as a single call.)  Tracing and compiling take about
+after each step also runs the chain-sum tape and the drift.  (The tests
+compile one tape as a single call, from _straight_line and _define, to
+check the loops step by step.)  Tracing and compiling take about
 2, 6 and 35-40 ms at n = 3, 8 and 50 for the RK4 loop, and about 3,
 8-13 and 320 ms for the trajectory loop, whose chain-sum tape grows
 faster than n^2 (1, 4-7 and 190-280 ms of it).  A step then takes about
@@ -60,13 +61,12 @@ import collections
 import functools
 import math
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 from .conserved import (MAX_SYMBOLIC_RANK, _chain_sums, conserved_values,
                         conserved_values_by_path)
 from .errors import ModeError, OutOfChartError, StepBlowupError, ZeroBaseError
-from .lax import PhasePoint, _lax_rows, build_lax, parameters_from_lax
+from .lax import PhasePoint, _Record, _lax_rows, build_lax, parameters_from_lax
 from .linalg import _UNITS, SquareMatrix, conjugate, mat_exp
 from .splitting import factor_minus_plus, project
 
@@ -74,28 +74,27 @@ from .splitting import factor_minus_plus, project
 Z_WINDOW = (1e-12, 1e12)
 
 
-@dataclass(frozen=True)
-class CanonicalPoint:
+class CanonicalPoint(_Record):
     """Canonical coordinates (q_1..q_n, p_1..p_n) of the real chart."""
 
-    q: tuple
-    p: tuple
+    __slots__ = ("q", "p")
+    _fields = ("q", "p")
 
-    def __post_init__(self):
-        if len(self.q) != len(self.p) or not self.q:
+    def __init__(self, q: tuple, p: tuple):
+        if len(q) != len(p) or not q:
             raise ValueError("q and p must be nonempty and of equal length")
-        object.__setattr__(self, "q", tuple(float(v) for v in self.q))
-        object.__setattr__(self, "p", tuple(float(v) for v in self.p))
-        if not all(math.isfinite(v) for v in (*self.q, *self.p)):
+        q = tuple(float(v) for v in q)
+        p = tuple(float(v) for v in p)
+        if not all(math.isfinite(v) for v in (*q, *p)):
             raise ValueError("coordinates must be finite")
+        super().__init__(q, p)
 
     @property
     def n(self) -> int:
         return len(self.q)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Record):
     """Fixed-step trajectory with per-state conserved-quantity drift.
 
     Stored flat, as binary64 values in one ``array('d')``: ``values``
@@ -112,9 +111,10 @@ class Trajectory:
     routes.
     """
 
-    n: int
-    h: float
-    values: array.array
+    _fields = ("n", "h", "values")
+
+    def __init__(self, n: int, h: float, values: array.array):
+        super().__init__(n, h, values)
 
     @property
     def times(self) -> tuple:
@@ -380,16 +380,6 @@ def _define(kind: str, n: int, params: list, lines: list):
     namespace = {"ZeroBaseError": ZeroBaseError}
     exec(compile("\n".join(source), f"<toda_bn {kind} n={n}>", "exec"), namespace)
     return namespace[kind]
-
-
-def _trace(kind: str, n: int, fn, *extra: str):
-    """fn's run as straight-line code ``kind(z0.., q0.., *extra)``, for rank n.
-
-    See _straight_line; a division by a zero z_i in the kernel raises
-    ZeroBaseError.
-    """
-    names, body, out = _straight_line(n, fn, extra)
-    return _define(kind, n, names, [*body, f"return ({''.join(v + ', ' for v in out)})"])
 
 
 def _chain_sums_traced(n: int):

@@ -28,10 +28,10 @@ float.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from math import isfinite
-from typing import Sequence
+from operator import attrgetter
+from typing import NamedTuple, Sequence
 
 from .errors import NotInGammaError, ZeroBaseError
 from .laurent import LaurentPoly
@@ -44,46 +44,83 @@ from .linalg import (_UNITS, SquareMatrix, _check_finite, close, coerce_scalar,
 RECOVERY_RTOL = 1e-8
 
 
-@dataclass(frozen=True)
-class PhasePoint:
-    """A point (z_1..z_n, Q_1..Q_n) of the 2n-dimensional phase space."""
+class _Record:
+    """Base of the checked point and trajectory classes.
 
-    n: int
-    z: tuple
-    Q: tuple
+    Their fields, named in ``_fields``, cannot be assigned or deleted; they
+    compare field-wise with instances of the same class only, and hash and
+    show as a frozen dataclass would.
+    """
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        cls._values = property(attrgetter(*cls._fields))  # the field tuple
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values == other._values
 
     def __hash__(self):
-        # the dataclass's own hash, computed once: memo lookups rehash points
+        return hash(self._values)
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PhasePoint(_Record):
+    """A point (z_1..z_n, Q_1..Q_n) of the 2n-dimensional phase space."""
+
+    __slots__ = ("n", "z", "Q", "_hash")
+    _fields = ("n", "z", "Q")
+
+    def __init__(self, n: int, z: tuple, Q: tuple):
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise ValueError(f"rank n must be an integer, got {n!r}")
+        if n < 1:
+            raise ValueError("rank n must be >= 1")
+        if len(z) != n or len(Q) != n:
+            raise ValueError("z and Q must both have length n")
+        mode = scalars_mode((*z, *Q))
+        z = tuple(coerce_scalar(v, mode) for v in z)
+        Q = tuple(coerce_scalar(v, mode) for v in Q)
+        if any(v == 0 for v in z):
+            raise ZeroBaseError("all z_i must be nonzero")
+        super().__init__(n, z, Q)
+
+    def __hash__(self):
+        # the hash of (n, z, Q), computed once: memo lookups rehash points
         try:
             return self._hash
         except AttributeError:
-            h = hash((self.n, self.z, self.Q))
+            h = hash(self._values)
             object.__setattr__(self, "_hash", h)
             return h
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("rank n must be >= 1")
-        if len(self.z) != self.n or len(self.Q) != self.n:
-            raise ValueError("z and Q must both have length n")
-        mode = scalars_mode((*self.z, *self.Q))
-        object.__setattr__(self, "z", tuple(coerce_scalar(v, mode) for v in self.z))
-        object.__setattr__(self, "Q", tuple(coerce_scalar(v, mode) for v in self.Q))
-        if any(v == 0 for v in self.z):
-            raise ZeroBaseError("all z_i must be nonzero")
 
     @classmethod
     def _trusted(cls, n: int, z: tuple, Q: tuple) -> "PhasePoint":
         """A point that takes z and Q as they are, unchecked.
 
-        The caller guarantees what ``__post_init__`` would establish: z and
-        Q are tuples of length n >= 1, all exactly Fraction or all exactly
-        float, and no z_i is zero.
+        The caller guarantees what the constructor would establish: n is
+        an int >= 1, z and Q are tuples of length n, all exactly Fraction or
+        all exactly float, and no z_i is zero.
         """
         self = object.__new__(cls)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "Q", Q)
+        _Record.__init__(self, n, z, Q)
         return self
 
     @property
@@ -105,8 +142,7 @@ class PhasePoint:
                    tuple(parse_scalar(v) for v in obj["Q"]))
 
 
-@dataclass(frozen=True)
-class GammaReport:
+class GammaReport(NamedTuple):
     """Membership report for the two defining varieties of the phase space."""
 
     in_gamma1: bool

@@ -25,7 +25,7 @@ the opposite order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DegeneratePointError, SingularMatrixError
 from .linalg import SquareMatrix, close, solve
@@ -37,8 +37,7 @@ _MEMBERSHIP_KINDS = ("g_plus", "g_minus", "G_plus", "G_minus")
 MEMBERSHIP_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
-class SplitPair:
+class SplitPair(NamedTuple):
     """The two projections of a matrix; plus + minus rebuilds the input."""
 
     plus: SquareMatrix

@@ -377,7 +377,7 @@ def check_path_weight_factorization(cfg: VerifySuiteConfig, rng: random.Random) 
             x, rep, rs = sample_generic(lambda: random_point(n, rng), cv.path_weight_oracle)
             resamples += rs
             if not rep.all_ok:
-                return _fail({"n": n, "point": x.to_json_obj(), "report": vars(rep)}, t, resamples)
+                return _fail({"n": n, "point": x.to_json_obj(), "report": rep._asdict()}, t, resamples)
         # documented degeneracy: any Q_i = 0 raises, while both conserved
         # routes still agree at that point
         xq0 = lx.PhasePoint(n, tuple(random_rational(rng) for _ in range(n)),

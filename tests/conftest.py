@@ -6,6 +6,18 @@ import pytest
 from toda_bn import PhasePoint, dynamics
 
 
+def trace(kind: str, n: int, fn, *extra: str):
+    """fn's run as straight-line code ``kind(z0.., q0.., *extra)``, for rank n.
+
+    The single-call form of the RK4 and chain-sum tapes, which the compiled
+    loops of ``dynamics`` run over the steps: see dynamics._straight_line; a
+    division by a zero z_i in the kernel raises ZeroBaseError.
+    """
+    names, body, out = dynamics._straight_line(n, fn, extra)
+    return dynamics._define(kind, n, names,
+                            [*body, f"return ({''.join(v + ', ' for v in out)})"])
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

@@ -614,6 +614,37 @@ def test_package_runs_without_numpy_and_scipy():
     assert done.returncode == 0, done.stderr
 
 
+def test_only_verify_imports_dataclasses_and_the_verify_module():
+    # a None entry makes any import of dataclasses raise ImportError; every
+    # command but verify runs without it, and without loading toda_bn.verify
+    code = ("import json, sys\n"
+            "sys.modules['dataclasses'] = None\n"
+            "import toda_bn\n"
+            "from toda_bn.cli import main\n"
+            "argvs, last = json.loads(sys.argv[1])\n"
+            "for argv in argvs:\n"
+            "    if main(argv) != 0:\n"
+            "        sys.exit(f'{argv} failed')\n"
+            "if 'toda_bn.verify' in sys.modules:\n"
+            "    sys.exit('toda_bn.verify was imported')\n"
+            "del sys.modules['dataclasses']\n"
+            "if main(last) != 0 or 'toda_bn.verify' not in sys.modules:\n"
+            "    sys.exit('verify did not run through toda_bn.verify')\n")
+    exact = '{"n": 2, "z": ["2", "3"], "Q": ["1/2", "1/5"]}'
+    argvs = [["simulate", "--init", json.dumps(SIMULATE_GOLDEN[3][0]), "--T", "0.004",
+              "--h", "0.001"],
+             ["conserved", "--point", exact],
+             ["conserved", "--point", '{"n": 2, "z": [1.5, 0.5], "Q": [-0.3, 0.2]}'],
+             ["lax", "--point", exact],
+             ["canonical", "--point", '{"q": [0.1, -0.2], "p": [0.3, 0.0]}'],
+             ["backlund", "--route", "both", "--point", exact]]
+    last = ["verify", "--mode", "float", "--n-max", "1", "--trials", "1"]
+    env = dict(os.environ, PYTHONPATH=str(Path(toda_bn.__file__).resolve().parent.parent))
+    done = subprocess.run([sys.executable, "-c", code, json.dumps([argvs, last])],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 # -- arbitrary points -------------------------------------------------------------
 #
 # Every command at any point either works or exits 2 with one line: floats

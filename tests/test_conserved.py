@@ -16,6 +16,7 @@ from toda_bn import (
     DegeneratePointError,
     LaurentPoly,
     ModeError,
+    PathWeightReport,
     PhasePoint,
     SquareMatrix,
     build_lax,
@@ -223,7 +224,9 @@ def test_path_weight_oracle_random_points(rng):
 def test_path_weight_oracle_n1_instance():
     x = PhasePoint(1, (Fraction(3, 2),), (Fraction(2, 5),))
     rep = path_weight_oracle(x)
-    assert rep.all_ok
+    assert rep.all_ok and rep == (True,) * 4
+    for k in range(4):  # all_ok needs every one of the four identities
+        assert not PathWeightReport(*((True,) * k + (False,) + (True,) * (3 - k))).all_ok
 
 
 def test_path_weight_oracle_degenerate_q(rng):

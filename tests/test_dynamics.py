@@ -40,6 +40,8 @@ from toda_bn.lax import evaluate_matrix, lax_symbolic
 from toda_bn.verify import (VerifySuiteConfig, check_lax_hamilton, identity_rng,
                             random_canonical, random_matrix, random_point)
 
+from conftest import trace
+
 
 def test_lax_rhs_traceless(rng):
     for _ in range(5):
@@ -212,7 +214,8 @@ def test_symbolic_poisson_rows_evaluate_to_poisson_structure(rng, n):
 
 
 def test_canonical_chart_spot_values():
-    c = CanonicalPoint((0.0, 0.0), (0.0, 0.0))
+    c = CanonicalPoint((0, 0.0), (0.0, -0.0))
+    assert repr(c) == "CanonicalPoint(q=(0.0, 0.0), p=(0.0, -0.0))"
     x = to_phase(c)
     assert abs(x.Q[0] + 1) < 1e-15 and abs(x.Q[1] + 1) < 1e-15
     assert abs(x.z[0] - 1 / math.sqrt(2)) < 1e-15
@@ -298,6 +301,19 @@ def test_integrate_t_zero(rng):
     assert traj.times == (0.0,)
     assert traj.states == (x,)
     assert traj.max_drift == 0.0
+
+
+def test_points_and_trajectories_are_frozen(worked_point, rng):
+    c = random_canonical(2, rng)
+    traj = integrate(to_phase(c), T=2e-3, h=1e-3)
+    q, states = c.q, traj.states
+    assert traj.states is states  # built on first read, then kept
+    for record, field in ((worked_point, "z"), (c, "q"), (traj, "values"), (traj, "states")):
+        with pytest.raises(AttributeError, match=f"^cannot assign to field '{field}'$"):
+            setattr(record, field, ())
+        with pytest.raises(AttributeError, match=f"^cannot delete field '{field}'$"):
+            delattr(record, field)
+    assert (worked_point.z, c.q, traj.states) == ((Fraction(2), Fraction(3)), q, states)
 
 
 def test_integrate_q_zero_constant():
@@ -489,7 +505,7 @@ def _bits(state):
     return tuple("nan" if math.isnan(v) else v.hex() for v in state)
 
 
-# The RK4 step and the chain-sum pass alone, compiled by _trace from the
+# The RK4 step and the chain-sum pass alone, compiled by trace from the
 # functions that _rk4_loop_kernel and _trajectory_kernel trace: the tests
 # compare the single-step kernels with interpreted references, and the
 # loops with them.
@@ -497,13 +513,13 @@ def _bits(state):
 @functools.cache
 def _rk4_kernel(n):
     """rk4(z_1..z_n, Q_1..Q_n, h) -> the state after one _rk4_step."""
-    return dynamics._trace("rk4", n, dynamics._rk4_traced(n), "h")
+    return trace("rk4", n, dynamics._rk4_traced(n), "h")
 
 
 @functools.cache
 def _chain_sums_kernel(n):
     """chain_sums(z_1..z_n, Q_1..Q_n) -> F_0..F_2n, the float pass."""
-    return dynamics._trace("chain_sums", n, dynamics._chain_sums_traced(n))
+    return trace("chain_sums", n, dynamics._chain_sums_traced(n))
 
 
 def _steps(step, state, h, count=20):
@@ -976,7 +992,7 @@ def test_trace_caps_the_inline_depth_below_the_parser_limit(rng):
     # a left fold of 300 inputs is one chain of single-use nodes; inlined
     # whole it would nest 300 parentheses deep, and the parser allows 200
     n = 150
-    fold = dynamics._trace("fold", n, lambda *s: (functools.reduce(operator.add, s),))
+    fold = trace("fold", n, lambda *s: (functools.reduce(operator.add, s),))
     values = [rng.uniform(-1.0, 1.0) for _ in range(2 * n)]
     assert _bits(fold(*values)) == _bits((functools.reduce(operator.add, values),))
 
@@ -984,7 +1000,7 @@ def test_trace_caps_the_inline_depth_below_the_parser_limit(rng):
 def test_trace_keeps_an_unused_division():
     # the kernels use every node they record, so only a traced function that
     # drops a quotient shows that the quotient is still computed
-    kernel = dynamics._trace("drop", 1, lambda z, q: (1 / z, q)[1:])
+    kernel = trace("drop", 1, lambda z, q: (1 / z, q)[1:])
     assert kernel(2.0, 0.5) == (0.5,)
     with pytest.raises(ZeroBaseError, match=r"^all z_i must be nonzero$"):
         kernel(0.0, 0.5)

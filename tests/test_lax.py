@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from toda_bn import (
+    GammaReport,
     LaurentPoly,
     NotInGammaError,
     PhasePoint,
@@ -206,7 +207,16 @@ def test_lax_in_gamma(rng):
 
 def test_identity_not_in_gamma2():
     rep = gamma_membership(SquareMatrix.identity(4))
-    assert not rep.in_gamma2
+    assert not rep.in_gamma2 and not rep.in_gamma
+
+
+def test_gamma_report_is_a_tuple_with_a_default():
+    rep = GammaReport(True, True)
+    assert rep.first_violation is None and rep.in_gamma
+    assert rep == (True, True, None)
+    in_gamma1, in_gamma2, first = GammaReport(True, False, ("gamma2:upper-right-of-L", 0, 1))
+    assert (in_gamma1, in_gamma2, first[0]) == (True, False, "gamma2:upper-right-of-L")
+    assert not GammaReport(False, True).in_gamma
 
 
 def test_gamma1_violation_reported(rng):
@@ -463,6 +473,22 @@ def test_phase_point_hash_is_the_value_hash(rng):
         y = PhasePoint._trusted(x.n, x.z, x.Q)
         assert hash(x) == hash(x) == hash(y) == hash((x.n, x.z, x.Q))
         assert {x: 1}[y] == 1
+
+
+@pytest.mark.parametrize("n", [2.0, True])
+def test_phase_point_rejects_a_rank_that_is_not_an_int(worked_point, n):
+    z, Q = worked_point.z, worked_point.Q
+    with pytest.raises(ValueError) as rejected:
+        PhasePoint(n, z, Q)
+    assert str(rejected.value) == f"rank n must be an integer, got {n!r}"
+    assert PhasePoint._trusted(n, z, Q).n is n  # the unchecked route stays unchecked
+
+
+def test_phase_point_is_a_frozen_record(worked_point):
+    assert repr(worked_point) == ("PhasePoint(n=2, z=(Fraction(2, 1), Fraction(3, 1)), "
+                                  "Q=(Fraction(1, 2), Fraction(1, 5)))")
+    assert worked_point != (worked_point.n, worked_point.z, worked_point.Q)
+    assert worked_point == PhasePoint(2, (2, 3), (Fraction(1, 2), Fraction(1, 5)))
 
 
 def test_phase_point_json(worked_point):
