@@ -18,7 +18,8 @@ given by the closed-form birational map
 with the boundary conventions Q_0+ = 0 and M_0 = M_n = M_{n+1} =
 z_{n+1} = 1.  Both routes are implemented; they agree exactly wherever
 both are defined, and they preserve every conserved quantity (L+ is a
-conjugate of L).
+conjugate of L).  Neither is defined where some M_i, 0 < i < n,
+vanishes; ``_aux`` names the first such i for both.
 
 The conjugation route takes no dense inverse: kr_factors writes K and R
 row by row, takes C from lax._c_rows, the writer build_factors uses, and
@@ -66,6 +67,7 @@ class KRFactors(NamedTuple):
 
 
 def _aux(x: PhasePoint):
+    """(a, b, M) at x; a zero M_i raises DegeneratePointError naming i."""
     n = x.n
     one = _UNITS[x.mode][0]
     a = tuple(_qz(x))
@@ -73,6 +75,8 @@ def _aux(x: PhasePoint):
     M = [one] * (n + 2)
     for i in range(1, n):
         M[i] = 1 - a[i - 1] / b[i]
+        if M[i] == 0:
+            raise DegeneratePointError(f"M_{i} = 1 - Q_{i} z_{i} / z_{i + 1} vanishes")
     return a, b, tuple(M)
 
 
@@ -110,8 +114,6 @@ def kr_factors(x: PhasePoint) -> KRFactors:
     a, b, M = _aux(x)
     mode = x.mode
     one, zero = _UNITS[mode]
-    if any(M[i] == 0 for i in range(1, n)):
-        raise DegeneratePointError("some M_i vanishes; K/R factors undefined")
     if mode == "float":  # the divisors of N_i and of R22's superdiagonal
         for i in range(1, n - 1):
             _check_divisor(f"z_{i + 1} z_{i + 2}", b[i], b[i + 1])
@@ -166,8 +168,6 @@ def backlund_map(x: PhasePoint) -> PhasePoint:
     n = x.n
     _, _, M = _aux(x)
     one, zero = _UNITS[x.mode]
-    if any(M[i] == 0 for i in range(1, n)):
-        raise DegeneratePointError("some M_i vanishes; map undefined")
     if x.mode == "float":  # the squares of Q_i+
         for i in range(1, n + 1):
             _check_square(f"M_{i}", M[i], True)

@@ -67,7 +67,7 @@ from .conserved import (MAX_SYMBOLIC_RANK, _chain_sums, conserved_values,
                         conserved_values_by_path)
 from .errors import ModeError, OutOfChartError, StepBlowupError, ZeroBaseError
 from .lax import PhasePoint, _Record, _lax_rows, build_lax, parameters_from_lax
-from .linalg import _UNITS, SquareMatrix, conjugate, mat_exp
+from .linalg import _UNITS, SquareMatrix, coerce_scalar, conjugate, mat_exp
 from .splitting import factor_minus_plus, project
 
 #: Trajectories must keep every |z_i| inside this window.
@@ -83,8 +83,8 @@ class CanonicalPoint(_Record):
     def __init__(self, q: tuple, p: tuple):
         if len(q) != len(p) or not q:
             raise ValueError("q and p must be nonempty and of equal length")
-        q = tuple(float(v) for v in q)
-        p = tuple(float(v) for v in p)
+        q = tuple(coerce_scalar(v, "float") for v in q)
+        p = tuple(coerce_scalar(v, "float") for v in p)
         if not all(math.isfinite(v) for v in (*q, *p)):
             raise ValueError("coordinates must be finite")
         super().__init__(q, p)

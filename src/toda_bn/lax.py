@@ -45,7 +45,7 @@ RECOVERY_RTOL = 1e-8
 
 
 class _Record:
-    """Base of the checked point and trajectory classes.
+    """Base of the checked point, trajectory and suite-config classes.
 
     Their fields, named in ``_fields``, cannot be assigned or deleted; they
     compare field-wise with instances of the same class only, and hash and
@@ -83,7 +83,9 @@ class _Record:
 
 
 class PhasePoint(_Record):
-    """A point (z_1..z_n, Q_1..Q_n) of the 2n-dimensional phase space."""
+    """A point (z_1..z_n, Q_1..Q_n) of the 2n-dimensional phase space; the
+    one check of a rank (an int >= 1, not a bool) and of coordinates (of
+    one mode, no z_i zero, every float finite)."""
 
     __slots__ = ("n", "z", "Q", "_hash")
     _fields = ("n", "z", "Q")
@@ -100,6 +102,8 @@ class PhasePoint(_Record):
         Q = tuple(coerce_scalar(v, mode) for v in Q)
         if any(v == 0 for v in z):
             raise ZeroBaseError("all z_i must be nonzero")
+        if mode == "float" and not all(map(isfinite, z + Q)):
+            raise ValueError("coordinates must be finite")
         super().__init__(n, z, Q)
 
     def __hash__(self):
@@ -137,7 +141,7 @@ class PhasePoint(_Record):
 
     @classmethod
     def from_json_obj(cls, obj) -> "PhasePoint":
-        return cls(int(obj["n"]),
+        return cls(obj["n"],
                    tuple(parse_scalar(v) for v in obj["z"]),
                    tuple(parse_scalar(v) for v in obj["Q"]))
 

@@ -16,8 +16,8 @@ from __future__ import annotations
 import functools
 import math
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import backlund as bk
 from . import conserved as cv
@@ -29,29 +29,27 @@ from .laurent import LaurentPoly
 from .linalg import SquareMatrix, conjugate
 
 
-@dataclass
-class VerifySuiteConfig:
-    n_max: int = 4
-    trials: int = 50
-    seed: int = 7
-    mode: str = "both"  # rational | float | both
+class VerifySuiteConfig(lx._Record):
+    __slots__ = ("n_max", "trials", "seed", "mode")
+    _fields = ("n_max", "trials", "seed", "mode")
 
-    def __post_init__(self):
-        if self.n_max < 1 or self.trials < 1:
+    def __init__(self, n_max: int = 4, trials: int = 50, seed: int = 7,
+                 mode: str = "both"):  # mode: rational | float | both
+        if n_max < 1 or trials < 1:
             raise ValueError("need n_max >= 1 and trials >= 1")
-        if self.mode not in ("rational", "float", "both"):
+        if mode not in ("rational", "float", "both"):
             raise ValueError("mode must be rational, float or both")
+        super().__init__(n_max, trials, seed, mode)
 
 
-@dataclass
-class IdentityResult:
+class IdentityResult(NamedTuple):
     name: str
     mode: str
     passed: bool
-    trials: int = 0
-    resamples: int = 0
-    counterexample: dict | None = None
-    details: dict = field(default_factory=dict)
+    trials: int
+    resamples: int
+    counterexample: dict | None
+    details: dict
 
     def to_json_obj(self):
         return {
@@ -625,7 +623,7 @@ def check_flow_conservation(cfg: VerifySuiteConfig, rng: random.Random) -> tuple
         details[f"route_gap_n{n}"] = gap
         if gap > 1e-9:
             return _fail({"n": n, "which": "a vs b route"}, details=details)
-        xe = lx.parameters_from_lax(la)  # dy.exact_flow(x, 0.5), from the la in hand
+        xe = dy.exact_flow(x, 0.5)
         xr = dy.rk4_endpoint(x, 0.5, 1e-4)
         gap = max(max(abs(a - b) for a, b in zip(xe.z, xr.z)),
                   max(abs(a - b) for a, b in zip(xe.Q, xr.Q)))

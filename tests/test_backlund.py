@@ -29,8 +29,9 @@ from toda_bn.conserved import _conserved_values_exact
 from toda_bn.errors import TodaError
 from toda_bn.lax import _build_lax_exact
 from toda_bn.linalg import conjugate, solve
+from toda_bn.splitting import factor_minus_plus
 from toda_bn.verify import (printed_backlund_n2, random_canonical, random_matrix, random_point,
-                            random_rational)
+                            random_rational, sample_generic)
 
 
 def test_kr_worked_point(worked_point):
@@ -69,6 +70,30 @@ def test_kr_random_points(rng):
 def test_kr_rejects_n1():
     with pytest.raises(DegeneratePointError):
         kr_factors(PhasePoint(1, (Fraction(2),), (Fraction(1, 3),)))
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_every_route_names_the_same_vanishing_m_i(rng, n):
+    # M_i = 0 where Q_i = z_{i+1} / z_i: the closed form, K/R and the
+    # conjugation route name i, and the factorization of L^-1 that K/R
+    # writes in closed form meets a vanishing leading minor at n - 1 - i
+    def generic(x):  # none raises off the locus
+        backlund_map(x)
+        backlund_conjugate(x)
+        factor_minus_plus(build_lax(x).inverse())
+
+    for i in range(1, n):
+        x, _, _ = sample_generic(lambda: random_point(n, rng), generic)
+        Q = list(x.Q)
+        Q[i - 1] = x.z[i] / x.z[i - 1]
+        x = PhasePoint(n, x.z, tuple(Q))
+        for route in (backlund_map, kr_factors, backlund_conjugate):
+            with pytest.raises(DegeneratePointError) as raised:
+                route(x)
+            assert str(raised.value) == f"M_{i} = 1 - Q_{i} z_{i} / z_{i + 1} vanishes"
+        with pytest.raises(DegeneratePointError) as raised:
+            factor_minus_plus(build_lax(x).inverse())
+        assert str(raised.value) == f"vanishing leading minor at index {n - 1 - i}"
 
 
 def _k_factors(rng, n, count, mode="exact"):

@@ -263,6 +263,7 @@ BAD_POINTS = [
     ("lax", '{"n": 1, "z": [NaN], "Q": [0.5]}'),
     ("lax", '{"n": 1, "z": [Infinity], "Q": [0.5]}'),
     ("lax", '{"n": 2.7, "z": ["2", "3"], "Q": ["1/2", "1/5"]}'),
+    ("lax", '{"n": "2", "z": ["2", "3"], "Q": ["1/2", "1/5"]}'),
     ("lax", '{"n": true, "z": ["2"], "Q": ["1/2"]}'),
     ("conserved", '{"n": 1, "z": 5, "Q": [0.5]}'),
     ("canonical", '{"n": 1, "z": ["1/0"], "Q": ["0"]}'),
@@ -290,6 +291,28 @@ def test_bad_point_exits_2_with_one_line(capsys, command, point):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# The point classes refuse these points, and _parse_point names the class's error.
+REFUSED_POINTS = [
+    ('{"n": 2.7, "z": ["2", "3"], "Q": ["1/2", "1/5"]}', "ValueError: rank n must be an integer, got 2.7"),
+    ('{"n": 2, "z": [NaN, 1], "Q": [0.5, 0.5]}', "ValueError: coordinates must be finite"),
+    ('{"q": [true], "p": [0.0]}', "ModeError: boolean is not a scalar: True"),
+    ('{"q": ["1"], "p": [0.0]}', "ModeError: unsupported scalar type: str"),
+]
+
+
+@pytest.mark.parametrize("point,message", REFUSED_POINTS)
+def test_refused_point_names_the_error_of_its_class(capsys, point, message):
+    assert run(capsys, "lax", "--point", point) == (2, "", f"error: bad point: {message}\n")
+
+
+def test_degenerate_backlund_point_names_its_vanishing_m_i(capsys):
+    # Q_2 = z_3 / z_2 puts the point on the locus M_2 = 0
+    point = '{"n": 3, "z": ["2", "3", "5"], "Q": ["1/2", "5/3", "1/5"]}'
+    for route in ("map", "conjugate"):
+        assert run(capsys, "backlund", "--route", route, "--point", point) == (
+            2, "", "error: DegeneratePointError: M_2 = 1 - Q_2 z_2 / z_3 vanishes\n")
 
 
 # Float points whose product Q_k z_k overflows, and the error naming it.
@@ -614,9 +637,10 @@ def test_package_runs_without_numpy_and_scipy():
     assert done.returncode == 0, done.stderr
 
 
-def test_only_verify_imports_dataclasses_and_the_verify_module():
+def test_no_command_imports_dataclasses_and_only_verify_loads_the_verify_module():
     # a None entry makes any import of dataclasses raise ImportError; every
-    # command but verify runs without it, and without loading toda_bn.verify
+    # command, verify included, runs without it, and only verify loads
+    # toda_bn.verify
     code = ("import json, sys\n"
             "sys.modules['dataclasses'] = None\n"
             "import toda_bn\n"
@@ -627,7 +651,6 @@ def test_only_verify_imports_dataclasses_and_the_verify_module():
             "        sys.exit(f'{argv} failed')\n"
             "if 'toda_bn.verify' in sys.modules:\n"
             "    sys.exit('toda_bn.verify was imported')\n"
-            "del sys.modules['dataclasses']\n"
             "if main(last) != 0 or 'toda_bn.verify' not in sys.modules:\n"
             "    sys.exit('verify did not run through toda_bn.verify')\n")
     exact = '{"n": 2, "z": ["2", "3"], "Q": ["1/2", "1/5"]}'

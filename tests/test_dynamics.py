@@ -213,6 +213,15 @@ def test_symbolic_poisson_rows_evaluate_to_poisson_structure(rng, n):
             tuple(p.evaluate(xf.z, xf.Q) for p in row) for row in pi)
 
 
+@pytest.mark.parametrize("value, message", [
+    (True, "boolean is not a scalar: True"), ("1", "unsupported scalar type: str"),
+    (math.nan, "coordinates must be finite"), (math.inf, "coordinates must be finite")])
+def test_canonical_point_takes_only_finite_numbers(value, message):
+    with pytest.raises((ModeError, ValueError), match=f"^{message}$"):
+        CanonicalPoint((0.0, value), (0.0, 0.0))
+    assert CanonicalPoint((1, Fraction(1, 2)), (0.0, 0.0)).q == (1.0, 0.5)
+
+
 def test_canonical_chart_spot_values():
     c = CanonicalPoint((0, 0.0), (0.0, -0.0))
     assert repr(c) == "CanonicalPoint(q=(0.0, 0.0), p=(0.0, -0.0))"
@@ -437,7 +446,8 @@ def test_rk4_stage_with_zero_z_raises():
 @pytest.mark.parametrize("z", [1e-320, -1e-13, 1e13, math.inf, math.nan],
                          ids=["subnormal", "small", "large", "inf", "nan"])
 def test_x0_outside_the_window_raises_before_any_step(z):
-    x = PhasePoint(1, (z,), (0.5,))
+    # _trusted, as the constructor refuses the inf and nan points
+    x = PhasePoint._trusted(1, (z,), (0.5,))
     for flow in (rk4_endpoint, integrate):
         for T in (0.0, 1e-3):
             with pytest.raises(StepBlowupError, match=r"at t=0\.0$"):

@@ -484,6 +484,20 @@ def test_phase_point_rejects_a_rank_that_is_not_an_int(worked_point, n):
     assert PhasePoint._trusted(n, z, Q).n is n  # the unchecked route stays unchecked
 
 
+@pytest.mark.parametrize("n", [2.9, "2"])
+def test_json_point_rejects_a_rank_that_is_not_an_int(n):
+    with pytest.raises(ValueError) as rejected:
+        PhasePoint.from_json_obj({"n": n, "z": ["2", "3"], "Q": ["1/2", "1/5"]})
+    assert str(rejected.value) == f"rank n must be an integer, got {n!r}"
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_phase_point_rejects_a_float_that_is_not_finite(bad):
+    for z, Q in (((bad, 1.0), (0.5, 0.5)), ((2.0, 1.0), (0.5, bad))):
+        with pytest.raises(ValueError, match="^coordinates must be finite$"):
+            PhasePoint(2, z, Q)
+
+
 def test_phase_point_is_a_frozen_record(worked_point):
     assert repr(worked_point) == ("PhasePoint(n=2, z=(Fraction(2, 1), Fraction(3, 1)), "
                                   "Q=(Fraction(1, 2), Fraction(1, 5)))")

@@ -47,12 +47,12 @@ def test_check_splitting_reports_the_trials_it_runs(monkeypatch):
     assert result.trials == len(draws) == 8
 
 
-def flow_conservation(seed):
-    """The flow-conservation identity as `verify --mode float --seed seed` runs it."""
-    index = [name for name, _, _ in verify.IDENTITY_CHECKS].index("flow-conservation")
-    check = verify.IDENTITY_CHECKS[index][2]
-    return check(VerifySuiteConfig(n_max=4, trials=5, seed=seed, mode="float"),
-                 verify.identity_rng(seed, index))
+def run_identity(name, seed=7):
+    """The identity `name` as `verify --seed seed --n-max 4 --trials 5` runs it."""
+    index = [n for n, _, _ in verify.IDENTITY_CHECKS].index(name)
+    _, mode, check = verify.IDENTITY_CHECKS[index]
+    cfg = VerifySuiteConfig(n_max=4, trials=5, seed=seed, mode=mode)
+    return check(cfg, verify.identity_rng(seed, index))
 
 
 def test_ideal_generator_sweep_to_n12_stays_under_half_its_bound(monkeypatch):
@@ -79,12 +79,32 @@ def test_ideal_generator_sweep_to_n12_stays_under_half_its_bound(monkeypatch):
 
 def test_flow_conservation_halves_h_where_rk4_truncation_exceeds_the_bound():
     # drift 1.41e-8 at h = 1e-3; one halving cuts it about 16x
-    result = flow_conservation(706265967)
+    result = run_identity("flow-conservation", 706265967)
     assert result.passed, (result.counterexample, result.details)
     assert result.details["h"] == 5e-4
     assert result.details["drift_h"] <= 1e-8
     assert result.details["drift_h_half"] * 8 <= result.details["drift_h"]
-    assert "h" not in flow_conservation(7).details
+    assert "h" not in run_identity("flow-conservation").details
+
+
+# -- mutants: an identity that passes on a broken package is no oracle ---------
+#
+# Each row is (name, module, attribute, mutant of the original, identities
+# that must fail), each identity run by run_identity at seed 7.
+MUTANTS = [
+    ("exact_flow at -t", dy, "exact_flow", lambda f: lambda x, t: f(x, -t),
+     ["flow-conservation"]),
+]
+
+
+@pytest.mark.parametrize("name, module, attr, mutate, identities", MUTANTS,
+                         ids=[row[0] for row in MUTANTS])
+def test_mutant_fails_its_identities(monkeypatch, name, module, attr, mutate, identities):
+    for identity in identities:  # the unpatched control
+        assert run_identity(identity).passed, identity
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    for identity in identities:
+        assert not run_identity(identity).passed, identity
 
 
 def test_flow_conservation_still_rejects_a_second_order_step(monkeypatch, fresh_kernels):
@@ -98,7 +118,7 @@ def test_flow_conservation_still_rejects_a_second_order_step(monkeypatch, fresh_
 
     monkeypatch.setattr(dy, "_rk4_step", midpoint_step)
     for seed in (7, 706265967, 11):
-        result = flow_conservation(seed)
+        result = run_identity("flow-conservation", seed)
         assert not result.passed
         assert result.counterexample["which"] in ("drift bound", "order check")
 
