@@ -19,7 +19,8 @@ with the boundary conventions Q_0+ = 0 and M_0 = M_n = M_{n+1} =
 z_{n+1} = 1.  Both routes are implemented; they agree exactly wherever
 both are defined, and they preserve every conserved quantity (L+ is a
 conjugate of L).  Neither is defined where some M_i, 0 < i < n,
-vanishes; ``_aux`` names the first such i for both.
+vanishes; ``_aux`` names the first such i for both.  iterate steps an
+orbit along either route and names the step at which it fails.
 
 The conjugation route takes no dense inverse: kr_factors writes K and R
 row by row, takes C from lax._c_rows, the writer build_factors uses, and
@@ -41,7 +42,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .errors import DegeneratePointError
+from .errors import DegeneratePointError, TodaError
 from .lax import PhasePoint, _c_rows, _qz, build_lax, parameters_from_lax
 from .linalg import _UNITS, SquareMatrix, _check_finite, close, conjugate
 from .dynamics import rk4_endpoint
@@ -52,18 +53,10 @@ KR_CHECK_RTOL = 1e-9
 
 
 class KRFactors(NamedTuple):
-    """Closed-form factors of C = K @ R^{-1} with their auxiliaries.
-
-    M holds (M_0, M_1, .., M_{n+1}) with the boundary values pinned to 1;
-    N holds (N_1, .., N_{n-2}), the diagonal auxiliaries (empty for n = 2).
-    """
+    """Closed-form factors of C = K @ R^{-1}."""
 
     K: SquareMatrix
     R: SquareMatrix
-    a: tuple
-    b: tuple
-    M: tuple
-    N: tuple
 
 
 def _aux(x: PhasePoint):
@@ -158,7 +151,7 @@ def kr_factors(x: PhasePoint) -> KRFactors:
         if not all(close(v, w, mode, KR_CHECK_RTOL, scale)
                    for row, want in zip(rebuilt.rows, K.rows) for v, w in zip(row, want)):
             raise DegeneratePointError("C R = K check failed beyond float tolerance")
-    return KRFactors(K, R, a, b, M, N)
+    return KRFactors(K, R)
 
 
 def backlund_map(x: PhasePoint) -> PhasePoint:
@@ -194,20 +187,23 @@ def backlund_conjugate(x: PhasePoint) -> PhasePoint:
     return parameters_from_lax(conjugate(kr_factors(x).K, build_lax(x)))
 
 
-def iterate(x: PhasePoint, steps: int) -> list[PhasePoint]:
-    """Repeated closed-form map; returns [x, x+, x++, ...] (steps+1 points).
+def iterate(x: PhasePoint, steps: int, step=None) -> list[PhasePoint]:
+    """Repeated Backlund step; returns [x, x+, x++, ...] (steps+1 points).
 
-    Every conserved quantity is constant along the sequence; a degenerate
-    intermediate point raises DegeneratePointError carrying the step index.
+    ``step`` is the route: backlund_map (the default, looked up at each
+    call) or backlund_conjugate.  Every conserved quantity is constant
+    along the sequence.  A TodaError of step k is re-raised as the same
+    class with "step k: " in front of its message.
     """
     if steps < 0:
         raise ValueError("need steps >= 0")
+    step = step or backlund_map
     out = [x]
     for k in range(steps):
         try:
-            out.append(backlund_map(out[-1]))
-        except DegeneratePointError as e:
-            raise DegeneratePointError(f"step {k + 1}: {e}") from e
+            out.append(step(out[-1]))
+        except TodaError as e:
+            raise type(e)(f"step {k + 1}: {e}") from e
     return out
 
 

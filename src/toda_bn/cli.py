@@ -11,11 +11,13 @@ checks the JSON shape alone; `lax.PhasePoint` and `dynamics.CanonicalPoint`
 check the rank and the coordinates.  The
 four --point subcommands (lax, conserved, backlund, canonical) share one
 parse-and-emit path, `cmd_point`, and differ only in their payload
-function of (phase point, canonical point, args).  `main` lifts Python's
-int/str digit limit for the length of one call, since exact points and
-orbits write integers of any length.  `verify` is imported by its own
-command, `cmd_verify`, so no other subcommand loads `toda_bn.verify`.  The
-environment variable TODA_BN_SEED provides the default seed for `verify`.
+function of (phase point, canonical point, args); `backlund` takes each
+route's orbit from `backlund.iterate`, so a failing orbit names its
+step.  `main` lifts Python's int/str digit limit for the length of one
+call, since exact points and orbits write integers of any length.
+`verify` is imported by its own command, `cmd_verify`, so no other
+subcommand loads `toda_bn.verify`.  The environment variable
+TODA_BN_SEED provides the default seed for `verify`.
 """
 
 from __future__ import annotations
@@ -173,22 +175,18 @@ def _backlund_payload(x, c, args) -> dict:
     if args.steps < 0:
         raise CliError("--steps must be >= 0")
     routes = ("map", "conjugate") if args.route == "both" else (args.route,)
-    payload = {"route": args.route, "steps": []}
-    points = {r: x for r in routes}
-    for k in range(args.steps + 1):
+    orbits = [bk.iterate(x, args.steps, bk.backlund_map if r == "map" else bk.backlund_conjugate)
+              for r in routes]
+    steps = []
+    for k, points in enumerate(zip(*orbits)):
         entry = {"step": k}
-        for r in routes:
-            p = points[r]
+        for r, p in zip(routes, points):
             entry[r] = {"point": p.to_json_obj(),
                         "F": [format_scalar(v) for v in cv.conserved_values(p)]}
-        if len(routes) == 2:
-            entry["routes_agree"] = points["map"] == points["conjugate"]
-        payload["steps"].append(entry)
-        if k < args.steps:
-            for r in routes:
-                points[r] = (bk.backlund_map(points[r]) if r == "map"
-                             else bk.backlund_conjugate(points[r]))
-    return payload
+        if len(points) == 2:
+            entry["routes_agree"] = points[0] == points[1]
+        steps.append(entry)
+    return {"route": args.route, "steps": steps}
 
 
 def _canonical_payload(x, c, args) -> dict:

@@ -272,13 +272,6 @@ class LaurentPoly:
 
     __repr__ = __str__
 
-    def to_json_obj(self):
-        return {
-            "n": self.n,
-            "terms": [{"z": list(ez), "Q": list(eq), "c": str(c)}
-                      for (ez, eq), c in self.sorted_terms()],
-        }
-
 
 class _EvalPlan:
     """The terms of a polynomial as index tuples into a table of powers.

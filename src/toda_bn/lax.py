@@ -406,7 +406,8 @@ def parameters_from_lax(L: SquareMatrix) -> PhasePoint:
     from L at some entry a, b by ``linalg.close`` (exactly, or beyond
     RECOVERY_RTOL with the scale max(|a|, |b|) in float mode):
     the matrix is outside the coordinate chart.  A float z_i read that
-    underflows to 0.0 raises ValueError naming it.  The rows are compared
+    underflows to 0.0, and a float z_i or Q_i read that is NaN or
+    infinite, raise ValueError naming it.  The rows are compared
     at once, and only a mismatch is scanned for its first entry: float rows
     that compare equal are within RECOVERY_RTOL at every entry, and
     build_lax has already rejected non-finite ones.
@@ -423,6 +424,11 @@ def parameters_from_lax(L: SquareMatrix) -> PhasePoint:
     if mode == "float" and 0 in z:
         raise ValueError(f"z_{z.index(0) + 1} read off L underflows to 0.0")
     Q = tuple(1 - L[i, i] / z[i] for i in range(n))
+    if mode == "float":
+        for name, values in (("z", z), ("Q", Q)):
+            for i, v in enumerate(values):
+                if not isfinite(v):
+                    raise ValueError(f"{name}_{i + 1} read off L is not finite: {v!r}")
 
     x = PhasePoint(n, z, Q)
     rebuilt = build_lax(x)

@@ -18,6 +18,16 @@ def trace(kind: str, n: int, fn, *extra: str):
                             [*body, f"return ({''.join(v + ', ' for v in out)})"])
 
 
+def run_identity(name, seed=7):
+    """The identity `name` as `verify --seed seed --n-max 4 --trials 5` runs it."""
+    from toda_bn import verify
+
+    index = [n for n, _, _ in verify.IDENTITY_CHECKS].index(name)
+    _, mode, check = verify.IDENTITY_CHECKS[index]
+    cfg = verify.VerifySuiteConfig(n_max=4, trials=5, seed=seed, mode=mode)
+    return check(cfg, verify.identity_rng(seed, index))
+
+
 @pytest.fixture
 def rng():
     return random.Random(20260810)

@@ -24,9 +24,9 @@ from toda_bn import (
     membership,
     to_phase,
 )
-from toda_bn.backlund import KR_CHECK_RTOL
+from toda_bn.backlund import KR_CHECK_RTOL, _aux
 from toda_bn.conserved import _conserved_values_exact
-from toda_bn.errors import TodaError
+from toda_bn.errors import NotInGammaError, TodaError
 from toda_bn.lax import _build_lax_exact
 from toda_bn.linalg import conjugate, solve
 from toda_bn.splitting import factor_minus_plus
@@ -36,7 +36,7 @@ from toda_bn.verify import (printed_backlund_n2, random_canonical, random_matrix
 
 def test_kr_worked_point(worked_point):
     fac = kr_factors(worked_point)
-    assert fac.M[1] == Fraction(2, 3)
+    assert _aux(worked_point)[2][1] == Fraction(2, 3)  # M_1
     assert fac.K.block(0, 0, 2).rows == ((3, 1), (3, 3))
     assert fac.K[2, 1] == Fraction(6, 5)  # M_1 a_2 b_2 = (2/3)(3/5)(3)
     _, _, c = build_factors(worked_point)
@@ -318,12 +318,44 @@ def test_q_zero_fixed_point(rng):
     assert backlund_map(x) == x
 
 
-def test_iterate(worked_point):
+#: M_1 of its image vanishes, so each route's step 2 is undefined.
+DEGENERATE_AT_STEP_2 = PhasePoint(2, (Fraction(-2), Fraction(-1)), (Fraction(3, 2), Fraction(-1, 3)))
+
+
+def test_iterate(worked_point, rng):
     assert iterate(worked_point, 0) == [worked_point]
     seq = iterate(worked_point, 10)
     assert len(seq) == 11
     f0 = conserved_values(worked_point)
     assert all(conserved_values(s) == f0 for s in seq)
+    assert iterate(worked_point, 10, backlund_conjugate) == seq
+    for n in (2, 3, 4):
+        for _ in range(3):
+            x, (a, b), _ = sample_generic(
+                lambda: random_point(n, rng),
+                lambda p: (iterate(p, 8, backlund_map), iterate(p, 8, backlund_conjugate)))
+            assert len(a) == 9 and a == b
+
+
+@pytest.mark.parametrize("step", [None, backlund_map, backlund_conjugate])
+def test_iterate_names_the_degenerate_step(step):
+    assert len(iterate(DEGENERATE_AT_STEP_2, 1, step)) == 2
+    with pytest.raises(DegeneratePointError) as raised:
+        iterate(DEGENERATE_AT_STEP_2, 3, step)
+    assert str(raised.value) == "step 2: M_1 = 1 - Q_1 z_1 / z_2 vanishes"
+
+
+def test_iterate_keeps_the_class_of_every_package_error(worked_point):
+    def step(x):
+        if x != worked_point:
+            raise NotInGammaError("zero entry at (3, 3)")
+        return backlund_map(x)
+
+    with pytest.raises(NotInGammaError) as raised:
+        iterate(worked_point, 3, step)
+    assert str(raised.value) == "step 2: zero entry at (3, 3)"
+    with pytest.raises(ValueError, match="^need steps >= 0$"):
+        iterate(worked_point, -1)
 
 
 def test_flow_commutation(rng):

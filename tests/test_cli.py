@@ -308,11 +308,11 @@ def test_refused_point_names_the_error_of_its_class(capsys, point, message):
 
 
 def test_degenerate_backlund_point_names_its_vanishing_m_i(capsys):
-    # Q_2 = z_3 / z_2 puts the point on the locus M_2 = 0
+    # Q_2 = z_3 / z_2 puts the point on the locus M_2 = 0, so step 1 is undefined
     point = '{"n": 3, "z": ["2", "3", "5"], "Q": ["1/2", "5/3", "1/5"]}'
     for route in ("map", "conjugate"):
         assert run(capsys, "backlund", "--route", route, "--point", point) == (
-            2, "", "error: DegeneratePointError: M_2 = 1 - Q_2 z_2 / z_3 vanishes\n")
+            2, "", "error: DegeneratePointError: step 1: M_2 = 1 - Q_2 z_2 / z_3 vanishes\n")
 
 
 # Float points whose product Q_k z_k overflows, and the error naming it.
@@ -339,6 +339,25 @@ def test_backlund_conjugate_names_a_non_finite_k(capsys):
     assert code == 2
     assert out == ""
     assert err == "error: non-finite entry nan at row 1, column 0\n"
+
+
+def test_backlund_conjugate_names_a_read_that_is_not_finite(capsys):
+    # Q_2 = 1 - L+[1, 1] / z_2 reads inf / inf
+    code, out, err = run(capsys, "backlund", "--route", "conjugate", "--point",
+                         '{"n": 2, "z": [1e-150, 1e150], "Q": [0.5, 0.5]}')
+    assert code == 2
+    assert out == ""
+    assert err == "error: Q_2 read off L is not finite: nan\n"
+
+
+@pytest.mark.parametrize("route", ["map", "conjugate", "both"])
+def test_backlund_names_the_degenerate_step_on_every_route(capsys, route):
+    # M_1 of the first image vanishes
+    code, out, err = run(capsys, "backlund", "--route", route, "--steps", "3", "--point",
+                         '{"n": 2, "z": ["-2", "-1"], "Q": ["3/2", "-1/3"]}')
+    assert code == 2
+    assert out == ""
+    assert err == "error: DegeneratePointError: step 2: M_1 = 1 - Q_1 z_1 / z_2 vanishes\n"
 
 
 def test_backlund_map_names_a_square_that_underflows(capsys):

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import run_identity
 
 from toda_bn import conserved as cv
 from toda_bn import dynamics as dy
@@ -47,14 +48,6 @@ def test_check_splitting_reports_the_trials_it_runs(monkeypatch):
     assert result.trials == len(draws) == 8
 
 
-def run_identity(name, seed=7):
-    """The identity `name` as `verify --seed seed --n-max 4 --trials 5` runs it."""
-    index = [n for n, _, _ in verify.IDENTITY_CHECKS].index(name)
-    _, mode, check = verify.IDENTITY_CHECKS[index]
-    cfg = VerifySuiteConfig(n_max=4, trials=5, seed=seed, mode=mode)
-    return check(cfg, verify.identity_rng(seed, index))
-
-
 def test_ideal_generator_sweep_to_n12_stays_under_half_its_bound(monkeypatch):
     # float verify --n-max 12 --trials 1 runs the identity at every rank;
     # each |F_i - e_i| it checks, in units of u e_i, is recorded and stays
@@ -85,26 +78,6 @@ def test_flow_conservation_halves_h_where_rk4_truncation_exceeds_the_bound():
     assert result.details["drift_h"] <= 1e-8
     assert result.details["drift_h_half"] * 8 <= result.details["drift_h"]
     assert "h" not in run_identity("flow-conservation").details
-
-
-# -- mutants: an identity that passes on a broken package is no oracle ---------
-#
-# Each row is (name, module, attribute, mutant of the original, identities
-# that must fail), each identity run by run_identity at seed 7.
-MUTANTS = [
-    ("exact_flow at -t", dy, "exact_flow", lambda f: lambda x, t: f(x, -t),
-     ["flow-conservation"]),
-]
-
-
-@pytest.mark.parametrize("name, module, attr, mutate, identities", MUTANTS,
-                         ids=[row[0] for row in MUTANTS])
-def test_mutant_fails_its_identities(monkeypatch, name, module, attr, mutate, identities):
-    for identity in identities:  # the unpatched control
-        assert run_identity(identity).passed, identity
-    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
-    for identity in identities:
-        assert not run_identity(identity).passed, identity
 
 
 def test_flow_conservation_still_rejects_a_second_order_step(monkeypatch, fresh_kernels):
