@@ -145,8 +145,8 @@ def kr_factors(x: PhasePoint) -> KRFactors:
         if rebuilt != K:
             raise RuntimeError("internal error: C R does not rebuild K")
     else:
-        _check_finite(K.rows)
-        _check_finite(rebuilt.rows)
+        _check_finite(K.rows, "K")
+        _check_finite(rebuilt.rows, "C R")
         scale = K.max_abs()
         if not all(close(v, w, mode, KR_CHECK_RTOL, scale)
                    for row, want in zip(rebuilt.rows, K.rows) for v, w in zip(row, want)):

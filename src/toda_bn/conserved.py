@@ -43,7 +43,7 @@ from typing import NamedTuple, Sequence
 
 from .errors import DegeneratePointError, ModeError
 from .laurent import LaurentPoly
-from .lax import PhasePoint, _lax_inverse_rows, _qz, build_factors, build_lax
+from .lax import PhasePoint, _inverse_by_gamma2, build_factors, build_lax
 from .linalg import _UNITS, SquareMatrix, conjugate, solve
 
 #: Symbolic expansion guard: chain enumeration grows quickly with n, so
@@ -295,10 +295,12 @@ def _char_poly_values(x: PhasePoint) -> tuple:
     p_L(lambda) = det(lambda*E - L), highest degree first.
 
     At an exact point p_L comes from p_{L^{-1}}, whose monic coefficients
-    c_0..c_d (d = 2n) are those of ``char_poly`` of the closed-form L^{-1}
-    (``lax._lax_inverse_rows``).  That matrix is already upper Hessenberg,
-    so the exact Hessenberg reduction has nothing to do, and the entries
-    do not swell as they do when the dense L is reduced.  For every
+    c_0..c_d (d = 2n) are those of ``char_poly`` of L^{-1} as
+    ``lax._inverse_by_gamma2`` reads it off ``build_lax(x)``, whose memo
+    already holds L at a point of a Backlund orbit.  That matrix is
+    already upper Hessenberg, so the exact Hessenberg reduction has
+    nothing to do, and the entries do not swell as they do when the dense
+    L is reduced.  For every
     invertible L, p_L(lambda) = (-1)^d det L lambda^d p_{L^{-1}}(1/lambda),
     so p_L's coefficients, highest first, are c_d, .., c_0 divided by c_d:
     exact, with F_0 and F_2n computed, not assumed to be 1.
@@ -311,7 +313,7 @@ def _char_poly_values(x: PhasePoint) -> tuple:
     if x.mode == "float":
         coeffs = build_lax(x).char_poly()
     else:
-        rows = _lax_inverse_rows(x.n, x.z, [1 / w for w in x.z], _qz(x), *_UNITS["exact"])
+        rows = _inverse_by_gamma2(x.n, build_lax(x).rows, x.Q[-1], *_UNITS["exact"])
         c = SquareMatrix._trusted(tuple(map(tuple, rows)), "exact").char_poly()
         coeffs = [v / c[-1] for v in reversed(c)]
     return tuple(-c if i % 2 else c for i, c in enumerate(coeffs))

@@ -41,7 +41,7 @@ L(t) = a(t) L0 a(t)^{-1} with exp(L0 t) = a^{-1} b provides an
 independent route for cross-checking trajectories.
 
 The ring contract.  The ring-generic builders (lax._lax_rows,
-_lax_inverse_rows, _c_rows and _bidiagonal_inverse; _poisson_rows and
+_inverse_by_gamma2, _c_rows and _bidiagonal_inverse; _poisson_rows and
 _rates here; conserved._chain_sums) use only this much of their scalars:
 
 * ``+ - * /`` and negation, where only _rates and _rk4_step divide;

@@ -185,7 +185,7 @@ class LaurentPoly:
 
     # -- calculus / evaluation ------------------------------------------------
 
-    def evaluate(self, z: Sequence, Q: Sequence | None = None):
+    def evaluate(self, z: Sequence, Q: Sequence):
         """Value at z = (z_1..z_n), Q = (Q_1..Q_n).
 
         Each term is its coefficient times the powers z_i ** e and Q_i ** e
@@ -198,12 +198,9 @@ class LaurentPoly:
         constant or empty polynomial's included.  One loop serves both
         modes.
 
-        Also accepts a single object with ``.z`` and ``.Q`` attributes.
         Raises ZeroBaseError when some z_i vanishes, and ModeError at a
         point that mixes Fractions with floats.
         """
-        if Q is None:
-            z, Q = z.z, z.Q
         if len(z) != self.n or len(Q) != self.n:
             raise IndexMismatchError("point size does not match variable count")
         if any(v == 0 for v in z):

@@ -13,9 +13,9 @@ One builder, ``_lax_rows``, writes L in closed form under the ring
 contract (``dynamics``), so the same code gives L over Fraction and float
 (``build_lax``) and over LaurentPoly (``lax_symbolic``); C is never
 inverted numerically.
-``_lax_inverse_rows`` writes L^{-1} = C B^{-1} N^{-1} the same way, from
-the same bidiagonal inverses, and ``_c_rows`` writes C, for
-``build_factors`` and ``backlund.kr_factors``.
+``_inverse_by_gamma2`` reads L^{-1} = C B^{-1} N^{-1} off L's rows by
+Gamma_2, and ``_c_rows`` writes C, for ``build_factors`` and
+``backlund.kr_factors``.
 
 The phase space is cut out by two varieties: Gamma_1 constrains the
 sparsity of L^{-1}, Gamma_2 ties the four n x n blocks of L and L^{-1}
@@ -268,32 +268,24 @@ def _lax_rows(n: int, z, zinv, qz, one, zero) -> list[list]:
     return top + bottom
 
 
-def _lax_inverse_rows(n: int, z, zinv, qz, one, zero) -> list[list]:
-    """The 2n rows of L^{-1} = C B^{-1} N^{-1}.
+def _inverse_by_gamma2(n: int, rows, q_n, one, zero) -> list[list]:
+    """The 2n rows of L^{-1}, read off the rows of L by Gamma_2.
 
-    The arguments are those of ``_lax_rows``.  With 0-based indices,
+    ``rows`` are those of L = [[L11, J], [L21, L22]] in any ring of the
+    ring contract (``dynamics``), ``q_n`` is Q_n there, and ``one`` and
+    ``zero`` are its units.  With 0-based indices,
 
-        L^{-1} = [[(J N22 J) N11^{-1}, -J], [Q_n E_{0,n-1}, (J N11 J - Q_n z_n E_00) N22^{-1}]],
+        L^{-1} = C B^{-1} N^{-1} = [[J L22 J, -J], [Q_n E_{0,n-1}, J L11 J]],
 
-    where J N22 J is unit lower bidiagonal with Q_i z_i at (i, i - 1) and
-    J N11 J is lower bidiagonal with z_{n-i} at (i, i) and 1 below it.  A
-    row of either diagonal block combines two rows of a triangular
-    inverse, so L^{-1} is upper Hessenberg, as Gamma_1 requires.
+    since the lower left block is P N11^{-1}, and P's one entry Q_n z_n
+    meets the 1/z_n of N11^{-1}.  Nothing is multiplied: the read only
+    moves entries of L, so it is the inverse only of an L of the chart,
+    as ``_lax_rows`` writes one, not of an arbitrary matrix.
     """
-    n11_inv = _bidiagonal_inverse(n, zinv, zinv, zero)
-    n22_inv = _bidiagonal_inverse(n, [one] * n, qz[::-1], zero)
-    diag = [z[-1] - qz[-1], *z[-2::-1]]  # the diagonal of J N11 J - Q_n z_n E_00
-    top, bottom = [], []
-    for i in range(n):
-        left = n11_inv[i]
-        right = [diag[i] * v for v in n22_inv[i]]
-        if i:
-            s = qz[i - 1]
-            left = [a + s * b for a, b in zip(left, n11_inv[i - 1])]
-            right = [a + b for a, b in zip(right, n22_inv[i - 1])]
-        top.append(left + [-one if j == n - 1 - i else zero for j in range(n)])
-        bottom.append([zero] * n + right)
-    bottom[0][n - 1] = qz[-1] * zinv[-1]  # Q_n
+    top = [[*row, *(-one if j == n - 1 - i else zero for j in range(n))]
+           for i, row in enumerate(_flip([r[n:] for r in rows[n:]]))]
+    bottom = [[zero] * n + [*row] for row in _flip([r[:n] for r in rows[:n]])]
+    bottom[0][n - 1] = q_n
     return top + bottom
 
 
@@ -301,13 +293,15 @@ def build_lax(x: PhasePoint) -> SquareMatrix:
     """L = N B C^{-1} by ``_lax_rows``; exact at a rational point.
 
     At a float point, an overflowing Q_k z_k or a non-finite entry (far
-    outside the |z| window, products of 1/z_i overflow) raises ValueError.
+    outside the |z| window, products of 1/z_i overflow) raises ValueError
+    naming it, the latter as an entry "of L".
 
     An exact point's matrix is memoized, keyed by the point, in a memo of
-    the last 8 points: a Backlund step builds L of one point up to twice,
-    as the rebuild check of ``parameters_from_lax`` on the conjugation
-    route and again when the next step conjugates it (exact
-    ``conserved_values`` builds L^{-1}, not L).  The memo is exact only,
+    the last 8 points: a Backlund step asks for L of its new point up to
+    three times, as the rebuild check of ``parameters_from_lax`` on the
+    conjugation route, as exact ``conserved_values``, which reads L^{-1}
+    off L, and when the next step conjugates it, so one step keeps 2
+    entries live, its point and the next.  The memo is exact only,
     because -0.0 == 0.0 with equal hashes, so a float memo could return
     zeros of the other sign; and it is bounded, because orbit entries
     grow: from a ``verify.random_point`` (4 bits), the largest numerator or
@@ -324,7 +318,7 @@ def build_lax(x: PhasePoint) -> SquareMatrix:
 def _lax_product(x: PhasePoint) -> SquareMatrix:
     rows = _lax_rows(x.n, x.z, [1 / w for w in x.z], _qz(x), *_UNITS[x.mode])
     if x.mode == "float":
-        _check_finite(rows)
+        _check_finite(rows, "L")
     return SquareMatrix._trusted(tuple(map(tuple, rows)), x.mode)
 
 

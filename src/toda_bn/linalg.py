@@ -135,12 +135,14 @@ def parse_scalar(obj) -> Scalar:
     raise ModeError(f"cannot parse scalar from {obj!r}")
 
 
-def _check_finite(rows) -> None:
-    """Raise ValueError naming the first non-finite entry of float rows."""
+def _check_finite(rows, name: str = "") -> None:
+    """Raise ValueError naming the first non-finite entry of float rows,
+    and the matrix ``name`` if one is given."""
     for i, r in enumerate(rows):
         if not all(map(isfinite, r)):
             j = next(j for j, v in enumerate(r) if not isfinite(v))
-            raise ValueError(f"non-finite entry {r[j]!r} at row {i}, column {j}")
+            of = f" of {name}" if name else ""
+            raise ValueError(f"non-finite entry {r[j]!r}{of} at row {i}, column {j}")
 
 
 def close(a, b, mode: str, rtol: float, scale: float = 1.0) -> bool:
@@ -323,9 +325,6 @@ class SquareMatrix:
 
     def transpose(self) -> "SquareMatrix":
         return SquareMatrix._trusted(tuple(zip(*self._rows)), self._mode)
-
-    def trace(self) -> Scalar:
-        return reduce(add, (self._rows[i][i] for i in range(self._dim)), 0)
 
     def max_abs(self) -> float:
         return max(abs(v) for r in self._rows for v in r)

@@ -190,7 +190,7 @@ def test_float_conjugate_rejects_a_non_finite_k():
     # returning K, so the conjugation route stops there too
     x = PhasePoint(2, (1e200, 1e-200), (0.5, 0.5))
     for call in (kr_factors, backlund_conjugate):
-        with pytest.raises(ValueError, match="^non-finite entry nan at row 1, column 0$"):
+        with pytest.raises(ValueError, match="^non-finite entry nan of K at row 1, column 0$"):
             call(x)
 
 

@@ -338,7 +338,16 @@ def test_backlund_conjugate_names_a_non_finite_k(capsys):
                          '{"n": 2, "z": [1e200, 1e-200], "Q": [0.5, 0.5]}')
     assert code == 2
     assert out == ""
-    assert err == "error: non-finite entry nan at row 1, column 0\n"
+    assert err == "error: non-finite entry nan of K at row 1, column 0\n"
+
+
+@pytest.mark.parametrize("argv", [["lax"], ["conserved"], ["backlund", "--steps", "0"]],
+                         ids=["lax", "conserved", "backlund"])
+def test_non_finite_lax_entry_names_l(capsys, argv):
+    # products of the 1/z_i overflow far outside the |z| window
+    point = '{"n": 3, "z": [1.0, 1e-200, 1e-200], "Q": [0.5, 0.5, 0.5]}'
+    assert run(capsys, *argv, "--point", point) == (
+        2, "", "error: non-finite entry nan of L at row 3, column 0\n")
 
 
 def test_backlund_conjugate_names_a_read_that_is_not_finite(capsys):

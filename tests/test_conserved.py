@@ -33,7 +33,7 @@ from toda_bn import (
 )
 from toda_bn.conserved import _chain_sums, _f_polys, _interval_table, _pack, _unpack
 from toda_bn.dynamics import _Dual
-from toda_bn.lax import _lax_inverse_rows
+from toda_bn.lax import _inverse_by_gamma2
 from toda_bn.verify import (printed_f1, printed_f2_n2, random_canonical, random_point,
                             random_rational)
 
@@ -481,15 +481,14 @@ def test_chain_sums_equal_char_poly_exactly(x):
 
 
 def lax_inverse(x):
-    """The closed-form L^{-1} at an exact point."""
-    rows = _lax_inverse_rows(x.n, x.z, [1 / w for w in x.z], [q * w for q, w in zip(x.Q, x.z)],
-                             Fraction(1), Fraction(0))
+    """L^{-1} at an exact point, read off L by Gamma_2."""
+    rows = _inverse_by_gamma2(x.n, build_lax(x).rows, x.Q[-1], Fraction(1), Fraction(0))
     return SquareMatrix(rows, "exact")
 
 
 def char_poly_of_lax(x):
-    """F_0..F_2n off det(lambda*E - L) of the dense L: the route before the
-    closed-form L^{-1}, kept as the oracle."""
+    """F_0..F_2n off det(lambda*E - L) of the dense L: the oracle of the
+    route through L^{-1}."""
     return tuple((-1) ** i * c for i, c in enumerate(build_lax(x).char_poly()))
 
 

@@ -43,10 +43,14 @@ from toda_bn.verify import (VerifySuiteConfig, check_lax_hamilton, identity_rng,
 from conftest import trace
 
 
+def diagonal_sum(m):
+    return sum(m[i, i] for i in range(m.dim))
+
+
 def test_lax_rhs_traceless(rng):
     for _ in range(5):
-        assert random_matrix(4, rng).commutator(random_matrix(4, rng)).trace() == 0
-        assert lax_rhs(build_lax(random_point(2, rng))).trace() == 0
+        assert diagonal_sum(random_matrix(4, rng).commutator(random_matrix(4, rng))) == 0
+        assert diagonal_sum(lax_rhs(build_lax(random_point(2, rng)))) == 0
 
 
 def test_lax_rhs_n1_hand_product():
@@ -152,7 +156,7 @@ def test_conserved_directional_derivative_is_zero(rng):
             x = random_point(n, rng)
             dQ, dz = hamilton_rhs(x)
             rates = list(dQ) + list(dz)
-            total = sum(g.evaluate(x) * r for g, r in zip(grads, rates))
+            total = sum(g.evaluate(x.z, x.Q) * r for g, r in zip(grads, rates))
             assert total == 0
 
 
@@ -168,7 +172,7 @@ def test_bracket_with_hamiltonian_reproduces_rhs(rng):
         grads = [f_poly(n, 1).partial_derivative(v) for v in names]
         x = random_point(n, rng)
         pi = poisson_structure(x)
-        gh = [g.evaluate(x) for g in grads]
+        gh = [g.evaluate(x.z, x.Q) for g in grads]
         udot = [sum(pi[a, b] * gh[b] for b in range(2 * n)) for a in range(2 * n)]
         dQ, dz = hamilton_rhs(x)
         assert tuple(udot[:n]) == dQ
@@ -254,7 +258,7 @@ def test_hamiltonian_is_trace_and_f1(worked_point, rng):
     assert hamiltonian(worked_point) == Fraction(61, 15)
     for n in (1, 2, 3):
         x = random_point(n, rng)
-        assert hamiltonian(x) == build_lax(x).trace()
+        assert hamiltonian(x) == diagonal_sum(build_lax(x))
 
 
 def test_canonical_hamiltonian_matches_pullback(rng):

@@ -54,12 +54,12 @@ def test_singleton_weights_telescope():
 
 
 def test_evaluate_printed_f1_f2(worked_point):
-    assert f_poly(2, 1).evaluate(worked_point) == Fraction(61, 15)
-    assert f_poly(2, 2).evaluate(worked_point) == Fraction(223, 30)
+    assert f_poly(2, 1).evaluate(worked_point.z, worked_point.Q) == Fraction(61, 15)
+    assert f_poly(2, 2).evaluate(worked_point.z, worked_point.Q) == Fraction(223, 30)
 
 
 def test_evaluate_constant(worked_point):
-    assert LaurentPoly.one(2).evaluate(worked_point) == 1
+    assert LaurentPoly.one(2).evaluate(worked_point.z, worked_point.Q) == 1
 
 
 def test_evaluate_zero_base():
@@ -83,7 +83,7 @@ def test_partial_derivative_finite_difference(rng):
     """Central finite differences as a smoke check of the exact derivative."""
     p = f_poly(2, 1)
     x = random_point(2, rng)
-    d_exact = p.partial_derivative("z1").evaluate(x)
+    d_exact = p.partial_derivative("z1").evaluate(x.z, x.Q)
     h = Fraction(1, 10 ** 6)
     up = p.evaluate((x.z[0] + h, x.z[1]), x.Q)
     dn = p.evaluate((x.z[0] - h, x.z[1]), x.Q)
@@ -96,8 +96,8 @@ def test_evaluate_is_ring_homomorphism(rng):
         a = random_poly(2, rng)
         b = random_poly(2, rng)
         x = random_point(2, rng)
-        assert (a * b).evaluate(x) == a.evaluate(x) * b.evaluate(x)
-        assert (a + b).evaluate(x) == a.evaluate(x) + b.evaluate(x)
+        assert (a * b).evaluate(x.z, x.Q) == a.evaluate(x.z, x.Q) * b.evaluate(x.z, x.Q)
+        assert (a + b).evaluate(x.z, x.Q) == a.evaluate(x.z, x.Q) + b.evaluate(x.z, x.Q)
 
 
 def test_product_rule(rng):

@@ -81,6 +81,12 @@ def _flip_a_weight(f):
     return mutant
 
 
+def _double_qn_corner(f):
+    def mutant(n, rows, q_n, one, zero):
+        return f(n, rows, 2 * q_n, one, zero)
+    return mutant
+
+
 def _both_routes(mutate):
     return [(bk, "backlund_map", mutate), (bk, "backlund_conjugate", mutate)]
 
@@ -117,6 +123,9 @@ MUTANTS = [
     ("one interval weight's sign flipped", [(cv, "_interval_table", _flip_a_weight)],
      ["printed-f1-f2", "conserved-route-equivalence", "ideal-generator-at-exponentials",
       "signed-path-weight-factorization", "poisson-structure-exact", "flow-conservation"]),
+    ("Q_n corner of the Gamma_2 read doubled", [(lx, "_inverse_by_gamma2", _double_qn_corner)],
+     ["conserved-route-equivalence", "palindromic-symmetry",
+      "ideal-generator-at-exponentials", "backlund-exact"]),
     ("chart exponentials squared",
      [(dy, "_chart_exponentials", lambda f: lambda q: [e * e for e in f(q)])],
      ["canonical-chart", "flow-conservation"]),
