@@ -306,9 +306,10 @@ def _char_poly_values(x: PhasePoint) -> tuple:
     exact, with F_0 and F_2n computed, not assumed to be 1.
 
     A float point keeps ``char_poly`` of ``build_lax(x)``: float reduction
-    does not swell; this route gives the float drift values their pinned
-    bits (``SIMULATE_GOLDEN`` at n = 8); and it is the call through which
-    a traced flow run reaches the lax and linalg layers.
+    does not swell; this route is a flow's F(0) from n = 4 on, so it gives
+    the float drift values their pinned bits there (``SIMULATE_GOLDEN`` at
+    n = 4, 6 and 8); and it is the call through which a traced flow run
+    reaches the lax and linalg layers.
     """
     if x.mode == "float":
         coeffs = build_lax(x).char_poly()
@@ -327,10 +328,11 @@ def conserved_values_by_path(x: PhasePoint) -> tuple:
 
     At an exact point this is the chain-sum pass (``_path_sums``), whose
     Fractions equal the expanded ``f_poly`` at x.  At a float point it
-    evaluates ``f_poly(n, i)`` term by term: those bits are the F(0) of a
-    flow (``dynamics.integrate``), pinned by its golden trajectories, and
-    the pass rounds differently.  An exact point runs at every rank; a
-    float point above ``MAX_SYMBOLIC_RANK`` gets ``f_poly``'s ValueError.
+    evaluates ``f_poly(n, i)`` term by term: at n <= 3 those bits are the
+    F(0) of a flow (``dynamics.integrate``), pinned by its golden
+    trajectories, and the pass rounds differently.  An exact point runs at
+    every rank; a float point above ``MAX_SYMBOLIC_RANK`` gets ``f_poly``'s
+    ValueError.
     """
     if x.mode == "exact":
         return _path_sums(x)

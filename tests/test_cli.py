@@ -594,15 +594,18 @@ def test_exact_output_past_the_int_digit_limit(capsys):
 # simulate CSVs, drift column included, in the benchmark's argv form:
 # h = 2^-10, so every t = k h is exact in binary64 and T is a whole number of
 # steps.  The drift column compares the chain-sum pass at each state with F(0)
-# from LaurentPoly.evaluate for n <= 6 and from the float Hessenberg char_poly
-# at n = 8.
+# from LaurentPoly.evaluate at n = 3 and from the float Hessenberg char_poly
+# at n = 4, 6 and 8 (dynamics._reference_values).  n = 4 is the first
+# char_poly rank; its drift bits differ from those of the path formula's F(0).
 FLOW_H = 2.0 ** -10
 SIMULATE_GOLDEN = {
     3: ({"q": [0.31, -0.52, 0.17], "p": [0.12, -0.43, 0.64]}, 256,
         "45df05636b892d275c4024107c2c6b6c30f8efb1f78fbb03d59efb7db5c9cb33"),
+    4: ({"q": [-0.33, 0.58, 0.09, -0.21], "p": [0.46, -0.12, -0.37, 0.25]}, 16,
+        "0ddffc6512edff6387911a626ea1a1525c51df70d91aa909c366c35bcc9a5982"),
     6: ({"q": [0.21, -0.35, 0.48, -0.12, 0.66, -0.27],
          "p": [-0.14, 0.39, 0.05, -0.58, 0.23, 0.41]}, 8,
-        "6ce26f52ce30fb7a69c7c230bca5abad8f821b4042c58e995b211e199985df24"),
+        "e55adb0a5eafd9f59c7eae5bd9b03a5e83da36ee3ecd1028da3c996595485ea9"),
     8: ({"q": [0.44, -0.19, 0.27, -0.63, 0.08, 0.35, -0.41, 0.16],
          "p": [0.22, -0.31, 0.57, 0.09, -0.46, 0.13, -0.05, 0.38]}, 16,
         "13f7caacd08441e95fea6c7778ce214571a00ffe2358e77a3c5007c8b6832d55"),
@@ -620,6 +623,37 @@ def test_simulate_csv_golden(capsys, n):
     code, out, _ = run(capsys, *simulate_argv(n))
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_GOLDEN[n][2]
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_flow_from_n4_expands_no_path_formula(capsys, monkeypatch, n):
+    # integrate takes F(0) from char_poly from n = 4 on, so neither it nor
+    # simulate expands the path formula there, not even on the edges of the
+    # |z| window; f_poly is patched, not _f_polys, since its cache may hold
+    # the rank already
+    expand = cv.f_poly
+
+    def capped(m, i, mode="original"):
+        assert m <= 3, f"f_poly expanded at n = {m}"
+        return expand(m, i, mode)
+
+    monkeypatch.setattr(cv, "f_poly", capped)
+    init = {"q": [0.1 * (i - 2) for i in range(n)], "p": [0.15 * (3 - i) for i in range(n)]}
+    x0 = dy.to_phase(dy.CanonicalPoint(init["q"], init["p"]))
+    assert len(dy.integrate(x0, T=4 * FLOW_H, h=FLOW_H).drifts) == 5
+    code, out, err = run(capsys, "simulate", "--init", json.dumps(init),
+                         "--T", repr(4 * FLOW_H), "--h", repr(FLOW_H))
+    assert (code, err) == (0, "")
+    assert len(out.splitlines()) == 6
+    Q = [(-0.5, 0.25)[i % 2] for i in range(n)]
+    for k in range(2 ** n):
+        z = [Z_WINDOW[k >> i & 1] for i in range(n)]
+        assert dy.integrate(toda_bn.PhasePoint(n, z, Q), T=0.0).drifts == (0.0,)
+        point = json.dumps({"n": n, "z": z, "Q": Q})
+        code, out, err = run(capsys, "simulate", "--init", point, "--T", "0")
+        assert (code, err) == (0, "")
+        _, row = out.splitlines()
+        assert row.rsplit(",", 1)[1] == "0.0" and "nan" not in row
 
 
 def test_one_parser_serves_every_call_in_a_process(capsys):

@@ -33,8 +33,7 @@ from toda_bn import (
     to_phase,
 )
 from toda_bn import dynamics, f_poly
-from toda_bn.conserved import (MAX_SYMBOLIC_RANK, _chain_sums, conserved_values,
-                               conserved_values_by_path)
+from toda_bn.conserved import _chain_sums
 from toda_bn.dynamics import _rk4_loop_kernel, _trajectory_kernel, lax_along_flow, step_count
 from toda_bn.lax import evaluate_matrix, lax_symbolic
 from toda_bn.verify import (VerifySuiteConfig, check_lax_hamilton, identity_rng,
@@ -374,8 +373,8 @@ def test_rk4_fourth_order(rng):
 def test_drift_after_one_step_is_the_route_gap(rng, n):
     # one RK4 step of 2^-20 errs by far less than 1e-12, so this bounds the gap
     # between the chain-sum pass and the reference route (path formula for
-    # n <= 6, char_poly above), on both sides of the switch; the largest
-    # measured over 20 points per rank was 2.5e-14
+    # n <= 3, char_poly above), on both sides of the switch; the largest
+    # measured over 30 points per rank was 1.9e-14 at n = 6 and 3.2e-14 at n = 8
     x = to_phase(random_canonical(n, rng))
     h = 2.0 ** -20
     traj = integrate(x, T=h, h=h)
@@ -618,8 +617,7 @@ def _per_step_integrate(x0, T, h):
     the drift by C-level maps.  Returns (times, states, drifts)."""
     steps, state = dynamics._initial_state(x0, T, h)
     n = x0.n
-    reference = conserved_values_by_path if n <= MAX_SYMBOLIC_RANK else conserved_values
-    f0 = [float(f) for f in reference(x0)]
+    f0 = [float(f) for f in dynamics._reference_values(x0)]
     scales = [max(1.0, abs(f)) for f in f0]
     times, states, drifts = [0.0], [state], [0.0]
     for k in range(1, steps + 1):
@@ -676,8 +674,7 @@ def _per_point_integrate(x0, T, h):
     tuples."""
     steps, state = dynamics._initial_state(x0, T, h)
     n = x0.n
-    reference = conserved_values_by_path if n <= MAX_SYMBOLIC_RANK else conserved_values
-    f0 = [float(f) for f in reference(x0)]
+    f0 = [float(f) for f in dynamics._reference_values(x0)]
     scales = [max(1.0, abs(f)) for f in f0]
     kept = []
     k, state = _trajectory_kernel(n)(*state, h, steps, *f0, *scales, kept.append)
@@ -747,8 +744,7 @@ def test_trajectory_kernel_keeps_each_state_by_one_call(rng, n):
     # (z_1..z_n, Q_1..Q_n, drift); the state that leaves the window is not kept
     x = to_phase(random_canonical(n, rng))
     h = 2.0 ** -10
-    f0 = [float(f) for f in (conserved_values_by_path if n <= MAX_SYMBOLIC_RANK
-                             else conserved_values)(x)]
+    f0 = [float(f) for f in dynamics._reference_values(x)]
     scales = [max(1.0, abs(f)) for f in f0]
     state, states, drifts = x.z + x.Q, [], []
     for _ in range(5):
@@ -1026,7 +1022,7 @@ def test_integrate_drifts_equal_the_pass_on_the_returned_states(rng, n, monkeypa
     x = to_phase(random_canonical(n, rng))
     traj = integrate(x, T=8 * 2.0 ** -10, h=2.0 ** -10)
     # F(0) as the reference route returns it
-    f0 = (conserved_values_by_path if n <= MAX_SYMBOLIC_RANK else conserved_values)(x)
+    f0 = dynamics._reference_values(x)
     scales = [max(1.0, abs(f)) for f in f0]
     expected = [0.0] + [
         max(abs(a - b) / s for a, b, s in zip(
