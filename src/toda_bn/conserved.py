@@ -27,9 +27,9 @@ the same polynomial; the pruning is exactly the pairwise cancellation
 coming from w(k, k+1bar) = -w(k, kbar).  Both variants read one
 interval table per rank, the improved one with those entries dropped or
 marked; a row names its weight by its factors, which ``_chain_sums``
-multiplies and ``f_poly`` turns into exponent keys.  ``f_poly`` expands
-route two, in either variant, into Laurent polynomials.  ``_chain_sums``
-evaluates the improved variant at a point in O(n^2) scalar operations:
+multiplies.  ``_chain_sums`` is the one expansion of route two: one
+O(n^2) pass over a table, in any ring.  Over the Laurent variables, on
+either table, it gives ``f_poly``; at a point, on the improved table,
 it gives the F_i of an exact point (``conserved_values_by_path``), the
 CLI's check of the two routes and the flow's F(t).
 """
@@ -111,8 +111,10 @@ def f_poly(n: int, i: int, mode: str = "original") -> LaurentPoly:
 
     mode "original" sums over all interval chains; mode "improved" prunes
     the pairwise-cancelling chains as described in the module docstring.
-    F_0 = 1 by convention.  A rank above ``MAX_SYMBOLIC_RANK`` raises the
-    path-formula route's ValueError before anything is expanded.
+    The mode picks the interval table that ``_f_polys`` runs the chain-sum
+    pass on, once per rank and mode.  F_0 = 1 by convention.  A rank above
+    ``MAX_SYMBOLIC_RANK`` raises the path-formula route's ValueError before
+    anything is expanded.
     """
     if n > MAX_SYMBOLIC_RANK:
         raise ValueError(f"path-formula route is capped at n <= {MAX_SYMBOLIC_RANK}")
@@ -123,123 +125,42 @@ def f_poly(n: int, i: int, mode: str = "original") -> LaurentPoly:
     return _f_polys(n, mode)[i]
 
 
-def _slot_width(n: int) -> int:
-    """Bits per exponent in a packed key of rank n: the least w with 2^w > 2n."""
-    return (2 * n).bit_length()
-
-
-def _pack(n: int, ez: Sequence[int], eq: Sequence[int]) -> int:
-    """The packed key sum_j e_j 2^(w j) of (z exponents, Q exponents).
-
-    Slot j = 0..n-1 holds the exponent of z_(j+1), slot n + j that of
-    Q_(j+1); w is ``_slot_width(n)``.  Packing is linear, so the key of a
-    product of monomials is the sum of their keys.
-    """
-    w = _slot_width(n)
-    return sum(e << (w * j) for j, e in enumerate((*ez, *eq)))
-
-
-def _unpack(n: int, key: int) -> tuple[tuple, tuple]:
-    """The (z exponents, Q exponents) of a packed key whose z exponents lie
-    in -1..2^w - 2 and whose Q exponents lie in 0..2^w - 1."""
-    w = _slot_width(n)
-    key += _pack(n, (1,) * n, (0,) * n)  # every slot now holds a digit in 0..2^w - 1
-    digits = [(key >> (w * j)) & ((1 << w) - 1) for j in range(2 * n)]
-    return tuple(d - 1 for d in digits[:n]), tuple(digits[n:])
-
-
 @lru_cache(maxsize=None)
 def _f_polys(n: int, mode: str) -> tuple[LaurentPoly, ...]:
-    """F_0..F_2n of one rank and mode, from one pass with one memo.
+    """F_0..F_2n of one rank and mode: the chain-sum pass over the Laurent
+    variables, on the mode's interval table.
 
-    The sum is a memoized recursion over (position, chains left, forced)
-    on plain term maps {packed exponent key: int}; no key depends on i, so
-    F_0..F_2n share the memo, which is dropped after the pass.  The mode
-    only picks the interval table.  Every interval weight is a monomial
-    with coefficient +-1, so the coefficients stay ints until the end.
-    Each step copies the map of the chains that skip the position and
-    adds the weight times each continuation into it in place, term by
-    term, exactly as ``LaurentPoly`` addition of a product would; so the
-    result keeps the storage order of the ring recursion, which the float
-    sums of ``evaluate`` follow.
-
-    A key is ``_pack``'s int, so a weight times a continuation is one int
-    addition.  A chain takes z_k only from its interval starting at k and
-    1/z_k only from the one at kbar, and each interval gives each Q_i at
-    most once, so every z exponent along the recursion is -1, 0 or 1 and
-    every Q exponent at most the chain length 2n < 2^w: each slot's digit
-    lies in -1..2^w - 2, and each key stands for exactly one exponent
-    vector.  Each distinct packed key is unpacked once, into one key
-    tuple shared by every F_i that holds the monomial: palindromic
+    ``_chain_sums`` adds each weight times its continuation to a
+    ``LaurentPoly`` term by term, so the storage order is that of the ring
+    recursion, which the float sums of ``evaluate`` follow.  Palindromic
     symmetry F_i = F_2n-i leaves 6 745 distinct monomials among the
-    17 089 terms at n = 6.  The z-half and Q-half tuples of the keys (729
-    and 126 distinct ones) and the Fraction of each distinct coefficient
-    are shared too.  With ``laurent._EvalPlan``'s shared halves that
-    takes the expanded F_i and their float plans from 231 to 114 B a
-    term.  Cold at n = 6 (2-core Xeon, Python 3.11; medians of 22 fresh
-    processes), the pass takes 19.2 ms, against 20.0 ms with a key tuple
-    a term.
+    17 089 terms at n = 6, and the keys have 729 distinct z-halves and 126
+    distinct Q-halves; each key, each half and each coefficient value is
+    kept as one object that every F_i holding it shares.  With
+    ``laurent._EvalPlan``'s shared halves that keeps the expanded F_i and
+    their float plans near 114 B a term, against 391 B when each term holds
+    the objects the pass made for it.
     """
-    w = _slot_width(n)
-    rows = tuple(tuple((y, _pack(n, *_exponents(n, factors)), sign, nxt)
-                       for y, sign, factors, nxt in row)
-                 for row in _interval_table(n, mode == "improved"))
-    zero: dict = {}
-    one = {0: 1}
-    memo: dict[tuple[int, int, bool], dict] = {}
+    z = [LaurentPoly.z_var(n, k) for k in range(1, n + 1)]
+    zinv = [LaurentPoly.z_var(n, k, -1) for k in range(1, n + 1)]
+    Q = [LaurentPoly.q_var(n, k) for k in range(1, n + 1)]
+    sums = _chain_sums(n, z, zinv, Q, LaurentPoly.one(n), LaurentPoly.zero(n),
+                       _interval_table(n, mode == "improved"))
+    # a key is a pair of tuples, a half a tuple of ints and a coefficient a
+    # Fraction, so no object of one kind equals one of another
+    shared: dict = {}
 
-    def chains(pos: int, left: int, forced: bool) -> dict:
-        # Sum of weight products over chains of `left` intervals starting at
-        # positions >= pos; `forced` pins the next interval to start at pos.
-        # The returned maps are shared through the memo and never mutated.
-        if left == 0:
-            return zero if forced else one
-        if pos > 2 * n:
-            return zero
-        key = (pos, left, forced)
-        if key in memo:
-            return memo[key]
-        acc = {} if forced else dict(chains(pos + 1, left, False))
-        for y, wk, wc, nxt_forced in rows[pos - 1]:
-            for ek, c in chains(y + 1, left - 1, nxt_forced).items():
-                k = wk + ek
-                s = acc.get(k, 0) + wc * c
-                if s == 0:
-                    del acc[k]
-                else:
-                    acc[k] = s
-        memo[key] = acc
-        return acc
+    def share(v):
+        return shared.setdefault(v, v)
 
-    # key + bias holds the z digits, each raised by 1, in its low n slots
-    mask, bias = (1 << (w * n)) - 1, _pack(n, (1,) * n, (0,) * n)
-    z_halves: dict[int, tuple] = {}
-    q_halves: dict[int, tuple] = {}
-    keys: dict[int, tuple] = {}
-    fractions: dict[int, Fraction] = {}
-
-    def poly(terms: dict) -> LaurentPoly:
-        out = {}
-        for k, c in terms.items():
-            key = keys.get(k)
-            if key is None:
-                zk, qk = (k + bias) & mask, (k + bias) >> (w * n)
-                if zk not in z_halves or qk not in q_halves:
-                    ez, eq = _unpack(n, k)
-                    z_halves.setdefault(zk, ez)
-                    q_halves.setdefault(qk, eq)
-                key = keys[k] = (z_halves[zk], q_halves[qk])
-            if c not in fractions:
-                fractions[c] = Fraction(c)
-            out[key] = fractions[c]
-        return LaurentPoly._trusted(n, out)
-
-    return tuple(poly(chains(1, i, False)) for i in range(2 * n + 1))
+    return tuple(LaurentPoly._trusted(n, {share((share(ez), share(eq))): share(c)
+                                          for (ez, eq), c in p.terms.items()})
+                 for p in sums)
 
 
-def _chain_sums(n: int, z, zinv, Q, one, zero) -> tuple:
-    """F_0..F_2n at (z, Q) by one backward pass over the improved interval
-    table.
+def _chain_sums(n: int, z, zinv, Q, one, zero, table=None) -> tuple:
+    """F_0..F_2n at (z, Q) by one backward pass over an interval table, by
+    default the improved one.
 
     ``z``, ``zinv`` and ``Q`` hold z_k, 1/z_k and Q_k at index k - 1, in
     any ring of the ring contract (``dynamics``) with units ``one`` and
@@ -249,10 +170,11 @@ def _chain_sums(n: int, z, zinv, Q, one, zero) -> tuple:
     first starts at pos, and ``free[pos][l]`` the sum over chains of l
     intervals starting at pos or later; F_l = free[1][l].  An interval (pos, y) that forces the next
     start continues with forced[y + 1], any other with free[y + 1].  The
-    pass takes O(n^2) ring operations; over the Laurent variables it gives
-    the f_poly, which ``_f_polys`` expands faster.
+    pass takes O(n^2) ring operations; over the Laurent variables it is
+    ``f_poly``'s expansion (``_f_polys``).
     """
-    table = _interval_table(n, True)
+    if table is None:
+        table = _interval_table(n, True)
     d = 2 * n
     vals = (*z, *zinv, *Q)
     free = [None] * (d + 2)

@@ -81,6 +81,18 @@ def _flip_a_weight(f):
     return mutant
 
 
+def _negate_a_pruned_weight(f):
+    # (1, 1bar), which only the unpruned table holds at n > 1: the improved
+    # mode reads the other table, so the two modes no longer expand alike
+    def mutant(n, improved):
+        rows = f(n, improved)
+        if improved or n == 1:
+            return rows
+        *head, (y, sign, factors, forces) = rows[0]
+        return ((*head, (y, -sign, factors, forces)), *rows[1:])
+    return mutant
+
+
 def _double_qn_corner(f):
     def mutant(n, rows, q_n, one, zero):
         return f(n, rows, 2 * q_n, one, zero)
@@ -123,6 +135,10 @@ MUTANTS = [
     ("one interval weight's sign flipped", [(cv, "_interval_table", _flip_a_weight)],
      ["printed-f1-f2", "conserved-route-equivalence", "ideal-generator-at-exponentials",
       "signed-path-weight-factorization", "poisson-structure-exact", "flow-conservation"]),
+    ("the unpruned table's (1, 1bar) weight negated",
+     [(cv, "_interval_table", _negate_a_pruned_weight)],
+     ["printed-f1-f2", "conserved-route-equivalence", "signed-path-weight-factorization",
+      "poisson-structure-exact", "flow-conservation"]),
     ("Q_n corner of the Gamma_2 read doubled", [(lx, "_inverse_by_gamma2", _double_qn_corner)],
      ["conserved-route-equivalence", "palindromic-symmetry",
       "ideal-generator-at-exponentials", "backlund-exact"]),
