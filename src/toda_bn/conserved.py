@@ -136,10 +136,10 @@ def _f_polys(n: int, mode: str) -> tuple[LaurentPoly, ...]:
     symmetry F_i = F_2n-i leaves 6 745 distinct monomials among the
     17 089 terms at n = 6, and the keys have 729 distinct z-halves and 126
     distinct Q-halves; each key, each half and each coefficient value is
-    kept as one object that every F_i holding it shares.  With
-    ``laurent._EvalPlan``'s shared halves that keeps the expanded F_i and
-    their float plans near 114 B a term, against 391 B when each term holds
-    the objects the pass made for it.
+    kept as one object that every F_i holding it shares.  That keeps the
+    expanded F_i at n = 6 near 67 B a term after a float evaluate, against
+    132 B with only keys and coefficients shared and 321 B when each term
+    holds the objects the pass made for it (tracemalloc, Python 3.11.7).
     """
     z = [LaurentPoly.z_var(n, k) for k in range(1, n + 1)]
     zinv = [LaurentPoly.z_var(n, k, -1) for k in range(1, n + 1)]

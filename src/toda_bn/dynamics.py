@@ -642,14 +642,15 @@ def _reference_values(x0: PhasePoint) -> tuple:
     (conserved_values_by_path) for n <= 3, char_poly (conserved_values)
     above it.
 
-    From n = 4 on char_poly is the cheaper route: a warm call took 0.08
-    against 0.16 ms at n = 4, 0.13 against 0.69 ms at n = 5 and 0.20
-    against 3.4 ms at n = 6, and the path formula also pays its first-use
-    expansion, 3, 7 and 34 ms (raw best of 5 at a float canonical-chart
-    point, shared 2-core Xeon, Python 3.11.7).  At n = 3 the two cost
-    about the same, 0.05 ms by char_poly and 0.08 ms by the path formula,
-    which there keeps the drift bits of n <= 3 and the flow's traced call
-    into the laurent layer.  Both routes are exact in exact arithmetic;
+    From n = 4 on char_poly is the cheaper route: a warm call took 0.10
+    against 0.8 ms at n = 4, 0.15 against 3.9 ms at n = 5 and 0.21
+    against 21 ms at n = 6, and the path formula also pays its first use,
+    which expands the F_i: 12-15, 54-59 and 290-313 ms (raw best of 5 at a
+    float canonical-chart point, shared 2-core Xeon, Python 3.11.7).  At
+    n = 3 a warm call took 0.06 ms by char_poly and 0.16-0.23 ms by the
+    path formula (2.5-3.0 ms for its first use), which there keeps the
+    drift bits of n <= 3 and the flow's traced call into the laurent
+    layer.  Both routes are exact in exact arithmetic;
     against the exact F_i at the same float point (30 chart points a rank)
     the worst relative error at n = 4..6 was 2.1e-14 by char_poly and
     6.0e-15 by the path formula, far inside the drift's bounds.

@@ -7,9 +7,8 @@ since its whole purpose is to make identity tests exact.
 
 A polynomial is stored as a map from exponent vectors to nonzero rational
 coefficients; zero coefficients are never stored, so two polynomials are
-equal iff their term maps are equal.  The printed and serialized term
-order is graded lexicographic with the z block before the Q block,
-highest first.
+equal iff their term maps are equal.  The printed term order is graded
+lexicographic with the z block before the Q block, highest first.
 
 ``evaluate`` sums the terms at a point in one loop, over Fractions at an
 exact point and over floats at a float point, so its value is a Fraction
@@ -42,7 +41,7 @@ def _term_sort_key(key: ExpKey):
 class LaurentPoly:
     """Immutable Laurent polynomial over Q in 2n variables."""
 
-    __slots__ = ("n", "_terms", "_plan")
+    __slots__ = ("n", "_terms")
 
     def __init__(self, n: int, terms: Mapping[ExpKey, Fraction] | None = None):
         if n < 1:
@@ -59,7 +58,6 @@ class LaurentPoly:
             if c != 0:
                 clean[(ez, eq)] = c
         self._terms = clean
-        self._plan = None  # the _EvalPlan, made by the first evaluate call
 
     @classmethod
     def _trusted(cls, n: int, terms: dict) -> "LaurentPoly":
@@ -73,7 +71,6 @@ class LaurentPoly:
         self = object.__new__(cls)
         self.n = n
         self._terms = terms
-        self._plan = None
         return self
 
     # -- constructors -----------------------------------------------------
@@ -120,9 +117,6 @@ class LaurentPoly:
 
     def is_zero(self) -> bool:
         return not self._terms
-
-    def sorted_terms(self):
-        return sorted(self._terms.items(), key=lambda kv: _term_sort_key(kv[0]))
 
     def __eq__(self, other):
         if isinstance(other, LaurentPoly):
@@ -193,10 +187,9 @@ class LaurentPoly:
         point's mode is ``linalg.scalars_mode``'s: at a point of ints and
         Fractions each coordinate is passed through ``Fraction()`` and the
         value is an exact Fraction; at a point of floats, ints included,
-        each coordinate is passed through ``float()``, each coefficient
-        through ``_EvalPlan.float_coeffs``, and the value is a float, a
-        constant or empty polynomial's included.  One loop serves both
-        modes.
+        each coordinate and each coefficient is passed through ``float()``,
+        and the value is a float, a constant or empty polynomial's included.
+        One loop serves both modes; each term computes its own powers.
 
         Raises ZeroBaseError when some z_i vanishes, and ModeError at a
         point that mixes Fractions with floats.
@@ -209,18 +202,14 @@ class LaurentPoly:
         exact = scalars_mode(point) == "exact"
         if not self._terms:
             return Fraction(0) if exact else 0.0
-        plan = self._plan
-        if plan is None:
-            plan = self._plan = _EvalPlan(self._terms)
         to = Fraction if exact else float
-        powers = [to(point[v]) ** e for v, e in plan.powers]
+        point = [to(v) for v in point]
         acc = None
-        for term, zf, qf in zip(plan.coeffs if exact else plan.float_coeffs(),
-                                plan.z_factors, plan.q_factors):
-            for j in zf:
-                term = term * powers[j]
-            for j in qf:
-                term = term * powers[j]
+        for (ez, eq), c in self._terms.items():
+            term = c if exact else float(c)
+            for v, e in enumerate(ez + eq):
+                if e:
+                    term = term * point[v] ** e
             acc = term if acc is None else acc + term
         return acc
 
@@ -261,77 +250,14 @@ class LaurentPoly:
         if not self._terms:
             return "0"
         parts = []
-        for (ez, eq), c in self.sorted_terms():
+        for ez, eq in sorted(self._terms, key=_term_sort_key):
+            c = self._terms[ez, eq]
             factors = [f"z{i + 1}^{e}" for i, e in enumerate(ez) if e]
             factors += [f"Q{i + 1}^{e}" for i, e in enumerate(eq) if e]
             parts.append(f"{c} * " + " ".join(factors) if factors else f"{c}")
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-class _EvalPlan:
-    """The terms of a polynomial as index tuples into a table of powers.
-
-    ``powers`` lists the distinct (variable, exponent) pairs, the variable
-    indexing the point (z_1..z_n, Q_1..Q_n); ``z_factors[t]`` and
-    ``q_factors[t]`` index the powers of term t's z half and Q half in
-    variable order, and ``coeffs[t]`` is its coefficient.  Terms share
-    few exponent halves (F_0..F_12 at n = 6 have 729 distinct z-halves
-    and 126 distinct Q-halves over 17 089 terms), so the index tuple of
-    each half is made once per plan and every term with that half holds
-    the same tuple; ``evaluate`` multiplies by the z half, then by the Q
-    half, which is variable order.  At a float point ``Fraction * float``
-    and ``Fraction + float`` compute ``float(c) * x`` and ``float(c) + x``,
-    so the coefficients are converted once up front, as ``numerator /
-    denominator``, the correctly rounded quotient that ``float(c)`` also
-    returns, one float per distinct coefficient object.  Every sum keeps
-    its bits; a constant term is a float too, so every float evaluate
-    returns a float.
-
-    ``conserved._f_polys`` keeps one object per distinct key, key half and
-    coefficient value across F_0..F_2n; with those, F_0..F_12 at n = 6
-    and their plans retain 114 B a term (1.9 MB) after one float evaluate,
-    against 231 B (3.9 MB) when each term held its own key, index tuple
-    and float (tracemalloc).  Cold, that first evaluate,
-    plans included, takes a median 13.5 ms against 16.2 ms; a warm one of
-    all 13 takes 3.6 ms against 3.0 ms, the cost of a second index loop a
-    term (medians of 22 fresh processes, 2-core Xeon, Python 3.11).
-    """
-
-    __slots__ = ("powers", "z_factors", "q_factors", "coeffs", "_floats")
-
-    def __init__(self, terms: Mapping[ExpKey, Fraction]):
-        table: dict[tuple[int, int], int] = {}
-        z_halves: dict[tuple, tuple] = {}
-        q_halves: dict[tuple, tuple] = {}
-        self.z_factors = []
-        self.q_factors = []
-        for ez, eq in terms:
-            zf = z_halves.get(ez)
-            if zf is None:
-                zf = z_halves[ez] = tuple(table.setdefault((v, e), len(table))
-                                          for v, e in enumerate(ez) if e)
-            qf = q_halves.get(eq)
-            if qf is None:
-                qf = q_halves[eq] = tuple(table.setdefault((len(ez) + v, e), len(table))
-                                          for v, e in enumerate(eq) if e)
-            self.z_factors.append(zf)
-            self.q_factors.append(qf)
-        self.powers = tuple(table)
-        self.coeffs = list(terms.values())
-        self._floats = None
-
-    def float_coeffs(self) -> list:
-        if self._floats is None:
-            floats: dict[int, float] = {}  # id of a coefficient -> its float
-            self._floats = []
-            for c in self.coeffs:
-                f = floats.get(id(c))
-                if f is None:
-                    f = floats[id(c)] = c.numerator / c.denominator
-                self._floats.append(f)
-        return self._floats
 
 
 def _parse_var(var: str, n: int) -> tuple[str, int]:

@@ -381,9 +381,10 @@ def test_f_polys_share_one_key_object_a_monomial():
     assert len(shared) == 6745 and sum(len(p.terms) for p in polys) == 17089
 
 
-def test_f_polys_and_their_float_plan_retain_under_150_b_a_term():
-    # F_0..F_12 at n = 6 and their evaluation plans after one float
-    # evaluate; a key tuple, an index tuple and a float a term held 231 B
+def test_f_polys_retain_under_100_b_a_term_after_a_float_evaluate():
+    # F_0..F_12 at n = 6 after one float evaluate, which keeps nothing; the
+    # shared keys, halves and coefficients hold about 67 B a term, against
+    # 132 B with the halves unshared and 321 B with nothing shared
     n = 6
     x = PhasePoint(n, tuple(1.0 + 0.1 * k for k in range(n)),
                    tuple(0.3 + 0.05 * k for k in range(n)))
@@ -399,7 +400,23 @@ def test_f_polys_and_their_float_plan_retain_under_150_b_a_term():
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert retained / sum(len(p.terms) for p in polys) < 150
+    assert retained / sum(len(p.terms) for p in polys) < 100
+
+
+# sha256 over the float.hex() of F_0..F_2n by the path formula, one line a
+# rank, at n = 1..6.  It was taken when evaluate still multiplied from a
+# cached table of powers, so it pins these bits apart from test_laurent.py's
+# evaluate_term_by_term, which is now the same loop as evaluate
+FLOAT_PATH_GOLDEN = "60803cc22a18cdc60c75803f6a76905fea646ab858548ba25ee0fdfb8a9b59bb"
+
+
+def test_float_path_route_bits_pinned():
+    digest = hashlib.sha256()
+    for n in range(1, 7):
+        x = PhasePoint(n, tuple((-1) ** k * (1 + 0.1 * k) for k in range(n)),
+                       tuple(0.3 - 0.15 * k for k in range(n)))
+        digest.update(repr([v.hex() for v in conserved_values_by_path(x)]).encode() + b"\n")
+    assert digest.hexdigest() == FLOAT_PATH_GOLDEN
 
 
 @pytest.mark.parametrize("n", range(1, 7))

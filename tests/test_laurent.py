@@ -15,7 +15,6 @@ from toda_bn import (
     f_poly,
     to_phase,
 )
-from toda_bn.laurent import _EvalPlan
 from toda_bn.lax import lax_symbolic
 from toda_bn.verify import random_point, random_rational
 
@@ -127,7 +126,7 @@ def test_negative_q_exponent_rejected():
         LaurentPoly.monomial(1, (0,), (-1,))
 
 
-def test_str_deterministic_and_json_roundtrip(rng):
+def test_str_deterministic_and_printed_terms(rng):
     p = random_poly(2, rng)
     assert str(p) == str(LaurentPoly(2, dict(p.terms)))
     assert str(LaurentPoly.zero(2)) == "0"
@@ -140,8 +139,9 @@ def test_str_deterministic_and_json_roundtrip(rng):
 
 def evaluate_term_by_term(p, z, Q):
     """LaurentPoly.evaluate as a plain loop over the terms: each term is its
-    coefficient, as a float at a float point, times z_i ** e and Q_i ** e in
-    variable order, and the terms are added in storage order."""
+    coefficient, as float(c) = numerator / denominator at a float point,
+    times z_i ** e and Q_i ** e in variable order, and the terms are added
+    in storage order."""
     if len(z) != p.n or len(Q) != p.n:
         raise IndexMismatchError("point size does not match variable count")
     if any(v == 0 for v in z):
@@ -274,7 +274,7 @@ def test_evaluate_rational_z_float_q():
 
 
 def test_evaluate_alternating_point_types():
-    # one polynomial, its evaluation plan kept, at points of every mode
+    # one polynomial at points of every mode, in turn
     p = f_poly(3, 3)
     points = [((1.25, -0.5, 2.0), (0.5, -0.75, 0.25)),
               ((Fraction(5, 4), Fraction(-1, 2), 2), (Fraction(1, 2), Fraction(-3, 4), 0)),
@@ -347,30 +347,6 @@ def test_ring_results_have_valid_terms(abk):
 # -- exact evaluation against Fraction terms ------------------------------------
 
 
-def evaluate_parent_route(p, z, Q):
-    """The term loop of LaurentPoly.evaluate, each term built from its key:
-    its coefficient times point[v] ** e over the key's nonzero exponents in
-    variable order, z half then Q half, and the terms added in storage
-    order.  At a float point each coefficient is first converted as
-    numerator / denominator."""
-    if len(z) != p.n or len(Q) != p.n:
-        raise IndexMismatchError("point size does not match variable count")
-    if any(v == 0 for v in z):
-        raise ZeroBaseError("evaluation requires all z_i != 0")
-    if not p.terms:
-        return Fraction(0) if all(isinstance(v, (int, Fraction)) for v in z) else 0.0
-    point = (*z, *Q)
-    floats = all(type(v) is float for v in point)
-    acc = None
-    for (ez, eq), c in p.terms.items():
-        powers = [(v, e) for v, e in enumerate(ez + eq) if e]
-        term = c.numerator / c.denominator if floats else c
-        for v, e in powers:
-            term = term * point[v] ** e
-        acc = term if acc is None else acc + term
-    return acc
-
-
 def wide_polys(n):
     """Polynomials with z exponents in [-4, 4], Q exponents up to 3 and
     coefficients with denominators, empty ones included."""
@@ -393,7 +369,7 @@ EXACT_Q = st.one_of(st.just(0), st.just(Fraction(0)), NONZERO_FRACTIONS, BIG_FRA
 @given(st.integers(1, 3).flatmap(
     lambda n: st.tuples(wide_polys(n), st.lists(EXACT_Z, min_size=n, max_size=n),
                         st.lists(EXACT_Q, min_size=n, max_size=n))))
-def test_integer_kernel_equals_fraction_terms(pzq):
+def test_exact_evaluate_equals_fraction_terms(pzq):
     # exact at every point of ints and Fractions, an int z_i with a negative
     # exponent included: never a float, never an OverflowError
     p, z, Q = pzq
@@ -406,14 +382,14 @@ def test_integer_kernel_equals_fraction_terms(pzq):
 def test_evaluate_float_and_mixed_points_keep_the_parent_bits(pzq):
     p, (z, Q) = pzq
     floats = (tuple(map(float, z)), tuple(map(float, Q)))
-    assert outcome(p.evaluate, *floats) == outcome(evaluate_parent_route, p, *floats)
+    assert outcome(p.evaluate, *floats) == outcome(evaluate_term_by_term, p, *floats)
     assert outcome(p.evaluate, z, Q) == mode_outcome(p, z, Q)
     types = {type(v) for v in (*z, *Q)}
     if float in types and Fraction not in types:
         assert outcome(p.evaluate, z, Q) == outcome(p.evaluate, *floats)
 
 
-def test_integer_kernel_edge_cases():
+def test_exact_evaluate_edge_cases():
     big = Fraction(3 ** 200 + 1, 2 ** 320)
     n = 4
     for i in range(2 * n + 1):
@@ -434,7 +410,7 @@ def test_integer_kernel_edge_cases():
         assert type(got) is Fraction and got == 0
 
 
-# -- the float plan of the path-formula polynomials, bit for bit ---------------
+# -- float evaluate of the path-formula polynomials, bit for bit ---------------
 
 
 def hex_outcome(f, *args):
@@ -448,8 +424,8 @@ def hex_outcome(f, *args):
 
 @pytest.mark.parametrize("n", [5, 6])
 def test_f_poly_float_evaluate_bits_equal_term_by_term(n):
-    # the plan's factor tables are built per z-half and per Q-half; the value
-    # at a float point, negative z_i included, keeps every bit of the loop
+    # at a float point, negative z_i included, evaluate keeps every bit of
+    # the term loop; FLOAT_PATH_GOLDEN (test_conserved.py) pins these bits
     rng = random.Random(3100 + n)
     for _ in range(5):
         z = tuple(rng.choice((-1, 1)) * rng.uniform(0.5, 2.0) for _ in range(n))
@@ -474,14 +450,7 @@ def polys_of_shared_halves(draw, n):
     polys_of_shared_halves(n), st.lists(NONZERO_FLOATS, min_size=n, max_size=n),
     st.lists(st.floats(-3, 3), min_size=n, max_size=n))))
 def test_eval_plan_of_shared_halves_keeps_the_bits(pzq):
+    # terms that share their z and Q halves, as the path-formula F_i do
     p, z, Q = pzq
-    plan = _EvalPlan(p.terms)
-    # each term's z half then Q half index its (variable, exponent) powers in
-    # variable order, and equal halves are one tuple
-    assert [tuple(plan.powers[j] for j in zf + qf)
-            for zf, qf in zip(plan.z_factors, plan.q_factors)] == \
-        [tuple((v, e) for v, e in enumerate(ez + eq) if e) for ez, eq in p.terms]
-    assert len(set(map(id, plan.z_factors))) == len({ez for ez, _ in p.terms})
-    assert len(set(map(id, plan.q_factors))) == len({eq for _, eq in p.terms})
     assert hex_outcome(p.evaluate, tuple(z), tuple(Q)) == \
         hex_outcome(evaluate_term_by_term, p, tuple(z), tuple(Q))
