@@ -205,7 +205,11 @@ def cmd_verify(args) -> int:
 
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("TODA_BN_SEED", "7"))
+        value = os.environ.get("TODA_BN_SEED", "7")
+        try:
+            seed = int(value)
+        except ValueError:
+            raise CliError(f"TODA_BN_SEED is not an integer: {value!r}") from None
     cfg = VerifySuiteConfig(n_max=args.n_max, trials=args.trials,
                             seed=seed, mode=args.mode)
     results = run_suite(cfg)

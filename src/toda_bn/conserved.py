@@ -229,9 +229,9 @@ def _char_poly_values(x: PhasePoint) -> tuple:
 
     A float point keeps ``char_poly`` of ``build_lax(x)``: float reduction
     does not swell; this route is a flow's F(0) from n = 4 on, so it gives
-    the float drift values their pinned bits there (``SIMULATE_GOLDEN`` at
-    n = 4, 6 and 8); and it is the call through which a traced flow run
-    reaches the lax and linalg layers.
+    the float drift values their pinned bits there (the simulate rows of
+    tests/golden.py at n = 4, 6 and 8); and it is the call through which a
+    traced flow run reaches the lax and linalg layers.
     """
     if x.mode == "float":
         coeffs = build_lax(x).char_poly()

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import golden
 import toda_bn
 from toda_bn import cli
 from toda_bn import conserved as cv
@@ -170,7 +172,7 @@ def test_simulate_into_a_closed_pipe_exits_2_with_one_line():
     # the reader takes one line and closes its end, as `simulate ... | head -1`
     # does; the 10 001 rows outgrow the pipe's buffer, so a write meets the
     # closed end, and no traceback or "Exception ignored" line follows
-    init = json.dumps(SIMULATE_GOLDEN[3][0])
+    init = json.dumps(golden.FLOW_N3)
     proc = cli_process(["simulate", "--init", init, "--T", "10"],
                        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     first = proc.stdout.readline()
@@ -217,6 +219,14 @@ def test_verify_seed_env_fallback(capsys, monkeypatch):
     assert code == 0
     summary = json.loads(out.strip().splitlines()[-1])
     assert summary["seed"] == 23
+
+
+@pytest.mark.parametrize("value", ["abc", "", "7.5", "1\n2"])
+def test_verify_seed_env_that_is_not_an_integer_exits_2_naming_it(capsys, monkeypatch, value):
+    monkeypatch.setenv("TODA_BN_SEED", value)
+    code, out, err = run(capsys, "verify", "--n-max", "1", "--trials", "1")
+    assert (code, out) == (2, "")
+    assert err.splitlines() == [f"error: TODA_BN_SEED is not an integer: {value!r}"]
 
 
 def test_verify_out_file(capsys, tmp_path):
@@ -518,60 +528,31 @@ def test_verify_g_minus_redraw_seed(capsys):
     assert split["resamples"] == 0
 
 
-def test_verify_report_golden(capsys):
-    # the rational report is platform independent; this digest pins its bytes
-    code, out, _ = run(capsys, "verify", "--mode", "rational", "--seed", "7",
-                       "--n-max", "3", "--trials", "3")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "6559814895a63af8b9769a47ee9eb627a8c8c631732f9461ba5f337e628eb726"
+@pytest.mark.parametrize("name,compute,digest", golden.CHECKS,
+                         ids=[name for name, _, _ in golden.CHECKS])
+def test_pinned_digest(monkeypatch, name, compute, digest):
+    # every pinned digest of tests/golden.py; its rows read the default seed
+    monkeypatch.delenv("TODA_BN_SEED", raising=False)
+    assert compute() == digest
 
 
-def test_verify_report_golden_at_n4(capsys):
-    # n = 4 is where the exact Laurent evaluation and the dual pass of
-    # lax-hamilton-equivalence do most of their work
-    code, out, _ = run(capsys, "verify", "--mode", "rational", "--seed", "7",
-                       "--n-max", "4", "--trials", "5")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "bcba3451adf8fd53b28d869ef522dd78739475274c687e08bc38553fa052b685"
-
-
-def test_verify_float_report_golden(capsys):
-    # pins the float report, RK4 flows included, on every Python version
-    code, out, _ = run(capsys, "verify", "--mode", "float", "--seed", "7",
-                       "--n-max", "3", "--trials", "3")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "d7922d5bdb37426063123c839d5b378103f1037d33f5db5273c81bec8f56a235"
-
-
-def test_verify_float_report_golden_at_the_defaults(capsys):
-    # the default float report: seed 7, n-max 4, 50 trials
-    code, out, _ = run(capsys, "verify", "--mode", "float")
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == \
-        "45b0535e1570871f32da149b5f7d8b97b58da66ca1fa7d35322c169284a448b1"
-
-
-# the only JSON subcommands whose bytes no other digest pins; canonical at
-# q = p = 0 takes only exp(0) and sqrt, so its bytes do not depend on libm
-POINT_GOLDEN = {
-    "lax-exact": (("lax", "--point", '{"n":3,"z":["2","-3","5/2"],"Q":["1/3","2/5","-1/2"]}'),
-                  "917bfb903633acf05ff2797253241108aed28d540871a644055806204b11b6d0"),
-    "lax-float": (("lax", "--point", '{"n":3,"z":[1.5,0.5,2.0],"Q":[-0.3,0.2,-0.7]}'),
-                  "c007a9cdc9ab3dc316fa089caef80f6772d16cd1ada575df059540e058b71f1f"),
-    "canonical": (("canonical", "--point", '{"q":[0,0,0],"p":[0,0,0]}'),
-                  "13ff9f456c3238335385e04d7ebdb41056fb6b2642d27d1d5f70845d13d6a3c8"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(POINT_GOLDEN))
-def test_point_command_golden(capsys, case):
-    argv, digest = POINT_GOLDEN[case]
-    code, out, _ = run(capsys, *argv)
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
+def test_every_digest_has_one_home():
+    # a digest lives in tests/golden.py alone, and test_pinned_digest reaches
+    # every check of it: the workflow holds no 64-hex-digit literal, golden.py
+    # none outside its checks, and no other test module repeats one
+    hex64 = re.compile(r"\b[0-9a-f]{64}\b")
+    tests = Path(__file__).resolve().parent
+    workflow = tests.parent / ".github" / "workflows" / "tier1.yml"
+    assert hex64.findall(workflow.read_text()) == []
+    pinned = {digest for _, _, digest in golden.CHECKS}
+    assert set(hex64.findall((tests / "golden.py").read_text())) == pinned
+    names = [name for name, _, _ in golden.CHECKS]
+    assert len(set(names)) == len(names)
+    (mark,) = test_pinned_digest.pytestmark
+    assert [name for name, _, _ in mark.args[1]] == names
+    for path in tests.glob("*.py"):
+        if path.name != "golden.py":
+            assert not set(hex64.findall(path.read_text())) & pinned, path.name
 
 
 def test_exact_output_past_the_int_digit_limit(capsys):
@@ -591,40 +572,6 @@ def test_exact_output_past_the_int_digit_limit(capsys):
     assert sys.get_int_max_str_digits() == limit
 
 
-# simulate CSVs, drift column included, in the benchmark's argv form:
-# h = 2^-10, so every t = k h is exact in binary64 and T is a whole number of
-# steps.  The drift column compares the chain-sum pass at each state with F(0)
-# from LaurentPoly.evaluate at n = 3 and from the float Hessenberg char_poly
-# at n = 4, 6 and 8 (dynamics._reference_values).  n = 4 is the first
-# char_poly rank; its drift bits differ from those of the path formula's F(0).
-FLOW_H = 2.0 ** -10
-SIMULATE_GOLDEN = {
-    3: ({"q": [0.31, -0.52, 0.17], "p": [0.12, -0.43, 0.64]}, 256,
-        "45df05636b892d275c4024107c2c6b6c30f8efb1f78fbb03d59efb7db5c9cb33"),
-    4: ({"q": [-0.33, 0.58, 0.09, -0.21], "p": [0.46, -0.12, -0.37, 0.25]}, 16,
-        "0ddffc6512edff6387911a626ea1a1525c51df70d91aa909c366c35bcc9a5982"),
-    6: ({"q": [0.21, -0.35, 0.48, -0.12, 0.66, -0.27],
-         "p": [-0.14, 0.39, 0.05, -0.58, 0.23, 0.41]}, 8,
-        "e55adb0a5eafd9f59c7eae5bd9b03a5e83da36ee3ecd1028da3c996595485ea9"),
-    8: ({"q": [0.44, -0.19, 0.27, -0.63, 0.08, 0.35, -0.41, 0.16],
-         "p": [0.22, -0.31, 0.57, 0.09, -0.46, 0.13, -0.05, 0.38]}, 16,
-        "13f7caacd08441e95fea6c7778ce214571a00ffe2358e77a3c5007c8b6832d55"),
-}
-
-
-def simulate_argv(n):
-    init, steps, _ = SIMULATE_GOLDEN[n]
-    return ["simulate", "--init", json.dumps(init),
-            "--T", repr(steps * FLOW_H), "--h", repr(FLOW_H)]
-
-
-@pytest.mark.parametrize("n", sorted(SIMULATE_GOLDEN))
-def test_simulate_csv_golden(capsys, n):
-    code, out, _ = run(capsys, *simulate_argv(n))
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_GOLDEN[n][2]
-
-
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_flow_from_n4_expands_no_path_formula(capsys, monkeypatch, n):
     # integrate takes F(0) from char_poly from n = 4 on, so neither it nor
@@ -640,9 +587,9 @@ def test_flow_from_n4_expands_no_path_formula(capsys, monkeypatch, n):
     monkeypatch.setattr(cv, "f_poly", capped)
     init = {"q": [0.1 * (i - 2) for i in range(n)], "p": [0.15 * (3 - i) for i in range(n)]}
     x0 = dy.to_phase(dy.CanonicalPoint(init["q"], init["p"]))
-    assert len(dy.integrate(x0, T=4 * FLOW_H, h=FLOW_H).drifts) == 5
+    assert len(dy.integrate(x0, T=4 * golden.FLOW_H, h=golden.FLOW_H).drifts) == 5
     code, out, err = run(capsys, "simulate", "--init", json.dumps(init),
-                         "--T", repr(4 * FLOW_H), "--h", repr(FLOW_H))
+                         "--T", repr(4 * golden.FLOW_H), "--h", repr(golden.FLOW_H))
     assert (code, err) == (0, "")
     assert len(out.splitlines()) == 6
     Q = [(-0.5, 0.25)[i % 2] for i in range(n)]
@@ -658,27 +605,28 @@ def test_flow_from_n4_expands_no_path_formula(capsys, monkeypatch, n):
 
 def test_one_parser_serves_every_call_in_a_process(capsys):
     assert cli.build_parser() is cli.build_parser()
-    code, out, _ = run(capsys, *simulate_argv(3))
+    argv, digest = golden.CLI_GOLDEN["simulate-n3"]
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_GOLDEN[3][2]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
     with pytest.raises(SystemExit) as exc:
-        main(simulate_argv(3)[:3])  # no --T
+        main(list(argv[:3]))  # no --T
     assert exc.value.code == 2
     assert "--T" in capsys.readouterr().err
     assert run(capsys, "verify", "--mode", "float", "--n-max", "1", "--trials", "1")[0] == 0
     assert run(capsys, "conserved", "--point", WORKED)[0] == 0
-    code, out, _ = run(capsys, *simulate_argv(3))
+    code, out, _ = run(capsys, *argv)
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_GOLDEN[3][2]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_simulate_drift_at_n8_within_bound(capsys):
     # the drift column is integrator error plus the gap between the chain-sum
     # pass and char_poly's F(0)
-    code, out, _ = run(capsys, *simulate_argv(8))
+    code, out, _ = run(capsys, *golden.CLI_GOLDEN["simulate-n8"][0])
     assert code == 0
     drifts = [float(line.rsplit(",", 1)[1]) for line in out.splitlines()[1:]]
-    assert len(drifts) == SIMULATE_GOLDEN[8][1] + 1
+    assert len(drifts) == 17  # t = 0 and 16 steps
     assert max(drifts) <= 1e-8
 
 
@@ -691,7 +639,7 @@ def test_package_runs_without_numpy_and_scipy():
             "for argv in json.loads(sys.argv[1]):\n"
             "    if main(argv) != 0:\n"
             "        sys.exit(f'{argv} failed')\n")
-    argvs = [simulate_argv(3), simulate_argv(8),
+    argvs = [golden.CLI_GOLDEN["simulate-n3"][0], golden.CLI_GOLDEN["simulate-n8"][0],
              ["verify", "--mode", "float", "--n-max", "2", "--trials", "1"]]
     env = dict(os.environ, PYTHONPATH=str(Path(toda_bn.__file__).resolve().parent.parent))
     done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
@@ -716,7 +664,7 @@ def test_no_command_imports_dataclasses_and_only_verify_loads_the_verify_module(
             "if main(last) != 0 or 'toda_bn.verify' not in sys.modules:\n"
             "    sys.exit('verify did not run through toda_bn.verify')\n")
     exact = '{"n": 2, "z": ["2", "3"], "Q": ["1/2", "1/5"]}'
-    argvs = [["simulate", "--init", json.dumps(SIMULATE_GOLDEN[3][0]), "--T", "0.004",
+    argvs = [["simulate", "--init", json.dumps(golden.FLOW_N3), "--T", "0.004",
               "--h", "0.001"],
              ["conserved", "--point", exact],
              ["conserved", "--point", '{"n": 2, "z": [1.5, 0.5], "Q": [-0.3, 0.2]}'],

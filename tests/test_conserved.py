@@ -1,6 +1,5 @@
 import functools
 import gc
-import hashlib
 import itertools
 import math
 import operator
@@ -342,27 +341,7 @@ def test_elementary_symmetric_z_poly_is_e_i_of_the_laurent_variables(n):
         assert got == subsets
 
 
-# -- the term order of f_poly: float evaluate sums in storage order -------------
-
-# sha256 over repr(list(f_poly(n, i, mode).terms.items())) + "\n" for i = 0..2n,
-# taken from the LaurentPoly ring recursion (f_poly_by_ring below)
-F_POLY_GOLDEN = {
-    1: "5050c9d412ab2a349b08fb8500a6ca064b91234b3cd05a7a88a666c9decab6f8",
-    2: "67b06d1422ccec4a7fa67071cb5808be915400cb17174cf521c45123751b1cad",
-    3: "cf690a9904e1e8d5c58abb00664a5e5921103ba5695461d588108ac6de39ca6b",
-    4: "8c35769cb3fc8c76133c698443e423a44ed0b7bd31c00c8bc6cba5808b413eb6",
-    5: "fef87a9dc437d751268132368d14ccbf026abe089dfa11dc7b59228bd973e45a",
-    6: "d732d1bda7931f45913b7b3dd00a6d4f5d4d022f9d27bbde242a1cc854aec246",
-}
-
-
-@pytest.mark.parametrize("mode", ["original", "improved"])
-@pytest.mark.parametrize("n", sorted(F_POLY_GOLDEN))
-def test_f_poly_term_order_pinned(n, mode):
-    digest = hashlib.sha256()
-    for i in range(2 * n + 1):
-        digest.update(repr(list(f_poly(n, i, mode).terms.items())).encode() + b"\n")
-    assert digest.hexdigest() == F_POLY_GOLDEN[n]
+# -- the expansion of f_poly: one key object a monomial -------------------------
 
 
 def test_f_polys_share_one_key_object_a_monomial():
@@ -401,22 +380,6 @@ def test_f_polys_retain_under_100_b_a_term_after_a_float_evaluate():
     finally:
         tracemalloc.stop()
     assert retained / sum(len(p.terms) for p in polys) < 100
-
-
-# sha256 over the float.hex() of F_0..F_2n by the path formula, one line a
-# rank, at n = 1..6.  It was taken when evaluate still multiplied from a
-# cached table of powers, so it pins these bits apart from test_laurent.py's
-# evaluate_term_by_term, which is now the same loop as evaluate
-FLOAT_PATH_GOLDEN = "60803cc22a18cdc60c75803f6a76905fea646ab858548ba25ee0fdfb8a9b59bb"
-
-
-def test_float_path_route_bits_pinned():
-    digest = hashlib.sha256()
-    for n in range(1, 7):
-        x = PhasePoint(n, tuple((-1) ** k * (1 + 0.1 * k) for k in range(n)),
-                       tuple(0.3 - 0.15 * k for k in range(n)))
-        digest.update(repr([v.hex() for v in conserved_values_by_path(x)]).encode() + b"\n")
-    assert digest.hexdigest() == FLOAT_PATH_GOLDEN
 
 
 @pytest.mark.parametrize("n", range(1, 7))

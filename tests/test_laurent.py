@@ -425,7 +425,7 @@ def hex_outcome(f, *args):
 @pytest.mark.parametrize("n", [5, 6])
 def test_f_poly_float_evaluate_bits_equal_term_by_term(n):
     # at a float point, negative z_i included, evaluate keeps every bit of
-    # the term loop; FLOAT_PATH_GOLDEN (test_conserved.py) pins these bits
+    # the term loop; FLOAT_PATH_GOLDEN (tests/golden.py) pins these bits
     rng = random.Random(3100 + n)
     for _ in range(5):
         z = tuple(rng.choice((-1, 1)) * rng.uniform(0.5, 2.0) for _ in range(n))
