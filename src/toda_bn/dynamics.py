@@ -583,9 +583,11 @@ def _trajectory_kernel(n: int):
 
 
 def _check_window(n: int, state: tuple, t: float):
+    lo, hi = Z_WINDOW
     for i in range(n):
-        if not (Z_WINDOW[0] <= abs(state[i]) <= Z_WINDOW[1]):
-            raise StepBlowupError(f"|z_{i + 1}| left {Z_WINDOW} at t={t}")
+        if not (lo <= abs(state[i]) <= hi):
+            raise StepBlowupError(
+                f"|z_{i + 1}| = {abs(state[i])!r} left [{lo:g}, {hi:g}] at t={t}")
 
 
 def step_count(T: float, h: float, names: tuple[str, str] = ("T", "h")) -> int:

@@ -1,9 +1,12 @@
-"""Every pinned output digest of toda-bn, in one table.
+"""Every pinned output of toda-bn, in one table.
 
-Each check is a name, a function that computes a sha256 hex digest, and the
-digest it must give:
+Each check is a name, a function that computes a value, and the value it
+must give:
 
-- ``CLI_GOLDEN``: the bytes ``toda-bn`` writes to stdout, one row an argv;
+- ``CLI_GOLDEN``: what ``toda-bn`` gives for one argv.  A digest row pins
+  the sha256 of the bytes a call that exits 0 writes to stdout; an exit row
+  pins the one line a call that exits N != 0 writes to stderr, with empty
+  stdout, as ``"exit N: <line>"``;
 - ``F_POLY_GOLDEN``: the term order of ``f_poly`` at n = 1..6, both modes;
 - ``FLOAT_PATH_GOLDEN``: the float bits of F_0..F_2n by the path formula.
 
@@ -17,10 +20,11 @@ check, in one process, with
     python tests/golden.py
 
 (``PYTHONPATH=src`` from a checkout without an install).  It exits 0 when
-every digest holds, and 1 at the first one that does not, naming the check
-and the digest it got.  Tier-1 runs the same checks through one
-parametrized test (tests/test_cli.py).  A change that moves a digest on
-purpose edits its one row here and says why.
+every check holds, and 1 at the first one that does not, naming the check
+and printing the value it got and the pinned one.  Tier-1 runs the same
+checks through one parametrized test (tests/test_cli.py).  A change that
+moves a digest or an exit line on purpose edits its one row here and says
+why.
 """
 
 from __future__ import annotations
@@ -48,9 +52,11 @@ def simulate(init: dict, steps: int) -> tuple:
 
 EXACT_N3 = '{"n":3,"z":["2","-3","5/2"],"Q":["1/3","2/5","-1/2"]}'
 FLOW_N3 = {"q": [0.31, -0.52, 0.17], "p": [0.12, -0.43, 0.64]}
+FAR_N3 = '{"n": 3, "z": [1.0, 1e-200, 1e-200], "Q": [0.5, 0.5, 0.5]}'
 
-#: name: (argv, sha256 of stdout).  The rows read the default seed 7, so
-#: TODA_BN_SEED must be unset where a row gives no --seed.
+#: name: (argv, sha256 of stdout, or "exit N: <the stderr line>").  The rows
+#: read the default seed 7, so TODA_BN_SEED must be unset where a row gives
+#: no --seed.
 CLI_GOLDEN = {
     # verify reports
     "verify-defaults": (("verify",),
@@ -76,6 +82,14 @@ CLI_GOLDEN = {
     "verify-float-n3": (
         ("verify", "--mode", "float", "--seed", "7", "--n-max", "3", "--trials", "3"),
         "d7922d5bdb37426063123c839d5b378103f1037d33f5db5273c81bec8f56a235"),
+    # a flow-conservation draw that passes only at a halved RK4 step
+    "verify-float-seed-706265967": (
+        ("verify", "--mode", "float", "--seed", "706265967", "--n-max", "4", "--trials", "5"),
+        "3e76ae0403bf94da01915d3349147c62c4fd948d2bd72c05b7ac62b255aee96a"),
+    # past the path-formula cap: ideal-generator's bound is relative to e_i
+    "verify-float-n7": (
+        ("verify", "--mode", "float", "--n-max", "7", "--trials", "1"),
+        "655bf27d65094b3105bf99448ec2e5d932fc11683bb8e0e845bbf8f952995554"),
     # simulate CSVs, drift column included.  The drift compares the
     # chain-sum pass at each state with F(0) from LaurentPoly.evaluate at
     # n = 3 and from the float Hessenberg char_poly from n = 4 on
@@ -138,6 +152,30 @@ CLI_GOLDEN = {
     # q = p = 0 takes only exp(0) and sqrt, so these bytes do not depend on libm
     "canonical": (("canonical", "--point", '{"q":[0,0,0],"p":[0,0,0]}'),
                   "13ff9f456c3238335385e04d7ebdb41056fb6b2642d27d1d5f70845d13d6a3c8"),
+    # exit rows: a refused input, named in one line.  Products of the 1/z_i
+    # leave the float range far outside the |z| window
+    **{f"{argv[0]}-non-finite-L": (
+        (*argv, "--point", FAR_N3),
+        "exit 2: error: non-finite entry nan of L at row 3, column 0")
+       for argv in (("lax",), ("conserved",), ("backlund", "--steps", "0"))},
+    "backlund-both-out-of-range": (("backlund", "--route", "both", "--point", FAR_N3),
+                                   "exit 2: error: M_1 ** 2 overflows: -5e+199"),
+    # Q_2 = 1 - L+[1, 1] / z_2 reads inf / inf
+    "backlund-conjugate-non-finite-read": (
+        ("backlund", "--route", "conjugate", "--point",
+         '{"n": 2, "z": [1e-150, 1e150], "Q": [0.5, 0.5]}'),
+        "exit 2: error: Q_2 read off L is not finite: nan"),
+    # M_1 of the first image vanishes, and every route names the step
+    **{f"backlund-{route}-degenerate-step-2": (
+        ("backlund", "--route", route, "--steps", "3", "--point",
+         '{"n": 2, "z": ["-2", "-1"], "Q": ["3/2", "-1/3"]}'),
+        "exit 2: error: DegeneratePointError: step 2: M_1 = 1 - Q_1 z_1 / z_2 vanishes")
+       for route in ("map", "conjugate", "both")},
+    # RK4 step 4 leaves the |z| window
+    "simulate-blowup": (
+        ("simulate", "--init", '{"q": [0.14, 1.45, 1.03], "p": [-2.62, 1.55, 0.55]}',
+         "--T", "4.0", "--h", "0.25"),
+        "exit 2: error: StepBlowupError: |z_1| = inf left [1e-12, 1e+12] at t=1.0"),
 }
 
 #: n: sha256 over repr(list(f_poly(n, i, mode).terms.items())) + "\n" for
@@ -161,12 +199,19 @@ FLOAT_PATH_GOLDEN = "60803cc22a18cdc60c75803f6a76905fea646ab858548ba25ee0fdfb8a9
 
 
 def run(argv) -> str:
-    """sha256 of the stdout of ``toda-bn *argv``, run in this process through
-    ``cli.main``, or "exit N" if it exits N != 0."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
+    """What ``toda-bn *argv`` gives, run in this process through ``cli.main``:
+    the sha256 of its stdout if it exits 0; if it exits N != 0, "exit N:
+    <its stderr>" (one trailing newline dropped) when stdout is empty, and
+    "exit N" when it is not."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(list(argv))
-    return hashlib.sha256(out.getvalue().encode()).hexdigest() if code == 0 else f"exit {code}"
+    if code == 0:
+        return hashlib.sha256(out.getvalue().encode()).hexdigest()
+    if out.getvalue():
+        return f"exit {code}"
+    line = err.getvalue().removesuffix("\n")
+    return f"exit {code}: {line}"
 
 
 def f_poly_digest(n: int, mode: str) -> str:
@@ -186,26 +231,28 @@ def float_path_digest() -> str:
 
 
 def _checks():
-    for name, (argv, digest) in CLI_GOLDEN.items():
-        yield name, functools.partial(run, argv), digest
+    for name, (argv, pinned) in CLI_GOLDEN.items():
+        yield name, functools.partial(run, argv), pinned
     for n, digest in F_POLY_GOLDEN.items():
         for mode in ("original", "improved"):
             yield f"f_poly-n{n}-{mode}", functools.partial(f_poly_digest, n, mode), digest
     yield "float-path", float_path_digest, FLOAT_PATH_GOLDEN
 
 
-#: every check as (name, function giving the digest, pinned digest)
+#: every check as (name, function giving its value, pinned value)
 CHECKS = tuple(_checks())
 
 
 def main() -> int:
     os.environ.pop("TODA_BN_SEED", None)
-    for name, compute, digest in CHECKS:
+    for name, compute, pinned in CHECKS:
         got = compute()
-        if got != digest:
-            print(f"golden: {name}: got {got}, pinned {digest}", file=sys.stderr)
+        if got != pinned:
+            print(f"golden: {name} moved\n  got:    {got}\n  pinned: {pinned}", file=sys.stderr)
             return 1
-    print(f"golden: {len(CHECKS)} digests hold")
+    exits = sum(pinned.startswith("exit ") for _, _, pinned in CHECKS)
+    print(f"golden: {len(CHECKS)} checks hold, {len(CHECKS) - exits} digests "
+          f"and {exits} exit lines")
     return 0
 
 

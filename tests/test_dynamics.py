@@ -453,8 +453,9 @@ def test_x0_outside_the_window_raises_before_any_step(z):
     x = PhasePoint._trusted(1, (z,), (0.5,))
     for flow in (rk4_endpoint, integrate):
         for T in (0.0, 1e-3):
-            with pytest.raises(StepBlowupError, match=r"at t=0\.0$"):
+            with pytest.raises(StepBlowupError) as exc:
                 flow(x, T, 1e-3)
+            assert str(exc.value) == f"|z_1| = {abs(z)!r} left [1e-12, 1e+12] at t=0.0"
 
 
 @pytest.mark.parametrize("n", [1, 3, 7])
